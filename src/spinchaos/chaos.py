@@ -21,7 +21,7 @@ import numpy as np
 
 from . import disorder as dis
 from . import gibbs, hermite
-from .errors import ValidationError
+from .errors import CapacityError, NumericalError, ValidationError
 from .hypergraph import (Hypergraph, MultiIndex, ball_is_hypertree, ball_sizes,
                          berge_distance, connected_in, hypergraph, multi_index,
                          vertex_support)
@@ -29,6 +29,9 @@ from .randgraph import DilutedSpec, sample_diluted
 from .rng import substream
 
 PERTURBATION_KINDS = ("continuous", "discrete")
+# caller constants of the growth-rate bound families
+BOUND_CONSTANTS = {"poly-growth": ("C", "theta"), "exp-growth": ("C", "gamma"),
+                   "diluted": ("C", "lambda"), "levy": ("K", "c", "eps", "alpha")}
 
 
 @dataclass(frozen=True)
@@ -172,18 +175,16 @@ def theorem_bound_check(curve: ChaosCurve, graph_source,
     """Evaluate decay bounds against the curve.
 
     general-ball is constant-free. The growth-rate families need caller
-    constants: poly {C, theta}, exp {C, gamma}, diluted {C}, levy
+    constants: poly {C, theta}, exp {C, gamma}, diluted {C, lambda}, levy
     {K, c, eps, alpha}. For a diluted source the general-ball value is
     the replica average of per-draw bounds, resampled from the curve's
     own substreams.
     """
     params = params or {}
-    needed = {"poly-growth": ("C", "theta"), "exp-growth": ("C", "gamma"),
-              "diluted": ("C", "lambda"), "levy": ("K", "c", "eps", "alpha")}
     out = []
     n = curve.meta["graph"]["n"]
     for tag in tags:
-        missing = sorted(set(needed.get(tag, ())) - set(params))
+        missing = sorted(set(BOUND_CONSTANTS.get(tag, ())) - set(params))
         if missing:
             raise ValidationError(f"bound {tag!r} needs constants {missing}")
         for ti, t in enumerate(curve.t_grid):
@@ -200,23 +201,29 @@ def theorem_bound_check(curve: ChaosCurve, graph_source,
                         rng = substream(curve.meta["seed"], "replica", k)
                         vals.append(general_ball_bound(_resolve_graph(graph_source, rng), t)[0])
                     bound = float(np.mean(vals))
-            elif tag == "poly-growth":
-                bound = 1.0 / n + params["C"] / (n * t ** params["theta"]) if t > 0 else math.inf
-            elif tag == "exp-growth":
-                gamma = params["gamma"]
-                bound = params["C"] * n ** (-t / (t + math.log(gamma)))
-            elif tag == "diluted":
-                lam = params["lambda"]
-                bound = params["C"] * n ** (-t / (t + 2.0 * math.log(lam)))
-            elif tag == "levy":
-                expo = (2.0 / params["alpha"] - 1.0 - params["eps"]) * min(1.0, params["c"] * t)
-                bound = params["K"] * n ** (-expo)
+            elif tag in BOUND_CONSTANTS:
+                try:
+                    bound = _family_bound(tag, params, n, t)
+                except (ArithmeticError, ValueError) as exc:  # e.g. log(gamma), gamma <= 0
+                    raise NumericalError(f"bound {tag!r} has no value at t={t}: {exc}") from exc
             else:
                 raise ValidationError(f"unknown bound tag {tag!r}")
             margin = bound - est
             out.append(BoundCheck(tag=tag, t=t, estimate=est, se=se, bound=bound,
                                   margin=margin, ok=margin > 0, extra=extra))
     return out
+
+
+def _family_bound(tag: str, p: dict, n: int, t: float) -> float:
+    """A growth-rate family's bound at time t on n vertices."""
+    if tag == "poly-growth":
+        return 1.0 / n + p["C"] / (n * t ** p["theta"]) if t > 0 else math.inf
+    if tag == "exp-growth":
+        return p["C"] * n ** (-t / (t + math.log(p["gamma"])))
+    if tag == "diluted":
+        return p["C"] * n ** (-t / (t + 2.0 * math.log(p["lambda"])))
+    expo = (2.0 / p["alpha"] - 1.0 - p["eps"]) * min(1.0, p["c"] * t)
+    return p["K"] * n ** (-expo)
 
 
 def lower_bound_discrete(curve: ChaosCurve, n_edges: int) -> BoundCheck:
@@ -543,12 +550,19 @@ def levy_chaos(n_values, alpha: float, beta: float, t: float | None,
     are perturbed symmetrically so the pair is distributed as (J, J(t)).
     Estimates decay in N; the fitted log-log slope is reported.
     """
+    model = dis.DisorderModel("pareto-tail", alpha=alpha)  # before log(alpha - 1)
     if t is None:
         t = -math.log(alpha - 1.0) + 0.1
     t = float(t)
     if t <= 0:
         raise ValidationError(f"need t > 0, got {t}")
-    model = dis.DisorderModel("pareto-tail", alpha=alpha)
+    if replicas < 2:
+        raise ValidationError(f"need replicas >= 2, got {replicas}")
+    for n in n_values:
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"n_values must be positive integers, got {n!r}")
+        if n > gibbs.EXACT_MAX_N:  # before complete_graph builds n^2 / 2 edges
+            raise CapacityError(f"exact enumeration capped at N={gibbs.EXACT_MAX_N}, got {n}")
     points = []
     for n in n_values:
         n = int(n)

@@ -5,13 +5,18 @@ Subcommands:
   validate <config>  parse and validate the config, touch nothing
   fixtures           list built-in hypergraphs (--write DIR dumps them)
 
-Configs are strict JSON: unknown keys anywhere fail validation. A run is
-a pure function of (config, seed): rerunning the same config writes
+Configs are strict JSON: unknown keys anywhere fail validation. Each
+experiment kind has one parser in RUNNERS; it checks and converts its
+sections into plain values and returns a zero-argument closure that runs
+the library on them. `validate` builds the closure and drops it, `run`
+builds it and calls it, so both read a config the same way. A run is a
+pure function of (config, seed): rerunning the same config writes
 byte-identical result CSV and JSON (the manifest records wall time and
 is exempt). Exit codes: 2 validation, 3 capacity, 4 numerical breakdown.
 
-SPINCHAOS_THREADS sets the worker count for replica loops; results are
-merged by replica index so the thread count never changes output.
+SPINCHAOS_THREADS sets the worker count for the curve replica loop;
+results are merged by replica index so the thread count never changes
+output.
 """
 
 from __future__ import annotations
@@ -33,12 +38,9 @@ from .hypergraph import Hypergraph
 from .hypergraph import load as load_graph
 from .hypergraph import save as save_graph
 
-EXPERIMENTS = ("chaos-curve", "bound-check", "lower-bound-check",
-               "growth-stats", "hypertree-trend", "coefficient-audit",
-               "counterexamples", "levy-chaos")
-
 UPPER_TAGS = ("general-ball", "poly-growth", "exp-growth", "diluted", "levy")
 LOWER_TAGS = ("lower-discrete", "lower-gaussian")
+SECTIONS = ("model", "curve", "growth", "trend", "audit", "suite", "levy")
 
 
 def _expect(block: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
@@ -52,16 +54,29 @@ def _expect(block: dict, where: str, required: tuple[str, ...], optional: tuple[
         raise ValidationError(f"missing keys in {where}: {missing}")
 
 
-def _positive_int(val, where: str) -> int:
-    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-        raise ValidationError(f"{where} must be a positive integer, got {val!r}")
+def _int(val, where: str, lo: int = 1, hi: int | None = None) -> int:
+    if (not isinstance(val, int) or isinstance(val, bool) or val < lo
+            or (hi is not None and val > hi)):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValidationError(f"{where} must be an integer {span}, got {val!r}")
     return val
 
 
-def _number(val, where: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {val!r}")
+def _number(val, where: str, lo: float = -float("inf")) -> float:
+    # json accepts NaN and +-Infinity; abs() <= max also rejects ints
+    # too large for a float
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not abs(val) <= sys.float_info.max or val < lo):
+        floor = "" if lo == -float("inf") else f" >= {lo}"
+        raise ValidationError(f"{where} must be a finite number{floor}, got {val!r}")
     return float(val)
+
+
+def _list(val, where: str, min_len: int = 1) -> list:
+    if not isinstance(val, list) or len(val) < min_len:
+        least = f" of at least {min_len} entries" if min_len else ""
+        raise ValidationError(f"{where} must be a list{least}")
+    return val
 
 
 def _parse_alphas(block, where: str) -> dict[int, float]:
@@ -84,143 +99,69 @@ def _parse_graph(block, where: str):
     if "fixture" in block:
         return fixtures.get_fixture(block["fixture"])
     if "file" in block:
-        path = Path(block["file"])
-        if not path.exists():
-            raise ValidationError(f"{where}.file does not exist: {path}")
-        return load_graph(path)
+        try:
+            return load_graph(block["file"])
+        except (OSError, TypeError, UnicodeDecodeError) as exc:  # TypeError: not a path
+            raise ValidationError(f"{where}.file cannot be read: {exc}") from exc
     sub = block["diluted"]
     _expect(sub, f"{where}.diluted", ("n", "alphas"))
-    return randgraph.diluted_spec(_positive_int(sub["n"], f"{where}.diluted.n"),
+    return randgraph.diluted_spec(_int(sub["n"], f"{where}.diluted.n"),
                                   _parse_alphas(sub["alphas"], f"{where}.diluted.alphas"))
 
 
 def _parse_disorder(block, where: str) -> dis.DisorderModel:
     _expect(block, where, ("kind",), ("kappa", "alpha"))
-    kind = block["kind"]
-    kwargs = {}
-    if "kappa" in block:
-        kwargs["kappa"] = _number(block["kappa"], f"{where}.kappa")
-    if "alpha" in block:
-        kwargs["alpha"] = _number(block["alpha"], f"{where}.alpha")
-    return dis.DisorderModel(kind, **kwargs)
+    kwargs = {key: _number(block[key], f"{where}.{key}")
+              for key in ("kappa", "alpha") if key in block}
+    return dis.DisorderModel(block["kind"], **kwargs)
 
 
-def _parse_beta(val, where: str):
-    if val == "infinity":
-        return None
-    b = _number(val, where)
-    if b < 0:
-        raise ValidationError(f"{where} must be >= 0 or 'infinity', got {val}")
-    return b
+def _parse_model(block) -> tuple:
+    """(graph source, disorder model, beta or None, perturbation or None)."""
+    _expect(block, "model", ("graph", "disorder", "beta"), ("perturbation",))
+    kind, beta = block.get("perturbation"), block["beta"]
+    if kind is not None and kind not in chaos.PERTURBATION_KINDS:
+        raise ValidationError(f"model.perturbation must be one of {chaos.PERTURBATION_KINDS}")
+    return (_parse_graph(block["graph"], "model.graph"),
+            _parse_disorder(block["disorder"], "model.disorder"),
+            None if beta == "infinity" else _number(beta, "model.beta (or 'infinity')", 0.0), kind)
+
+
+def _sections(cfg: dict, *names: str) -> list:
+    exp = cfg["experiment"]
+    for section in names:
+        if section not in cfg:
+            raise ValidationError(f"experiment {exp} needs section {section!r}")
+    extras = sorted(set(cfg) - {"experiment", "seed", "output"} - set(names))
+    if extras:
+        raise ValidationError(f"experiment {exp} does not accept sections {extras}")
+    return [cfg[section] for section in names]
+
+
+def _parse(cfg):
+    """Check the top level, then build the experiment's run closure."""
+    _expect(cfg, "config", ("experiment", "seed", "output"), SECTIONS)
+    if not isinstance(cfg["experiment"], str) or cfg["experiment"] not in RUNNERS:
+        raise ValidationError(f"experiment must be one of {tuple(RUNNERS)}, "
+                              f"got {cfg['experiment']!r}")
+    _int(cfg["seed"], "seed")
+    out = cfg["output"]
+    if not isinstance(out, str) or not out or (Path(out).exists() and not Path(out).is_dir()):
+        raise ValidationError(f"output must be a directory path, got {out!r}")
+    return RUNNERS[cfg["experiment"]](cfg)
 
 
 def load_config(path) -> dict:
+    """Read and fully validate a config; returns the raw dict."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
     try:
         cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    _expect(cfg, "config", ("experiment", "seed", "output"),
-            ("model", "curve", "growth", "trend", "audit", "suite", "levy"))
-    if cfg["experiment"] not in EXPERIMENTS:
-        raise ValidationError(f"experiment must be one of {EXPERIMENTS}, "
-                              f"got {cfg['experiment']!r}")
-    _positive_int(cfg["seed"], "seed")
-    if not isinstance(cfg["output"], str) or not cfg["output"]:
-        raise ValidationError("output must be a nonempty directory path")
-    _validate_sections(cfg)
+    _parse(cfg)
     return cfg
-
-
-def _validate_sections(cfg: dict):
-    exp = cfg["experiment"]
-    needs = {
-        "chaos-curve": ("model", "curve"),
-        "bound-check": ("model", "curve"),
-        "lower-bound-check": ("model", "curve"),
-        "growth-stats": ("growth",),
-        "hypertree-trend": ("trend",),
-        "coefficient-audit": ("model", "audit"),
-        "counterexamples": ("suite",),
-        "levy-chaos": ("levy",),
-    }[exp]
-    for section in needs:
-        if section not in cfg:
-            raise ValidationError(f"experiment {exp} needs section {section!r}")
-    extras = sorted(set(cfg) - {"experiment", "seed", "output"} - set(needs))
-    if extras:
-        raise ValidationError(f"experiment {exp} does not accept sections {extras}")
-
-    curve_kinds = ("chaos-curve", "bound-check", "lower-bound-check")
-    if exp in curve_kinds + ("coefficient-audit",):
-        _expect(cfg["model"], "model", ("graph", "disorder", "beta"), ("perturbation",))
-        _parse_graph(cfg["model"]["graph"], "model.graph")
-        _parse_disorder(cfg["model"]["disorder"], "model.disorder")
-        _parse_beta(cfg["model"]["beta"], "model.beta")
-    if exp in curve_kinds:
-        if "perturbation" not in cfg["model"]:
-            raise ValidationError(f"{exp} needs model.perturbation")
-        if cfg["model"]["perturbation"] not in chaos.PERTURBATION_KINDS:
-            raise ValidationError(f"model.perturbation must be one of "
-                                  f"{chaos.PERTURBATION_KINDS}")
-        c = cfg["curve"]
-        _expect(c, "curve", ("t_grid", "replicas"),
-                ("mode", "mcmc_sweeps", "mcmc_burn_in", "bounds", "bound_params"))
-        if not isinstance(c["t_grid"], list) or not c["t_grid"]:
-            raise ValidationError("curve.t_grid must be a nonempty list")
-        for t in c["t_grid"]:
-            _number(t, "curve.t_grid entry")
-        _positive_int(c["replicas"], "curve.replicas")
-        if c.get("mode", "exact") not in ("exact", "mcmc"):
-            raise ValidationError("curve.mode must be exact or mcmc")
-        tags = c.get("bounds", [])
-        for tag in tags:
-            if tag not in UPPER_TAGS + LOWER_TAGS:
-                raise ValidationError(f"unknown bound tag {tag!r}")
-        if exp == "bound-check":
-            if not tags or any(tag not in UPPER_TAGS for tag in tags):
-                raise ValidationError("bound-check needs curve.bounds with "
-                                      f"tags from {UPPER_TAGS}")
-        if exp == "lower-bound-check":
-            if not tags or any(tag not in LOWER_TAGS for tag in tags):
-                raise ValidationError("lower-bound-check needs curve.bounds "
-                                      f"with tags from {LOWER_TAGS}")
-    if exp == "coefficient-audit":
-        a = cfg["audit"]
-        _expect(a, "audit", ("i", "j", "degree_cap", "order"), ("tol", "sign_tol"))
-        if isinstance(_parse_graph(cfg["model"]["graph"], "model.graph"),
-                      randgraph.DilutedSpec):
-            raise ValidationError("coefficient-audit needs a fixed graph")
-        if _parse_beta(cfg["model"]["beta"], "model.beta") is None:
-            raise ValidationError("coefficient-audit needs finite beta")
-    if exp == "growth-stats":
-        gblock = cfg["growth"]
-        _expect(gblock, "growth", ("n", "alphas", "depth", "replicas"))
-        _positive_int(gblock["n"], "growth.n")
-        _positive_int(gblock["replicas"], "growth.replicas")
-        _parse_alphas(gblock["alphas"], "growth.alphas")
-        if not isinstance(gblock["depth"], int) or gblock["depth"] < 0:
-            raise ValidationError("growth.depth must be an int >= 0")
-    if exp == "hypertree-trend":
-        tblock = cfg["trend"]
-        _expect(tblock, "trend", ("alphas", "n_values", "eps", "replicas"))
-        _parse_alphas(tblock["alphas"], "trend.alphas")
-        if not isinstance(tblock["n_values"], list) or len(tblock["n_values"]) < 2:
-            raise ValidationError("trend.n_values must list at least two sizes")
-        _number(tblock["eps"], "trend.eps")
-        _positive_int(tblock["replicas"], "trend.replicas")
-    if exp == "counterexamples":
-        _expect(cfg["suite"], "suite", (), ("draws", "order"))
-    if exp == "levy-chaos":
-        lblock = cfg["levy"]
-        _expect(lblock, "levy", ("alpha", "beta", "n_values", "replicas"), ("t",))
-        _number(lblock["alpha"], "levy.alpha")
-        _number(lblock["beta"], "levy.beta")
-        _positive_int(lblock["replicas"], "levy.replicas")
-        if not isinstance(lblock["n_values"], list) or not lblock["n_values"]:
-            raise ValidationError("levy.n_values must be a nonempty list")
 
 
 def _threads() -> int:
@@ -275,170 +216,227 @@ def _jsonable(obj):
     return obj
 
 
-def _run_chaos_curve(cfg: dict):
-    model_cfg = cfg["model"]
-    graph_source = _parse_graph(model_cfg["graph"], "model.graph")
-    model = _parse_disorder(model_cfg["disorder"], "model.disorder")
-    beta = _parse_beta(model_cfg["beta"], "model.beta")
-    c = cfg["curve"]
-    curve = chaos.chaos_curve(
-        graph_source, model, beta, model_cfg["perturbation"],
-        [float(t) for t in c["t_grid"]], c["replicas"], cfg["seed"],
-        mode=c.get("mode", "exact"), mcmc_sweeps=c.get("mcmc_sweeps", 20000),
-        mcmc_burn_in=c.get("mcmc_burn_in", 2000), threads=_threads())
-
-    rows = []
-    for ti, t in enumerate(curve.t_grid):
-        rows.append({"t": t, "estimate": float(curve.estimates[ti]),
-                     "se": float(curve.ses[ti]), "bound_tag": None,
-                     "bound_value": None, "margin": None})
-    checks = []
-    tags = list(c.get("bounds", []))
+def _parse_curve(cfg: dict):
+    """The three curve kinds: model + curve sections, bound tags checked
+    up front so no replica runs for a config whose bounds cannot apply."""
+    exp = cfg["experiment"]
+    model_block, c = _sections(cfg, "model", "curve")
+    graph_source, model, beta, kind = _parse_model(model_block)
+    if kind is None:
+        raise ValidationError(f"{exp} needs model.perturbation")
+    _expect(c, "curve", ("t_grid", "replicas"),
+            ("mode", "mcmc_sweeps", "mcmc_burn_in", "bounds", "bound_params"))
+    t_grid = [_number(t, "curve.t_grid entry", 0.0)
+              for t in _list(c["t_grid"], "curve.t_grid")]
+    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValidationError(f"curve.t_grid must be strictly increasing, got {t_grid}")
+    replicas = _int(c["replicas"], "curve.replicas", 2)
+    mode = c.get("mode", "exact")
+    if mode not in ("exact", "mcmc"):
+        raise ValidationError("curve.mode must be exact or mcmc")
+    sweeps = _int(c.get("mcmc_sweeps", 20000), "curve.mcmc_sweeps")
+    burn_in = _int(c.get("mcmc_burn_in", 2000), "curve.mcmc_burn_in", 0)
+    tags = _list(c.get("bounds", []), "curve.bounds", 0)
+    for tag in tags:
+        if tag not in UPPER_TAGS + LOWER_TAGS:
+            raise ValidationError(f"unknown bound tag {tag!r}")
+    kind_tags = {"bound-check": UPPER_TAGS, "lower-bound-check": LOWER_TAGS}.get(exp)
+    if kind_tags and (not tags or any(tag not in kind_tags for tag in tags)):
+        raise ValidationError(f"{exp} needs curve.bounds with tags from {kind_tags}")
+    if "lower-gaussian" in tags and (model.kind != "identity" or beta is None):
+        raise ValidationError("lower-gaussian needs identity disorder and finite beta")
+    for tag, needs in (("lower-discrete", "discrete"), ("lower-gaussian", "continuous")):
+        if tag in tags and (kind != needs or t_grid[0] != 0.0
+                            or not isinstance(graph_source, Hypergraph)):
+            raise ValidationError(f"{tag} needs a fixed graph, {needs} perturbation "
+                                  "and a t_grid from 0")
     upper = [tag for tag in tags if tag in UPPER_TAGS]
-    if upper:
-        checks.extend(chaos.theorem_bound_check(curve, graph_source, tags=upper,
-                                                params=c.get("bound_params", {})))
-    if "lower-discrete" in tags:
-        n_edges = _edge_count(graph_source)
-        checks.append(chaos.lower_bound_discrete(curve, n_edges))
-    if "lower-gaussian" in tags:
-        if model.kind != "identity":
-            raise ValidationError("lower-gaussian needs identity disorder")
-        checks.append(chaos.lower_bound_gaussian(curve, beta, _edge_count(graph_source)))
-    flat_checks = []
-    for ch in checks:
-        flat_checks.extend(ch if isinstance(ch, list) else [ch])
-    for ch in flat_checks:
-        rows.append({"t": ch.t, "estimate": ch.estimate, "se": ch.se,
-                     "bound_tag": ch.tag, "bound_value": ch.bound, "margin": ch.margin})
-    mono = chaos.monotonicity_check(curve)
-    payload = {
-        "curve": {"t_grid": list(curve.t_grid), "estimates": curve.estimates,
-                  "ses": curve.ses, "meta": curve.meta},
-        "bounds": [{"tag": ch.tag, "t": ch.t, "estimate": ch.estimate, "se": ch.se,
-                    "bound": ch.bound, "margin": ch.margin, "ok": ch.ok,
-                    "extra": ch.extra} for ch in flat_checks],
-        "monotonicity": mono,
-    }
-    columns = ["t", "estimate", "se", "bound_tag", "bound_value", "margin"]
-    return columns, rows, payload, tags
+    params = c.get("bound_params", {})
+    _expect(params, "curve.bound_params",
+            tuple(k for tag in upper for k in chaos.BOUND_CONSTANTS.get(tag, ())),
+            tuple(k for names in chaos.BOUND_CONSTANTS.values() for k in names))
+    params = {k: _number(v, f"curve.bound_params.{k}") for k, v in params.items()}
+    seed = cfg["seed"]
+
+    def run():
+        curve = chaos.chaos_curve(graph_source, model, beta, kind, t_grid, replicas, seed,
+                                  mode=mode, mcmc_sweeps=sweeps, mcmc_burn_in=burn_in,
+                                  threads=_threads())
+        rows = [{"t": t, "estimate": float(curve.estimates[ti]), "se": float(curve.ses[ti]),
+                 "bound_tag": None, "bound_value": None, "margin": None}
+                for ti, t in enumerate(curve.t_grid)]
+        checks = []
+        if upper:
+            checks.extend(chaos.theorem_bound_check(curve, graph_source, tags=upper,
+                                                    params=params))
+        if "lower-discrete" in tags:
+            checks.append(chaos.lower_bound_discrete(curve, graph_source.n_edges))
+        if "lower-gaussian" in tags:
+            checks.extend(chaos.lower_bound_gaussian(curve, beta, graph_source.n_edges))
+        for ch in checks:
+            rows.append({"t": ch.t, "estimate": ch.estimate, "se": ch.se,
+                         "bound_tag": ch.tag, "bound_value": ch.bound, "margin": ch.margin})
+        payload = {
+            "curve": {"t_grid": list(curve.t_grid), "estimates": curve.estimates,
+                      "ses": curve.ses, "meta": curve.meta},
+            "bounds": [{"tag": ch.tag, "t": ch.t, "estimate": ch.estimate, "se": ch.se,
+                        "bound": ch.bound, "margin": ch.margin, "ok": ch.ok,
+                        "extra": ch.extra} for ch in checks],
+            "monotonicity": chaos.monotonicity_check(curve),
+        }
+        columns = ["t", "estimate", "se", "bound_tag", "bound_value", "margin"]
+        return columns, rows, payload, tags
+    return run
 
 
-def _edge_count(graph_source) -> int:
-    if isinstance(graph_source, Hypergraph):
-        return graph_source.n_edges
-    raise ValidationError("this bound needs a fixed graph")
+def _parse_growth(cfg: dict):
+    (g,) = _sections(cfg, "growth")
+    _expect(g, "growth", ("n", "alphas", "depth", "replicas"))
+    spec = randgraph.diluted_spec(_int(g["n"], "growth.n"),
+                                  _parse_alphas(g["alphas"], "growth.alphas"))
+    depth = _int(g["depth"], "growth.depth", 0)
+    replicas = _int(g["replicas"], "growth.replicas", 2)
+    seed = cfg["seed"]
+
+    def run():
+        stats = randgraph.growth_stats(spec, depth, replicas, seed)
+        rows = randgraph.growth_stats_rows(stats)
+        payload = {
+            "lambda": spec.growth_rate, "lambda_prime": spec.growth_rate_prime,
+            "cycle_prob": stats.cycle_prob, "cycle_prob_se": stats.cycle_prob_se,
+            "rows": rows,
+        }
+        columns = ["t", "mean_I", "se_I", "mean_I2", "se_I2", "mean_B",
+                   "bound_lambda_t", "bound_second_moment"]
+        return columns, rows, payload, []
+    return run
 
 
-def _run_growth(cfg: dict):
-    gblock = cfg["growth"]
-    spec = randgraph.diluted_spec(gblock["n"], _parse_alphas(gblock["alphas"], "growth.alphas"))
-    stats = randgraph.growth_stats(spec, gblock["depth"], gblock["replicas"], cfg["seed"])
-    rows = randgraph.growth_stats_rows(stats)
-    payload = {
-        "lambda": spec.growth_rate, "lambda_prime": spec.growth_rate_prime,
-        "cycle_prob": stats.cycle_prob, "cycle_prob_se": stats.cycle_prob_se,
-        "rows": rows,
-    }
-    columns = ["t", "mean_I", "se_I", "mean_I2", "se_I2", "mean_B",
-               "bound_lambda_t", "bound_second_moment"]
-    return columns, rows, payload, []
+def _parse_trend(cfg: dict):
+    (tr,) = _sections(cfg, "trend")
+    _expect(tr, "trend", ("alphas", "n_values", "eps", "replicas"))
+    alphas = _parse_alphas(tr["alphas"], "trend.alphas")
+    n_values = [_int(n, "trend.n_values entry", 2)
+                for n in _list(tr["n_values"], "trend.n_values", 2)]
+    eps = _number(tr["eps"], "trend.eps")
+    for n in n_values:  # the library's checks of each size, before any draw
+        randgraph.probe_depth(randgraph.diluted_spec(n, alphas), n, eps)
+    replicas = _int(tr["replicas"], "trend.replicas", 2)
+    seed = cfg["seed"]
+
+    def run():
+        rows = randgraph.hypertree_trend(alphas, n_values, eps, replicas, seed)
+        decreasing = all(b["cycle_prob"] <= a["cycle_prob"] for a, b in zip(rows, rows[1:]))
+        payload = {"rows": rows, "decreasing": decreasing}
+        return ["n", "depth", "cycle_prob", "se"], rows, payload, []
+    return run
 
 
-def _run_trend(cfg: dict):
-    tblock = cfg["trend"]
-    rows = randgraph.hypertree_trend(
-        _parse_alphas(tblock["alphas"], "trend.alphas"), tblock["n_values"],
-        float(tblock["eps"]), tblock["replicas"], cfg["seed"])
-    decreasing = all(b["cycle_prob"] <= a["cycle_prob"] for a, b in zip(rows, rows[1:]))
-    payload = {"rows": rows, "decreasing": decreasing}
-    return ["n", "depth", "cycle_prob", "se"], rows, payload, []
+def _parse_audit(cfg: dict):
+    model_block, a = _sections(cfg, "model", "audit")
+    graph, model, beta, _ = _parse_model(model_block)
+    _expect(a, "audit", ("i", "j", "degree_cap", "order"), ("tol", "sign_tol"))
+    if not isinstance(graph, Hypergraph) or beta is None:
+        raise ValidationError("coefficient-audit needs a fixed graph and finite beta")
+    i = _int(a["i"], "audit.i", 0, graph.n - 1)
+    j = _int(a["j"], "audit.j", 0, graph.n - 1)
+    degree_cap = _int(a["degree_cap"], "audit.degree_cap", 0)
+    order = _int(a["order"], "audit.order")
+    tol = _number(a.get("tol", 1e-6), "audit.tol", 0.0)
+    sign_tol = _number(a.get("sign_tol", 1e-8), "audit.sign_tol", 0.0)
+
+    def run():
+        report = chaos.coefficient_audit(graph, model, beta, i, j, degree_cap, order,
+                                         tol=tol, sign_tol=sign_tol)
+        rows = []
+        for r in report.rows:
+            rows.append({
+                "n": ";".join(f"{eid}:{d}" for eid, d in r.n.degrees) or "0",
+                "value": r.value, "forced_zero": r.forced_zero,
+                "in_support": r.in_support, "path_ij": r.path_ij,
+                "support_size": r.support_size,
+            })
+        payload = {
+            "i": report.i, "j": report.j, "beta": report.beta,
+            "degree_cap": report.degree_cap, "order": report.order,
+            "hypertree_radius": report.hypertree_radius,
+            "e_phi_sq": report.e_phi_sq,
+            "sign_violations": list(report.sign_violations),
+            "path_violations": list(report.path_violations),
+            "hypertree_violations": list(report.hypertree_violations),
+            "rows": rows,
+        }
+        columns = ["n", "value", "forced_zero", "in_support", "path_ij", "support_size"]
+        return columns, rows, payload, []
+    return run
 
 
-def _run_audit(cfg: dict):
-    model_cfg = cfg["model"]
-    graph = _parse_graph(model_cfg["graph"], "model.graph")
-    model = _parse_disorder(model_cfg["disorder"], "model.disorder")
-    beta = _parse_beta(model_cfg["beta"], "model.beta")
-    a = cfg["audit"]
-    report = chaos.coefficient_audit(graph, model, beta, a["i"], a["j"],
-                                     a["degree_cap"], a["order"],
-                                     tol=a.get("tol", 1e-6),
-                                     sign_tol=a.get("sign_tol", 1e-8))
-    rows = []
-    for r in report.rows:
-        rows.append({
-            "n": ";".join(f"{eid}:{d}" for eid, d in r.n.degrees) or "0",
-            "value": r.value, "forced_zero": r.forced_zero,
-            "in_support": r.in_support, "path_ij": r.path_ij,
-            "support_size": r.support_size,
-        })
-    payload = {
-        "i": report.i, "j": report.j, "beta": report.beta,
-        "degree_cap": report.degree_cap, "order": report.order,
-        "hypertree_radius": report.hypertree_radius,
-        "e_phi_sq": report.e_phi_sq,
-        "sign_violations": list(report.sign_violations),
-        "path_violations": list(report.path_violations),
-        "hypertree_violations": list(report.hypertree_violations),
-        "rows": rows,
-    }
-    columns = ["n", "value", "forced_zero", "in_support", "path_ij", "support_size"]
-    return columns, rows, payload, []
+def _parse_suite(cfg: dict):
+    (s,) = _sections(cfg, "suite")
+    _expect(s, "suite", (), ("draws", "order"))
+    draws = _int(s.get("draws", 100), "suite.draws")
+    order = _int(s.get("order", 16), "suite.order")
+    seed = cfg["seed"]
+
+    def run():
+        result = chaos.counterexample_suite(seed, draws=draws, order=order)
+        rows = [
+            {"item": "remark", "metric": "tanh_identity_max_err",
+             "value": result["remark"]["tanh_identity_max_err"]},
+            {"item": "remark", "metric": "unforced_index_coeff",
+             "value": result["remark"]["unforced_index_coeff"]},
+        ]
+        for entry in result["two_lobe"]:
+            item = f"two_lobe_k{entry['k']}"
+            rows.append({"item": item, "metric": "decoupling_max_err",
+                         "value": entry["decoupling_max_err"]})
+            rows.append({"item": item, "metric": "tanh_product_max_err",
+                         "value": entry["tanh_product_max_err"]})
+            for beta in (0.5, 1.0):
+                coeff = entry[f"coeff_beta_{beta}"]
+                rows.append({"item": item, "metric": f"coeff_beta_{beta}",
+                             "value": coeff["value"]})
+                rows.append({"item": item, "metric": f"coeff_factorized_beta_{beta}",
+                             "value": coeff["factorized"]})
+        return ["item", "metric", "value"], rows, result, []
+    return run
 
 
-def _run_suite(cfg: dict):
-    sblock = cfg["suite"]
-    result = chaos.counterexample_suite(cfg["seed"], draws=sblock.get("draws", 100),
-                                        order=sblock.get("order", 16))
-    rows = [
-        {"item": "remark", "metric": "tanh_identity_max_err",
-         "value": result["remark"]["tanh_identity_max_err"]},
-        {"item": "remark", "metric": "unforced_index_coeff",
-         "value": result["remark"]["unforced_index_coeff"]},
-    ]
-    for entry in result["two_lobe"]:
-        k = entry["k"]
-        rows.append({"item": f"two_lobe_k{k}", "metric": "decoupling_max_err",
-                     "value": entry["decoupling_max_err"]})
-        rows.append({"item": f"two_lobe_k{k}", "metric": "tanh_product_max_err",
-                     "value": entry["tanh_product_max_err"]})
-        for beta in (0.5, 1.0):
-            coeff = entry[f"coeff_beta_{beta}"]
-            rows.append({"item": f"two_lobe_k{k}", "metric": f"coeff_beta_{beta}",
-                         "value": coeff["value"]})
-            rows.append({"item": f"two_lobe_k{k}",
-                         "metric": f"coeff_factorized_beta_{beta}",
-                         "value": coeff["factorized"]})
-    return ["item", "metric", "value"], rows, result, []
+def _parse_levy(cfg: dict):
+    (lv,) = _sections(cfg, "levy")
+    _expect(lv, "levy", ("alpha", "beta", "n_values", "replicas"), ("t",))
+    alpha = _number(lv["alpha"], "levy.alpha")
+    dis.DisorderModel("pareto-tail", alpha=alpha)  # rejects alpha outside (1, 2)
+    beta = _number(lv["beta"], "levy.beta", 0.0)
+    n_values = [_int(n, "levy.n_values entry") for n in _list(lv["n_values"], "levy.n_values")]
+    replicas = _int(lv["replicas"], "levy.replicas", 2)
+    t = None if lv.get("t") is None else _number(lv["t"], "levy.t")
+    seed = cfg["seed"]
 
-
-def _run_levy(cfg: dict):
-    lblock = cfg["levy"]
-    result = chaos.levy_chaos(lblock["n_values"], float(lblock["alpha"]),
-                              float(lblock["beta"]), lblock.get("t"),
-                              lblock["replicas"], cfg["seed"])
-    rows = [{"n": p.n, "estimate": p.estimate, "se": p.se} for p in result["points"]]
-    payload = {k: v for k, v in result.items() if k != "points"}
-    payload["points"] = rows
-    return ["n", "estimate", "se"], rows, payload, []
+    def run():
+        result = chaos.levy_chaos(n_values, alpha, beta, t, replicas, seed)
+        rows = [{"n": p.n, "estimate": p.estimate, "se": p.se} for p in result["points"]]
+        payload = {k: v for k, v in result.items() if k != "points"}
+        payload["points"] = rows
+        return ["n", "estimate", "se"], rows, payload, []
+    return run
 
 
 RUNNERS = {
-    "chaos-curve": _run_chaos_curve,
-    "bound-check": _run_chaos_curve,
-    "lower-bound-check": _run_chaos_curve,
-    "growth-stats": _run_growth,
-    "hypertree-trend": _run_trend,
-    "coefficient-audit": _run_audit,
-    "counterexamples": _run_suite,
-    "levy-chaos": _run_levy,
+    "chaos-curve": _parse_curve,
+    "bound-check": _parse_curve,
+    "lower-bound-check": _parse_curve,
+    "growth-stats": _parse_growth,
+    "hypertree-trend": _parse_trend,
+    "coefficient-audit": _parse_audit,
+    "counterexamples": _parse_suite,
+    "levy-chaos": _parse_levy,
 }
 
 
 def run_experiment(cfg: dict) -> dict:
     t0 = time.monotonic()
-    columns, rows, payload, bound_tags = RUNNERS[cfg["experiment"]](cfg)
+    columns, rows, payload, bound_tags = _parse(cfg)()
     outdir = Path(cfg["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "results.csv"

@@ -303,8 +303,9 @@ def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
         us = rng.random(n)
         for i, u in zip(order, us):
             m = _local_field(adj[i], sigma)
-            # heat bath: P(sigma_i = +1 | rest) = 1/(1 + exp(-2 beta m))
-            sigma[i] = 1 if u < 1.0 / (1.0 + math.exp(-2.0 * beta * m)) else -1
+            # heat bath: P(sigma_i = +1 | rest) = 1/(1 + exp(-2 beta m)),
+            # written with tanh so that large |beta m| cannot overflow
+            sigma[i] = 1 if u < 0.5 * (1.0 + math.tanh(beta * m)) else -1
 
     for _ in range(burn_in):
         sweep()
@@ -379,24 +380,3 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
         for k, obs in enumerate(single_obs):
             single_vals[k, start:start + block] = (obs @ w) / denom
     return pair_vals, single_vals
-
-
-def pair_correlation_fn(graph: Hypergraph, beta: float, i: int, j: int,
-                        levy_scale: float = 1.0):
-    """Vectorized disorder functional phi(c) = <sigma_i sigma_j> taking
-    coupling rows (B, n_edges) to values (B,)."""
-    def phi(couplings):
-        vals, _ = batch_moments(graph, couplings, beta, [(i, j)], levy_scale=levy_scale)
-        return vals[0]
-    return phi
-
-
-def write_correlation_csv(cm: CorrelationMatrix, path) -> None:
-    """CSV rows (i, j, value) over the full matrix, fixed ordering."""
-    n = cm.corr.shape[0]
-    lines = ["i,j,value"]
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"{i},{j},{float(cm.corr[i, j])!r}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -302,6 +302,8 @@ def probe_depth(spec: DilutedSpec, n: int, eps: float) -> int:
 def hypertree_trend(alphas, n_values, eps: float, replicas: int, seed: int) -> list[dict]:
     """P(cycle within the probe depth) across growing N; the probability
     should trend downward when the probe depth stays constant."""
+    if replicas < 2:
+        raise ValidationError(f"need replicas >= 2, got {replicas}")
     rows = []
     for idx, n in enumerate(n_values):
         spec = diluted_spec(n, alphas)

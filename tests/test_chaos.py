@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from spinchaos import chaos, fixtures, gibbs, hermite
 from spinchaos import disorder as dis
-from spinchaos.errors import ValidationError
+from spinchaos.errors import CapacityError, NumericalError, ValidationError
 from spinchaos.hypergraph import berge_distance, hypergraph
 from spinchaos.randgraph import diluted_spec, sample_diluted
 from spinchaos.rng import substream
@@ -265,6 +265,11 @@ def test_theorem_bound_check_formulas():
         chaos.theorem_bound_check(curve, g, tags=("no-such-bound",))
     with pytest.raises(ValidationError):
         chaos.theorem_bound_check(curve, g, tags=("poly-growth",), params={"C": 1.0})
+    # constants with no finite bound are a classified error, not a raw one
+    for tag, bad in (("exp-growth", {"gamma": 0.0}), ("poly-growth", {"theta": 2000.0}),
+                     ("levy", {"alpha": 0.0})):
+        with pytest.raises(NumericalError):
+            chaos.theorem_bound_check(curve, g, tags=(tag,), params=dict(params, **bad))
 
 
 def test_theorem_bound_check_diluted_average():
@@ -474,6 +479,14 @@ def test_levy_default_t_and_errors():
         chaos.levy_chaos([4], 1.5, 0.3, 0.0, 5, 3)
     with pytest.raises(ValidationError):
         chaos.levy_chaos([4], 2.5, 0.3, 1.0, 5, 3)
+    with pytest.raises(ValidationError):  # alpha is checked before log(alpha - 1)
+        chaos.levy_chaos([4], 0.5, 0.3, None, 5, 3)
+    with pytest.raises(ValidationError):
+        chaos.levy_chaos([4], 1.5, 0.3, 1.0, 1, 3)
+    with pytest.raises(ValidationError):
+        chaos.levy_chaos([4.7], 1.5, 0.3, 1.0, 5, 3)
+    with pytest.raises(CapacityError):  # before the complete graph is built
+        chaos.levy_chaos([4, 10 ** 6], 1.5, 0.3, 1.0, 5, 3)
 
 
 def test_levy_beta_zero_is_one_over_n():

@@ -4,10 +4,17 @@ Runs go through cli.main so argument parsing, exit codes, and file
 output are all exercised the way a shell user would hit them.
 """
 
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spinchaos import cli, fixtures
 from spinchaos.errors import ValidationError
@@ -89,12 +96,181 @@ def test_section_mismatch_rejected(tmp_path):
     (lambda c: c["curve"].__setitem__("bounds", ["thm-1.1"]), "bounds"),
     (lambda c: c["model"].__setitem__("graph", {"fixture": "nope"}), "fixture"),
     (lambda c: c["model"].__setitem__("disorder", {"kind": "cauchy"}), "disorder"),
+    (lambda c: c["curve"].__setitem__("t_grid", [0.0, math.nan]), "t_grid"),
+    (lambda c: c["curve"].__setitem__("t_grid", [0.0, math.inf]), "t_grid"),
+    (lambda c: c["curve"].__setitem__("t_grid", [0.0, -0.5]), "t_grid"),
+    (lambda c: c["model"].__setitem__("beta", math.nan), "beta_nan"),
+    (lambda c: c["model"]["disorder"].__setitem__("kappa", -math.inf), "kappa"),
+    (lambda c: c["curve"].__setitem__("replicas", 1), "one_replica"),
+    (lambda c: c["curve"].update(mode="mcmc", mcmc_sweeps="lots"), "mcmc_sweeps"),
+    (lambda c: c["curve"].__setitem__("mcmc_burn_in", -1), "mcmc_burn_in"),
+    (lambda c: c["curve"].__setitem__("bounds", "general-ball"), "bounds_not_list"),
+    (lambda c: c["curve"].__setitem__("bounds", 5), "bounds_not_list"),
+    (lambda c: c["curve"].__setitem__("bounds", ["poly-growth"]), "bound_params"),
+    (lambda c: c["curve"].update(bounds=["poly-growth"], bound_params={"C": "x", "theta": 1}),
+     "bound_params"),
+    (lambda c: c["curve"].update(bounds=["levy"], bound_params={"K": 1, "c": 1, "eps": 0,
+                                                                "alpha": 1.5, "kapa": 1}),
+     "bound_params"),
+    (lambda c: (c.update(experiment="lower-bound-check"),
+                c["model"].__setitem__("beta", "infinity"),
+                c["curve"].__setitem__("bounds", ["lower-gaussian"])), "lower_gaussian"),
+    (lambda c: (c["model"].__setitem__("disorder", {"kind": "scaled-tanh"}),
+                c["curve"].__setitem__("bounds", ["lower-gaussian"])), "lower_gaussian"),
+    (lambda c: (c["model"].__setitem__("graph", {"diluted": {"n": 8, "alphas": {"2": 0.5}}}),
+                c["curve"].__setitem__("bounds", ["lower-discrete"])), "lower_graph"),
+    (lambda c: c["model"].__setitem__("graph", {"file": 3}), "graph_file"),
 ])
-def test_bad_values_rejected(tmp_path, mutate, field):
+def test_bad_values_rejected(tmp_path, capsys, mutate, field):
     cfg = curve_config(tmp_path / "out")
     mutate(cfg)
-    with pytest.raises(Exception):
-        cli.load_config(write_config(tmp_path, cfg))
+    assert_rejected(tmp_path, capsys, cfg)
+
+
+def assert_rejected(tmp_path, capsys, cfg):
+    """Both subcommands stop at the parse: exit 2, one error line, no
+    traceback (an unclassified exception would escape cli.main)."""
+    path = write_config(tmp_path, cfg)
+    for cmd in ("validate", "run"):
+        assert cli.main([cmd, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+SECTION_BASE = {
+    "levy": ("levy-chaos", {"alpha": 1.5, "beta": 0.5, "n_values": [4, 6],
+                            "replicas": 6, "t": 1.0}),
+    "trend": ("hypertree-trend", {"alphas": {"2": 0.9}, "n_values": [60, 120],
+                                  "eps": 0.5, "replicas": 30}),
+    "growth": ("growth-stats", {"n": 400, "alphas": {"2": 0.6}, "depth": 3, "replicas": 4}),
+    "suite": ("counterexamples", {"draws": 5, "order": 8}),
+    "audit": ("coefficient-audit", {"i": 0, "j": 1, "degree_cap": 3, "order": 8}),
+}
+
+
+@pytest.mark.parametrize("section,over", [
+    pytest.param("levy", {"t": "x"}, id="levy-t-string"),
+    pytest.param("levy", {"t": math.nan}, id="levy-t-nan"),
+    pytest.param("levy", {"replicas": 1}, id="levy-one-replica"),
+    pytest.param("levy", {"n_values": [4.7]}, id="levy-n-float"),
+    pytest.param("levy", {"n_values": [4, 0]}, id="levy-n-zero"),
+    pytest.param("levy", {"alpha": 0.5, "t": None}, id="levy-alpha-default-t"),
+    pytest.param("levy", {"beta": "infinity"}, id="levy-beta-infinity"),
+    pytest.param("trend", {"n_values": ["a", 500]}, id="trend-n-string"),
+    pytest.param("trend", {"replicas": 1}, id="trend-one-replica"),
+    pytest.param("trend", {"eps": math.inf}, id="trend-eps-inf"),
+    pytest.param("growth", {"n": 1}, id="growth-n-one"),
+    pytest.param("growth", {"alphas": {"2": math.nan}}, id="growth-alpha-nan"),
+    pytest.param("suite", {"draws": "x"}, id="suite-draws-string"),
+    pytest.param("suite", {"order": 2.5}, id="suite-order-float"),
+    pytest.param("audit", {"j": 4}, id="audit-j-outside-graph"),
+    pytest.param("audit", {"i": -1}, id="audit-i-negative"),
+    pytest.param("audit", {"i": 0.5}, id="audit-i-float"),
+    pytest.param("audit", {"tol": math.nan, "sign_tol": math.nan}, id="audit-tol-nan"),
+    pytest.param("audit", {"tol": -1e-6}, id="audit-tol-negative"),
+    pytest.param("audit", {"sign_tol": -math.inf}, id="audit-sign-tol-inf"),
+])
+def test_section_values_rejected(tmp_path, capsys, section, over):
+    experiment, block = SECTION_BASE[section]
+    cfg = {"experiment": experiment, "seed": 3, "output": str(tmp_path / "out"),
+           section: dict(block, **over)}
+    if section == "audit":
+        cfg["model"] = {"graph": {"fixture": "remark-path-graph"},
+                        "disorder": {"kind": "identity"}, "beta": 1.0}
+    assert_rejected(tmp_path, capsys, cfg)
+
+
+def test_output_must_not_be_a_file(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    cfg = curve_config(tmp_path / "taken")
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: output")
+
+
+OMIT = object()  # leave the key out of the drawn block
+CONSTANTS = {"C": 1.0, "theta": 1.0, "gamma": 2.0, "lambda": 2.0,
+             "K": 1.0, "c": 1.0, "eps": 0.0, "alpha": 1.5}
+
+
+@st.composite
+def small_config(draw, exp):
+    """A config of kind exp at sizes that run in well under a second.
+    Each field takes one of its good values or, now and then, one of its
+    bad values."""
+    def pick(good, bad=()):
+        bad_draw = bad and draw(st.sampled_from((False,) * 7 + (True,)))
+        return draw(st.sampled_from(bad if bad_draw else good))
+
+    def block(**fields):
+        drawn = {key: pick(*choices) for key, choices in fields.items()}
+        return {key: val for key, val in drawn.items() if val is not OMIT}
+
+    cfg = {"experiment": exp, "seed": pick((7, 90210), (0, "7"))}
+    model = block(
+        graph=(({"fixture": "remark-path-graph"}, {"fixture": "figure1-hypergraph"},
+                {"fixture": "ea-ring"}, {"diluted": {"n": 6, "alphas": {"2": 0.5}}}),
+               ({"diluted": {"n": 30, "alphas": {"2": 0.5}}}, {"fixture": 1})),
+        disorder=(({"kind": "identity"}, {"kind": "scaled-tanh", "kappa": 2.0},
+                   {"kind": "pareto-tail", "alpha": 1.5}),
+                  ({"kind": "identity", "kappa": math.nan}, {"kind": "cauchy"})),
+        beta=((0.7, 0, 3.0, "infinity"), (-1.0, math.nan)),
+        perturbation=(("continuous", "discrete"), (OMIT, "ou")))
+    if exp in ("chaos-curve", "bound-check", "lower-bound-check"):
+        bounds = {"bound-check": (["general-ball"],
+                                  ["poly-growth", "exp-growth", "diluted", "levy"]),
+                  "lower-bound-check": (["lower-discrete"], ["lower-gaussian"])}.get(
+                      exp, (OMIT, [], ["general-ball", "lower-discrete"], ["lower-gaussian"]))
+        cfg["model"] = model
+        cfg["curve"] = block(
+            t_grid=(([0.0, 0.5], [0.0, 0.125, 1.0]), ([0.5, 0.25], [], [0.0, math.inf])),
+            replicas=((3, 2), (1,)), mode=(("exact", "mcmc", OMIT), ("hybrid",)),
+            mcmc_sweeps=((64,), (31, "lots")), mcmc_burn_in=((OMIT, 8), (-1,)),
+            bounds=(bounds, ("general-ball", ["thm"], ["lower-discrete", "levy"])),
+            bound_params=((OMIT, CONSTANTS),
+                          (dict(CONSTANTS, gamma=0.0), dict(CONSTANTS, theta=2000.0), {"C": "x"})))
+    elif exp == "growth-stats":
+        cfg["growth"] = block(n=((200, 30), (1,)),
+                              alphas=(({"2": 0.6, "3": 0.2}, {"2": 0.5}), ({"2": 0.0}, {"x": 1})),
+                              depth=((2, 0), (-1,)), replicas=((5, 2), (1,)))
+    elif exp == "hypertree-trend":
+        cfg["trend"] = block(alphas=(({"2": 0.9}, {"2": 0.6, "3": 0.3}), ({"2": 0.3},)),
+                             n_values=(([60, 120], [2, 5]), (["a", 500], [60])),
+                             eps=((0.5, 0.9), (0.0, 1.5)), replicas=((3,), (1,)))
+    elif exp == "coefficient-audit":
+        cfg["model"] = dict(model, graph=pick(({"fixture": "remark-path-graph"},
+                                               {"fixture": "figure1-hypergraph"}),
+                                              ({"fixture": "ea-ring"}, {"diluted": {"n": 6}})))
+        cfg["audit"] = block(i=((0, 1), (-1,)), j=((1, 3), (7,)), degree_cap=((2, 0), (11, "x")),
+                             order=((4,), (0, 30)), tol=((OMIT, 0.0), (math.nan, -1.0)),
+                             sign_tol=((OMIT, 1e-8),))
+    elif exp == "counterexamples":
+        cfg["suite"] = block(draws=((2,), (0, "x")), order=((4,), (0, 30)))
+    else:
+        cfg["levy"] = block(alpha=((1.5,), (0.5, 2.5)), beta=((0.5, 0.0), (-1.0, "infinity")),
+                            n_values=(([3, 4], [1]), ([4.7], [], [30])), replicas=((2,), (1,)),
+                            t=((OMIT, None, 1.0), (0.0, "x")))
+    return cfg
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.tuples(*(small_config(exp) for exp in cli.RUNNERS)))
+def test_validated_configs_run_or_fail_classified(cfgs):
+    """validate never raises; a config it accepts runs to exit 0 or stops
+    with a classified error (2, 3 or 4), and one it rejects fails the same
+    way at run. Each example holds one config of every kind."""
+    for cfg in cfgs:
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = dict(cfg, output=str(Path(tmp) / "out"))
+            path = write_config(Path(tmp), cfg)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                checked = cli.main(["validate", str(path)])
+                ran = cli.main(["run", str(path)])
+        assert checked in (0, 2, 3), cfg
+        assert ran in ((0, 2, 3, 4) if checked == 0 else (checked,)), cfg
 
 
 def test_bound_check_kind_requires_upper_tags(tmp_path):

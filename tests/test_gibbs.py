@@ -1,17 +1,17 @@
-import csv
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from spinchaos.chaos import disorder_functional
+from spinchaos.disorder import DisorderModel
 from spinchaos.errors import CapacityError, ValidationError
 from spinchaos.gibbs import (CorrelationMatrix, anneal_ground_state,
                              batch_moments, exact_correlations,
                              ground_state_correlations, ground_states,
                              hamiltonian, mcmc_correlations,
-                             overlap_second_moment, pair_correlation_fn,
-                             spin_system, write_correlation_csv)
+                             overlap_second_moment, spin_system)
 from spinchaos.hypergraph import hypergraph
 from spinchaos.rng import substream
 
@@ -199,6 +199,16 @@ def test_mcmc_agrees_with_exact():
     assert math.isnan(samp.log_z)
 
 
+def test_mcmc_large_beta_does_not_overflow():
+    # beta m = 1000 used to overflow exp(-2 beta m) in the heat-bath step
+    for sign in (1.0, -1.0):
+        cs = sign * 50.0 * np.ones(8)
+        samp = mcmc_correlations(spin_system(ring(8), cs, 10.0), substream(5, "cold-chain"),
+                                 sweeps=640, burn_in=200)
+        ground = ground_state_correlations(ground_states(spin_system(ring(8), cs, None)))
+        assert np.array_equal(samp.corr, ground.corr)
+
+
 def test_mcmc_validation():
     sys = spin_system(ring(4), np.ones(4), 1.0)
     with pytest.raises(ValidationError):
@@ -248,9 +258,9 @@ def test_batch_moments_match_loop(rng):
             assert sv[k, b] == pytest.approx(cm.means[i], abs=1e-12)
 
 
-def test_pair_correlation_fn_vectorizes(rng):
+def test_identity_functional_vectorizes(rng):
     g = ring(5)
-    phi = pair_correlation_fn(g, 1.3, 0, 2)
+    phi = disorder_functional(g, DisorderModel("identity"), 1.3, 0, 2)
     cs = rng.standard_normal((11, 5))
     vals = phi(cs)
     assert vals.shape == (11,)
@@ -276,16 +286,3 @@ def test_capacity_limits():
         batch_moments(wide, np.ones((2, 1)), 1.0, [(0, 1)])
     with pytest.raises(CapacityError):
         ground_states(spin_system(big, [1.0], None))
-
-
-def test_correlation_csv_round_trip(tmp_path, rng):
-    g = ring(4)
-    cm = exact_correlations(spin_system(g, rng.standard_normal(4), 0.8))
-    path = tmp_path / "corr.csv"
-    write_correlation_csv(cm, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 16
-    for row in rows:
-        i, j = int(row["i"]), int(row["j"])
-        assert float(row["value"]) == cm.corr[i, j]

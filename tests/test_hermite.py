@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermitenorm, factorial
 
+from spinchaos.chaos import disorder_functional
+from spinchaos.disorder import DisorderModel
 from spinchaos.errors import CapacityError, NumericalError, ValidationError
-from spinchaos.gibbs import pair_correlation_fn
 from spinchaos.hermite import (CoefficientEntry, CoefficientTable,
                                adaptive_gaussian_mean, coeff_montecarlo,
                                coeff_quadrature, coefficient_sweep,
@@ -220,7 +221,7 @@ def test_forced_zero_coefficients_vanish(rng):
     while checked < 6:
         g = random_hypergraph(rng, n_max=6, e_max=4)
         i, j = 0, g.n - 1
-        phi = pair_correlation_fn(g, 0.8, i, j)
+        phi = disorder_functional(g, DisorderModel("identity"), 0.8, i, j)
         n = random_index(rng, g)
         if n.total_degree == 0 or n.total_degree > 4:
             continue
@@ -235,7 +236,7 @@ def test_remark_coefficient_vanishes_without_being_forced():
     # h_2 integrates to zero against the Gaussian, so the (1,2,0) mode
     # dies although no sign flip forces it
     g = hypergraph(4, [(0, 1), (0, 2), (1, 3)])
-    phi = pair_correlation_fn(g, 1.0, 0, 1)
+    phi = disorder_functional(g, DisorderModel("identity"), 1.0, 0, 1)
     n = multi_index({0: 1, 1: 2})
     assert abs(coeff_quadrature(phi, 3, n, 12)) < 1e-12
 

@@ -259,3 +259,5 @@ def test_hypertree_trend_rows():
     again = hypertree_trend({2: 0.9, 3: 0.2}, [300, 600], eps=0.5,
                             replicas=60, seed=11)
     assert again == rows
+    with pytest.raises(ValidationError):
+        hypertree_trend({2: 0.9, 3: 0.2}, [300, 600], eps=0.5, replicas=1, seed=11)
