@@ -26,7 +26,7 @@ from .hypergraph import (Hypergraph, MultiIndex, ball_is_hypertree, ball_sizes,
                          berge_distance, connected_in, hypergraph, multi_index,
                          vertex_support)
 from .randgraph import DilutedSpec, sample_diluted
-from .rng import substream
+from .rng import check_replicas, substream
 
 PERTURBATION_KINDS = ("continuous", "discrete")
 # caller constants of the growth-rate bound families
@@ -77,8 +77,7 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
     if kind not in PERTURBATION_KINDS:
         raise ValidationError(f"perturbation kind must be one of {PERTURBATION_KINDS}")
     grid = tuple(float(t) for t in t_grid)
-    if replicas < 2:
-        raise ValidationError(f"need replicas >= 2, got {replicas}")
+    check_replicas(replicas, len(grid))
     beta_v = None if beta is None or beta == "infinity" else float(beta)
 
     def one(k: int) -> np.ndarray:
@@ -556,8 +555,7 @@ def levy_chaos(n_values, alpha: float, beta: float, t: float | None,
     t = float(t)
     if t <= 0:
         raise ValidationError(f"need t > 0, got {t}")
-    if replicas < 2:
-        raise ValidationError(f"need replicas >= 2, got {replicas}")
+    check_replicas(replicas, 1)
     for n in n_values:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValidationError(f"n_values must be positive integers, got {n!r}")

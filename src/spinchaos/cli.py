@@ -31,12 +31,13 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, chaos, fixtures, randgraph
+from . import __version__, chaos, fixtures, gibbs, randgraph
 from . import disorder as dis
 from .errors import SpinchaosError, ValidationError
 from .hypergraph import Hypergraph
 from .hypergraph import load as load_graph
 from .hypergraph import save as save_graph
+from .rng import check_replicas
 
 UPPER_TAGS = ("general-ball", "poly-growth", "exp-growth", "diluted", "levy")
 LOWER_TAGS = ("lower-discrete", "lower-gaussian")
@@ -231,10 +232,14 @@ def _parse_curve(cfg: dict):
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValidationError(f"curve.t_grid must be strictly increasing, got {t_grid}")
     replicas = _int(c["replicas"], "curve.replicas", 2)
+    check_replicas(replicas, len(t_grid))
     mode = c.get("mode", "exact")
     if mode not in ("exact", "mcmc"):
         raise ValidationError("curve.mode must be exact or mcmc")
     sweeps = _int(c.get("mcmc_sweeps", 20000), "curve.mcmc_sweeps")
+    if mode == "mcmc" and sweeps < gibbs.MCMC_BATCHES:
+        raise ValidationError(f"curve.mcmc_sweeps must be >= {gibbs.MCMC_BATCHES} "
+                              f"(one per batch mean) in mcmc mode, got {sweeps}")
     burn_in = _int(c.get("mcmc_burn_in", 2000), "curve.mcmc_burn_in", 0)
     tags = _list(c.get("bounds", []), "curve.bounds", 0)
     for tag in tags:
@@ -296,6 +301,7 @@ def _parse_growth(cfg: dict):
                                   _parse_alphas(g["alphas"], "growth.alphas"))
     depth = _int(g["depth"], "growth.depth", 0)
     replicas = _int(g["replicas"], "growth.replicas", 2)
+    check_replicas(replicas, depth + 1)
     seed = cfg["seed"]
 
     def run():
@@ -322,6 +328,7 @@ def _parse_trend(cfg: dict):
     for n in n_values:  # the library's checks of each size, before any draw
         randgraph.probe_depth(randgraph.diluted_spec(n, alphas), n, eps)
     replicas = _int(tr["replicas"], "trend.replicas", 2)
+    check_replicas(replicas, 1)
     seed = cfg["seed"]
 
     def run():
@@ -410,6 +417,7 @@ def _parse_levy(cfg: dict):
     beta = _number(lv["beta"], "levy.beta", 0.0)
     n_values = [_int(n, "levy.n_values entry") for n in _list(lv["n_values"], "levy.n_values")]
     replicas = _int(lv["replicas"], "levy.replicas", 2)
+    check_replicas(replicas, 1)
     t = None if lv.get("t") is None else _number(lv["t"], "levy.t")
     seed = cfg["seed"]
 

@@ -49,11 +49,6 @@ def rho(model: DisorderModel, x):
     return np.sign(x) * tail ** (-1.0 / model.alpha)
 
 
-def sample_base(rng: np.random.Generator, shape):
-    """Fresh standard Gaussian base couplings."""
-    return rng.standard_normal(shape)
-
-
 def _check_t(t: float) -> float:
     t = float(t)
     if not t >= 0 or math.isnan(t):

@@ -5,9 +5,12 @@ H(sigma) = levy_scale * sum_e c_e prod_{v in e} sigma_v, so ground states
 are maximizers of H and beta = infinity (represented as beta=None, never
 a float) means the uniform measure over ground states.
 
-Exact routines enumerate all 2^N states in blocks with a streaming
-log-sum-exp, so N is capped at 24. Larger systems go through the Glauber
-sampler or the annealing heuristic, both clearly flagged as estimates.
+Every exact routine reads one table per graph: the +-1 states whose top
+spin is -1 (the other half are their complements) and the products of
+each edge's spins, in blocks of at most TABLE_BYTES. The last block built
+stays cached, so a graph whose half table fits one block is enumerated
+once and reused by every later call. Exact routines are capped at N = 24;
+larger systems go through the Glauber sampler, flagged as an estimate.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from .hypergraph import Hypergraph
 
 EXACT_MAX_N = 24
 BATCH_MAX_N = 20
+# bytes of one block of the half table (states plus edge products); the
+# 2^15-row half table of the complete graph on 16 vertices is one block
+TABLE_BYTES = 64 << 20
+MCMC_BATCHES = 32  # batch means behind mcmc_correlations' standard errors
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,8 @@ class CorrelationMatrix:
     se: np.ndarray | None = None
 
 
-def _block_states(start: int, stop: int, n: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
+def _states(idx: np.ndarray, n: int) -> np.ndarray:
+    """+-1 rows of the enumeration indices idx: spin k is bit k."""
     bits = (idx[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
     return (2.0 * bits - 1.0)
 
@@ -109,13 +116,38 @@ def _edge_products(states: np.ndarray, edges) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _table(n: int, edges: tuple, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    states = _states(np.arange(start, stop, dtype=np.int64), n)
+    eprod = _edge_products(states, edges)
+    states.flags.writeable = False  # shared by every caller of the cache
+    eprod.flags.writeable = False
+    return states, eprod
+
+
+def _half_blocks(graph: Hypergraph):
+    """(start, states, edge products) blocks over the 2^(N-1) states with
+    the top spin at -1, in index order; the complement of index i is
+    2^N - 1 - i."""
+    n, edges = graph.n, graph.edges
+    half = 1 << (n - 1)
+    rows = max(1, TABLE_BYTES // (8 * (n + len(edges))))
+    for start in range(0, half, rows):
+        yield (start, *_table(n, edges, start, min(start + rows, half)))
+
+
+def _parity(graph: Hypergraph) -> np.ndarray:
+    """Sign of each edge's product under the global flip sigma -> -sigma."""
+    return np.array([(-1.0) ** len(e) for e in graph.edges])
+
+
 def _require_finite_beta(system: SpinSystem) -> float:
     if system.beta is None:
         raise ValidationError("operation needs finite beta; route beta=infinity to ground_states")
     return float(system.beta)
 
 
-def exact_correlations(system: SpinSystem, block: int = 1 << 20) -> CorrelationMatrix:
+def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     """Exact enumeration over all 2^N states, N <= 24.
 
     States come in complement pairs (sigma, -sigma) with H(-sigma)
@@ -131,24 +163,16 @@ def exact_correlations(system: SpinSystem, block: int = 1 << 20) -> CorrelationM
     if n > EXACT_MAX_N:
         raise CapacityError(f"exact enumeration capped at N={EXACT_MAX_N}, got {n}")
     c_eff = np.asarray(system.couplings) * system.levy_scale
-    edges = system.graph.edges
-    parity = np.array([(-1.0) ** len(e) for e in edges])
+    c_neg = _parity(system.graph) * c_eff
 
     shift = -math.inf  # current max of beta*H over both half-spaces
     z = 0.0            # sum of exp(beta*H - shift)
     acc_corr = np.zeros((n, n))
     acc_mean = np.zeros(n)
-    half = 1 << (n - 1)
-    for start in range(0, half, block):
+    for _, states, eprod in _half_blocks(system.graph):
         # states with the top spin pinned to -1; complements cover the rest
-        states = _block_states(start, min(start + block, half), n)
-        if edges:
-            eprod = _edge_products(states, edges)
-            be_pos = beta * (eprod @ c_eff)
-            be_neg = beta * (eprod @ (parity * c_eff))
-        else:
-            be_pos = np.zeros(states.shape[0])
-            be_neg = be_pos
+        be_pos = beta * (eprod @ c_eff)
+        be_neg = beta * (eprod @ c_neg)
         m = float(max(be_pos.max(), be_neg.max()))
         if m > shift:
             rescale = math.exp(shift - m) if shift > -math.inf else 0.0
@@ -172,8 +196,8 @@ def exact_correlations(system: SpinSystem, block: int = 1 << 20) -> CorrelationM
 
 @dataclass(frozen=True)
 class GroundStates:
-    """Maximizers of H. states is (K, N) of +-1; exhaustive marks whether
-    every state was examined or a heuristic produced a single candidate."""
+    """Maximizers of H. states is (K, N) of +-1 in enumeration order;
+    exhaustive marks that every state was examined."""
 
     energy: float
     states: np.ndarray
@@ -184,31 +208,34 @@ class GroundStates:
         return self.states.shape[0]
 
 
-def ground_states(system: SpinSystem, rel_tol: float = 1e-12, block: int = 1 << 20) -> GroundStates:
-    """Exhaustive maximization over 2^N states, ties kept within rel_tol."""
+def ground_states(system: SpinSystem, rel_tol: float = 1e-12) -> GroundStates:
+    """Exhaustive maximization over 2^N states, ties kept within rel_tol.
+
+    One pass over the half table scores each row and its complement.
+    Candidates within rel_tol of the running maximum are kept and cut
+    again at the final maximum; the states come out in enumeration order.
+    """
     n = system.n
     if n > EXACT_MAX_N:
         raise CapacityError(f"exhaustive ground states capped at N={EXACT_MAX_N}, got {n}")
     c_eff = np.asarray(system.couplings) * system.levy_scale
-    edges = system.graph.edges
-    total = 1 << n
+    c_neg = _parity(system.graph) * c_eff
+    top = (1 << n) - 1
+
+    def cut():
+        return best - rel_tol * max(1.0, abs(best))
 
     best = -math.inf
-    for start in range(0, total, block):
-        states = _block_states(start, min(start + block, total), n)
-        energies = _edge_products(states, edges) @ c_eff if edges else np.zeros(states.shape[0])
-        m = float(energies.max())
-        if m > best:
-            best = m
-    cut = best - rel_tol * max(1.0, abs(best))
-    keep = []
-    for start in range(0, total, block):
-        states = _block_states(start, min(start + block, total), n)
-        energies = _edge_products(states, edges) @ c_eff if edges else np.zeros(states.shape[0])
-        mask = energies >= cut
-        if mask.any():
-            keep.append(states[mask])
-    return GroundStates(energy=best, states=np.vstack(keep), exhaustive=True)
+    idx, energies = [], []
+    for start, _, eprod in _half_blocks(system.graph):
+        rows = np.arange(start, start + eprod.shape[0], dtype=np.int64)
+        for ids, e in ((rows, eprod @ c_eff), (top - rows, eprod @ c_neg)):
+            best = max(best, float(e.max()))
+            mask = e >= cut()
+            idx.append(ids[mask])
+            energies.append(e[mask])
+    idx = np.concatenate(idx)[np.concatenate(energies) >= cut()]
+    return GroundStates(energy=best, states=_states(np.sort(idx), n), exhaustive=True)
 
 
 def ground_state_correlations(gs: GroundStates) -> CorrelationMatrix:
@@ -220,37 +247,6 @@ def ground_state_correlations(gs: GroundStates) -> CorrelationMatrix:
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)
     return CorrelationMatrix(corr=corr, means=states.mean(axis=0), log_z=math.nan)
-
-
-def anneal_ground_state(system: SpinSystem, rng: np.random.Generator,
-                        restarts: int = 8, sweeps: int = 400) -> GroundStates:
-    """Simulated annealing heuristic for N beyond the exhaustive cap.
-
-    Returns the single best configuration found, exhaustive=False. No
-    optimality guarantee; callers must treat the energy as a lower bound.
-    """
-    n = system.n
-    if n > 200:
-        raise CapacityError(f"annealing heuristic capped at N=200, got {n}")
-    c_eff = [c * system.levy_scale for c in system.couplings]
-    scale = max((abs(c) for c in c_eff), default=1.0) or 1.0
-    adj = _adjacency(system.graph, c_eff)
-    best_e, best_s = -math.inf, None
-    for _ in range(max(1, restarts)):
-        sigma = (2 * rng.integers(0, 2, n) - 1).tolist()
-        energy = _energy_of(c_eff, system.graph.edges, sigma)
-        betas = np.geomspace(0.05 / scale, 8.0 / scale, max(2, sweeps))
-        for b in betas:
-            order = rng.integers(0, n, n)
-            us = rng.random(n)
-            for i, u in zip(order, us):
-                delta = -2.0 * sigma[i] * _local_field(adj[i], sigma)
-                if delta >= 0 or u < math.exp(b * delta):
-                    sigma[i] = -sigma[i]
-                    energy += delta
-        if energy > best_e:
-            best_e, best_s = energy, list(sigma)
-    return GroundStates(energy=best_e, states=np.array([best_s]), exhaustive=False)
 
 
 def _adjacency(graph: Hypergraph, c_eff):
@@ -272,19 +268,9 @@ def _local_field(entries, sigma):
     return m
 
 
-def _energy_of(c_eff, edges, sigma):
-    total = 0.0
-    for c, e in zip(c_eff, edges):
-        p = 1
-        for v in e:
-            p *= sigma[v]
-        total += c * p
-    return total
-
-
 def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
                       sweeps: int = 20000, burn_in: int = 2000,
-                      batches: int = 32) -> CorrelationMatrix:
+                      batches: int = MCMC_BATCHES) -> CorrelationMatrix:
     """Random-scan Glauber (heat-bath) sampling of pair correlations.
 
     One correlation sample per sweep after burn-in; standard errors come
@@ -341,12 +327,6 @@ def overlap_second_moment(a: CorrelationMatrix, b: CorrelationMatrix) -> float:
     return float((a.corr * b.corr).sum()) / (n * n)
 
 
-@lru_cache(maxsize=6)
-def _cached_enumeration(n: int, edges: tuple) -> tuple[np.ndarray, np.ndarray]:
-    states = _block_states(0, 1 << n, n)
-    return states, _edge_products(states, edges)
-
-
 def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
                   pairs, singles=(), levy_scale: float = 1.0,
                   block: int = 256) -> tuple[np.ndarray, np.ndarray]:
@@ -363,7 +343,16 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
     cs = np.atleast_2d(np.asarray(couplings, dtype=float)) * levy_scale
     if cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")
-    states, eprod = _cached_enumeration(n, graph.edges)
+    # the half table plus its copy with the top spin at +1, whose edge
+    # products flip sign on the edges through vertex N-1
+    blocks = list(_half_blocks(graph))
+    lo = np.vstack([states for _, states, _ in blocks])
+    lo_eprod = np.vstack([eprod for _, _, eprod in blocks])
+    hi = lo.copy()
+    hi[:, n - 1] = 1.0
+    flip = np.array([-1.0 if e[-1] == n - 1 else 1.0 for e in graph.edges])
+    states = np.vstack((lo, hi))
+    eprod = np.vstack((lo_eprod, lo_eprod * flip))
     pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
     single_obs = [states[:, i] for i in singles]
     nb = cs.shape[0]

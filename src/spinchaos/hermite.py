@@ -13,7 +13,6 @@ degrading silently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -344,43 +343,3 @@ def conditional_mean_resampled(phi, n_edges: int, fixed: dict[int, float],
     mean = total / samples
     var = max(0.0, (total_sq / samples - mean * mean)) * samples / (samples - 1)
     return mean, math.sqrt(var / samples)
-
-
-def write_coefficient_json(table: CoefficientTable, path) -> None:
-    """JSON with entries {n: sparse degree map, value, se, method}."""
-    payload = {
-        "n_edges": table.n_edges,
-        "degree_cap": table.degree_cap,
-        "e_phi_sq": table.e_phi_sq,
-        "entries": [
-            {
-                "n": {str(eid): d for eid, d in ent.n.degrees},
-                "value": ent.value,
-                "se": ent.se,
-                "method": ent.method,
-            }
-            for ent in table.entries
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_coefficient_json(path) -> CoefficientTable:
-    with open(path) as fh:
-        payload = json.load(fh)
-    entries = tuple(
-        CoefficientEntry(
-            n=multi_index({int(k): int(v) for k, v in ent["n"].items()}),
-            value=float(ent["value"]),
-            se=None if ent["se"] is None else float(ent["se"]),
-            method=str(ent["method"]),
-        )
-        for ent in payload["entries"]
-    )
-    e2 = payload["e_phi_sq"]
-    return CoefficientTable(n_edges=int(payload["n_edges"]),
-                            degree_cap=int(payload["degree_cap"]),
-                            entries=entries,
-                            e_phi_sq=None if e2 is None else float(e2))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .hypergraph import Hypergraph
-from .rng import substream
+from .rng import check_replicas, substream
 
 MAX_N_LOW_ARITY = 100_000
 MAX_N_HIGH_ARITY = 10_000
@@ -245,8 +245,7 @@ def growth_stats(spec: DilutedSpec, depth: int, replicas: int, seed: int) -> Gro
     """Replicated exploration from vertex 0 of fresh diluted draws."""
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
-    if replicas < 2:
-        raise ValidationError(f"need replicas >= 2, got {replicas}")
+    check_replicas(replicas, depth + 1)
     sizes = np.zeros((replicas, depth + 1))
     cycles = np.zeros(replicas)
     for k in range(replicas):
@@ -302,8 +301,7 @@ def probe_depth(spec: DilutedSpec, n: int, eps: float) -> int:
 def hypertree_trend(alphas, n_values, eps: float, replicas: int, seed: int) -> list[dict]:
     """P(cycle within the probe depth) across growing N; the probability
     should trend downward when the probe depth stays constant."""
-    if replicas < 2:
-        raise ValidationError(f"need replicas >= 2, got {replicas}")
+    check_replicas(replicas, 1)
     rows = []
     for idx, n in enumerate(n_values):
         spec = diluted_spec(n, alphas)

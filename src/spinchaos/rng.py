@@ -13,7 +13,10 @@ import zlib
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
+
+# cap on one experiment's array of per-replica results
+REPLICA_BYTES = 1 << 27
 
 
 def _key_part(part) -> int:
@@ -34,3 +37,14 @@ def substream(seed: int, *path) -> np.random.Generator:
     key = tuple(_key_part(p) for p in path)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+def check_replicas(replicas: int, values: int) -> None:
+    """Replica count check shared by every replica loop: at least 2 for a
+    standard error, and a (replicas, values) float64 result array within
+    REPLICA_BYTES."""
+    if replicas < 2:
+        raise ValidationError(f"need replicas >= 2, got {replicas}")
+    if 8 * replicas * values > REPLICA_BYTES:
+        raise CapacityError(f"{replicas} replicas of {values} values exceed the "
+                            f"{REPLICA_BYTES >> 20} MiB replica result budget")

@@ -16,7 +16,8 @@ from spinchaos import chaos, fixtures, gibbs, hermite
 from spinchaos import disorder as dis
 from spinchaos.errors import CapacityError, NumericalError, ValidationError
 from spinchaos.hypergraph import berge_distance, hypergraph
-from spinchaos.randgraph import diluted_spec, sample_diluted
+from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
+                                 sample_diluted)
 from spinchaos.rng import substream
 
 IDENT = dis.DisorderModel("identity")
@@ -487,6 +488,19 @@ def test_levy_default_t_and_errors():
         chaos.levy_chaos([4.7], 1.5, 0.3, 1.0, 5, 3)
     with pytest.raises(CapacityError):  # before the complete graph is built
         chaos.levy_chaos([4, 10 ** 6], 1.5, 0.3, 1.0, 5, 3)
+
+
+@pytest.mark.parametrize("run", [
+    lambda r: chaos.chaos_curve(fixtures.ring(4), IDENT, 0.5, "continuous", [0.0], r, 1),
+    lambda r: chaos.levy_chaos([4], 1.5, 0.3, 1.0, r, 1),
+    lambda r: growth_stats(diluted_spec(50, {2: 0.6}), 3, r, 1),
+    lambda r: hypertree_trend({2: 0.9}, [60, 120], 0.5, r, 1),
+], ids=["curve", "levy", "growth", "trend"])
+def test_replica_loops_reject_unholdable_counts(run):
+    # the result array is checked before it is allocated (numpy would
+    # raise a raw ValueError) and before any replica runs
+    with pytest.raises(CapacityError):
+        run(10 ** 20)
 
 
 def test_levy_beta_zero_is_one_over_n():

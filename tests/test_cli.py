@@ -127,12 +127,12 @@ def test_bad_values_rejected(tmp_path, capsys, mutate, field):
     assert_rejected(tmp_path, capsys, cfg)
 
 
-def assert_rejected(tmp_path, capsys, cfg):
-    """Both subcommands stop at the parse: exit 2, one error line, no
+def assert_rejected(tmp_path, capsys, cfg, code=2):
+    """Both subcommands stop at the parse: exit `code`, one error line, no
     traceback (an unclassified exception would escape cli.main)."""
     path = write_config(tmp_path, cfg)
     for cmd in ("validate", "run"):
-        assert cli.main([cmd, str(path)]) == 2
+        assert cli.main([cmd, str(path)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
@@ -146,7 +146,9 @@ SECTION_BASE = {
     "growth": ("growth-stats", {"n": 400, "alphas": {"2": 0.6}, "depth": 3, "replicas": 4}),
     "suite": ("counterexamples", {"draws": 5, "order": 8}),
     "audit": ("coefficient-audit", {"i": 0, "j": 1, "degree_cap": 3, "order": 8}),
+    "curve": ("chaos-curve", {"t_grid": [0.0, 0.5], "replicas": 2}),
 }
+HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
 
 
 @pytest.mark.parametrize("section,over", [
@@ -170,15 +172,21 @@ SECTION_BASE = {
     pytest.param("audit", {"tol": math.nan, "sign_tol": math.nan}, id="audit-tol-nan"),
     pytest.param("audit", {"tol": -1e-6}, id="audit-tol-negative"),
     pytest.param("audit", {"sign_tol": -math.inf}, id="audit-sign-tol-inf"),
+    pytest.param("curve", {"mode": "mcmc", "mcmc_sweeps": 5}, id="curve-sweeps-below-batches"),
+    pytest.param("growth", {"replicas": HUGE}, id="growth-replicas-huge"),
+    pytest.param("curve", {"replicas": HUGE}, id="curve-replicas-huge"),
+    pytest.param("levy", {"replicas": HUGE}, id="levy-replicas-huge"),
+    pytest.param("trend", {"replicas": HUGE}, id="trend-replicas-huge"),
 ])
 def test_section_values_rejected(tmp_path, capsys, section, over):
     experiment, block = SECTION_BASE[section]
     cfg = {"experiment": experiment, "seed": 3, "output": str(tmp_path / "out"),
            section: dict(block, **over)}
-    if section == "audit":
+    if section in ("audit", "curve"):
         cfg["model"] = {"graph": {"fixture": "remark-path-graph"},
-                        "disorder": {"kind": "identity"}, "beta": 1.0}
-    assert_rejected(tmp_path, capsys, cfg)
+                        "disorder": {"kind": "identity"}, "beta": 1.0,
+                        "perturbation": "continuous"}
+    assert_rejected(tmp_path, capsys, cfg, code=3 if over.get("replicas") == HUGE else 2)
 
 
 def test_output_must_not_be_a_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ from scipy.special import erfc
 
 from spinchaos.disorder import (DisorderModel, continuous_path, couple_symmetric,
                                 discrete_path, levy_a_n, perturb_continuous,
-                                perturb_discrete, rho, sample_base)
+                                perturb_discrete, rho)
 from spinchaos.errors import ValidationError
 from spinchaos.rng import substream
 
@@ -64,13 +64,6 @@ def test_pareto_tail_empirical(rng):
         p = thresh ** -alpha
         se = math.sqrt(p * (1 - p) / len(y)) + 1e-12
         assert abs(p_hat - p) < 4 * se
-
-
-def test_sample_base_shape():
-    g = substream(3, "base")
-    x = sample_base(g, (4, 7))
-    assert x.shape == (4, 7)
-    assert np.all(np.isfinite(x))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from spinchaos import gibbs
 from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
 from spinchaos.errors import CapacityError, ValidationError
-from spinchaos.gibbs import (CorrelationMatrix, anneal_ground_state,
-                             batch_moments, exact_correlations,
+from spinchaos.gibbs import (CorrelationMatrix, batch_moments, exact_correlations,
                              ground_state_correlations, ground_states,
                              hamiltonian, mcmc_correlations,
                              overlap_second_moment, spin_system)
@@ -65,14 +67,76 @@ def test_exact_correlations_match_dense_oracle(rng):
         assert got.se is None
 
 
-def test_blocked_streaming_is_exact(rng):
+def few_rows_per_block(monkeypatch, g, rows=3):
+    monkeypatch.setattr(gibbs, "TABLE_BYTES", 8 * (g.n + g.n_edges) * rows)
+
+
+def test_blocked_streaming_is_exact(rng, monkeypatch):
     # tiny blocks force the online renormalization across many partials
     g = random_hypergraph(rng, n_max=8, e_max=6)
+    g = hypergraph(8, g.edges)  # 128 half rows: dozens of blocks
     cs = 3.0 * rng.standard_normal(g.n_edges)  # spread the energies
     a = exact_correlations(spin_system(g, cs, 2.0))
-    b = exact_correlations(spin_system(g, cs, 2.0), block=16)
-    assert np.array_equal(a.corr, b.corr) or np.allclose(a.corr, b.corr, atol=1e-14)
+    ga = ground_states(spin_system(g, cs, None))
+    few_rows_per_block(monkeypatch, g)
+    assert len(list(gibbs._half_blocks(g))) > 1
+    b = exact_correlations(spin_system(g, cs, 2.0))
+    gb = ground_states(spin_system(g, cs, None))
+    assert np.allclose(a.corr, b.corr, rtol=0, atol=1e-14)
     assert a.log_z == pytest.approx(b.log_z, abs=1e-12)
+    assert ga.energy == gb.energy
+    assert np.array_equal(ga.states, gb.states)
+
+
+def enumeration_index(states):
+    return ((states > 0).astype(np.int64) << np.arange(states.shape[1])).sum(axis=1)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_ground_states_in_enumeration_order(rng, monkeypatch, rows):
+    # odd arities put ground states in both halves; the free vertex 6 and
+    # integer couplings make ties, so several rows must be merged in order
+    g = hypergraph(7, [(0, 1, 2), (2, 3), (1, 4, 5), (0, 5)])
+    if rows:
+        few_rows_per_block(monkeypatch, g, rows)
+    for _ in range(10):
+        cs = rng.integers(-2, 3, g.n_edges).astype(float)
+        gs = ground_states(spin_system(g, cs, None))
+        assert gs.count >= 2
+        assert np.all(np.diff(enumeration_index(gs.states)) > 0)
+        want_e, want_states = dense_ground_states(g, cs)
+        assert gs.energy == pytest.approx(want_e, rel=1e-12)
+        assert {tuple(r) for r in gs.states} == {tuple(r) for r in want_states}
+
+
+def test_cached_table_is_read_only():
+    g = hypergraph(5, [(0, 1, 2), (3, 4)])
+    exact_correlations(spin_system(g, [1.0, -0.5], 0.7))  # fills the cache
+    for _, states, eprod in gibbs._half_blocks(g):
+        for table in (states, eprod):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+
+def test_table_cache_shared_by_threads(rng):
+    # threads on different graphs evict each other's cached block; each
+    # result must still equal the one computed alone
+    systems = []
+    for _ in range(4):
+        g = random_hypergraph(rng, n_max=9, e_max=8)
+        systems.append(spin_system(g, rng.standard_normal(g.n_edges), 0.8))
+    want = [exact_correlations(s).corr for s in systems]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda k: exact_correlations(systems[k % 4]).corr,
+                                range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, corr in enumerate(got):
+        assert np.array_equal(corr, want[k % 4])
 
 
 def test_single_edge_tanh():
@@ -172,18 +236,6 @@ def test_ground_state_correlations_match_dense(rng):
         corr, means = dense_ground_correlations(g, cs)
         assert np.allclose(cm.corr, corr, atol=1e-12)
         assert np.allclose(cm.means, means, atol=1e-12)
-
-
-def test_annealing_finds_optimum_on_small_instances(rng):
-    for _ in range(5):
-        g = random_hypergraph(rng, n_max=10, e_max=12)
-        cs = rng.standard_normal(g.n_edges)
-        sys = spin_system(g, cs, None)
-        exact = ground_states(sys)
-        sa = anneal_ground_state(sys, substream(99, "anneal"), restarts=6, sweeps=300)
-        assert not sa.exhaustive
-        assert sa.energy <= exact.energy + 1e-9
-        assert sa.energy == pytest.approx(exact.energy, rel=1e-9)
 
 
 def test_mcmc_agrees_with_exact():

@@ -16,9 +16,9 @@ from spinchaos.hermite import (CoefficientEntry, CoefficientTable,
                                coeff_quadrature, coefficient_sweep,
                                conditional_mean_resampled, gauss_hermite,
                                hermite_values, parseval_tail,
-                               read_coefficient_json, second_moment_quadrature,
-                               semigroup_weight, sign_criterion, sign_product,
-                               weighted_coefficient_sum, write_coefficient_json)
+                               second_moment_quadrature, semigroup_weight,
+                               sign_criterion, sign_product,
+                               weighted_coefficient_sum)
 from spinchaos.hypergraph import hypergraph, multi_index
 from spinchaos.rng import substream
 
@@ -267,23 +267,7 @@ def test_conditional_mean_partial_pin():
 
 
 # ---------------------------------------------------------------------------
-# persistence and caps
-
-
-def test_coefficient_json_round_trip(tmp_path):
-    def phi(rows):
-        return np.tanh(rows[:, 0]) * rows[:, 1]
-
-    table = coefficient_sweep(phi, 2, 3, 10)
-    path = tmp_path / "coeffs.json"
-    write_coefficient_json(table, path)
-    back = read_coefficient_json(path)
-    assert back.n_edges == table.n_edges
-    assert back.degree_cap == table.degree_cap
-    assert back.e_phi_sq == table.e_phi_sq
-    assert len(back.entries) == len(table.entries)
-    for a, b in zip(table.entries, back.entries):
-        assert a.n == b.n and a.value == b.value and a.method == b.method
+# caps
 
 
 def test_capacity_guards():
