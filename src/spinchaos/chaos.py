@@ -152,21 +152,30 @@ class BoundCheck:
     extra: dict = field(default_factory=dict)
 
 
-def general_ball_bound(graph: Hypergraph, t: float) -> tuple[float, int]:
-    """Constant-free upper bound min_r [ max_i |B_r(i)| / N + e^{-tr} ].
+def _max_ball_profile(graph: Hypergraph) -> list[int]:
+    """max_i |B_r(i)| for r = 0..N; ball sizes saturate at the component
+    size past each vertex's eccentricity."""
+    sizes = [ball_sizes(graph, v) for v in range(graph.n)]
+    return [max(s[r] if r < len(s) else s[-1] for s in sizes) for r in range(graph.n + 1)]
 
-    Returns (value, argmin r). Ball sizes saturate at the component size
-    past each vertex's eccentricity.
-    """
-    n = graph.n
-    sizes = [ball_sizes(graph, v) for v in range(n)]
-    max_ball = [max(s[r] if r < len(s) else s[-1] for s in sizes) for r in range(n + 1)]
+
+def _ball_bound(max_ball: list[int], t: float) -> tuple[float, int]:
+    """min_r [ max_ball[r] / N + e^{-tr} ] and its argmin r; N = len - 1."""
+    n = len(max_ball) - 1
     best, best_r = math.inf, 0
     for r in range(n + 1):
         val = max_ball[r] / n + math.exp(-t * r)
         if val < best:
             best, best_r = val, r
     return best, best_r
+
+
+def general_ball_bound(graph: Hypergraph, t: float) -> tuple[float, int]:
+    """Constant-free upper bound min_r [ max_i |B_r(i)| / N + e^{-tr} ].
+
+    Returns (value, argmin r).
+    """
+    return _ball_bound(_max_ball_profile(graph), t)
 
 
 def theorem_bound_check(curve: ChaosCurve, graph_source,
@@ -182,6 +191,13 @@ def theorem_bound_check(curve: ChaosCurve, graph_source,
     params = params or {}
     out = []
     n = curve.meta["graph"]["n"]
+    if "general-ball" in tags:  # one max-ball profile per graph, shared by every t
+        if isinstance(graph_source, Hypergraph):
+            graphs = [graph_source]
+        else:
+            graphs = [_resolve_graph(graph_source, substream(curve.meta["seed"], "replica", k))
+                      for k in range(curve.meta["replicas"])]
+        profiles = [_max_ball_profile(g) for g in graphs]
     for tag in tags:
         missing = sorted(set(BOUND_CONSTANTS.get(tag, ())) - set(params))
         if missing:
@@ -192,14 +208,9 @@ def theorem_bound_check(curve: ChaosCurve, graph_source,
             extra = {}
             if tag == "general-ball":
                 if isinstance(graph_source, Hypergraph):
-                    bound, r_star = general_ball_bound(graph_source, t)
-                    extra["r_star"] = r_star
+                    bound, extra["r_star"] = _ball_bound(profiles[0], t)
                 else:
-                    vals = []
-                    for k in range(curve.meta["replicas"]):
-                        rng = substream(curve.meta["seed"], "replica", k)
-                        vals.append(general_ball_bound(_resolve_graph(graph_source, rng), t)[0])
-                    bound = float(np.mean(vals))
+                    bound = float(np.mean([_ball_bound(prof, t)[0] for prof in profiles]))
             elif tag in BOUND_CONSTANTS:
                 try:
                     bound = _family_bound(tag, params, n, t)

@@ -17,7 +17,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -30,17 +33,41 @@ class Hypergraph:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"vertex count must be a positive int, got {self.n!r}")
-        seen = set()
-        for eid, e in enumerate(self.edges):
-            if len(e) < 2:
-                raise ValidationError(f"edge {eid} has arity {len(e)} < 2")
-            if list(e) != sorted(set(e)):
-                raise ValidationError(f"edge {eid} must be sorted distinct vertices, got {e}")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise ValidationError(f"edge {eid} has vertex outside [0, {self.n})")
-            if e in seen:
-                raise ValidationError(f"duplicate edge {e}")
-            seen.add(e)
+        arity = np.fromiter(map(len, self.edges), np.intp, len(self.edges))
+        try:
+            flat = np.fromiter(chain.from_iterable(self.edges), np.int64)
+        except OverflowError:  # a vertex beyond int64 is out of range; Python ints name it
+            self._raise_first_bad(arity, np.fromiter(chain.from_iterable(self.edges), object))
+        ok = arity.min(initial=2) >= 2
+        if ok:
+            # every step inside an edge must rise; steps across edge ends are free
+            rises = flat[1:] > flat[:-1]
+            rises[arity.cumsum()[:-1] - 1] = True
+            ok = (rises.all() and flat.min(initial=0) >= 0 and flat.max(initial=0) < self.n
+                  and len(set(self.edges)) == len(self.edges))
+        if not ok:
+            self._raise_first_bad(arity, flat)
+        object.__setattr__(self, "_flat", (arity, flat))  # reused by the incidence build
+
+    def _raise_first_bad(self, arity: np.ndarray, flat: np.ndarray):
+        """Name the lowest offending edge id and its first failed check,
+        in the order arity, sorted distinct vertices, range, duplicate."""
+        owner = np.repeat(np.arange(len(arity)), arity)
+        unsorted = owner[1:][(owner[1:] == owner[:-1]) & (flat[1:] <= flat[:-1])]
+        outside = owner[(flat < 0) | (flat >= self.n)]
+        first_id: dict = {}
+        duplicates = [eid for eid, e in enumerate(self.edges)
+                      if first_id.setdefault(e, eid) != eid]
+        eid = min(np.flatnonzero(arity < 2)[:1].tolist() + unsorted[:1].tolist()
+                  + outside[:1].tolist() + duplicates[:1])
+        e = self.edges[eid]
+        if len(e) < 2:
+            raise ValidationError(f"edge {eid} has arity {len(e)} < 2")
+        if eid in unsorted:
+            raise ValidationError(f"edge {eid} must be sorted distinct vertices, got {e}")
+        if eid in outside:
+            raise ValidationError(f"edge {eid} has vertex outside [0, {self.n})")
+        raise ValidationError(f"duplicate edge {e}")
 
     @property
     def n_edges(self) -> int:
@@ -51,16 +78,23 @@ class Hypergraph:
         return max((len(e) for e in self.edges), default=0)
 
     @cached_property
-    def _incident(self) -> tuple[tuple[int, ...], ...]:
-        inc = [[] for _ in range(self.n)]
-        for eid, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(eid)
-        return tuple(tuple(x) for x in inc)
+    def _incident(self) -> tuple[list[int], tuple[int, ...]]:
+        """CSR incidence: vertex v lies in edges ids[ptr[v]:ptr[v + 1]]."""
+        arity, flat = self._flat
+        ptr = np.zeros(self.n + 1, np.int64)
+        np.cumsum(np.bincount(flat, minlength=self.n), out=ptr[1:])
+        # stable, so each vertex lists its edges in ascending id; in the
+        # narrowest unsigned type of the vertex ids numpy can radix-sort
+        order = np.argsort(flat.astype(np.min_scalar_type(self.n - 1)), kind="stable")
+        ids = np.repeat(np.arange(len(arity)), arity)[order]
+        return ptr.tolist(), tuple(ids.tolist())
 
     def incident(self, v: int) -> tuple[int, ...]:
-        """Edge ids containing vertex v."""
-        return self._incident[v]
+        """Edge ids containing vertex v, ascending."""
+        if not 0 <= v < self.n:
+            raise ValidationError(f"vertex {v} outside [0, {self.n})")
+        ptr, ids = self._incident
+        return ids[ptr[v]:ptr[v + 1]]
 
 
 def hypergraph(n: int, edges) -> Hypergraph:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import filterfalse, islice
 
 import numpy as np
 
@@ -74,29 +75,35 @@ def sample_diluted(spec: DilutedSpec, rng: np.random.Generator) -> Hypergraph:
     |E_p| is Binomial(C(N,p), alpha_p N / C(N,p)); the edges themselves
     are distinct uniform p-subsets, drawn by rejection (collisions are
     rare in the diluted regime).
+
+    Stream contract, which fixes the graph of every seed: for each arity
+    in increasing order, one binomial count m, then blocks
+    rng.integers(0, N, size=(2m + 8, p)) while m edges are still
+    missing. Each block row is sorted; rows with a repeated vertex, and
+    rows equal to an earlier row of this block or of an earlier block,
+    are dropped; the first m survivors become edges in draw order. These
+    are the draws, the accepted rows and the edge order of a row-by-row
+    rejection loop over the same blocks.
     """
     n = spec.n
     edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
     for p, a in spec.alphas:
         total = math.comb(n, p)
         if total >= 2**63:
             raise CapacityError(f"C({n}, {p}) overflows the binomial sampler")
         q = a * n / total
         m = int(rng.binomial(total, q))
+        seen: set[tuple[int, ...]] = set()
         while m > 0:
-            draw = rng.integers(0, n, size=(2 * m + 8, p))
-            for row in draw:
-                if len(set(row.tolist())) != p:
-                    continue
-                e = tuple(sorted(int(v) for v in row))
-                if e in seen:
-                    continue
-                seen.add(e)
-                edges.append(e)
-                m -= 1
-                if m == 0:
-                    break
+            rows = rng.integers(0, n, size=(2 * m + 8, p))
+            rows.sort(axis=1)
+            rows = rows[(rows[:, 1:] != rows[:, :-1]).all(axis=1)]
+            # dict keys keep each distinct row once, at its first occurrence
+            firsts = dict.fromkeys(zip(*rows.T.tolist()))
+            fresh = list(islice(filterfalse(seen.__contains__, firsts), m))
+            seen.update(fresh)
+            edges += fresh
+            m -= len(fresh)
     return Hypergraph(n, tuple(edges))
 
 
@@ -141,6 +148,8 @@ def explore(g: Hypergraph, root: int, max_depth: int | None = None) -> Explorati
     """Run the exploration from the root until extinction or max_depth."""
     if not 0 <= root < g.n:
         raise ValidationError(f"root {root} outside [0, {g.n})")
+    if max_depth is not None and max_depth < 0:
+        raise ValidationError(f"max_depth must be >= 0, got {max_depth}")
     in_r = bytearray(g.n)  # removed
     in_i = bytearray(g.n)  # current frontier
     in_i[root] = 1

@@ -7,6 +7,7 @@ on. Slow is fine; these only run on small instances.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -120,6 +121,49 @@ def random_hypergraph(rng, n_max: int = 7, e_max: int = 5,
             seen.add(edge)
             edges.append(edge)
     return hypergraph(n, edges)
+
+
+def reference_sample_diluted(spec, rng) -> tuple[tuple[int, ...], ...]:
+    """Edges of one diluted draw by the original row-by-row rejection
+    loop: the same binomial counts and integer blocks as the sampler,
+    each row checked and accepted one at a time."""
+    n = spec.n
+    edges = []
+    seen = set()
+    for p, a in spec.alphas:
+        total = math.comb(n, p)
+        m = int(rng.binomial(total, a * n / total))
+        while m > 0:
+            draw = rng.integers(0, n, size=(2 * m + 8, p))
+            for row in draw:
+                if len(set(row.tolist())) != p:
+                    continue
+                e = tuple(sorted(int(v) for v in row))
+                if e in seen:
+                    continue
+                seen.add(e)
+                edges.append(e)
+                m -= 1
+                if m == 0:
+                    break
+    return tuple(edges)
+
+
+def reference_validation_error(n: int, edges):
+    """Message of the first failed edge check, edge by edge in id order
+    (arity, sorted distinct vertices, range, duplicate); None if valid."""
+    seen = set()
+    for eid, e in enumerate(edges):
+        if len(e) < 2:
+            return f"edge {eid} has arity {len(e)} < 2"
+        if list(e) != sorted(set(e)):
+            return f"edge {eid} must be sorted distinct vertices, got {e}"
+        if e[0] < 0 or e[-1] >= n:
+            return f"edge {eid} has vertex outside [0, {n})"
+        if e in seen:
+            return f"duplicate edge {e}"
+        seen.add(e)
+    return None
 
 
 @pytest.fixture

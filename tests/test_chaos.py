@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from spinchaos import chaos, fixtures, gibbs, hermite
 from spinchaos import disorder as dis
 from spinchaos.errors import CapacityError, NumericalError, ValidationError
-from spinchaos.hypergraph import berge_distance, hypergraph
+from spinchaos.hypergraph import ball_sizes, berge_distance, hypergraph
 from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
                                  sample_diluted)
 from spinchaos.rng import substream
@@ -283,6 +283,37 @@ def test_theorem_bound_check_diluted_average():
             g = sample_diluted(spec, substream(77, "replica", k))
             vals.append(chaos.general_ball_bound(g, t)[0])
         assert checks[ti].bound == float(np.mean(vals))
+
+
+def test_bound_check_draws_each_graph_once(monkeypatch):
+    spec = diluted_spec(14, {2: 0.6, 3: 0.2})
+    grid = [0.0, 0.3, 1.0, 2.5]
+    curve = chaos.chaos_curve(spec, IDENT, None, "discrete", grid, 5, 88)
+    draws, balls = [], []
+
+    def counting_sample(spec, rng):
+        draws.append(1)
+        return sample_diluted(spec, rng)
+
+    def counting_balls(graph, v):
+        balls.append(v)
+        return ball_sizes(graph, v)
+
+    monkeypatch.setattr(chaos, "sample_diluted", counting_sample)
+    monkeypatch.setattr(chaos, "ball_sizes", counting_balls)
+    checks = chaos.theorem_bound_check(curve, spec, tags=("general-ball",))
+    assert len(draws) == 5 and len(balls) == 5 * 14  # once per replica, not per t
+    graphs = [sample_diluted(spec, substream(88, "replica", k)) for k in range(5)]
+    for chk, t in zip(checks, grid):
+        assert chk.bound == float(np.mean([chaos.general_ball_bound(g, t)[0] for g in graphs]))
+    # a fixed graph: one ball profile for the whole grid, same bound and r*
+    g = fixtures.torus_4x4()
+    balls.clear()
+    fixed = chaos.chaos_curve(g, IDENT, 0.5, "continuous", grid, 3, 89)
+    checks = chaos.theorem_bound_check(fixed, g, tags=("general-ball",))
+    assert len(balls) == g.n
+    for chk, t in zip(checks, grid):
+        assert (chk.bound, chk.extra["r_star"]) == chaos.general_ball_bound(g, t)
 
 
 def test_lower_bound_discrete():

@@ -13,7 +13,8 @@ from spinchaos.hypergraph import (Hypergraph, ball, ball_is_hypertree,
                                   is_hypertree, multi_index, sub_hypergraph,
                                   to_text, vertex_support)
 
-from conftest import berge_paths_exist, brute_has_berge_cycle, random_hypergraph
+from conftest import (berge_paths_exist, brute_has_berge_cycle, random_hypergraph,
+                      reference_validation_error)
 
 
 def figure1():
@@ -28,22 +29,79 @@ def figure1():
 def test_constructor_canonicalizes_and_validates():
     g = hypergraph(4, [(2, 0), (3, 1)])
     assert g.edges == ((0, 2), (1, 3))
-    with pytest.raises(ValidationError):
-        hypergraph(3, [(0,)])  # arity 1
-    with pytest.raises(ValidationError):
-        hypergraph(3, [(0, 3)])  # out of range
-    with pytest.raises(ValidationError):
-        hypergraph(3, [(0, 0, 1)])  # repeated vertex
-    with pytest.raises(ValidationError):
-        hypergraph(3, [(0, 1), (1, 0)])  # duplicate edge
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"edge 0 has arity 1 < 2"):
+        hypergraph(3, [(0,)])
+    with pytest.raises(ValidationError, match=r"edge 0 has vertex outside \[0, 3\)"):
+        hypergraph(3, [(0, 3)])
+    with pytest.raises(ValidationError, match=r"edge 0 must be sorted distinct vertices, got \(0, 0, 1\)"):
+        hypergraph(3, [(0, 0, 1)])
+    with pytest.raises(ValidationError, match=r"duplicate edge \(0, 1\)"):
+        hypergraph(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValidationError, match="vertex count"):
         hypergraph(0, [])
+    # several bad edges: the lowest edge id is named, with its first failed check
+    with pytest.raises(ValidationError, match=r"edge 1 must be sorted distinct vertices, got \(2, 1\)"):
+        Hypergraph(5, ((0, 1), (2, 1), (0,), (0, 9)))
+    with pytest.raises(ValidationError, match=r"edge 1 has arity 1 < 2"):
+        Hypergraph(5, ((0, 1), (3,), (2, 1), (0, 1)))
+    with pytest.raises(ValidationError, match=r"edge 2 has vertex outside \[0, 5\)"):
+        Hypergraph(5, ((0, 1), (1, 2), (-1, 4), (1, 2), (3,)))
+    with pytest.raises(ValidationError, match=r"duplicate edge \(1, 2\)"):
+        Hypergraph(5, ((0, 1), (1, 2), (1, 2), (3, 9), (4,)))
+    with pytest.raises(ValidationError, match=r"edge 0 must be sorted distinct vertices, got \(9, 1\)"):
+        Hypergraph(5, ((9, 1),))  # unsorted is checked before range
+    with pytest.raises(ValidationError, match=r"edge 0 has arity 0 < 2"):
+        Hypergraph(5, ((), (0,)))
+    with pytest.raises(ValidationError, match=r"edge 1 has vertex outside \[0, 3\)"):
+        hypergraph(3, [(0, 1), (0, 2**70)])  # beyond int64
+    with pytest.raises(ValidationError, match=r"edge 0 must be sorted distinct vertices"):
+        Hypergraph(3, ((1, 0), (0, -2**70)))
+    # the empty edge set, and numpy ints that come in through hypergraph()
+    assert hypergraph(3, []).edges == () and hypergraph(3, []).incident(2) == ()
+    g = hypergraph(4, [np.array([2, 0]), (np.int64(3), np.int32(1))])
+    assert g.edges == ((0, 2), (1, 3))
+    assert all(type(v) is int for e in g.edges for v in e)
+    with pytest.raises(ValidationError, match=r"edge 1 has vertex outside \[0, 4\)"):
+        hypergraph(4, [np.array([2, 0]), np.array([1, 4])])
+    with pytest.raises(ValidationError, match=r"duplicate edge \(0, 2\)"):
+        hypergraph(4, [np.array([2, 0]), (np.int64(0), 2)])
+
+
+def test_validation_matches_edge_by_edge_loop():
+    """Random edge lists, many of them invalid, raise the message of the
+    edge-by-edge reference (or nothing when it finds nothing)."""
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        pool = [-1, *range(n + 1), 2**70]  # includes ids outside [0, N) and beyond int64
+        edges = tuple(tuple(pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 4)))
+                      for _ in range(rng.integers(0, 6)))
+        want = reference_validation_error(n, edges)
+        if want is None:
+            assert Hypergraph(n, edges).edges == edges
+        else:
+            with pytest.raises(ValidationError) as exc:
+                Hypergraph(n, edges)
+            assert str(exc.value) == want
 
 
 def test_incident():
     g = figure1()
     assert g.incident(3) == (0, 1, 4)
     assert g.incident(0) == (4,)
+    for v in (-1, 7, 100):
+        with pytest.raises(ValidationError, match=r"outside \[0, 7\)"):
+            g.incident(v)
+
+
+def test_incident_matches_brute_force(rng):
+    graphs = [random_hypergraph(rng, n_max=9, e_max=8, arities=(2, 3, 4)) for _ in range(200)]
+    # dense enough that vertices sit in dozens of edges: an unstable sort would show
+    graphs.append(hypergraph(40, {tuple(sorted(rng.choice(40, size=k, replace=False).tolist()))
+                                  for k in rng.integers(2, 5, size=600)}))
+    for g in graphs:
+        for v in range(g.n):
+            assert g.incident(v) == tuple(eid for eid, e in enumerate(g.edges) if v in e)
 
 
 def test_multi_index_basics():

@@ -12,7 +12,7 @@ from spinchaos.randgraph import (DilutedSpec, diluted_spec, explore,
                                  probe_depth, sample_diluted)
 from spinchaos.rng import substream
 
-from conftest import brute_has_berge_cycle, random_hypergraph
+from conftest import brute_has_berge_cycle, random_hypergraph, reference_sample_diluted
 
 
 def test_spec_validation():
@@ -73,6 +73,46 @@ def test_sample_edge_counts_binomial():
     mean, var = total * q, total * q * (1 - q)
     assert abs(np.mean(counts) - mean) < 4 * math.sqrt(var / reps)
     assert 0.7 * var < np.var(counts, ddof=1) < 1.4 * var
+
+
+class CountingRng:
+    """Generator proxy that counts the integer blocks drawn."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.blocks = 0
+
+    def binomial(self, *args, **kwargs):
+        return self.rng.binomial(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.blocks += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n, alphas, seeds, min_blocks", [
+    (16, {2: 0.6, 3: 0.2}, 300, 0),
+    (50, {2: 0.8, 3: 0.1}, 300, 0),
+    (12, {2: 2.5, 3: 3.0, 4: 2.0}, 300, 0),
+    (12, {2: 5.0, 3: 15.0, 4: 2.0}, 300, 1900),  # near-full arities: over 1000 retry blocks
+    (10_000, {5: 0.3}, 4, 0),                     # wide arity: C(N, 5) ~ 8e17
+])
+def test_sampler_matches_rejection_loop(n, alphas, seeds, min_blocks):
+    spec = diluted_spec(n, alphas)
+    blocks = 0
+    for k in range(seeds):
+        counted = CountingRng(substream(404, "oracle", k))
+        got = sample_diluted(spec, counted).edges
+        assert got == reference_sample_diluted(spec, substream(404, "oracle", k)), k
+        blocks += counted.blocks
+    assert blocks >= min_blocks
+
+
+def test_sampler_matches_rejection_loop_at_1e4():
+    spec = diluted_spec(10_000, {2: 0.6, 3: 0.2})
+    g = sample_diluted(spec, substream(405, "oracle"))
+    assert g.edges == reference_sample_diluted(spec, substream(405, "oracle"))
+    assert all(type(v) is int for e in g.edges[:50] for v in e)
 
 
 def test_sampler_capacity_guard():
@@ -194,6 +234,9 @@ def test_explore_validation():
     g = hypergraph(3, [(0, 1)])
     with pytest.raises(ValidationError):
         explore(g, 3)
+    with pytest.raises(ValidationError, match="max_depth must be >= 0"):
+        explore(g, 0, max_depth=-1)
+    assert explore(g, 0, max_depth=0).i_sets == (frozenset({0}),)
 
 
 # ---------------------------------------------------------------------------
