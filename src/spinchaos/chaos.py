@@ -13,7 +13,6 @@ unperturbed value.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -26,7 +25,7 @@ from .hypergraph import (Hypergraph, MultiIndex, ball_is_hypertree, ball_sizes,
                          berge_distance, connected_in, hypergraph, multi_index,
                          vertex_support)
 from .randgraph import DilutedSpec, sample_diluted
-from .rng import check_replicas, substream
+from .rng import mean_se, replicate, substream
 
 PERTURBATION_KINDS = ("continuous", "discrete")
 # caller constants of the growth-rate bound families
@@ -65,23 +64,19 @@ def _correlations(system: gibbs.SpinSystem, mode: str, rng,
 
 def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
                 replicas: int, seed: int, mode: str = "exact",
-                mcmc_sweeps: int = 20000, mcmc_burn_in: int = 2000,
-                threads: int = 1) -> ChaosCurve:
+                mcmc_sweeps: int = 20000, mcmc_burn_in: int = 2000) -> ChaosCurve:
     """Monte Carlo estimate of E <R^2>_t on a grid of perturbation times.
 
     Replica k draws everything from the substream (seed, 'replica', k):
     the graph when the source is diluted, the base couplings, one coupled
-    path across the grid, and any sampler randomness. Results are merged
-    by replica index so thread count cannot change the output.
+    path across the grid, and any sampler randomness (rng.replicate).
     """
     if kind not in PERTURBATION_KINDS:
         raise ValidationError(f"perturbation kind must be one of {PERTURBATION_KINDS}")
     grid = tuple(float(t) for t in t_grid)
-    check_replicas(replicas, len(grid))
     beta_v = None if beta is None or beta == "infinity" else float(beta)
 
-    def one(k: int) -> np.ndarray:
-        rng = substream(seed, "replica", k)
+    def one(rng) -> np.ndarray:
         g = _resolve_graph(graph_source, rng)
         base = rng.standard_normal(g.n_edges)
         if kind == "continuous":
@@ -97,23 +92,15 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
             out[ti] = gibbs.overlap_second_moment(corr_a, corr_b)
         return out
 
-    per = np.empty((replicas, len(grid)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for k, row in enumerate(pool.map(one, range(replicas))):
-                per[k] = row
-    else:
-        for k in range(replicas):
-            per[k] = one(k)
+    per = replicate(one, replicas, len(grid), seed, "replica")
     meta = {
         "kind": kind, "beta": "infinity" if beta_v is None else beta_v,
         "replicas": replicas, "seed": seed, "mode": mode,
         "graph": _describe_graph(graph_source),
     }
     # mean centered at replica 0: exact when all replicas agree (beta = 0)
-    dev = per - per[0]
-    return ChaosCurve(t_grid=grid, estimates=per[0] + dev.mean(axis=0),
-                      ses=dev.std(axis=0, ddof=1) / math.sqrt(replicas),
+    dev_mean, ses = mean_se(per - per[0])
+    return ChaosCurve(t_grid=grid, estimates=per[0] + dev_mean, ses=ses,
                       per_replica=per, meta=meta)
 
 
@@ -128,11 +115,8 @@ def monotonicity_check(curve: ChaosCurve) -> list[dict]:
     """Adjacent-pair check that estimates do not increase in t beyond
     paired Monte Carlo noise (3 s.e. of the per-replica differences)."""
     rows = []
-    r = curve.per_replica.shape[0]
     for k in range(len(curve.t_grid) - 1):
-        diff = curve.per_replica[:, k + 1] - curve.per_replica[:, k]
-        se = float(diff.std(ddof=1) / math.sqrt(r))
-        d = float(diff.mean())
+        d, se = map(float, mean_se(curve.per_replica[:, k + 1] - curve.per_replica[:, k]))
         rows.append({
             "t_lo": curve.t_grid[k], "t_hi": curve.t_grid[k + 1],
             "diff": d, "se": se, "ok": d <= 3.0 * se,
@@ -193,11 +177,10 @@ def theorem_bound_check(curve: ChaosCurve, graph_source,
     n = curve.meta["graph"]["n"]
     if "general-ball" in tags:  # one max-ball profile per graph, shared by every t
         if isinstance(graph_source, Hypergraph):
-            graphs = [graph_source]
-        else:
-            graphs = [_resolve_graph(graph_source, substream(curve.meta["seed"], "replica", k))
-                      for k in range(curve.meta["replicas"])]
-        profiles = [_max_ball_profile(g) for g in graphs]
+            profiles = [_max_ball_profile(graph_source)]
+        else:  # the curve's own graphs, redrawn from its substreams
+            profiles = replicate(lambda rng: _max_ball_profile(_resolve_graph(graph_source, rng)),
+                                 curve.meta["replicas"], n + 1, curve.meta["seed"], "replica")
     for tag in tags:
         missing = sorted(set(BOUND_CONSTANTS.get(tag, ())) - set(params))
         if missing:
@@ -246,12 +229,10 @@ def lower_bound_discrete(curve: ChaosCurve, n_edges: int) -> BoundCheck:
     t_target = 1.0 / n_edges
     ti = _grid_index_at_most(curve.t_grid, t_target)
     t = curve.t_grid[ti]
-    diff = curve.per_replica[:, ti] - math.exp(-1.0) * curve.per_replica[:, 0]
-    r = curve.per_replica.shape[0]
-    se = float(diff.std(ddof=1) / math.sqrt(r))
+    margin, se = map(float, mean_se(
+        curve.per_replica[:, ti] - math.exp(-1.0) * curve.per_replica[:, 0]))
     est = float(curve.estimates[ti])
     bound = math.exp(-1.0) * float(curve.estimates[0])
-    margin = float(diff.mean())
     return BoundCheck(tag="lower-discrete", t=t, estimate=est, se=se, bound=bound,
                       margin=margin, ok=margin >= -3.0 * se,
                       extra={"t_max": t_target})
@@ -266,19 +247,14 @@ def lower_bound_gaussian(curve: ChaosCurve, beta: float, n_edges: int) -> list[B
     if curve.meta["kind"] != "continuous":
         raise ValidationError("continuous-kind curve required")
     out = []
-    r = curve.per_replica.shape[0]
     base = float(curve.estimates[0])
-    for ti, t in enumerate(curve.t_grid):
-        if ti == 0:
-            continue
+    for ti, t in enumerate(curve.t_grid[1:], start=1):
         slack = 6.0 * math.sqrt(t) * math.sqrt(beta) * n_edges ** 0.75
         bound = base - slack
-        diff = curve.per_replica[:, ti] - (curve.per_replica[:, 0] - slack)
-        se = float(diff.std(ddof=1) / math.sqrt(r))
-        est = float(curve.estimates[ti])
-        out.append(BoundCheck(tag="lower-gaussian", t=t, estimate=est, se=se,
-                              bound=bound, margin=float(diff.mean()),
-                              ok=float(diff.mean()) >= -3.0 * se,
+        margin, se = map(float, mean_se(
+            curve.per_replica[:, ti] - (curve.per_replica[:, 0] - slack)))
+        out.append(BoundCheck(tag="lower-gaussian", t=t, estimate=float(curve.estimates[ti]),
+                              se=se, bound=bound, margin=margin, ok=margin >= -3.0 * se,
                               extra={"slack": slack, "vacuous": bound <= 0.0}))
     return out
 
@@ -550,6 +526,16 @@ class LevyPoint:
     per_replica: np.ndarray
 
 
+def check_levy_sizes(n_values) -> None:
+    """Each N a positive integer within the exact enumeration cap, checked
+    before complete_graph builds N^2 / 2 edges."""
+    for n in n_values:
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"n_values must be positive integers, got {n!r}")
+        if n > gibbs.EXACT_MAX_N:
+            raise CapacityError(f"exact enumeration capped at N={gibbs.EXACT_MAX_N}, got {n}")
+
+
 def levy_chaos(n_values, alpha: float, beta: float, t: float | None,
                replicas: int, seed: int) -> dict:
     """Chaos at one time t for the fully connected heavy-tailed model.
@@ -558,6 +544,7 @@ def levy_chaos(n_values, alpha: float, beta: float, t: float | None,
     i != j; rho maps it to a Pareto(alpha) tail and the two orientations
     fold into one undirected coupling, scaled by 1/a_N. Both replicas
     are perturbed symmetrically so the pair is distributed as (J, J(t)).
+    Replica k at size N draws from the substream (seed, 'levy', N, k).
     Estimates decay in N; the fitted log-log slope is reported.
     """
     model = dis.DisorderModel("pareto-tail", alpha=alpha)  # before log(alpha - 1)
@@ -566,30 +553,23 @@ def levy_chaos(n_values, alpha: float, beta: float, t: float | None,
     t = float(t)
     if t <= 0:
         raise ValidationError(f"need t > 0, got {t}")
-    check_replicas(replicas, 1)
-    for n in n_values:
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"n_values must be positive integers, got {n!r}")
-        if n > gibbs.EXACT_MAX_N:  # before complete_graph builds n^2 / 2 edges
-            raise CapacityError(f"exact enumeration capped at N={gibbs.EXACT_MAX_N}, got {n}")
+    check_levy_sizes(n_values)
     points = []
     for n in n_values:
         n = int(n)
         g = complete_graph(n)
-        a_n = dis.levy_a_n(n, alpha)
-        vals = np.empty(replicas)
-        for k in range(replicas):
-            rng = substream(seed, "levy", n, k)
+        scale = 1.0 / dis.levy_a_n(n, alpha)
+
+        def one(rng) -> float:
             base = rng.standard_normal((2, g.n_edges))
             j1, j2 = dis.couple_symmetric(base, t, rng)
-            c1 = dis.rho(model, j1).sum(axis=0)
-            c2 = dis.rho(model, j2).sum(axis=0)
-            cm1 = gibbs.exact_correlations(gibbs.spin_system(g, c1, beta, levy_scale=1.0 / a_n))
-            cm2 = gibbs.exact_correlations(gibbs.spin_system(g, c2, beta, levy_scale=1.0 / a_n))
-            vals[k] = gibbs.overlap_second_moment(cm1, cm2)
-        dev = vals - vals[0]
-        points.append(LevyPoint(n=n, estimate=float(vals[0] + dev.mean()),
-                                se=float(dev.std(ddof=1) / math.sqrt(replicas)),
+            cm1, cm2 = (gibbs.exact_correlations(gibbs.spin_system(
+                g, dis.rho(model, j).sum(axis=0), beta, levy_scale=scale)) for j in (j1, j2))
+            return gibbs.overlap_second_moment(cm1, cm2)
+
+        vals = replicate(one, replicas, 1, seed, "levy", n)[:, 0]
+        dev_mean, se = mean_se(vals - vals[0])
+        points.append(LevyPoint(n=n, estimate=float(vals[0] + dev_mean), se=float(se),
                                 per_replica=vals))
     logs_n = np.log([p.n for p in points])
     logs_e = np.log([p.estimate for p in points])

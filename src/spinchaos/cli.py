@@ -14,9 +14,9 @@ pure function of (config, seed): rerunning the same config writes
 byte-identical result CSV and JSON (the manifest records wall time and
 is exempt). Exit codes: 2 validation, 3 capacity, 4 numerical breakdown.
 
-SPINCHAOS_THREADS sets the worker count for the curve replica loop;
-results are merged by replica index so the thread count never changes
-output.
+SPINCHAOS_THREADS sets the worker count of every replica loop
+(rng.replicate); rows are merged by replica index, so the thread count
+never changes output. `run` reads it first and records it in the manifest.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, chaos, fixtures, gibbs, randgraph
+from . import __version__, chaos, fixtures, gibbs, hermite, randgraph
 from . import disorder as dis
 from .errors import SpinchaosError, ValidationError
 from .hypergraph import Hypergraph
 from .hypergraph import load as load_graph
 from .hypergraph import save as save_graph
-from .rng import check_replicas
+from .rng import check_replicas, threads
 
 UPPER_TAGS = ("general-ball", "poly-growth", "exp-growth", "diluted", "levy")
 LOWER_TAGS = ("lower-discrete", "lower-gaussian")
@@ -165,17 +165,6 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _threads() -> int:
-    raw = os.environ.get("SPINCHAOS_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValidationError(f"SPINCHAOS_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise ValidationError(f"SPINCHAOS_THREADS must be >= 1, got {val}")
-    return val
-
-
 def _fmt(val) -> str:
     if val is None:
         return ""
@@ -265,8 +254,7 @@ def _parse_curve(cfg: dict):
 
     def run():
         curve = chaos.chaos_curve(graph_source, model, beta, kind, t_grid, replicas, seed,
-                                  mode=mode, mcmc_sweeps=sweeps, mcmc_burn_in=burn_in,
-                                  threads=_threads())
+                                  mode=mode, mcmc_sweeps=sweeps, mcmc_burn_in=burn_in)
         rows = [{"t": t, "estimate": float(curve.estimates[ti]), "se": float(curve.ses[ti]),
                  "bound_tag": None, "bound_value": None, "margin": None}
                 for ti, t in enumerate(curve.t_grid)]
@@ -301,7 +289,7 @@ def _parse_growth(cfg: dict):
                                   _parse_alphas(g["alphas"], "growth.alphas"))
     depth = _int(g["depth"], "growth.depth", 0)
     replicas = _int(g["replicas"], "growth.replicas", 2)
-    check_replicas(replicas, depth + 1)
+    check_replicas(replicas, depth + 2)  # frontier sizes plus the cycle flag
     seed = cfg["seed"]
 
     def run():
@@ -325,10 +313,8 @@ def _parse_trend(cfg: dict):
     n_values = [_int(n, "trend.n_values entry", 2)
                 for n in _list(tr["n_values"], "trend.n_values", 2)]
     eps = _number(tr["eps"], "trend.eps")
-    for n in n_values:  # the library's checks of each size, before any draw
-        randgraph.probe_depth(randgraph.diluted_spec(n, alphas), n, eps)
     replicas = _int(tr["replicas"], "trend.replicas", 2)
-    check_replicas(replicas, 1)
+    randgraph.trend_sizes(alphas, n_values, eps, replicas)  # the library's checks
     seed = cfg["seed"]
 
     def run():
@@ -349,6 +335,7 @@ def _parse_audit(cfg: dict):
     j = _int(a["j"], "audit.j", 0, graph.n - 1)
     degree_cap = _int(a["degree_cap"], "audit.degree_cap", 0)
     order = _int(a["order"], "audit.order")
+    hermite.check_sweep(graph.n_edges, degree_cap, order)
     tol = _number(a.get("tol", 1e-6), "audit.tol", 0.0)
     sign_tol = _number(a.get("sign_tol", 1e-8), "audit.sign_tol", 0.0)
 
@@ -416,6 +403,7 @@ def _parse_levy(cfg: dict):
     dis.DisorderModel("pareto-tail", alpha=alpha)  # rejects alpha outside (1, 2)
     beta = _number(lv["beta"], "levy.beta", 0.0)
     n_values = [_int(n, "levy.n_values entry") for n in _list(lv["n_values"], "levy.n_values")]
+    chaos.check_levy_sizes(n_values)
     replicas = _int(lv["replicas"], "levy.replicas", 2)
     check_replicas(replicas, 1)
     t = None if lv.get("t") is None else _number(lv["t"], "levy.t")
@@ -444,6 +432,7 @@ RUNNERS = {
 
 def run_experiment(cfg: dict) -> dict:
     t0 = time.monotonic()
+    workers = threads()  # a bad SPINCHAOS_THREADS stops the run before it writes
     columns, rows, payload, bound_tags = _parse(cfg)()
     outdir = Path(cfg["output"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -461,7 +450,7 @@ def run_experiment(cfg: dict) -> dict:
         "versions": {"spinchaos": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
-        "threads": _threads(),
+        "threads": workers,
         "wall_time_s": time.monotonic() - t0,
     }
     _write_json(outdir / "manifest.json", _jsonable(manifest))

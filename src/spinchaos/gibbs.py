@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError, ValidationError
 from .hypergraph import Hypergraph
+from .rng import mean_se
 
 EXACT_MAX_N = 24
 BATCH_MAX_N = 20
@@ -308,10 +309,9 @@ def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
             accm += s
         batch_corr[b] = acc / per_batch
         batch_mean[b] = accm / per_batch
-    corr = batch_corr.mean(axis=0)
+    corr, se = mean_se(batch_corr)
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)
-    se = batch_corr.std(axis=0, ddof=1) / math.sqrt(batches)
     se = 0.5 * (se + se.T)
     np.fill_diagonal(se, 0.0)
     return CorrelationMatrix(corr=corr, means=batch_mean.mean(axis=0),

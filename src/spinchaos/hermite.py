@@ -78,6 +78,13 @@ def _check_grid(n_edges: int, order: int):
         raise CapacityError(f"grid {order}^{n_edges} exceeds {MAX_GRID} nodes")
 
 
+def check_sweep(n_edges: int, degree_cap: int, order: int):
+    """The caps of coefficient_sweep: its tensor grid and degree cap."""
+    _check_grid(n_edges, order)
+    if not 0 <= degree_cap <= MAX_TOTAL_DEGREE:
+        raise CapacityError(f"degree cap must be in [0, {MAX_TOTAL_DEGREE}], got {degree_cap}")
+
+
 def _grid_blocks(n_edges: int, order: int, block: int = 1 << 16):
     """Yield (rows, log-free weight, per-axis digit array) over the full
     tensor grid in C order, streaming so the grid never fully exists."""
@@ -107,16 +114,6 @@ def coeff_quadrature(phi, n_edges: int, n: MultiIndex, order: int) -> float:
         for eid, d in deg.items():
             f *= hvals[d][digits[:, eid]]
         acc += float(f.sum())
-    return acc
-
-
-def second_moment_quadrature(phi, n_edges: int, order: int) -> float:
-    """E[phi(J)^2] on the same tensor grid."""
-    _check_grid(n_edges, order)
-    acc = 0.0
-    for rows, weight, _ in _grid_blocks(n_edges, order):
-        vals = np.asarray(phi(rows), dtype=float)
-        acc += float((weight * vals * vals).sum())
     return acc
 
 
@@ -168,9 +165,7 @@ def coefficient_sweep(phi, n_edges: int, degree_cap: int, order: int,
     """All coefficients with |n| <= degree_cap via one separated tensor
     transform: phi is evaluated once on the grid, then contracted axis by
     axis with the weighted Hermite matrix."""
-    _check_grid(n_edges, order)
-    if not 0 <= degree_cap <= MAX_TOTAL_DEGREE:
-        raise CapacityError(f"degree cap must be in [0, {MAX_TOTAL_DEGREE}], got {degree_cap}")
+    check_sweep(n_edges, degree_cap, order)
     x, w = gauss_hermite(order)
     hv = hermite_values(degree_cap, x)  # (cap+1, order)
     transform = hv * w[None, :]
@@ -207,29 +202,35 @@ def _indices_up_to(n_axes: int, cap: int):
     yield from rec([], cap, n_axes)
 
 
+def _stream_mean_se(draw, samples: int, block: int) -> tuple[float, float]:
+    """Mean of `samples` values and its standard error; draw(b) returns the
+    next b values. Only the running sum and sum of squares are kept."""
+    if samples < 2:
+        raise ValidationError(f"need samples >= 2, got {samples}")
+    total = total_sq = 0.0
+    for done in range(0, samples, block):
+        f = draw(min(block, samples - done))
+        total += float(f.sum())
+        total_sq += float((f * f).sum())
+    mean = total / samples
+    var = max(0.0, (total_sq / samples - mean * mean)) * samples / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
 def coeff_montecarlo(phi, n_edges: int, n: MultiIndex, samples: int,
                      rng: np.random.Generator, block: int = 1 << 16) -> tuple[float, float]:
     """Monte Carlo estimate of phi_hat(n) with its standard error."""
     _check_index(n, n_edges)
-    if samples < 2:
-        raise ValidationError(f"need samples >= 2, got {samples}")
     deg = n.as_dict()
     top = max(deg.values(), default=0)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        b = min(block, samples - done)
+
+    def draw(b: int) -> np.ndarray:
         rows = rng.standard_normal((b, n_edges))
         f = np.asarray(phi(rows), dtype=float)
         for eid, d in deg.items():
             f = f * hermite_values(top, rows[:, eid])[d]
-        total += float(f.sum())
-        total_sq += float((f * f).sum())
-        done += b
-    mean = total / samples
-    var = max(0.0, (total_sq / samples - mean * mean)) * samples / (samples - 1)
-    return mean, math.sqrt(var / samples)
+        return f
+    return _stream_mean_se(draw, samples, block)
 
 
 def semigroup_weight(n: MultiIndex, t: float, kind: str) -> float:
@@ -302,44 +303,20 @@ def sign_criterion(g: Hypergraph, n: MultiIndex, i: int, j: int) -> SignVerdict:
     return SignVerdict(forced_zero=True, parity=parity, witness=witness)
 
 
-def sign_product(g: Hypergraph, n: MultiIndex, i: int, j: int, a) -> int:
-    """I_n(a) evaluated literally from the definition."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.shape != (g.n,) or not np.all(np.abs(a) == 1):
-        raise ValidationError("a must be a +-1 vector over the vertices")
-    out = int(a[i]) * int(a[j])
-    for eid, d in n.degrees:
-        a_e = 1
-        for v in g.edges[eid]:
-            a_e *= int(a[v])
-        out *= a_e ** d
-    return 1 if out > 0 else -1
-
-
 def conditional_mean_resampled(phi, n_edges: int, fixed: dict[int, float],
                                samples: int, rng: np.random.Generator,
                                block: int = 1 << 14) -> tuple[float, float]:
     """Monte Carlo E[phi(J) | J_S = fixed]: coordinates in `fixed` are
     pinned, the rest are resampled fresh each draw. Returns (mean, se)."""
-    if samples < 2:
-        raise ValidationError(f"need samples >= 2, got {samples}")
     for eid in fixed:
         if not 0 <= eid < n_edges:
             raise ValidationError(f"fixed coordinate {eid} outside [0, {n_edges})")
     cols = np.array(sorted(fixed), dtype=np.int64)
     vals = np.array([fixed[int(c)] for c in cols])
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        b = min(block, samples - done)
+
+    def draw(b: int) -> np.ndarray:
         rows = rng.standard_normal((b, n_edges))
         if len(cols):
             rows[:, cols] = vals[None, :]
-        f = np.asarray(phi(rows), dtype=float)
-        total += float(f.sum())
-        total_sq += float((f * f).sum())
-        done += b
-    mean = total / samples
-    var = max(0.0, (total_sq / samples - mean * mean)) * samples / (samples - 1)
-    return mean, math.sqrt(var / samples)
+        return np.asarray(phi(rows), dtype=float)
+    return _stream_mean_se(draw, samples, block)

@@ -14,6 +14,7 @@ length >= 2, so two edges sharing two vertices already form one.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +35,13 @@ class Hypergraph:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"vertex count must be a positive int, got {self.n!r}")
         arity = np.fromiter(map(len, self.edges), np.intp, len(self.edges))
-        try:
-            flat = np.fromiter(chain.from_iterable(self.edges), np.int64)
+        try:  # operator.index: ints and numpy ints pass, floats are not truncated
+            flat = np.fromiter(map(operator.index, chain.from_iterable(self.edges)), np.int64)
+        except TypeError:
+            eid = next(eid for eid, e in enumerate(self.edges)
+                       if not all(hasattr(type(v), "__index__") for v in e))
+            raise ValidationError(f"edge {eid} must have integer vertex ids, "
+                                  f"got {self.edges[eid]}") from None
         except OverflowError:  # a vertex beyond int64 is out of range; Python ints name it
             self._raise_first_bad(arity, np.fromiter(chain.from_iterable(self.edges), object))
         ok = arity.min(initial=2) >= 2

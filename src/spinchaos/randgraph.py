@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .hypergraph import Hypergraph
-from .rng import check_replicas, substream
+from .rng import check_replicas, mean_se, replicate
 
 MAX_N_LOW_ARITY = 100_000
 MAX_N_HIGH_ARITY = 10_000
@@ -250,33 +250,37 @@ class GrowthStats:
     cycle_prob_se: float
 
 
+def _explorations(spec: DilutedSpec, depth: int, replicas: int, seed: int,
+                  *path) -> np.ndarray:
+    """(replicas, depth + 2) array: row k explores vertex 0 of the diluted
+    draw from the substream (seed, *path, k) to the given depth and holds
+    |I_0|..|I_depth| followed by 1.0 if a cycle event was flagged, else 0.0."""
+    def one(rng) -> list[float]:
+        tr = explore(sample_diluted(spec, rng), 0, max_depth=depth)
+        cycle = tr.first_cycle_round is not None and tr.first_cycle_round <= depth
+        return tr.frontier_sizes(depth) + [float(cycle)]
+    return replicate(one, replicas, depth + 2, seed, *path)
+
+
 def growth_stats(spec: DilutedSpec, depth: int, replicas: int, seed: int) -> GrowthStats:
     """Replicated exploration from vertex 0 of fresh diluted draws."""
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
-    check_replicas(replicas, depth + 1)
-    sizes = np.zeros((replicas, depth + 1))
-    cycles = np.zeros(replicas)
-    for k in range(replicas):
-        rng = substream(seed, "growth", k)
-        g = sample_diluted(spec, rng)
-        tr = explore(g, 0, max_depth=depth)
-        sizes[k] = tr.frontier_sizes(depth)
-        cycles[k] = 1.0 if (tr.first_cycle_round is not None
-                            and tr.first_cycle_round <= depth) else 0.0
-    sq = sizes ** 2
-    balls = np.cumsum(sizes, axis=1)
-    rt = math.sqrt(replicas)
+    per = _explorations(spec, depth, replicas, seed, "growth")
+    sizes = per[:, :-1]
+    mean_i, se_i = mean_se(sizes)
+    mean_i2, se_i2 = mean_se(sizes ** 2)
+    # the flag column alone: inside a 2-D reduction it would sum row by row
+    # and round differently
+    cycle_prob, cycle_prob_se = map(float, mean_se(per[:, -1]))
     return GrowthStats(
         spec=spec, depth=depth, replicas=replicas, seed=seed,
-        mean_i=sizes.mean(axis=0), se_i=sizes.std(axis=0, ddof=1) / rt,
-        mean_i2=sq.mean(axis=0), se_i2=sq.std(axis=0, ddof=1) / rt,
-        mean_b=balls.mean(axis=0),
+        mean_i=mean_i, se_i=se_i, mean_i2=mean_i2, se_i2=se_i2,
+        mean_b=np.cumsum(sizes, axis=1).mean(axis=0),
         bound_lambda_t=np.array([frontier_mean_bound(spec, t) for t in range(depth + 1)]),
         bound_second_moment=np.array(
             [frontier_second_moment_bound(spec, t) for t in range(depth + 1)]),
-        cycle_prob=float(cycles.mean()),
-        cycle_prob_se=float(cycles.std(ddof=1) / rt),
+        cycle_prob=cycle_prob, cycle_prob_se=cycle_prob_se,
     )
 
 
@@ -307,27 +311,26 @@ def probe_depth(spec: DilutedSpec, n: int, eps: float) -> int:
     return int(math.floor(delta * math.log(n)))
 
 
-def hypertree_trend(alphas, n_values, eps: float, replicas: int, seed: int) -> list[dict]:
-    """P(cycle within the probe depth) across growing N; the probability
-    should trend downward when the probe depth stays constant."""
-    check_replicas(replicas, 1)
-    rows = []
-    for idx, n in enumerate(n_values):
+def trend_sizes(alphas, n_values, eps: float, replicas: int) -> list[tuple[DilutedSpec, int]]:
+    """(spec, probe depth) of each trend size, all checked before any draw:
+    depth >= 1 and a (replicas, depth + 2) array within the replica budget."""
+    out = []
+    for n in n_values:
         spec = diluted_spec(n, alphas)
         depth = probe_depth(spec, n, eps)
         if depth < 1:
             raise ValidationError(f"probe depth 0 at N={n}; pick larger N or smaller eps")
-        flags = np.zeros(replicas)
-        for k in range(replicas):
-            rng = substream(seed, "trend", idx, k)
-            g = sample_diluted(spec, rng)
-            tr = explore(g, 0, max_depth=depth)
-            flags[k] = 1.0 if (tr.first_cycle_round is not None
-                               and tr.first_cycle_round <= depth) else 0.0
-        rows.append({
-            "n": int(n),
-            "depth": depth,
-            "cycle_prob": float(flags.mean()),
-            "se": float(flags.std(ddof=1) / math.sqrt(replicas)),
-        })
+        check_replicas(replicas, depth + 2)
+        out.append((spec, depth))
+    return out
+
+
+def hypertree_trend(alphas, n_values, eps: float, replicas: int, seed: int) -> list[dict]:
+    """P(cycle within the probe depth) across growing N; the probability
+    should trend downward when the probe depth stays constant."""
+    rows = []
+    for idx, (spec, depth) in enumerate(trend_sizes(alphas, n_values, eps, replicas)):
+        flags = _explorations(spec, depth, replicas, seed, "trend", idx)[:, -1]
+        cycle_prob, se = map(float, mean_se(flags))
+        rows.append({"n": spec.n, "depth": depth, "cycle_prob": cycle_prob, "se": se})
     return rows

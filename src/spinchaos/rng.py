@@ -1,15 +1,20 @@
-"""Deterministic splittable random streams.
+"""Deterministic splittable random streams and the replica loop.
 
 Every experiment derives all randomness from one integer seed. Substreams
 are keyed by a path of labels (strings or small ints), mapped to Philox
 counter-based generators through SeedSequence spawn keys, so replica k of
 experiment s always sees the same stream regardless of scheduling or of
-how many draws other replicas consumed.
+how many draws other replicas consumed. `replicate` is the one loop over
+seeded replicas, threaded by SPINCHAOS_THREADS, and `mean_se` the one
+disorder average with its standard error.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,3 +53,41 @@ def check_replicas(replicas: int, values: int) -> None:
     if 8 * replicas * values > REPLICA_BYTES:
         raise CapacityError(f"{replicas} replicas of {values} values exceed the "
                             f"{REPLICA_BYTES >> 20} MiB replica result budget")
+
+
+def threads() -> int:
+    """Worker count of the replica loop: SPINCHAOS_THREADS, default 1."""
+    raw = os.environ.get("SPINCHAOS_THREADS", "1")
+    try:
+        val = int(raw)
+    except ValueError:
+        val = 0
+    if val < 1:
+        raise ValidationError(f"SPINCHAOS_THREADS must be an integer >= 1, got {raw!r}")
+    return val
+
+
+def replicate(one, replicas: int, values: int, seed: int, *path) -> np.ndarray:
+    """(replicas, values) array whose row k is one(substream(seed, *path, k)).
+
+    Each replica builds its generator inside its own task and rows are
+    stored by index, so the result does not depend on the thread count.
+    """
+    check_replicas(replicas, values)
+    out = np.empty((replicas, values))
+    workers = threads()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = (pool.map if workers > 1 else map)(
+            lambda k: one(substream(seed, *path, k)), range(replicas))
+        try:
+            for k, row in enumerate(rows):
+                out[k] = row
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # a failed replica drops the queued ones
+            raise
+    return out
+
+
+def mean_se(x: np.ndarray) -> tuple:
+    """Mean over the first axis and its standard error (ddof = 1)."""
+    return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(len(x))

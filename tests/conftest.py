@@ -166,6 +166,25 @@ def reference_validation_error(n: int, edges):
     return None
 
 
+def second_moment_quadrature(phi, n_edges: int, order: int) -> float:
+    """E[phi(J)^2] on the full tensor Gauss-Hermite grid, its nodes listed
+    by itertools.product in one batch."""
+    x, w = np.polynomial.hermite_e.hermegauss(order)
+    w = w / math.sqrt(2.0 * math.pi)
+    rows = np.array(list(itertools.product(x, repeat=n_edges)))
+    weights = np.array([math.prod(ws) for ws in itertools.product(w, repeat=n_edges)])
+    vals = np.asarray(phi(rows), dtype=float)
+    return float(weights @ (vals * vals))
+
+
+def sign_product(graph: Hypergraph, n, i: int, j: int, a) -> int:
+    """I_n(a) = a_i a_j prod_e (prod_{v in e} a_v)^{n_e}, literally."""
+    out = int(a[i]) * int(a[j])
+    for eid, d in n.degrees:
+        out *= math.prod(int(a[v]) for v in graph.edges[eid]) ** d
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)

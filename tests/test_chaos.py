@@ -7,18 +7,19 @@ test_gibbs.py pins it against dense enumeration.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spinchaos import chaos, fixtures, gibbs, hermite
+from spinchaos import chaos, fixtures, gibbs, hermite, randgraph
 from spinchaos import disorder as dis
 from spinchaos.errors import CapacityError, NumericalError, ValidationError
 from spinchaos.hypergraph import ball_sizes, berge_distance, hypergraph
 from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
                                  sample_diluted)
-from spinchaos.rng import substream
+from spinchaos.rng import replicate, substream
 
 IDENT = dis.DisorderModel("identity")
 
@@ -117,12 +118,38 @@ def test_curve_meta_and_se():
     assert np.all(curve.estimates >= 0.0) and np.all(curve.estimates <= 1.0)
 
 
-def test_threads_do_not_change_output():
-    g = fixtures.ring(5)
-    one = chaos.chaos_curve(g, IDENT, 0.9, "continuous", [0.0, 0.5], 4, 11, threads=1)
-    two = chaos.chaos_curve(g, IDENT, 0.9, "continuous", [0.0, 0.5], 4, 11, threads=3)
-    assert np.array_equal(one.per_replica, two.per_replica)
-    assert np.array_equal(one.estimates, two.estimates)
+@pytest.mark.parametrize("run,summary", [
+    (lambda: chaos.chaos_curve(fixtures.ring(5), IDENT, 0.9, "continuous", [0.0, 0.5], 4, 11),
+     lambda c: [c.estimates, c.ses]),
+    (lambda: chaos.levy_chaos([4, 5], 1.5, 0.3, 1.0, 5, 11),
+     lambda res: [[p.estimate, p.se] for p in res["points"]] + [res["slope"]]),
+    (lambda: growth_stats(diluted_spec(300, {2: 0.6, 3: 0.2}), 3, 9, 11),
+     lambda st: [st.mean_i, st.se_i, st.mean_i2, st.se_i2, st.mean_b,
+                 st.cycle_prob, st.cycle_prob_se]),
+    (lambda: hypertree_trend({2: 0.9}, [60, 120], 0.5, 9, 11),
+     lambda rows: [[r["cycle_prob"], r["se"]] for r in rows]),
+], ids=["curve", "levy", "growth", "trend"])
+def test_threads_do_not_change_output(monkeypatch, run, summary):
+    # every per-replica array comes out of rng.replicate: record them all
+    per, sums = {}, {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches inside each replica
+    try:
+        for threads in ("1", "3"):
+            monkeypatch.setenv("SPINCHAOS_THREADS", threads)
+            per[threads] = []
+
+            def spy(*args, _out=per[threads]):
+                _out.append(replicate(*args))
+                return _out[-1]
+            for module in (chaos, randgraph):
+                monkeypatch.setattr(module, "replicate", spy)
+            sums[threads] = summary(run())
+    finally:
+        sys.setswitchinterval(interval)
+    assert per["1"] and len(per["1"]) == len(per["3"])
+    assert all(np.array_equal(a, b) for a, b in zip(per["1"], per["3"]))
+    assert all(np.array_equal(a, b) for a, b in zip(sums["1"], sums["3"]))
 
 
 def test_ground_state_mode():

@@ -151,42 +151,49 @@ SECTION_BASE = {
 HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
 
 
-@pytest.mark.parametrize("section,over", [
-    pytest.param("levy", {"t": "x"}, id="levy-t-string"),
-    pytest.param("levy", {"t": math.nan}, id="levy-t-nan"),
-    pytest.param("levy", {"replicas": 1}, id="levy-one-replica"),
-    pytest.param("levy", {"n_values": [4.7]}, id="levy-n-float"),
-    pytest.param("levy", {"n_values": [4, 0]}, id="levy-n-zero"),
-    pytest.param("levy", {"alpha": 0.5, "t": None}, id="levy-alpha-default-t"),
-    pytest.param("levy", {"beta": "infinity"}, id="levy-beta-infinity"),
-    pytest.param("trend", {"n_values": ["a", 500]}, id="trend-n-string"),
-    pytest.param("trend", {"replicas": 1}, id="trend-one-replica"),
-    pytest.param("trend", {"eps": math.inf}, id="trend-eps-inf"),
-    pytest.param("growth", {"n": 1}, id="growth-n-one"),
-    pytest.param("growth", {"alphas": {"2": math.nan}}, id="growth-alpha-nan"),
-    pytest.param("suite", {"draws": "x"}, id="suite-draws-string"),
-    pytest.param("suite", {"order": 2.5}, id="suite-order-float"),
-    pytest.param("audit", {"j": 4}, id="audit-j-outside-graph"),
-    pytest.param("audit", {"i": -1}, id="audit-i-negative"),
-    pytest.param("audit", {"i": 0.5}, id="audit-i-float"),
-    pytest.param("audit", {"tol": math.nan, "sign_tol": math.nan}, id="audit-tol-nan"),
-    pytest.param("audit", {"tol": -1e-6}, id="audit-tol-negative"),
-    pytest.param("audit", {"sign_tol": -math.inf}, id="audit-sign-tol-inf"),
-    pytest.param("curve", {"mode": "mcmc", "mcmc_sweeps": 5}, id="curve-sweeps-below-batches"),
-    pytest.param("growth", {"replicas": HUGE}, id="growth-replicas-huge"),
-    pytest.param("curve", {"replicas": HUGE}, id="curve-replicas-huge"),
-    pytest.param("levy", {"replicas": HUGE}, id="levy-replicas-huge"),
-    pytest.param("trend", {"replicas": HUGE}, id="trend-replicas-huge"),
+@pytest.mark.parametrize("section,over,code", [
+    pytest.param("levy", {"t": "x"}, 2, id="levy-t-string"),
+    pytest.param("levy", {"t": math.nan}, 2, id="levy-t-nan"),
+    pytest.param("levy", {"replicas": 1}, 2, id="levy-one-replica"),
+    pytest.param("levy", {"n_values": [4.7]}, 2, id="levy-n-float"),
+    pytest.param("levy", {"n_values": [4, 0]}, 2, id="levy-n-zero"),
+    pytest.param("levy", {"alpha": 0.5, "t": None}, 2, id="levy-alpha-default-t"),
+    pytest.param("levy", {"beta": "infinity"}, 2, id="levy-beta-infinity"),
+    pytest.param("trend", {"n_values": ["a", 500]}, 2, id="trend-n-string"),
+    pytest.param("trend", {"replicas": 1}, 2, id="trend-one-replica"),
+    pytest.param("trend", {"eps": math.inf}, 2, id="trend-eps-inf"),
+    pytest.param("growth", {"n": 1}, 2, id="growth-n-one"),
+    pytest.param("growth", {"alphas": {"2": math.nan}}, 2, id="growth-alpha-nan"),
+    pytest.param("suite", {"draws": "x"}, 2, id="suite-draws-string"),
+    pytest.param("suite", {"order": 2.5}, 2, id="suite-order-float"),
+    pytest.param("audit", {"j": 4}, 2, id="audit-j-outside-graph"),
+    pytest.param("audit", {"i": -1}, 2, id="audit-i-negative"),
+    pytest.param("audit", {"i": 0.5}, 2, id="audit-i-float"),
+    pytest.param("audit", {"tol": math.nan, "sign_tol": math.nan}, 2, id="audit-tol-nan"),
+    pytest.param("audit", {"tol": -1e-6}, 2, id="audit-tol-negative"),
+    pytest.param("audit", {"sign_tol": -math.inf}, 2, id="audit-sign-tol-inf"),
+    pytest.param("curve", {"mode": "mcmc", "mcmc_sweeps": 5}, 2, id="curve-sweeps-below-batches"),
+    pytest.param("growth", {"replicas": HUGE}, 3, id="growth-replicas-huge"),
+    pytest.param("curve", {"replicas": HUGE}, 3, id="curve-replicas-huge"),
+    pytest.param("levy", {"replicas": HUGE}, 3, id="levy-replicas-huge"),
+    pytest.param("trend", {"replicas": HUGE}, 3, id="trend-replicas-huge"),
+    pytest.param("trend", {"n_values": [5, 60]}, 2, id="trend-depth-zero"),
+    # capacity limits that the config already fixes
+    pytest.param("audit", {"fixture": "ea-ring"}, 3, id="audit-ring-over-axes"),
+    pytest.param("audit", {"degree_cap": 11}, 3, id="audit-degree-over-cap"),
+    pytest.param("levy", {"n_values": [4, 30]}, 3, id="levy-n-over-cap"),
 ])
-def test_section_values_rejected(tmp_path, capsys, section, over):
+def test_section_values_rejected(tmp_path, capsys, section, over, code):
     experiment, block = SECTION_BASE[section]
+    over = dict(over)
+    fixture = over.pop("fixture", "remark-path-graph")  # the model's graph
     cfg = {"experiment": experiment, "seed": 3, "output": str(tmp_path / "out"),
            section: dict(block, **over)}
     if section in ("audit", "curve"):
-        cfg["model"] = {"graph": {"fixture": "remark-path-graph"},
+        cfg["model"] = {"graph": {"fixture": fixture},
                         "disorder": {"kind": "identity"}, "beta": 1.0,
                         "perturbation": "continuous"}
-    assert_rejected(tmp_path, capsys, cfg, code=3 if over.get("replicas") == HUGE else 2)
+    assert_rejected(tmp_path, capsys, cfg, code=code)
 
 
 def test_output_must_not_be_a_file(tmp_path, capsys):
@@ -396,6 +403,17 @@ def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
     assert manifest["threads"] == 3
     monkeypatch.setenv("SPINCHAOS_THREADS", "zero")
     assert run_cli(["run", p2]) == 2
+    # every replica loop reads the variable; a bad value stops the run
+    # before anything is written
+    out3 = tmp_path / "growth"
+    cfg = {"experiment": "growth-stats", "seed": 9, "output": str(out3),
+           "growth": {"n": 100, "alphas": {"2": 0.6}, "depth": 2, "replicas": 4}}
+    p3 = write_config(tmp_path, cfg, name="g.json")
+    assert run_cli(["run", p3]) == 2
+    assert not out3.exists()
+    monkeypatch.setenv("SPINCHAOS_THREADS", "2")
+    assert run_cli(["run", p3]) == 0
+    assert json.loads((out3 / "manifest.json").read_text())["threads"] == 2
 
 
 def test_run_growth_stats(tmp_path):

@@ -15,14 +15,12 @@ from spinchaos.hermite import (CoefficientEntry, CoefficientTable,
                                adaptive_gaussian_mean, coeff_montecarlo,
                                coeff_quadrature, coefficient_sweep,
                                conditional_mean_resampled, gauss_hermite,
-                               hermite_values, parseval_tail,
-                               second_moment_quadrature, semigroup_weight,
-                               sign_criterion, sign_product,
-                               weighted_coefficient_sum)
+                               hermite_values, parseval_tail, semigroup_weight,
+                               sign_criterion, weighted_coefficient_sum)
 from spinchaos.hypergraph import hypergraph, multi_index
 from spinchaos.rng import substream
 
-from conftest import random_hypergraph
+from conftest import random_hypergraph, second_moment_quadrature, sign_product
 
 
 def test_gauss_hermite_moments():

@@ -65,6 +65,15 @@ def test_constructor_canonicalizes_and_validates():
         hypergraph(4, [np.array([2, 0]), np.array([1, 4])])
     with pytest.raises(ValidationError, match=r"duplicate edge \(0, 2\)"):
         hypergraph(4, [np.array([2, 0]), (np.int64(0), 2)])
+    # non-integer ids are named, not truncated (1.5 -> 1) or misread as unsorted
+    with pytest.raises(ValidationError, match=r"edge 0 must have integer vertex ids, got \(0, 1.5\)"):
+        Hypergraph(3, ((0, 1.5),))
+    with pytest.raises(ValidationError, match=r"edge 0 must have integer vertex ids, got \(0, 0.5\)"):
+        Hypergraph(3, ((0, 0.5),))
+    with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids"):
+        Hypergraph(3, ((0, 1), (1, np.float64(2.0))))
+    g = Hypergraph(3, ((np.int64(0), np.int32(2)), (1, np.uint8(2))))
+    assert g.incident(2) == (0, 1) and g.incident(1) == (1,)
 
 
 def test_validation_matches_edge_by_edge_loop():
