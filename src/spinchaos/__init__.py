@@ -12,8 +12,8 @@ from .disorder import (DisorderModel, couple_symmetric, levy_a_n,
                        perturb_continuous, perturb_discrete, rho)
 from .gibbs import (CorrelationMatrix, GroundStates, SpinSystem,
                     exact_correlations, ground_state_correlations,
-                    ground_states, hamiltonian, mcmc_correlations,
-                    overlap_second_moment, spin_system)
+                    ground_states, mcmc_correlations, overlap_second_moment,
+                    spin_system)
 from .hermite import (CoefficientTable, SignVerdict, adaptive_gaussian_mean,
                       coeff_montecarlo, coeff_quadrature, coefficient_sweep,
                       gauss_hermite, hermite_values, parseval_tail,

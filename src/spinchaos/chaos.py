@@ -75,6 +75,9 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
         raise ValidationError(f"perturbation kind must be one of {PERTURBATION_KINDS}")
     grid = tuple(float(t) for t in t_grid)
     beta_v = None if beta is None or beta == "infinity" else float(beta)
+    # exact and ground-state kernels draw nothing, so skipping a repeated
+    # call leaves the replica's stream as it was; the sampler must rerun
+    deterministic = mode == "exact" or beta_v is None
 
     def one(rng) -> np.ndarray:
         g = _resolve_graph(graph_source, rng)
@@ -87,8 +90,11 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
         corr_a = _correlations(sys_a, mode, rng, mcmc_sweeps, mcmc_burn_in)
         out = np.empty(len(grid))
         for ti in range(len(grid)):
-            sys_b = gibbs.spin_system(g, dis.rho(model, path[ti]), beta_v)
-            corr_b = _correlations(sys_b, mode, rng, mcmc_sweeps, mcmc_burn_in)
+            if ti == 0 and deterministic and np.array_equal(path[0], base):
+                corr_b = corr_a  # t = 0 leaves the couplings, so the system, unmoved
+            else:
+                sys_b = gibbs.spin_system(g, dis.rho(model, path[ti]), beta_v)
+                corr_b = _correlations(sys_b, mode, rng, mcmc_sweeps, mcmc_burn_in)
             out[ti] = gibbs.overlap_second_moment(corr_a, corr_b)
         return out
 

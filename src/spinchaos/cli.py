@@ -33,7 +33,7 @@ import scipy
 
 from . import __version__, chaos, fixtures, gibbs, hermite, randgraph
 from . import disorder as dis
-from .errors import SpinchaosError, ValidationError
+from .errors import CapacityError, SpinchaosError, ValidationError
 from .hypergraph import Hypergraph
 from .hypergraph import load as load_graph
 from .hypergraph import save as save_graph
@@ -230,6 +230,9 @@ def _parse_curve(cfg: dict):
         raise ValidationError(f"curve.mcmc_sweeps must be >= {gibbs.MCMC_BATCHES} "
                               f"(one per batch mean) in mcmc mode, got {sweeps}")
     burn_in = _int(c.get("mcmc_burn_in", 2000), "curve.mcmc_burn_in", 0)
+    if (mode == "exact" or beta is None) and graph_source.n > gibbs.EXACT_MAX_N:
+        raise CapacityError(f"exact enumeration capped at N={gibbs.EXACT_MAX_N}, "
+                            f"got {graph_source.n}; use curve.mode mcmc at finite beta")
     tags = _list(c.get("bounds", []), "curve.bounds", 0)
     for tag in tags:
         if tag not in UPPER_TAGS + LOWER_TAGS:
@@ -331,6 +334,8 @@ def _parse_audit(cfg: dict):
     _expect(a, "audit", ("i", "j", "degree_cap", "order"), ("tol", "sign_tol"))
     if not isinstance(graph, Hypergraph) or beta is None:
         raise ValidationError("coefficient-audit needs a fixed graph and finite beta")
+    if graph.n > gibbs.BATCH_MAX_N:
+        raise CapacityError(f"batch enumeration capped at N={gibbs.BATCH_MAX_N}, got {graph.n}")
     i = _int(a["i"], "audit.i", 0, graph.n - 1)
     j = _int(a["j"], "audit.j", 0, graph.n - 1)
     degree_cap = _int(a["degree_cap"], "audit.degree_cap", 0)

@@ -5,12 +5,16 @@ H(sigma) = levy_scale * sum_e c_e prod_{v in e} sigma_v, so ground states
 are maximizers of H and beta = infinity (represented as beta=None, never
 a float) means the uniform measure over ground states.
 
-Every exact routine reads one table per graph: the +-1 states whose top
-spin is -1 (the other half are their complements) and the products of
-each edge's spins, in blocks of at most TABLE_BYTES. The last block built
-stays cached, so a graph whose half table fits one block is enumerated
-once and reused by every later call. Exact routines are capped at N = 24;
-larger systems go through the Glauber sampler, flagged as an estimate.
+Every exact routine reads one cached table per graph: the 2^b lowest
++-1 states, with every spin at bit b and above at -1, and the products
+of each edge's spins, where 2^b is the largest power of two of rows that
+fits TABLE_BYTES (at most 2^(N-1)). Any block of 2^b consecutive states
+is that table with some high spins flipped to +1, so its states and edge
+products are the table's times +-1 signs (_flip); the kernels fold the
+signs into the couplings and accumulators instead of rebuilding rows.
+Multiplying by +-1 is exact, so the folding costs no bits. Exact routines
+are capped at N = 24; larger systems go through the Glauber sampler,
+flagged as an estimate.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from .rng import mean_se
 
 EXACT_MAX_N = 24
 BATCH_MAX_N = 20
-# bytes of one block of the half table (states plus edge products); the
-# 2^15-row half table of the complete graph on 16 vertices is one block
+# bytes of the cached table (states plus edge products); the 2^15-row
+# half table of the complete graph on 16 vertices fits in one block
 TABLE_BYTES = 64 << 20
 MCMC_BATCHES = 32  # batch means behind mcmc_correlations' standard errors
 
@@ -73,22 +77,6 @@ def spin_system(graph: Hypergraph, couplings, beta, levy_scale=1.0) -> SpinSyste
     return SpinSystem(graph, cs, beta, float(levy_scale))
 
 
-def hamiltonian(system: SpinSystem, sigma) -> float:
-    """H(sigma) for one configuration of +-1 spins."""
-    s = np.asarray(sigma)
-    if s.shape != (system.n,):
-        raise ValidationError(f"sigma must have shape ({system.n},), got {s.shape}")
-    if not np.all(np.abs(s) == 1):
-        raise ValidationError("sigma entries must be +-1")
-    total = 0.0
-    for c, e in zip(system.couplings, system.graph.edges):
-        prod = 1
-        for v in e:
-            prod *= int(s[v])
-        total += c * prod
-    return system.levy_scale * total
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Pair correlations <sigma_i sigma_j> with diagonal 1, single-spin
@@ -118,28 +106,37 @@ def _edge_products(states: np.ndarray, edges) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _table(n: int, edges: tuple, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    states = _states(np.arange(start, stop, dtype=np.int64), n)
+def _low_table(n: int, edges: tuple, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    states = _states(np.arange(rows, dtype=np.int64), n)
     eprod = _edge_products(states, edges)
     states.flags.writeable = False  # shared by every caller of the cache
     eprod.flags.writeable = False
     return states, eprod
 
 
+def _flip(graph: Hypergraph, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(per-spin, per-edge) +-1 signs that turn the spins set in bits from
+    -1 to +1: the flipped states are states * spin and their edge
+    products eprod * sign. bits = 2^N - 1 is the global flip."""
+    flipped = [(bits >> v) & 1 for v in range(graph.n)]
+    spin = np.array([(-1.0) ** f for f in flipped])
+    sign = np.array([(-1.0) ** sum(flipped[v] for v in e) for e in graph.edges])
+    return spin, sign
+
+
 def _half_blocks(graph: Hypergraph):
-    """(start, states, edge products) blocks over the 2^(N-1) states with
-    the top spin at -1, in index order; the complement of index i is
+    """(start, states, edge products, spin signs, edge signs) blocks over
+    the 2^(N-1) states with the top spin at -1, in index order. states
+    and edge products are the cached low table; the block's own are them
+    times the signs of _flip(graph, start). The complement of index i is
     2^N - 1 - i."""
     n, edges = graph.n, graph.edges
     half = 1 << (n - 1)
-    rows = max(1, TABLE_BYTES // (8 * (n + len(edges))))
+    fit = TABLE_BYTES // (8 * (n + len(edges)))
+    rows = min(half, 1 << max(fit.bit_length() - 1, 0))
+    states, eprod = _low_table(n, edges, rows)
     for start in range(0, half, rows):
-        yield (start, *_table(n, edges, start, min(start + rows, half)))
-
-
-def _parity(graph: Hypergraph) -> np.ndarray:
-    """Sign of each edge's product under the global flip sigma -> -sigma."""
-    return np.array([(-1.0) ** len(e) for e in graph.edges])
+        yield (start, states, eprod, *_flip(graph, start))
 
 
 def _require_finite_beta(system: SpinSystem) -> float:
@@ -164,16 +161,16 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     if n > EXACT_MAX_N:
         raise CapacityError(f"exact enumeration capped at N={EXACT_MAX_N}, got {n}")
     c_eff = np.asarray(system.couplings) * system.levy_scale
-    c_neg = _parity(system.graph) * c_eff
+    c_neg = _flip(system.graph, (1 << n) - 1)[1] * c_eff
 
     shift = -math.inf  # current max of beta*H over both half-spaces
     z = 0.0            # sum of exp(beta*H - shift)
     acc_corr = np.zeros((n, n))
     acc_mean = np.zeros(n)
-    for _, states, eprod in _half_blocks(system.graph):
+    for _, states, eprod, spin, sign in _half_blocks(system.graph):
         # states with the top spin pinned to -1; complements cover the rest
-        be_pos = beta * (eprod @ c_eff)
-        be_neg = beta * (eprod @ c_neg)
+        be_pos = beta * (eprod @ (sign * c_eff))
+        be_neg = beta * (eprod @ (sign * c_neg))
         m = float(max(be_pos.max(), be_neg.max()))
         if m > shift:
             rescale = math.exp(shift - m) if shift > -math.inf else 0.0
@@ -185,8 +182,8 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
         w_neg = np.exp(be_neg - shift)
         z += float(w_pos.sum() + w_neg.sum())
         both = w_pos + w_neg
-        acc_corr += states.T @ (states * both[:, None])
-        acc_mean += (w_pos - w_neg) @ states
+        acc_corr += np.outer(spin, spin) * (states.T @ (states * both[:, None]))
+        acc_mean += spin * ((w_pos - w_neg) @ states)
     if not (z > 0 and math.isfinite(z)):
         raise NumericalError(f"degenerate partition accumulator z={z}")
     corr = acc_corr / z
@@ -219,18 +216,18 @@ def ground_states(system: SpinSystem, rel_tol: float = 1e-12) -> GroundStates:
     n = system.n
     if n > EXACT_MAX_N:
         raise CapacityError(f"exhaustive ground states capped at N={EXACT_MAX_N}, got {n}")
-    c_eff = np.asarray(system.couplings) * system.levy_scale
-    c_neg = _parity(system.graph) * c_eff
     top = (1 << n) - 1
+    c_eff = np.asarray(system.couplings) * system.levy_scale
+    c_neg = _flip(system.graph, top)[1] * c_eff
 
     def cut():
         return best - rel_tol * max(1.0, abs(best))
 
     best = -math.inf
     idx, energies = [], []
-    for start, _, eprod in _half_blocks(system.graph):
+    for start, _, eprod, _, sign in _half_blocks(system.graph):
         rows = np.arange(start, start + eprod.shape[0], dtype=np.int64)
-        for ids, e in ((rows, eprod @ c_eff), (top - rows, eprod @ c_neg)):
+        for ids, e in ((rows, eprod @ (sign * c_eff)), (top - rows, eprod @ (sign * c_neg))):
             best = max(best, float(e.max()))
             mask = e >= cut()
             idx.append(ids[mask])
@@ -343,16 +340,13 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
     cs = np.atleast_2d(np.asarray(couplings, dtype=float)) * levy_scale
     if cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")
-    # the half table plus its copy with the top spin at +1, whose edge
-    # products flip sign on the edges through vertex N-1
+    # the half table plus its copy with the top spin flipped to +1
     blocks = list(_half_blocks(graph))
-    lo = np.vstack([states for _, states, _ in blocks])
-    lo_eprod = np.vstack([eprod for _, _, eprod in blocks])
-    hi = lo.copy()
-    hi[:, n - 1] = 1.0
-    flip = np.array([-1.0 if e[-1] == n - 1 else 1.0 for e in graph.edges])
-    states = np.vstack((lo, hi))
-    eprod = np.vstack((lo_eprod, lo_eprod * flip))
+    lo = np.vstack([states * spin for _, states, _, spin, _ in blocks])
+    lo_eprod = np.vstack([eprod * sign for _, _, eprod, _, sign in blocks])
+    top_spin, top_sign = _flip(graph, 1 << (n - 1))
+    states = np.vstack((lo, lo * top_spin))
+    eprod = np.vstack((lo_eprod, lo_eprod * top_sign))
     pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
     single_obs = [states[:, i] for i in singles]
     nb = cs.shape[0]

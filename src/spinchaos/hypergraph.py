@@ -108,7 +108,11 @@ def hypergraph(n: int, edges) -> Hypergraph:
 
     Vertex order within an edge is free, repeats are not: an edge is a
     set, and silently deduplicating would change the arity."""
-    canon = tuple(tuple(sorted(map(int, e))) for e in edges)
+    edges = [tuple(e) for e in edges]  # read once: edges may be a generator
+    try:  # operator.index, as in Hypergraph: numpy ints pass, floats are not truncated
+        canon = tuple(tuple(sorted(map(operator.index, e))) for e in edges)
+    except TypeError:
+        canon = tuple(edges)  # Hypergraph names the first bad edge
     return Hypergraph(int(n), canon)
 
 

@@ -122,26 +122,12 @@ class ExplorationTrace:
     d_counts: tuple[int, ...]
     first_cycle_round: int | None
 
-    @property
-    def depth_reached(self) -> int:
-        return len(self.i_sets) - 1
-
     def frontier_sizes(self, depth: int) -> list[int]:
         """|I_t| for t = 0..depth, zero after extinction."""
         out = []
         for t in range(depth + 1):
             out.append(len(self.i_sets[t]) if t < len(self.i_sets) else 0)
         return out
-
-    def ball_size(self, t: int) -> int:
-        return sum(len(s) for s in self.i_sets[: t + 1])
-
-    def revealed_edges(self, depth: int | None = None) -> tuple[int, ...]:
-        stop = len(self.e_sets) if depth is None else min(depth + 1, len(self.e_sets))
-        out: list[int] = []
-        for t in range(stop):
-            out.extend(self.e_sets[t])
-        return tuple(out)
 
 
 def explore(g: Hypergraph, root: int, max_depth: int | None = None) -> ExplorationTrace:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from spinchaos.errors import ValidationError
 from spinchaos.hypergraph import Hypergraph, hypergraph
 
 
@@ -26,6 +27,19 @@ def dense_energies(graph: Hypergraph, couplings, states: np.ndarray) -> np.ndarr
     for c, edge in zip(couplings, graph.edges):
         vals += c * np.prod(states[:, list(edge)], axis=1)
     return vals
+
+
+def hamiltonian(system, sigma) -> float:
+    """H(sigma) of one +-1 configuration, edge by edge in Python ints."""
+    s = np.asarray(sigma)
+    if s.shape != (system.n,):
+        raise ValidationError(f"sigma must have shape ({system.n},), got {s.shape}")
+    if not np.all(np.abs(s) == 1):
+        raise ValidationError("sigma entries must be +-1")
+    total = 0.0
+    for c, e in zip(system.couplings, system.graph.edges):
+        total += c * math.prod(int(s[v]) for v in e)
+    return system.levy_scale * total
 
 
 def dense_correlations(graph: Hypergraph, couplings, beta: float):

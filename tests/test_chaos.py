@@ -68,6 +68,41 @@ def test_t_zero_matches_self_overlap_bitwise():
     assert curve.estimates[0] == curve.per_replica[:, 0].mean()
 
 
+@pytest.mark.parametrize("source,beta,kind,mode,kernel,saved", [
+    (fixtures.ring(6), 0.8, "continuous", "exact", "exact_correlations", 1),
+    (diluted_spec(9, {2: 0.8}), "infinity", "discrete", "mcmc", "ground_states", 1),
+    (fixtures.ring(4), 0.8, "discrete", "mcmc", "mcmc_correlations", 0),
+], ids=["exact", "ground", "mcmc"])
+def test_t_zero_reuses_unperturbed_correlations(monkeypatch, source, beta, kind, mode,
+                                                 kernel, saved):
+    """Exact and ground-state replicas take the t = 0 column from the
+    unperturbed system instead of enumerating it again; the sampler keeps
+    its stream. Every row equals a recomputation that calls the kernel
+    at every grid point."""
+    grid, replicas, seed = [0.0, 0.5, 1.5], 4, 23
+    calls = []
+    real = getattr(gibbs, kernel)
+    monkeypatch.setattr(gibbs, kernel, lambda system, *a, **kw: calls.append(1) or
+                        real(system, *a, **kw))
+    curve = chaos.chaos_curve(source, IDENT, beta, kind, grid, replicas, seed, mode=mode,
+                              mcmc_sweeps=64, mcmc_burn_in=8)
+    assert len(calls) == replicas * (1 + len(grid) - saved)
+    monkeypatch.undo()
+    for k in range(replicas):
+        rng = substream(seed, "replica", k)
+        g = chaos._resolve_graph(source, rng)
+        base = rng.standard_normal(g.n_edges)
+        path = (dis.continuous_path if kind == "continuous" else dis.discrete_path)(
+            base, grid, rng)
+
+        def corr(j):
+            return chaos._correlations(gibbs.spin_system(g, dis.rho(IDENT, j), beta),
+                                       mode, rng, 64, 8)
+        a = corr(base)
+        row = [gibbs.overlap_second_moment(a, corr(j)) for j in path]
+        assert np.array_equal(curve.per_replica[k], row)
+
+
 @pytest.mark.parametrize("kind", chaos.PERTURBATION_KINDS)
 def test_beta_zero_curve_is_one_over_n(kind):
     g = fixtures.ring(5)

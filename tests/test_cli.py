@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from spinchaos import cli, fixtures
 from spinchaos.errors import ValidationError
+from spinchaos.hypergraph import Hypergraph, hypergraph
+from spinchaos.hypergraph import save as save_graph
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -148,6 +150,7 @@ SECTION_BASE = {
     "audit": ("coefficient-audit", {"i": 0, "j": 1, "degree_cap": 3, "order": 8}),
     "curve": ("chaos-curve", {"t_grid": [0.0, 0.5], "replicas": 2}),
 }
+DILUTED_30 = {"diluted": {"n": 30, "alphas": {"2": 0.5}}}  # over the exact cap
 HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
 
 
@@ -182,17 +185,27 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
     pytest.param("audit", {"fixture": "ea-ring"}, 3, id="audit-ring-over-axes"),
     pytest.param("audit", {"degree_cap": 11}, 3, id="audit-degree-over-cap"),
     pytest.param("levy", {"n_values": [4, 30]}, 3, id="levy-n-over-cap"),
+    pytest.param("curve", {"model": {"graph": DILUTED_30}}, 3, id="curve-exact-n-over-cap"),
+    pytest.param("curve", {"model": {"graph": DILUTED_30, "beta": "infinity"}, "mode": "mcmc"},
+                 3, id="curve-ground-n-over-cap"),
+    pytest.param("audit", {"model": {"graph": hypergraph(22, [(0, 1), (2, 3)])}}, 3,
+                 id="audit-saved-n-over-batch-cap"),
 ])
 def test_section_values_rejected(tmp_path, capsys, section, over, code):
     experiment, block = SECTION_BASE[section]
     over = dict(over)
     fixture = over.pop("fixture", "remark-path-graph")  # the model's graph
+    model = over.pop("model", {})
     cfg = {"experiment": experiment, "seed": 3, "output": str(tmp_path / "out"),
            section: dict(block, **over)}
     if section in ("audit", "curve"):
-        cfg["model"] = {"graph": {"fixture": fixture},
-                        "disorder": {"kind": "identity"}, "beta": 1.0,
-                        "perturbation": "continuous"}
+        cfg["model"] = dict({"graph": {"fixture": fixture},
+                             "disorder": {"kind": "identity"}, "beta": 1.0,
+                             "perturbation": "continuous"}, **model)
+        graph = cfg["model"]["graph"]
+        if isinstance(graph, Hypergraph):  # read back from a saved file
+            save_graph(graph, tmp_path / "graph.hg")
+            cfg["model"]["graph"] = {"file": str(tmp_path / "graph.hg")}
     assert_rejected(tmp_path, capsys, cfg, code=code)
 
 
@@ -485,7 +498,6 @@ def test_run_levy(tmp_path):
 
 
 def test_graph_from_file(tmp_path):
-    from spinchaos.hypergraph import save as save_graph
     gpath = tmp_path / "ring5.hg"
     save_graph(fixtures.ring(5), gpath)
     out = tmp_path / "filerun"

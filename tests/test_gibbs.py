@@ -12,14 +12,14 @@ from spinchaos.disorder import DisorderModel
 from spinchaos.errors import CapacityError, ValidationError
 from spinchaos.gibbs import (CorrelationMatrix, batch_moments, exact_correlations,
                              ground_state_correlations, ground_states,
-                             hamiltonian, mcmc_correlations,
-                             overlap_second_moment, spin_system)
+                             mcmc_correlations, overlap_second_moment,
+                             spin_system)
 from spinchaos.hypergraph import hypergraph
 from spinchaos.rng import substream
 
 from conftest import (all_states, dense_correlations, dense_energies,
                       dense_ground_correlations, dense_ground_states,
-                      random_hypergraph)
+                      hamiltonian, random_hypergraph)
 
 
 def ring(n):
@@ -88,6 +88,19 @@ def test_blocked_streaming_is_exact(rng, monkeypatch):
     assert np.array_equal(ga.states, gb.states)
 
 
+def test_small_blocks_match_dense_oracle(rng, monkeypatch):
+    # odd arities give nonzero means, which only the spin signs can carry
+    for _ in range(10):
+        g = random_hypergraph(rng, n_max=8, e_max=6, arities=(2, 3))
+        few_rows_per_block(monkeypatch, g, 2)
+        cs = rng.standard_normal(g.n_edges)
+        got = exact_correlations(spin_system(g, cs, 1.3))
+        corr, means, log_z = dense_correlations(g, cs, 1.3)
+        assert np.allclose(got.corr, corr, atol=1e-12)
+        assert np.allclose(got.means, means, atol=1e-12)
+        assert got.log_z == pytest.approx(log_z, abs=1e-10)
+
+
 def enumeration_index(states):
     return ((states > 0).astype(np.int64) << np.arange(states.shape[1])).sum(axis=1)
 
@@ -109,14 +122,37 @@ def test_ground_states_in_enumeration_order(rng, monkeypatch, rows):
         assert {tuple(r) for r in gs.states} == {tuple(r) for r in want_states}
 
 
-def test_cached_table_is_read_only():
+def test_cached_table_is_read_only(monkeypatch):
     g = hypergraph(5, [(0, 1, 2), (3, 4)])
+    few_rows_per_block(monkeypatch, g)
     exact_correlations(spin_system(g, [1.0, -0.5], 0.7))  # fills the cache
-    for _, states, eprod in gibbs._half_blocks(g):
+    blocks = list(gibbs._half_blocks(g))
+    assert len(blocks) == 8  # 16 half rows, 2 per block
+    for _, states, eprod, _, _ in blocks:
+        assert states is blocks[0][1] and eprod is blocks[0][2]  # one table for all
         for table in (states, eprod):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_blocks_are_the_table_times_flip_signs(rng, monkeypatch, rows):
+    # block k holds enumeration indices k*rows ... (k+1)*rows - 1, and its
+    # edge products are the dense ones of those states
+    g = random_hypergraph(rng, n_max=7, e_max=6, arities=(2, 3, 4))
+    few_rows_per_block(monkeypatch, g, rows)
+    half = 1 << (g.n - 1)
+    blocks = list(gibbs._half_blocks(g))
+    assert [start for start, *_ in blocks] == list(range(0, half, min(rows, half)))
+    for start, states, eprod, spin, sign in blocks:
+        block = states * spin
+        assert np.array_equal(enumeration_index(block), np.arange(start, start + len(block)))
+        want = np.array([[np.prod(row[list(e)]) for e in g.edges] for row in block])
+        assert np.array_equal(eprod * sign, want.reshape(eprod.shape))
+    spin, sign = gibbs._flip(g, (1 << g.n) - 1)  # the global flip
+    assert np.all(spin == -1.0)
+    assert np.array_equal(sign, [(-1.0) ** len(e) for e in g.edges])
 
 
 def test_table_cache_shared_by_threads(rng):
@@ -295,7 +331,7 @@ def test_overlap_shape_mismatch():
         overlap_second_moment(a, b)
 
 
-def test_batch_moments_match_loop(rng):
+def test_batch_moments_match_loop(rng, monkeypatch):
     g = random_hypergraph(rng, n_max=7, e_max=5)
     beta = 0.9
     cs = rng.standard_normal((37, g.n_edges))
@@ -308,6 +344,12 @@ def test_batch_moments_match_loop(rng):
             assert pv[k, b] == pytest.approx(cm.corr[i, j], abs=1e-12)
         for k, i in enumerate(singles):
             assert sv[k, b] == pytest.approx(cm.means[i], abs=1e-12)
+    # stacked from one-row blocks, the table and every moment are the same bits
+    few_rows_per_block(monkeypatch, g, 1)
+    assert len(list(gibbs._half_blocks(g))) > 1
+    pv_blocked, sv_blocked = batch_moments(g, cs, beta, pairs, singles, block=8)
+    assert np.array_equal(pv_blocked, pv)
+    assert np.array_equal(sv_blocked, sv)
 
 
 def test_identity_functional_vectorizes(rng):

@@ -39,6 +39,12 @@ def test_constructor_canonicalizes_and_validates():
         hypergraph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValidationError, match="vertex count"):
         hypergraph(0, [])
+    with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids, got \(0, 1.5\)"):
+        hypergraph(3, [(1, 2), (0, 1.5)])  # not truncated to (0, 1)
+    with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids"):
+        hypergraph(3, (e for e in [(1, 2), (0, 1.5), (0, 2)]))
+    assert hypergraph(3, [np.array([2, 0])]).edges == ((0, 2),)
+    assert type(hypergraph(3, [np.array([2, 0])]).edges[0][0]) is int
     # several bad edges: the lowest edge id is named, with its first failed check
     with pytest.raises(ValidationError, match=r"edge 1 must be sorted distinct vertices, got \(2, 1\)"):
         Hypergraph(5, ((0, 1), (2, 1), (0,), (0, 9)))

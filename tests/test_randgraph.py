@@ -15,6 +15,11 @@ from spinchaos.rng import substream
 from conftest import brute_has_berge_cycle, random_hypergraph, reference_sample_diluted
 
 
+def revealed_edges(trace) -> tuple[int, ...]:
+    """Edge ids of a trace in the order they were revealed."""
+    return tuple(eid for es in trace.e_sets for eid in es)
+
+
 def test_spec_validation():
     spec = diluted_spec(100, {2: 0.6, 3: 0.2})
     assert spec.alphas == ((2, 0.6), (3, 0.2))
@@ -158,7 +163,7 @@ def test_explore_matches_bfs_layers(rng):
                 assert t < len(tr.e_sets)
         # every component edge is revealed exactly once, at the round
         # after its closest vertex enters the frontier
-        revealed = tr.revealed_edges()
+        revealed = revealed_edges(tr)
         assert len(revealed) == len(set(revealed))
         assert set(revealed) == set().union(*want_e.values()) if want_e else not revealed
 
@@ -191,9 +196,9 @@ def test_flags_iff_revealed_cycle(rng):
         root = int(rng.integers(g.n))
         tr = explore(g, root)
         has_flags = tr.first_cycle_round is not None
-        cyc = has_berge_cycle(g, tr.revealed_edges())
+        cyc = has_berge_cycle(g, revealed_edges(tr))
         assert has_flags == cyc
-        sub = hypergraph(g.n, [g.edges[e] for e in tr.revealed_edges()])
+        sub = hypergraph(g.n, [g.edges[e] for e in revealed_edges(tr)])
         assert cyc == brute_has_berge_cycle(sub)
         if has_flags:
             flagged += 1
@@ -213,12 +218,12 @@ def test_explore_max_depth_truncates():
     n = 12
     path = hypergraph(n, [(k, k + 1) for k in range(n - 1)])
     tr = explore(path, 0, max_depth=4)
-    assert tr.depth_reached == 4
+    assert len(tr.i_sets) - 1 == 4  # depth reached
     assert tr.frontier_sizes(6) == [1, 1, 1, 1, 1, 0, 0]
-    assert tr.ball_size(4) == 5
-    assert tr.revealed_edges() == (0, 1, 2, 3)
+    assert len(set().union(*tr.i_sets[:5])) == 5  # ball of radius 4
+    assert revealed_edges(tr) == (0, 1, 2, 3)
     full = explore(path, 0)
-    assert full.depth_reached == n - 1
+    assert len(full.i_sets) - 1 == n - 1
     assert full.first_cycle_round is None
 
 
@@ -226,7 +231,7 @@ def test_explore_isolated_root():
     g = hypergraph(5, [(1, 2)])
     tr = explore(g, 0)
     assert tr.i_sets == (frozenset({0}),)
-    assert tr.depth_reached == 0
+    assert len(tr.i_sets) - 1 == 0
     assert tr.first_cycle_round is None
 
 
