@@ -4,10 +4,9 @@ __version__ = "0.1.0"
 
 from .errors import CapacityError, NumericalError, SpinchaosError, ValidationError
 from .hypergraph import (Hypergraph, MultiIndex, ball, ball_is_hypertree,
-                         ball_sizes, berge_distance, boundary_edges, component,
-                         connected_in, from_text, has_berge_cycle, hypergraph,
-                         interior_edges, is_hypertree, multi_index,
-                         sub_hypergraph, to_text, vertex_support)
+                         ball_sizes, berge_distance, component, connected_in,
+                         from_text, has_berge_cycle, hypergraph, interior_edges,
+                         multi_index, to_text, vertex_support)
 from .disorder import (DisorderModel, couple_symmetric, levy_a_n,
                        perturb_continuous, perturb_discrete, rho)
 from .gibbs import (CorrelationMatrix, GroundStates, SpinSystem,
@@ -15,15 +14,14 @@ from .gibbs import (CorrelationMatrix, GroundStates, SpinSystem,
                     ground_states, mcmc_correlations, overlap_second_moment,
                     spin_system)
 from .hermite import (CoefficientTable, SignVerdict, adaptive_gaussian_mean,
-                      coeff_montecarlo, coeff_quadrature, coefficient_sweep,
-                      gauss_hermite, hermite_values, parseval_tail,
-                      semigroup_weight, sign_criterion,
-                      weighted_coefficient_sum)
+                      coeff_quadrature, coefficient_sweep, gauss_hermite,
+                      hermite_values, parseval_tail, semigroup_weight,
+                      sign_criterion, weighted_coefficient_sum)
 from .randgraph import (DilutedSpec, ExplorationTrace, diluted_spec, explore,
                         growth_stats, hypertree_trend, sample_diluted)
 from .chaos import (BoundCheck, ChaosCurve, bridged_coefficient, chaos_curve,
                     coefficient_audit, counterexample_suite, decoupling_error,
-                    general_ball_bound, levy_chaos, lower_bound_discrete,
-                    lower_bound_gaussian, monotonicity_check, remark_graph,
-                    tanh_product_error, theorem_bound_check, two_lobe_graph)
+                    levy_chaos, lower_bound_discrete, lower_bound_gaussian,
+                    monotonicity_check, remark_graph, tanh_product_error,
+                    theorem_bound_check, two_lobe_graph)
 from .rng import substream

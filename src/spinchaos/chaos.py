@@ -160,23 +160,16 @@ def _ball_bound(max_ball: list[int], t: float) -> tuple[float, int]:
     return best, best_r
 
 
-def general_ball_bound(graph: Hypergraph, t: float) -> tuple[float, int]:
-    """Constant-free upper bound min_r [ max_i |B_r(i)| / N + e^{-tr} ].
-
-    Returns (value, argmin r).
-    """
-    return _ball_bound(_max_ball_profile(graph), t)
-
-
 def theorem_bound_check(curve: ChaosCurve, graph_source,
                         tags=("general-ball",), params: dict | None = None) -> list[BoundCheck]:
     """Evaluate decay bounds against the curve.
 
-    general-ball is constant-free. The growth-rate families need caller
-    constants: poly {C, theta}, exp {C, gamma}, diluted {C, lambda}, levy
-    {K, c, eps, alpha}. For a diluted source the general-ball value is
-    the replica average of per-draw bounds, resampled from the curve's
-    own substreams.
+    general-ball is the constant-free min_r [ max_i |B_r(i)| / N + e^{-tr} ],
+    with its argmin r as extra r_star on a fixed graph. The growth-rate
+    families need caller constants: poly {C, theta}, exp {C, gamma},
+    diluted {C, lambda}, levy {K, c, eps, alpha}. For a diluted source the
+    general-ball value is the replica average of per-draw bounds,
+    resampled from the curve's own substreams.
     """
     params = params or {}
     out = []
@@ -276,12 +269,11 @@ def _grid_index_at_most(grid, target: float) -> int:
 
 
 def disorder_functional(graph: Hypergraph, model: dis.DisorderModel, beta: float,
-                        i: int, j: int, levy_scale: float = 1.0):
+                        i: int, j: int):
     """phi(base rows) = <sigma_i sigma_j> of the system with couplings
     rho(base), vectorized over rows."""
     def phi(rows):
-        vals, _ = gibbs.batch_moments(graph, dis.rho(model, np.asarray(rows)), beta,
-                                      [(i, j)], levy_scale=levy_scale)
+        vals, _ = gibbs.batch_moments(graph, dis.rho(model, np.asarray(rows)), beta, [(i, j)])
         return vals[0]
     return phi
 

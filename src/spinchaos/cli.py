@@ -85,11 +85,10 @@ def _parse_alphas(block, where: str) -> dict[int, float]:
         raise ValidationError(f"{where} must be a nonempty object of arity -> alpha")
     out = {}
     for k, v in block.items():
-        try:
-            p = int(k)
-        except (TypeError, ValueError):
+        # int() also reads "02" and "2_0", which would alias or rename an arity
+        if not (k.isdecimal() and str(int(k)) == k):
             raise ValidationError(f"{where} arity key {k!r} is not an integer")
-        out[p] = _number(v, f"{where}[{k}]")
+        out[int(k)] = _number(v, f"{where}[{k}]")
     return out
 
 
@@ -230,6 +229,8 @@ def _parse_curve(cfg: dict):
         raise ValidationError(f"curve.mcmc_sweeps must be >= {gibbs.MCMC_BATCHES} "
                               f"(one per batch mean) in mcmc mode, got {sweeps}")
     burn_in = _int(c.get("mcmc_burn_in", 2000), "curve.mcmc_burn_in", 0)
+    if mode == "mcmc":
+        gibbs.check_mcmc_size(graph_source.n)
     if (mode == "exact" or beta is None) and graph_source.n > gibbs.EXACT_MAX_N:
         raise CapacityError(f"exact enumeration capped at N={gibbs.EXACT_MAX_N}, "
                             f"got {graph_source.n}; use curve.mode mcmc at finite beta")

@@ -35,6 +35,7 @@ BATCH_MAX_N = 20
 # half table of the complete graph on 16 vertices fits in one block
 TABLE_BYTES = 64 << 20
 MCMC_BATCHES = 32  # batch means behind mcmc_correlations' standard errors
+BATCH_COLUMNS = 256  # coupling vectors per GEMM in batch_moments
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,20 @@ def _require_finite_beta(system: SpinSystem) -> float:
     return float(system.beta)
 
 
+def _energies(system: SpinSystem):
+    """Blocks (start, states, spin signs, H of the rows, H of their
+    complements) over the half table, N <= 24. The complement -sigma
+    flips the sign of every odd-arity edge product, so its energies use
+    the couplings times the edge signs of the global flip."""
+    n = system.n
+    if n > EXACT_MAX_N:
+        raise CapacityError(f"exact enumeration capped at N={EXACT_MAX_N}, got {n}")
+    c_eff = np.asarray(system.couplings) * system.levy_scale
+    c_neg = _flip(system.graph, (1 << n) - 1)[1] * c_eff
+    return ((start, states, spin, eprod @ (sign * c_eff), eprod @ (sign * c_neg))
+            for start, states, eprod, spin, sign in _half_blocks(system.graph))
+
+
 def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     """Exact enumeration over all 2^N states, N <= 24.
 
@@ -157,20 +172,16 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     accumulators stable while the max energy is discovered online.
     """
     beta = _require_finite_beta(system)
+    blocks = _energies(system)
     n = system.n
-    if n > EXACT_MAX_N:
-        raise CapacityError(f"exact enumeration capped at N={EXACT_MAX_N}, got {n}")
-    c_eff = np.asarray(system.couplings) * system.levy_scale
-    c_neg = _flip(system.graph, (1 << n) - 1)[1] * c_eff
-
     shift = -math.inf  # current max of beta*H over both half-spaces
     z = 0.0            # sum of exp(beta*H - shift)
     acc_corr = np.zeros((n, n))
     acc_mean = np.zeros(n)
-    for _, states, eprod, spin, sign in _half_blocks(system.graph):
+    for _, states, spin, e_pos, e_neg in blocks:
         # states with the top spin pinned to -1; complements cover the rest
-        be_pos = beta * (eprod @ (sign * c_eff))
-        be_neg = beta * (eprod @ (sign * c_neg))
+        be_pos = beta * e_pos
+        be_neg = beta * e_neg
         m = float(max(be_pos.max(), be_neg.max()))
         if m > shift:
             rescale = math.exp(shift - m) if shift > -math.inf else 0.0
@@ -194,46 +205,38 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
 
 @dataclass(frozen=True)
 class GroundStates:
-    """Maximizers of H. states is (K, N) of +-1 in enumeration order;
-    exhaustive marks that every state was examined."""
+    """Maximizers of H. states is (K, N) of +-1 in enumeration order."""
 
     energy: float
     states: np.ndarray
-    exhaustive: bool
-
-    @property
-    def count(self) -> int:
-        return self.states.shape[0]
 
 
-def ground_states(system: SpinSystem, rel_tol: float = 1e-12) -> GroundStates:
-    """Exhaustive maximization over 2^N states, ties kept within rel_tol.
+def ground_states(system: SpinSystem) -> GroundStates:
+    """Exhaustive maximization over 2^N states, ties kept within a
+    relative 1e-12.
 
     One pass over the half table scores each row and its complement.
-    Candidates within rel_tol of the running maximum are kept and cut
-    again at the final maximum; the states come out in enumeration order.
+    Candidates within the tie tolerance of the running maximum are kept
+    and cut again at the final maximum; the states come out in
+    enumeration order.
     """
-    n = system.n
-    if n > EXACT_MAX_N:
-        raise CapacityError(f"exhaustive ground states capped at N={EXACT_MAX_N}, got {n}")
-    top = (1 << n) - 1
-    c_eff = np.asarray(system.couplings) * system.levy_scale
-    c_neg = _flip(system.graph, top)[1] * c_eff
+    blocks = _energies(system)
+    top = (1 << system.n) - 1
 
     def cut():
-        return best - rel_tol * max(1.0, abs(best))
+        return best - 1e-12 * max(1.0, abs(best))
 
     best = -math.inf
     idx, energies = [], []
-    for start, _, eprod, _, sign in _half_blocks(system.graph):
-        rows = np.arange(start, start + eprod.shape[0], dtype=np.int64)
-        for ids, e in ((rows, eprod @ (sign * c_eff)), (top - rows, eprod @ (sign * c_neg))):
+    for start, _, _, e_pos, e_neg in blocks:
+        rows = np.arange(start, start + len(e_pos), dtype=np.int64)
+        for ids, e in ((rows, e_pos), (top - rows, e_neg)):
             best = max(best, float(e.max()))
             mask = e >= cut()
             idx.append(ids[mask])
             energies.append(e[mask])
     idx = np.concatenate(idx)[np.concatenate(energies) >= cut()]
-    return GroundStates(energy=best, states=_states(np.sort(idx), n), exhaustive=True)
+    return GroundStates(energy=best, states=_states(np.sort(idx), system.n))
 
 
 def ground_state_correlations(gs: GroundStates) -> CorrelationMatrix:
@@ -266,18 +269,27 @@ def _local_field(entries, sigma):
     return m
 
 
+def check_mcmc_size(n: int) -> None:
+    """The cap of mcmc_correlations: its (MCMC_BATCHES, N, N) float64
+    batch means fit TABLE_BYTES, so N <= 512."""
+    if 8 * MCMC_BATCHES * n * n > TABLE_BYTES:
+        raise CapacityError(f"mcmc batch means of N={n} exceed the "
+                            f"{TABLE_BYTES >> 20} MiB budget")
+
+
 def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
-                      sweeps: int = 20000, burn_in: int = 2000,
-                      batches: int = MCMC_BATCHES) -> CorrelationMatrix:
+                      sweeps: int = 20000, burn_in: int = 2000) -> CorrelationMatrix:
     """Random-scan Glauber (heat-bath) sampling of pair correlations.
 
     One correlation sample per sweep after burn-in; standard errors come
-    from batch means over `batches` contiguous chunks.
+    from batch means over MCMC_BATCHES contiguous chunks.
     """
     beta = _require_finite_beta(system)
-    if sweeps < batches or batches < 2:
-        raise ValidationError(f"need sweeps >= batches >= 2, got {sweeps}, {batches}")
+    batches = MCMC_BATCHES
+    if sweeps < batches:
+        raise ValidationError(f"need sweeps >= {batches}, got {sweeps}")
     n = system.n
+    check_mcmc_size(n)
     c_eff = [c * system.levy_scale for c in system.couplings]
     adj = _adjacency(system.graph, c_eff)
     sigma = (2 * rng.integers(0, 2, n) - 1).tolist()
@@ -325,8 +337,7 @@ def overlap_second_moment(a: CorrelationMatrix, b: CorrelationMatrix) -> float:
 
 
 def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
-                  pairs, singles=(), levy_scale: float = 1.0,
-                  block: int = 256) -> tuple[np.ndarray, np.ndarray]:
+                  pairs, singles=()) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gibbs moments for many coupling vectors at once.
 
     couplings has shape (B, n_edges); returns (pair_vals, single_vals) of
@@ -337,7 +348,7 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
     if n > BATCH_MAX_N:
         raise CapacityError(f"batch enumeration capped at N={BATCH_MAX_N}, got {n}")
     beta = float(beta)
-    cs = np.atleast_2d(np.asarray(couplings, dtype=float)) * levy_scale
+    cs = np.atleast_2d(np.asarray(couplings, dtype=float))
     if cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")
     # the half table plus its copy with the top spin flipped to +1
@@ -352,6 +363,7 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
     nb = cs.shape[0]
     pair_vals = np.empty((len(pair_obs), nb))
     single_vals = np.empty((len(single_obs), nb))
+    block = BATCH_COLUMNS
     for start in range(0, nb, block):
         c_blk = cs[start:start + block]
         be = beta * (eprod @ c_blk.T)  # (2^n, b)

@@ -85,14 +85,15 @@ def check_sweep(n_edges: int, degree_cap: int, order: int):
         raise CapacityError(f"degree cap must be in [0, {MAX_TOTAL_DEGREE}], got {degree_cap}")
 
 
-def _grid_blocks(n_edges: int, order: int, block: int = 1 << 16):
+def _grid_blocks(n_edges: int, order: int):
     """Yield (rows, log-free weight, per-axis digit array) over the full
-    tensor grid in C order, streaming so the grid never fully exists."""
+    tensor grid in C order, 2^16 nodes at a time, so the grid never fully
+    exists."""
     x, w = gauss_hermite(order)
     total = order ** n_edges
     powers = [order ** (n_edges - 1 - k) for k in range(n_edges)]
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
+    for start in range(0, total, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
         digits = np.empty((len(idx), n_edges), dtype=np.int64)
         for k, p in enumerate(powers):
             digits[:, k] = (idx // p) % order
@@ -117,7 +118,7 @@ def coeff_quadrature(phi, n_edges: int, n: MultiIndex, order: int) -> float:
     return acc
 
 
-def adaptive_gaussian_mean(f, epsabs: float = 1e-12) -> float:
+def adaptive_gaussian_mean(f) -> float:
     """E[f(X)] for standard Gaussian X by adaptive 1-D quadrature.
 
     For one-dimensional factors this reaches tolerances the fixed
@@ -129,8 +130,8 @@ def adaptive_gaussian_mean(f, epsabs: float = 1e-12) -> float:
     def integrand(x: float) -> float:
         return float(f(x)) * dens * math.exp(-0.5 * x * x)
 
-    val, err = quad(integrand, -np.inf, np.inf, epsabs=epsabs, limit=400)
-    if not math.isfinite(val) or err > max(1e-7, 1e3 * epsabs):
+    val, err = quad(integrand, -np.inf, np.inf, epsabs=1e-12, limit=400)
+    if not math.isfinite(val) or err > 1e-7:
         raise NumericalError(f"adaptive quadrature did not converge (err={err:g})")
     return val
 
@@ -139,8 +140,6 @@ def adaptive_gaussian_mean(f, epsabs: float = 1e-12) -> float:
 class CoefficientEntry:
     n: MultiIndex
     value: float
-    se: float | None
-    method: str
 
 
 @dataclass(frozen=True)
@@ -153,15 +152,8 @@ class CoefficientTable:
     entries: tuple[CoefficientEntry, ...]
     e_phi_sq: float | None
 
-    def value(self, n: MultiIndex) -> float:
-        for ent in self.entries:
-            if ent.n == n:
-                return ent.value
-        raise ValidationError(f"no entry for {n}")
 
-
-def coefficient_sweep(phi, n_edges: int, degree_cap: int, order: int,
-                      method: str = "quadrature") -> CoefficientTable:
+def coefficient_sweep(phi, n_edges: int, degree_cap: int, order: int) -> CoefficientTable:
     """All coefficients with |n| <= degree_cap via one separated tensor
     transform: phi is evaluated once on the grid, then contracted axis by
     axis with the weighted Hermite matrix."""
@@ -185,8 +177,7 @@ def coefficient_sweep(phi, n_edges: int, degree_cap: int, order: int,
     entries = []
     for degs in _indices_up_to(n_edges, degree_cap):
         val = float(tensor[degs])
-        entries.append(CoefficientEntry(n=multi_index(enumerate(degs)), value=val,
-                                        se=None, method=method))
+        entries.append(CoefficientEntry(n=multi_index(enumerate(degs)), value=val))
     return CoefficientTable(n_edges=n_edges, degree_cap=degree_cap,
                             entries=tuple(entries), e_phi_sq=e2)
 
@@ -200,37 +191,6 @@ def _indices_up_to(n_axes: int, cap: int):
         for d in range(remaining + 1):
             yield from rec(prefix + [d], remaining - d, axes_left - 1)
     yield from rec([], cap, n_axes)
-
-
-def _stream_mean_se(draw, samples: int, block: int) -> tuple[float, float]:
-    """Mean of `samples` values and its standard error; draw(b) returns the
-    next b values. Only the running sum and sum of squares are kept."""
-    if samples < 2:
-        raise ValidationError(f"need samples >= 2, got {samples}")
-    total = total_sq = 0.0
-    for done in range(0, samples, block):
-        f = draw(min(block, samples - done))
-        total += float(f.sum())
-        total_sq += float((f * f).sum())
-    mean = total / samples
-    var = max(0.0, (total_sq / samples - mean * mean)) * samples / (samples - 1)
-    return mean, math.sqrt(var / samples)
-
-
-def coeff_montecarlo(phi, n_edges: int, n: MultiIndex, samples: int,
-                     rng: np.random.Generator, block: int = 1 << 16) -> tuple[float, float]:
-    """Monte Carlo estimate of phi_hat(n) with its standard error."""
-    _check_index(n, n_edges)
-    deg = n.as_dict()
-    top = max(deg.values(), default=0)
-
-    def draw(b: int) -> np.ndarray:
-        rows = rng.standard_normal((b, n_edges))
-        f = np.asarray(phi(rows), dtype=float)
-        for eid, d in deg.items():
-            f = f * hermite_values(top, rows[:, eid])[d]
-        return f
-    return _stream_mean_se(draw, samples, block)
 
 
 def semigroup_weight(n: MultiIndex, t: float, kind: str) -> float:
@@ -251,14 +211,15 @@ def weighted_coefficient_sum(table: CoefficientTable, t: float, kind: str) -> fl
     return sum(semigroup_weight(ent.n, t, kind) * ent.value ** 2 for ent in table.entries)
 
 
-def parseval_tail(table: CoefficientTable, tol: float = 1e-8) -> float:
-    """E[phi^2] minus the captured sum of squares. Must be >= -tol
-    (Bessel); returned clamped at 0 for use as an error budget."""
+def parseval_tail(table: CoefficientTable) -> float:
+    """E[phi^2] minus the captured sum of squares. Must be >= -1e-8 relative
+    to max(1, E[phi^2]) (Bessel); returned clamped at 0 for use as an
+    error budget."""
     if table.e_phi_sq is None:
         raise ValidationError("table has no E[phi^2]; produce it by quadrature sweep")
     captured = sum(ent.value ** 2 for ent in table.entries)
     raw = table.e_phi_sq - captured
-    if raw < -tol * max(1.0, abs(table.e_phi_sq)):
+    if raw < -1e-8 * max(1.0, abs(table.e_phi_sq)):
         raise NumericalError(f"captured coefficient mass exceeds E[phi^2] by {-raw}")
     return max(0.0, raw)
 
@@ -304,19 +265,26 @@ def sign_criterion(g: Hypergraph, n: MultiIndex, i: int, j: int) -> SignVerdict:
 
 
 def conditional_mean_resampled(phi, n_edges: int, fixed: dict[int, float],
-                               samples: int, rng: np.random.Generator,
-                               block: int = 1 << 14) -> tuple[float, float]:
+                               samples: int, rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo E[phi(J) | J_S = fixed]: coordinates in `fixed` are
-    pinned, the rest are resampled fresh each draw. Returns (mean, se)."""
+    pinned, the rest are resampled fresh each draw. Returns (mean, se).
+    phi sees 2^14 draws at a time; only the running sum and sum of
+    squares are kept."""
     for eid in fixed:
         if not 0 <= eid < n_edges:
             raise ValidationError(f"fixed coordinate {eid} outside [0, {n_edges})")
+    if samples < 2:
+        raise ValidationError(f"need samples >= 2, got {samples}")
     cols = np.array(sorted(fixed), dtype=np.int64)
     vals = np.array([fixed[int(c)] for c in cols])
-
-    def draw(b: int) -> np.ndarray:
-        rows = rng.standard_normal((b, n_edges))
+    total = total_sq = 0.0
+    for done in range(0, samples, 1 << 14):
+        rows = rng.standard_normal((min(1 << 14, samples - done), n_edges))
         if len(cols):
             rows[:, cols] = vals[None, :]
-        return np.asarray(phi(rows), dtype=float)
-    return _stream_mean_se(draw, samples, block)
+        f = np.asarray(phi(rows), dtype=float)
+        total += float(f.sum())
+        total_sq += float((f * f).sum())
+    mean = total / samples
+    var = max(0.0, (total_sq / samples - mean * mean)) * samples / (samples - 1)
+    return mean, math.sqrt(var / samples)

@@ -113,7 +113,8 @@ def hypergraph(n: int, edges) -> Hypergraph:
         canon = tuple(tuple(sorted(map(operator.index, e))) for e in edges)
     except TypeError:
         canon = tuple(edges)  # Hypergraph names the first bad edge
-    return Hypergraph(int(n), canon)
+    # likewise for the vertex count; Hypergraph rejects what is not an int
+    return Hypergraph(operator.index(n) if hasattr(type(n), "__index__") else n, canon)
 
 
 @dataclass(frozen=True)
@@ -143,12 +144,6 @@ class MultiIndex:
     @property
     def odd_support(self) -> tuple[int, ...]:
         return tuple(eid for eid, d in self.degrees if d % 2 == 1)
-
-    def degree(self, eid: int) -> int:
-        for e, d in self.degrees:
-            if e == eid:
-                return d
-        return 0
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.degrees)
@@ -272,37 +267,12 @@ def interior_edges(g: Hypergraph, vertices) -> tuple[int, ...]:
     return tuple(eid for eid, e in enumerate(g.edges) if vs.issuperset(e))
 
 
-def boundary_edges(g: Hypergraph, vertices) -> tuple[int, ...]:
-    """Edges straddling the set: some but not all vertices inside."""
-    vs = set(vertices)
-    out = []
-    for eid, e in enumerate(g.edges):
-        k = sum(1 for v in e if v in vs)
-        if 0 < k < len(e):
-            out.append(eid)
-    return tuple(out)
-
-
 def ball_is_hypertree(g: Hypergraph, v: int, r: int) -> bool:
     """Whether the depth-r ball around v, with its interior edges, is a
     hypertree. Connectivity holds by construction, so this reduces to
     the absence of a Berge cycle among interior edges."""
     b = ball(g, v, r)
     return not has_berge_cycle(g, interior_edges(g, b))
-
-
-def is_hypertree(g: Hypergraph, edge_ids=None) -> bool:
-    """Connected on the touched vertex set and Berge-acyclic."""
-    ids = _resolve_edges(g, edge_ids)
-    touched = set()
-    for eid in ids:
-        touched.update(g.edges[eid])
-    if touched:
-        root = next(iter(touched))
-        reach = _bfs_layers(g, root, ids)
-        if not touched.issubset(reach):
-            return False
-    return not has_berge_cycle(g, ids)
 
 
 def vertex_support(g: Hypergraph, n: MultiIndex) -> frozenset[int]:
@@ -313,15 +283,6 @@ def vertex_support(g: Hypergraph, n: MultiIndex) -> frozenset[int]:
             raise ValidationError(f"multi-index edge id {eid} outside [0, {g.n_edges})")
         out.update(g.edges[eid])
     return frozenset(out)
-
-
-def sub_hypergraph(g: Hypergraph, edge_ids) -> tuple[Hypergraph, tuple[int, ...]]:
-    """Sub-hypergraph on the same vertex set keeping the given edges.
-
-    Returns (sub, orig_ids); edge i of sub is edge orig_ids[i] of g.
-    """
-    ids = _resolve_edges(g, edge_ids)
-    return Hypergraph(g.n, tuple(g.edges[eid] for eid in ids)), tuple(ids)
 
 
 def component(g: Hypergraph, v: int, edge_ids=None) -> frozenset[int]:

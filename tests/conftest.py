@@ -14,7 +14,7 @@ import pytest
 from scipy.special import logsumexp
 
 from spinchaos.errors import ValidationError
-from spinchaos.hypergraph import Hypergraph, hypergraph
+from spinchaos.hypergraph import Hypergraph, ball, hypergraph
 
 
 def all_states(n: int) -> np.ndarray:
@@ -120,6 +120,18 @@ def brute_has_berge_cycle(graph: Hypergraph) -> bool:
         if walk(start, start, {start}, set()):
             return True
     return False
+
+
+def general_ball_bound(graph: Hypergraph, t: float) -> tuple[float, int]:
+    """(min_r [ max_i |B_r(i)| / N + e^{-tr} ], its first argmin r) over
+    r = 0..N, every ball grown afresh by hypergraph.ball at its radius."""
+    best = None
+    for r in range(graph.n + 1):
+        widest = max(len(ball(graph, v, r)) for v in range(graph.n))
+        val = widest / graph.n + math.exp(-t * r)
+        if best is None or val < best[0]:
+            best = (val, r)
+    return best
 
 
 def random_hypergraph(rng, n_max: int = 7, e_max: int = 5,

@@ -21,6 +21,8 @@ from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
                                  sample_diluted)
 from spinchaos.rng import replicate, substream
 
+from conftest import general_ball_bound
+
 IDENT = dis.DisorderModel("identity")
 
 
@@ -287,13 +289,13 @@ def test_general_ball_bound_brute():
             sizes = [brute_ball_sizes(g, v) for v in range(g.n)]
             best = min(max(s[r] for s in sizes) / g.n + math.exp(-t * r)
                        for r in range(g.n + 1))
-            val, r_star = chaos.general_ball_bound(g, t)
+            val, r_star = general_ball_bound(g, t)
             assert abs(val - best) < 1e-12
             at_r = max(s[r_star] for s in sizes) / g.n + math.exp(-t * r_star)
             assert abs(val - at_r) < 1e-12
     # torus at t=1: the r=1 evaluation already dominates the beta=0 level
     torus = fixtures.torus_4x4()
-    val, _ = chaos.general_ball_bound(torus, 1.0)
+    val, _ = general_ball_bound(torus, 1.0)
     assert 1.0 / 16.0 < val <= 5.0 / 16.0 + math.exp(-1.0) + 1e-12
 
 
@@ -309,8 +311,8 @@ def test_theorem_bound_check_formulas():
     for ti, t in enumerate(curve.t_grid):
         est = float(curve.estimates[ti])
         gb = by_tag["general-ball"][ti]
-        assert gb.bound == chaos.general_ball_bound(g, t)[0]
-        assert gb.extra["r_star"] == chaos.general_ball_bound(g, t)[1]
+        assert gb.bound == general_ball_bound(g, t)[0]
+        assert gb.extra["r_star"] == general_ball_bound(g, t)[1]
         assert gb.margin == gb.bound - est and gb.ok == (gb.margin > 0)
         pg = by_tag["poly-growth"][ti]
         want = math.inf if t == 0 else 1.0 / 8.0 + 2.0 / (8.0 * t)
@@ -343,7 +345,7 @@ def test_theorem_bound_check_diluted_average():
         vals = []
         for k in range(5):
             g = sample_diluted(spec, substream(77, "replica", k))
-            vals.append(chaos.general_ball_bound(g, t)[0])
+            vals.append(general_ball_bound(g, t)[0])
         assert checks[ti].bound == float(np.mean(vals))
 
 
@@ -367,7 +369,7 @@ def test_bound_check_draws_each_graph_once(monkeypatch):
     assert len(draws) == 5 and len(balls) == 5 * 14  # once per replica, not per t
     graphs = [sample_diluted(spec, substream(88, "replica", k)) for k in range(5)]
     for chk, t in zip(checks, grid):
-        assert chk.bound == float(np.mean([chaos.general_ball_bound(g, t)[0] for g in graphs]))
+        assert chk.bound == float(np.mean([general_ball_bound(g, t)[0] for g in graphs]))
     # a fixed graph: one ball profile for the whole grid, same bound and r*
     g = fixtures.torus_4x4()
     balls.clear()
@@ -375,7 +377,7 @@ def test_bound_check_draws_each_graph_once(monkeypatch):
     checks = chaos.theorem_bound_check(fixed, g, tags=("general-ball",))
     assert len(balls) == g.n
     for chk, t in zip(checks, grid):
-        assert (chk.bound, chk.extra["r_star"]) == chaos.general_ball_bound(g, t)
+        assert (chk.bound, chk.extra["r_star"]) == general_ball_bound(g, t)
 
 
 def test_lower_bound_discrete():

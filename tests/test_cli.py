@@ -167,6 +167,9 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
     pytest.param("trend", {"eps": math.inf}, 2, id="trend-eps-inf"),
     pytest.param("growth", {"n": 1}, 2, id="growth-n-one"),
     pytest.param("growth", {"alphas": {"2": math.nan}}, 2, id="growth-alpha-nan"),
+    # int() reads both keys as arity 2, and the later value would win
+    pytest.param("growth", {"alphas": {"2": 0.6, "02": 0.3}}, 2, id="growth-alpha-key-zero-padded"),
+    pytest.param("growth", {"alphas": {"2_0": 0.6}}, 2, id="growth-alpha-key-underscore"),
     pytest.param("suite", {"draws": "x"}, 2, id="suite-draws-string"),
     pytest.param("suite", {"order": 2.5}, 2, id="suite-order-float"),
     pytest.param("audit", {"j": 4}, 2, id="audit-j-outside-graph"),
@@ -190,6 +193,8 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
                  3, id="curve-ground-n-over-cap"),
     pytest.param("audit", {"model": {"graph": hypergraph(22, [(0, 1), (2, 3)])}}, 3,
                  id="audit-saved-n-over-batch-cap"),
+    pytest.param("curve", {"model": {"graph": hypergraph(513, [(0, 1)])}, "mode": "mcmc"}, 3,
+                 id="curve-mcmc-n-over-batch-means-cap"),
 ])
 def test_section_values_rejected(tmp_path, capsys, section, over, code):
     experiment, block = SECTION_BASE[section]

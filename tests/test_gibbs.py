@@ -115,7 +115,7 @@ def test_ground_states_in_enumeration_order(rng, monkeypatch, rows):
     for _ in range(10):
         cs = rng.integers(-2, 3, g.n_edges).astype(float)
         gs = ground_states(spin_system(g, cs, None))
-        assert gs.count >= 2
+        assert gs.states.shape[0] >= 2
         assert np.all(np.diff(enumeration_index(gs.states)) > 0)
         want_e, want_states = dense_ground_states(g, cs)
         assert gs.energy == pytest.approx(want_e, rel=1e-12)
@@ -238,7 +238,7 @@ def test_infinite_beta_routes_to_ground_states():
     with pytest.raises(ValidationError):
         exact_correlations(sys)
     gs = ground_states(sys)
-    assert gs.exhaustive
+    assert gs.states.shape == (2, 4)  # all up and all down
 
 
 def test_ground_states_match_dense(rng):
@@ -258,7 +258,7 @@ def test_even_model_ground_degeneracy(rng):
     g = ring(6)
     cs = rng.standard_normal(6)
     gs = ground_states(spin_system(g, cs, None))
-    assert gs.count % 2 == 0  # sigma and -sigma tie exactly
+    assert gs.states.shape[0] % 2 == 0  # sigma and -sigma tie exactly
     cm = ground_state_correlations(gs)
     assert np.all(cm.means == 0.0)
     assert math.isnan(cm.log_z)
@@ -300,9 +300,14 @@ def test_mcmc_large_beta_does_not_overflow():
 def test_mcmc_validation():
     sys = spin_system(ring(4), np.ones(4), 1.0)
     with pytest.raises(ValidationError):
-        mcmc_correlations(sys, substream(1, "x"), sweeps=10, batches=32)
+        mcmc_correlations(sys, substream(1, "x"), sweeps=10)
     with pytest.raises(ValidationError):
         mcmc_correlations(spin_system(ring(4), np.ones(4), None), substream(1, "y"))
+    # the (MCMC_BATCHES, N, N) batch means fit TABLE_BYTES up to N = 512; the
+    # cap fires before the chain draws or allocates anything, so no generator
+    gibbs.check_mcmc_size(512)
+    with pytest.raises(CapacityError, match="N=513"):
+        mcmc_correlations(spin_system(hypergraph(513, [(0, 1)]), [1.0], 1.0), None)
 
 
 def test_overlap_second_moment_two_spins():
@@ -337,7 +342,8 @@ def test_batch_moments_match_loop(rng, monkeypatch):
     cs = rng.standard_normal((37, g.n_edges))
     pairs = [(0, 1), (0, g.n - 1)]
     singles = [0, g.n - 1]
-    pv, sv = batch_moments(g, cs, beta, pairs, singles, block=8)
+    monkeypatch.setattr(gibbs, "BATCH_COLUMNS", 8)  # 37 columns span several blocks
+    pv, sv = batch_moments(g, cs, beta, pairs, singles)
     for b in range(cs.shape[0]):
         cm = exact_correlations(spin_system(g, cs[b], beta))
         for k, (i, j) in enumerate(pairs):
@@ -347,7 +353,7 @@ def test_batch_moments_match_loop(rng, monkeypatch):
     # stacked from one-row blocks, the table and every moment are the same bits
     few_rows_per_block(monkeypatch, g, 1)
     assert len(list(gibbs._half_blocks(g))) > 1
-    pv_blocked, sv_blocked = batch_moments(g, cs, beta, pairs, singles, block=8)
+    pv_blocked, sv_blocked = batch_moments(g, cs, beta, pairs, singles)
     assert np.array_equal(pv_blocked, pv)
     assert np.array_equal(sv_blocked, sv)
 

@@ -12,8 +12,7 @@ from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
 from spinchaos.errors import CapacityError, NumericalError, ValidationError
 from spinchaos.hermite import (CoefficientEntry, CoefficientTable,
-                               adaptive_gaussian_mean, coeff_montecarlo,
-                               coeff_quadrature, coefficient_sweep,
+                               adaptive_gaussian_mean, coeff_quadrature, coefficient_sweep,
                                conditional_mean_resampled, gauss_hermite,
                                hermite_values, parseval_tail, semigroup_weight,
                                sign_criterion, weighted_coefficient_sum)
@@ -109,13 +108,16 @@ def test_montecarlo_coefficient(rng):
     def phi(rows):
         return np.tanh(rows[:, 0] + 0.3 * rows[:, 1])
 
-    n = multi_index({0: 1})
-    ref = coeff_quadrature(phi, 2, n, 20)
-    mean, se = coeff_montecarlo(phi, 2, n, 200_000, substream(4, "mc"))
+    # the degree-0 coefficient is the mean: resampling every coordinate,
+    # over many 2^14-draw blocks, estimates it
+    ref = coeff_quadrature(phi, 2, multi_index({}), 20)
+    mean, se = conditional_mean_resampled(phi, 2, {}, 200_000, substream(4, "mc"))
     assert se > 0
     assert abs(mean - ref) < 4 * se
-    again, _ = coeff_montecarlo(phi, 2, n, 200_000, substream(4, "mc"))
+    again, _ = conditional_mean_resampled(phi, 2, {}, 200_000, substream(4, "mc"))
     assert again == mean
+    with pytest.raises(ValidationError, match="samples >= 2"):
+        conditional_mean_resampled(phi, 2, {}, 1, substream(4, "mc"))
 
 
 def test_semigroup_weights():
@@ -143,12 +145,12 @@ def test_weighted_sum_and_parseval():
 
 
 def test_parseval_tail_guards():
-    ent = CoefficientEntry(n=multi_index({0: 1}), value=1.0, se=None, method="manual")
+    ent = CoefficientEntry(n=multi_index({0: 1}), value=1.0)
     with pytest.raises(ValidationError):
         parseval_tail(CoefficientTable(1, 1, (ent,), None))
     bad = CoefficientTable(1, 1, (ent,), 0.5)  # claims E[phi^2] < captured
     with pytest.raises(NumericalError):
-        parseval_tail(bad, tol=1e-8)
+        parseval_tail(bad)
 
 
 def test_positive_tail_for_truncated_function():
@@ -309,6 +311,7 @@ def test_sweep_recovers_random_polynomials(cs):
         return out
 
     table = coefficient_sweep(phi, 2, 2, 6)
+    values = {ent.n: ent.value for ent in table.entries}
     for c, (d0, d1) in zip(cs, modes):
-        got = table.value(multi_index({0: d0, 1: d1}))
+        got = values[multi_index({0: d0, 1: d1})]
         assert got == pytest.approx(c, abs=1e-9)

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from spinchaos.errors import ValidationError
 from spinchaos.hypergraph import (Hypergraph, ball, ball_is_hypertree,
-                                  ball_sizes, berge_distance, boundary_edges,
-                                  component, connected_in, from_text,
-                                  has_berge_cycle, hypergraph, interior_edges,
-                                  is_hypertree, multi_index, sub_hypergraph,
+                                  ball_sizes, berge_distance, component,
+                                  connected_in, from_text, has_berge_cycle,
+                                  hypergraph, interior_edges, multi_index,
                                   to_text, vertex_support)
 
 from conftest import (berge_paths_exist, brute_has_berge_cycle, random_hypergraph,
@@ -39,6 +38,11 @@ def test_constructor_canonicalizes_and_validates():
         hypergraph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValidationError, match="vertex count"):
         hypergraph(0, [])
+    # the vertex count is not truncated either; numpy ints pass as ints
+    for n in (3.7, np.float64(4.2), 3.0, "3"):
+        with pytest.raises(ValidationError, match="vertex count must be a positive int"):
+            hypergraph(n, [(0, 1), (1, 2)])
+    assert type(hypergraph(np.int64(4), [(0, 3)]).n) is int
     with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids, got \(0, 1.5\)"):
         hypergraph(3, [(1, 2), (0, 1.5)])  # not truncated to (0, 1)
     with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids"):
@@ -124,7 +128,7 @@ def test_multi_index_basics():
     assert n.degrees == ((0, 3), (2, 1))
     assert n.total_degree == 4
     assert n.support == (0, 2)
-    assert n.degree(1) == 0
+    assert n.as_dict() == {0: 3, 2: 1}
     with pytest.raises(ValidationError):
         multi_index({0: -1})
 
@@ -204,34 +208,23 @@ def test_figure1_cycles():
     g = figure1()
     assert has_berge_cycle(g)
     # each lobe alone is already cyclic: its triple and pair share two vertices
-    lobe, _ = sub_hypergraph(g, [0, 1])
-    assert has_berge_cycle(lobe)
+    assert has_berge_cycle(g, [0, 1])
     # the two lobes without the hub edge stay cyclic
-    both, _ = sub_hypergraph(g, [0, 1, 2, 3])
-    assert has_berge_cycle(both)
-
-
-def test_hypertree():
-    path = hypergraph(4, [(0, 1), (1, 2), (2, 3)])
-    assert is_hypertree(path)
-    ring = hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert not is_hypertree(ring)
-    split = hypergraph(4, [(0, 1), (2, 3)])
-    assert not is_hypertree(split)  # disconnected
-    triples = hypergraph(5, [(0, 1, 2), (2, 3, 4)])
-    assert is_hypertree(triples)
+    assert has_berge_cycle(g, [0, 1, 2, 3])
+    # one edge of each lobe plus the hub is a hypertree
+    assert not has_berge_cycle(g, [0, 2, 4])
 
 
 # ---------------------------------------------------------------------------
 # balls, interiors, local hypertree
 
 
-def test_interior_and_boundary():
+def test_interior_edges():
     path = hypergraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     inner = interior_edges(path, ball(path, 2, 1))
     assert inner == (1, 2)
-    outer = boundary_edges(path, ball(path, 2, 1))
-    assert outer == (0, 3)
+    assert interior_edges(path, range(5)) == (0, 1, 2, 3)
+    assert interior_edges(path, {0, 2, 4}) == ()  # no edge lies inside
 
 
 def test_ball_is_hypertree_on_ring():
@@ -256,14 +249,6 @@ def test_ball_is_hypertree_equals_no_interior_cycle(rng):
 
 # ---------------------------------------------------------------------------
 # pieces
-
-
-def test_sub_hypergraph_keeps_labels():
-    g = figure1()
-    sub, kept = sub_hypergraph(g, [2, 3])
-    assert kept == (2, 3)
-    assert sub.n == g.n
-    assert sub.edges == ((4, 5, 6), (5, 6))
 
 
 def test_vertex_support_and_connected_in():

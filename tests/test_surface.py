@@ -1,0 +1,84 @@
+"""The package exposes only what it uses.
+
+Every public top-level function and public method in src/spinchaos must
+be called from library code in src/ or from the acceptance criteria.
+Calls through imports are followed, aliases included (`from .hypergraph
+import load as load_graph`, `from . import disorder as dis`); a method
+counts as called when any call site names it as an attribute. A call
+inside the defining module counts too, since the module itself is then
+its caller. Nothing is exempt: even the console entry point cli.main is
+called by criterion 13.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spinchaos"
+CALLERS = sorted(SRC.glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+
+def public_names(path: Path) -> dict[str, str]:
+    """{qualified name: the name a call site shows} of the module's public
+    functions (module.name) and methods (the bare name); properties are
+    read, not called, so they are left out."""
+    out = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out[f"{path.stem}.{node.name}"] = f"{path.stem}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                    continue
+                decorators = {getattr(d, "id", getattr(d, "attr", None))
+                              for d in item.decorator_list}
+                if not decorators & {"property", "cached_property"}:
+                    out[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    return out
+
+
+def called_names(path: Path) -> set[str]:
+    """Qualified functions this file calls, as module.name, plus every
+    attribute name it calls as .method, as a bare name."""
+    tree = ast.parse(path.read_text())
+    own = path.stem if path.parent == SRC else None
+    names, modules = {}, {}  # local name -> (module, name) / module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1:
+                module = f"spinchaos.{module}".rstrip(".")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if module == "spinchaos":
+                    modules[local] = alias.name
+                elif module.startswith("spinchaos."):
+                    names[local] = (module.split(".")[1], alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("spinchaos.") and alias.asname:
+                    modules[alias.asname] = alias.name.split(".")[1]
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            if func.id in names:
+                out.add(".".join(names[func.id]))
+            elif own is not None:
+                out.add(f"{own}.{func.id}")
+        elif isinstance(func, ast.Attribute):
+            out.add(func.attr)
+            if isinstance(func.value, ast.Name) and func.value.id in modules:
+                out.add(f"{modules[func.value.id]}.{func.attr}")
+    return out
+
+
+def test_every_public_function_has_a_caller():
+    called = set().union(*(called_names(path) for path in CALLERS))
+    public = {}
+    for path in sorted(SRC.glob("*.py")):
+        public.update(public_names(path))
+    unused = sorted(qual for qual, site in public.items() if site not in called)
+    assert not unused, f"public names that nothing in src/ or the criteria calls: {unused}"
