@@ -20,17 +20,19 @@ import numpy as np
 
 from . import disorder as dis
 from . import gibbs, hermite
-from .errors import CapacityError, NumericalError, ValidationError
+from .errors import ValidationError
 from .hypergraph import (Hypergraph, MultiIndex, ball_is_hypertree, ball_sizes,
                          berge_distance, connected_in, hypergraph, multi_index,
                          vertex_support)
 from .randgraph import DilutedSpec, sample_diluted
-from .rng import mean_se, replicate, substream
+from .rng import check_replicas, mean_se, replicate, substream
 
 PERTURBATION_KINDS = ("continuous", "discrete")
 # caller constants of the growth-rate bound families
 BOUND_CONSTANTS = {"poly-growth": ("C", "theta"), "exp-growth": ("C", "gamma"),
                    "diluted": ("C", "lambda"), "levy": ("K", "c", "eps", "alpha")}
+UPPER_TAGS = ("general-ball", *BOUND_CONSTANTS)
+LOWER_TAGS = ("lower-discrete", "lower-gaussian")
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,7 @@ class ChaosCurve:
 def _resolve_graph(graph_source, rng) -> Hypergraph:
     if isinstance(graph_source, Hypergraph):
         return graph_source
-    if isinstance(graph_source, DilutedSpec):
-        return sample_diluted(graph_source, rng)
-    raise ValidationError(f"graph source must be Hypergraph or DilutedSpec, "
-                          f"got {type(graph_source).__name__}")
+    return sample_diluted(graph_source, rng)
 
 
 def _correlations(system: gibbs.SpinSystem, mode: str, rng,
@@ -57,9 +56,24 @@ def _correlations(system: gibbs.SpinSystem, mode: str, rng,
         return gibbs.ground_state_correlations(gibbs.ground_states(system))
     if mode == "exact":
         return gibbs.exact_correlations(system)
-    if mode == "mcmc":
-        return gibbs.mcmc_correlations(system, rng, sweeps=mcmc_sweeps, burn_in=mcmc_burn_in)
-    raise ValidationError(f"mode must be exact or mcmc, got {mode!r}")
+    return gibbs.mcmc_correlations(system, rng, sweeps=mcmc_sweeps, burn_in=mcmc_burn_in)
+
+
+def check_curve(graph_source, beta, kind: str, t_grid, replicas: int, mode: str,
+                mcmc_sweeps: int) -> None:
+    """The rules chaos_curve applies before any draw, down to the size cap
+    of the kernel that runs: enumeration (also at beta None) or sampler."""
+    if not isinstance(graph_source, (Hypergraph, DilutedSpec)):
+        raise ValidationError("graph source must be a Hypergraph or DilutedSpec")
+    if kind not in PERTURBATION_KINDS:
+        raise ValidationError(f"perturbation kind must be one of {PERTURBATION_KINDS}")
+    if mode not in ("exact", "mcmc"):
+        raise ValidationError(f"mode must be exact or mcmc, got {mode!r}")
+    check_replicas(replicas, len(dis.check_grid(t_grid)))
+    if mode == "exact" or beta is None:
+        gibbs.check_size(graph_source.n, gibbs.EXACT_MAX_N)
+    else:
+        gibbs.check_mcmc(graph_source.n, mcmc_sweeps)
 
 
 def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
@@ -71,10 +85,9 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
     the graph when the source is diluted, the base couplings, one coupled
     path across the grid, and any sampler randomness (rng.replicate).
     """
-    if kind not in PERTURBATION_KINDS:
-        raise ValidationError(f"perturbation kind must be one of {PERTURBATION_KINDS}")
-    grid = tuple(float(t) for t in t_grid)
     beta_v = None if beta is None or beta == "infinity" else float(beta)
+    check_curve(graph_source, beta_v, kind, t_grid, replicas, mode, mcmc_sweeps)
+    grid = tuple(float(t) for t in t_grid)
     # exact and ground-state kernels draw nothing, so skipping a repeated
     # call leaves the replica's stream as it was; the sampler must rerun
     deterministic = mode == "exact" or beta_v is None
@@ -169,21 +182,20 @@ def theorem_bound_check(curve: ChaosCurve, graph_source,
     families need caller constants: poly {C, theta}, exp {C, gamma},
     diluted {C, lambda}, levy {K, c, eps, alpha}. For a diluted source the
     general-ball value is the replica average of per-draw bounds,
-    resampled from the curve's own substreams.
+    resampled from the curve's own substreams. Lower tags come last.
     """
     params = params or {}
     out = []
     n = curve.meta["graph"]["n"]
+    beta = None if curve.meta["beta"] == "infinity" else curve.meta["beta"]
+    _check_bounds(tags, params, graph_source, beta, curve.meta["kind"], curve.t_grid)
     if "general-ball" in tags:  # one max-ball profile per graph, shared by every t
         if isinstance(graph_source, Hypergraph):
             profiles = [_max_ball_profile(graph_source)]
         else:  # the curve's own graphs, redrawn from its substreams
             profiles = replicate(lambda rng: _max_ball_profile(_resolve_graph(graph_source, rng)),
                                  curve.meta["replicas"], n + 1, curve.meta["seed"], "replica")
-    for tag in tags:
-        missing = sorted(set(BOUND_CONSTANTS.get(tag, ())) - set(params))
-        if missing:
-            raise ValidationError(f"bound {tag!r} needs constants {missing}")
+    for tag in [tag for tag in tags if tag in UPPER_TAGS]:
         for ti, t in enumerate(curve.t_grid):
             est = float(curve.estimates[ti])
             se = float(curve.ses[ti])
@@ -193,17 +205,47 @@ def theorem_bound_check(curve: ChaosCurve, graph_source,
                     bound, extra["r_star"] = _ball_bound(profiles[0], t)
                 else:
                     bound = float(np.mean([_ball_bound(prof, t)[0] for prof in profiles]))
-            elif tag in BOUND_CONSTANTS:
-                try:
-                    bound = _family_bound(tag, params, n, t)
-                except (ArithmeticError, ValueError) as exc:  # e.g. log(gamma), gamma <= 0
-                    raise NumericalError(f"bound {tag!r} has no value at t={t}: {exc}") from exc
             else:
-                raise ValidationError(f"unknown bound tag {tag!r}")
+                bound = _family_bound(tag, params, n, t)
             margin = bound - est
             out.append(BoundCheck(tag=tag, t=t, estimate=est, se=se, bound=bound,
                                   margin=margin, ok=margin > 0, extra=extra))
+    if "lower-discrete" in tags:
+        out.append(lower_bound_discrete(curve, graph_source.n_edges))
+    if "lower-gaussian" in tags:
+        out.extend(lower_bound_gaussian(curve, beta, graph_source.n_edges))
     return out
+
+
+def _check_bounds(tags, params: dict, graph_source, beta, kind: str, t_grid) -> None:
+    """The rules of theorem_bound_check, down to a value of each family's
+    bound at every grid point and what each lower tag needs."""
+    for tag in tags:
+        if tag not in UPPER_TAGS + LOWER_TAGS:
+            raise ValidationError(f"unknown bound tag {tag!r}")
+        missing = sorted(set(BOUND_CONSTANTS.get(tag, ())) - set(params))
+        if missing:
+            raise ValidationError(f"bound {tag!r} needs constants {missing}")
+        for t in t_grid if tag in BOUND_CONSTANTS else ():
+            try:
+                _family_bound(tag, params, graph_source.n, t)
+            except (ArithmeticError, ValueError) as exc:  # e.g. log(gamma), gamma <= 0
+                raise ValidationError(f"bound {tag!r} has no value at t={t}: {exc}") from exc
+        if tag in LOWER_TAGS and not isinstance(graph_source, Hypergraph):
+            raise ValidationError(f"{tag} needs a fixed graph")
+        if tag == "lower-gaussian" and beta is None:
+            raise ValidationError("lower-gaussian needs finite beta")
+        if tag in LOWER_TAGS:
+            _check_lower(tag, kind, t_grid, graph_source.n_edges)
+
+
+def check_bounds(tags, params: dict, graph_source, model: dis.DisorderModel, beta,
+                 kind: str, t_grid) -> None:
+    """The rules of theorem_bound_check on a curve config, plus one that
+    only the config shows: lower-gaussian needs identity disorder."""
+    if "lower-gaussian" in tags and model.kind != "identity":
+        raise ValidationError("lower-gaussian needs identity disorder")
+    _check_bounds(tags, params, graph_source, beta, kind, t_grid)
 
 
 def _family_bound(tag: str, p: dict, n: int, t: float) -> float:
@@ -218,15 +260,24 @@ def _family_bound(tag: str, p: dict, n: int, t: float) -> float:
     return p["K"] * n ** (-expo)
 
 
+def _check_lower(tag: str, kind: str, t_grid, n_edges: int) -> int:
+    """The rules of the lower bounds; for lower-discrete, returns the index
+    of the last positive grid point t <= 1/|E|."""
+    needs = "discrete" if tag == "lower-discrete" else "continuous"
+    if kind != needs or t_grid[0] != 0.0:
+        raise ValidationError(f"{tag} needs a {needs}-kind curve with a t_grid from 0")
+    if tag == "lower-gaussian":
+        return 0
+    hits = [k for k, t in enumerate(t_grid) if n_edges and 0 < t <= 1.0 / n_edges + 1e-12]
+    if not hits:
+        raise ValidationError(f"{tag} needs an edge and a positive grid point t <= 1/|E|")
+    return hits[-1]
+
+
 def lower_bound_discrete(curve: ChaosCurve, n_edges: int) -> BoundCheck:
     """Short-time lower bound for the discrete kind: at t <= 1/|E| the
     perturbed second moment keeps at least e^{-1} of the t = 0 value."""
-    if curve.meta["kind"] != "discrete":
-        raise ValidationError("discrete-kind curve required")
-    if curve.t_grid[0] != 0.0:
-        raise ValidationError("curve must include t = 0")
-    t_target = 1.0 / n_edges
-    ti = _grid_index_at_most(curve.t_grid, t_target)
+    ti = _check_lower("lower-discrete", curve.meta["kind"], curve.t_grid, n_edges)
     t = curve.t_grid[ti]
     margin, se = map(float, mean_se(
         curve.per_replica[:, ti] - math.exp(-1.0) * curve.per_replica[:, 0]))
@@ -234,17 +285,14 @@ def lower_bound_discrete(curve: ChaosCurve, n_edges: int) -> BoundCheck:
     bound = math.exp(-1.0) * float(curve.estimates[0])
     return BoundCheck(tag="lower-discrete", t=t, estimate=est, se=se, bound=bound,
                       margin=margin, ok=margin >= -3.0 * se,
-                      extra={"t_max": t_target})
+                      extra={"t_max": 1.0 / n_edges})
 
 
 def lower_bound_gaussian(curve: ChaosCurve, beta: float, n_edges: int) -> list[BoundCheck]:
     """Gaussian identity-coupling lower bound: estimate(t) cannot fall
     more than 6 sqrt(t) sqrt(beta) |E|^{3/4} below estimate(0). Vacuous
     whenever the slack exceeds the unperturbed value."""
-    if curve.t_grid[0] != 0.0:
-        raise ValidationError("curve must include t = 0")
-    if curve.meta["kind"] != "continuous":
-        raise ValidationError("continuous-kind curve required")
+    _check_lower("lower-gaussian", curve.meta["kind"], curve.t_grid, n_edges)
     out = []
     base = float(curve.estimates[0])
     for ti, t in enumerate(curve.t_grid[1:], start=1):
@@ -256,16 +304,6 @@ def lower_bound_gaussian(curve: ChaosCurve, beta: float, n_edges: int) -> list[B
                               se=se, bound=bound, margin=margin, ok=margin >= -3.0 * se,
                               extra={"slack": slack, "vacuous": bound <= 0.0}))
     return out
-
-
-def _grid_index_at_most(grid, target: float) -> int:
-    best = None
-    for k, t in enumerate(grid):
-        if t > 0 and t <= target + 1e-12:
-            best = k
-    if best is None:
-        raise ValidationError(f"no positive grid point <= {target}")
-    return best
 
 
 def disorder_functional(graph: Hypergraph, model: dis.DisorderModel, beta: float,
@@ -304,6 +342,14 @@ class AuditReport:
     e_phi_sq: float
 
 
+def check_audit(graph, beta, degree_cap: int, order: int) -> None:
+    """The rules coefficient_audit applies before any work."""
+    if not isinstance(graph, Hypergraph) or beta is None:
+        raise ValidationError("coefficient-audit needs a fixed graph and finite beta")
+    gibbs.check_size(graph.n, gibbs.BATCH_MAX_N)
+    hermite.check_sweep(graph.n_edges, degree_cap, order)
+
+
 def coefficient_audit(graph: Hypergraph, model: dis.DisorderModel, beta: float,
                       i: int, j: int, degree_cap: int, order: int,
                       tol: float = 1e-6, sign_tol: float = 1e-8) -> AuditReport:
@@ -311,6 +357,7 @@ def coefficient_audit(graph: Hypergraph, model: dis.DisorderModel, beta: float,
     structural predictions: sign-forced zeros vanish; for even models
     mass requires an i-j path in the support; when the ball around i is
     a hypertree to radius r, mass requires |E(n)| >= min(r, d(i, j))."""
+    check_audit(graph, beta, degree_cap, order)
     phi = disorder_functional(graph, model, beta, i, j)
     table = hermite.coefficient_sweep(phi, graph.n_edges, degree_cap, order)
     d_ij = berge_distance(graph, i, j)
@@ -480,6 +527,7 @@ def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> dict:
     coefficient is positive although the support contains no i-j path,
     and the extended-bridge variants behave identically.
     """
+    hermite.check_order(order)
     out = {"remark": {}, "two_lobe": []}
     g = remark_graph()
     rng = substream(seed, "remark")
@@ -524,14 +572,14 @@ class LevyPoint:
     per_replica: np.ndarray
 
 
-def check_levy_sizes(n_values) -> None:
-    """Each N a positive integer within the exact enumeration cap, checked
-    before complete_graph builds N^2 / 2 edges."""
+def check_levy(n_values, alpha: float, t: float | None, replicas: int) -> None:
+    """The rules levy_chaos applies before complete_graph builds N^2 / 2 edges."""
+    if t is not None and not t > 0:
+        raise ValidationError(f"need t > 0, got {t}")
+    check_replicas(replicas, 1)
     for n in n_values:
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"n_values must be positive integers, got {n!r}")
-        if n > gibbs.EXACT_MAX_N:
-            raise CapacityError(f"exact enumeration capped at N={gibbs.EXACT_MAX_N}, got {n}")
+        dis.levy_a_n(n, alpha)  # N a positive integer, alpha in (1, 2)
+        gibbs.check_size(n, gibbs.EXACT_MAX_N)
 
 
 def levy_chaos(n_values, alpha: float, beta: float, t: float | None,
@@ -545,13 +593,9 @@ def levy_chaos(n_values, alpha: float, beta: float, t: float | None,
     Replica k at size N draws from the substream (seed, 'levy', N, k).
     Estimates decay in N; the fitted log-log slope is reported.
     """
+    check_levy(n_values, alpha, t, replicas)
     model = dis.DisorderModel("pareto-tail", alpha=alpha)  # before log(alpha - 1)
-    if t is None:
-        t = -math.log(alpha - 1.0) + 0.1
-    t = float(t)
-    if t <= 0:
-        raise ValidationError(f"need t > 0, got {t}")
-    check_levy_sizes(n_values)
+    t = -math.log(alpha - 1.0) + 0.1 if t is None else float(t)
     points = []
     for n in n_values:
         n = int(n)

@@ -6,9 +6,9 @@ Subcommands:
   fixtures           list built-in hypergraphs (--write DIR dumps them)
 
 Configs are strict JSON: unknown keys anywhere fail validation. Each
-experiment kind has one parser in RUNNERS; it checks and converts its
-sections into plain values and returns a zero-argument closure that runs
-the library on them. `validate` builds the closure and drops it, `run`
+experiment kind has one parser in RUNNERS; it reads keys and types, checks
+values with the library's own check functions, and returns a closure that
+runs the library on them. `validate` builds the closure and drops it, `run`
 builds it and calls it, so both read a config the same way. A run is a
 pure function of (config, seed): rerunning the same config writes
 byte-identical result CSV and JSON (the manifest records wall time and
@@ -31,16 +31,13 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, chaos, fixtures, gibbs, hermite, randgraph
+from . import __version__, chaos, fixtures, hermite, randgraph
 from . import disorder as dis
-from .errors import CapacityError, SpinchaosError, ValidationError
-from .hypergraph import Hypergraph
+from .errors import SpinchaosError, ValidationError
 from .hypergraph import load as load_graph
 from .hypergraph import save as save_graph
 from .rng import check_replicas, threads
 
-UPPER_TAGS = ("general-ball", "poly-growth", "exp-growth", "diluted", "levy")
-LOWER_TAGS = ("lower-discrete", "lower-gaussian")
 SECTIONS = ("model", "curve", "growth", "trend", "audit", "suite", "levy")
 
 
@@ -120,8 +117,6 @@ def _parse_model(block) -> tuple:
     """(graph source, disorder model, beta or None, perturbation or None)."""
     _expect(block, "model", ("graph", "disorder", "beta"), ("perturbation",))
     kind, beta = block.get("perturbation"), block["beta"]
-    if kind is not None and kind not in chaos.PERTURBATION_KINDS:
-        raise ValidationError(f"model.perturbation must be one of {chaos.PERTURBATION_KINDS}")
     return (_parse_graph(block["graph"], "model.graph"),
             _parse_disorder(block["disorder"], "model.disorder"),
             None if beta == "infinity" else _number(beta, "model.beta (or 'infinity')", 0.0), kind)
@@ -206,54 +201,27 @@ def _jsonable(obj):
 
 
 def _parse_curve(cfg: dict):
-    """The three curve kinds: model + curve sections, bound tags checked
-    up front so no replica runs for a config whose bounds cannot apply."""
+    """The three curve kinds, checked by chaos.check_curve and check_bounds."""
     exp = cfg["experiment"]
     model_block, c = _sections(cfg, "model", "curve")
     graph_source, model, beta, kind = _parse_model(model_block)
-    if kind is None:
-        raise ValidationError(f"{exp} needs model.perturbation")
     _expect(c, "curve", ("t_grid", "replicas"),
             ("mode", "mcmc_sweeps", "mcmc_burn_in", "bounds", "bound_params"))
-    t_grid = [_number(t, "curve.t_grid entry", 0.0)
-              for t in _list(c["t_grid"], "curve.t_grid")]
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValidationError(f"curve.t_grid must be strictly increasing, got {t_grid}")
+    t_grid = [_number(t, "curve.t_grid entry") for t in _list(c["t_grid"], "curve.t_grid")]
     replicas = _int(c["replicas"], "curve.replicas", 2)
-    check_replicas(replicas, len(t_grid))
     mode = c.get("mode", "exact")
-    if mode not in ("exact", "mcmc"):
-        raise ValidationError("curve.mode must be exact or mcmc")
     sweeps = _int(c.get("mcmc_sweeps", 20000), "curve.mcmc_sweeps")
-    if mode == "mcmc" and sweeps < gibbs.MCMC_BATCHES:
-        raise ValidationError(f"curve.mcmc_sweeps must be >= {gibbs.MCMC_BATCHES} "
-                              f"(one per batch mean) in mcmc mode, got {sweeps}")
     burn_in = _int(c.get("mcmc_burn_in", 2000), "curve.mcmc_burn_in", 0)
-    if mode == "mcmc":
-        gibbs.check_mcmc_size(graph_source.n)
-    if (mode == "exact" or beta is None) and graph_source.n > gibbs.EXACT_MAX_N:
-        raise CapacityError(f"exact enumeration capped at N={gibbs.EXACT_MAX_N}, "
-                            f"got {graph_source.n}; use curve.mode mcmc at finite beta")
+    chaos.check_curve(graph_source, beta, kind, t_grid, replicas, mode, sweeps)
     tags = _list(c.get("bounds", []), "curve.bounds", 0)
-    for tag in tags:
-        if tag not in UPPER_TAGS + LOWER_TAGS:
-            raise ValidationError(f"unknown bound tag {tag!r}")
-    kind_tags = {"bound-check": UPPER_TAGS, "lower-bound-check": LOWER_TAGS}.get(exp)
+    kind_tags = {"bound-check": chaos.UPPER_TAGS, "lower-bound-check": chaos.LOWER_TAGS}.get(exp)
     if kind_tags and (not tags or any(tag not in kind_tags for tag in tags)):
         raise ValidationError(f"{exp} needs curve.bounds with tags from {kind_tags}")
-    if "lower-gaussian" in tags and (model.kind != "identity" or beta is None):
-        raise ValidationError("lower-gaussian needs identity disorder and finite beta")
-    for tag, needs in (("lower-discrete", "discrete"), ("lower-gaussian", "continuous")):
-        if tag in tags and (kind != needs or t_grid[0] != 0.0
-                            or not isinstance(graph_source, Hypergraph)):
-            raise ValidationError(f"{tag} needs a fixed graph, {needs} perturbation "
-                                  "and a t_grid from 0")
-    upper = [tag for tag in tags if tag in UPPER_TAGS]
     params = c.get("bound_params", {})
-    _expect(params, "curve.bound_params",
-            tuple(k for tag in upper for k in chaos.BOUND_CONSTANTS.get(tag, ())),
+    _expect(params, "curve.bound_params", (),
             tuple(k for names in chaos.BOUND_CONSTANTS.values() for k in names))
     params = {k: _number(v, f"curve.bound_params.{k}") for k, v in params.items()}
+    chaos.check_bounds(tags, params, graph_source, model, beta, kind, t_grid)
     seed = cfg["seed"]
 
     def run():
@@ -262,14 +230,7 @@ def _parse_curve(cfg: dict):
         rows = [{"t": t, "estimate": float(curve.estimates[ti]), "se": float(curve.ses[ti]),
                  "bound_tag": None, "bound_value": None, "margin": None}
                 for ti, t in enumerate(curve.t_grid)]
-        checks = []
-        if upper:
-            checks.extend(chaos.theorem_bound_check(curve, graph_source, tags=upper,
-                                                    params=params))
-        if "lower-discrete" in tags:
-            checks.append(chaos.lower_bound_discrete(curve, graph_source.n_edges))
-        if "lower-gaussian" in tags:
-            checks.extend(chaos.lower_bound_gaussian(curve, beta, graph_source.n_edges))
+        checks = chaos.theorem_bound_check(curve, graph_source, tags=tags, params=params)
         for ch in checks:
             rows.append({"t": ch.t, "estimate": ch.estimate, "se": ch.se,
                          "bound_tag": ch.tag, "bound_value": ch.bound, "margin": ch.margin})
@@ -333,15 +294,11 @@ def _parse_audit(cfg: dict):
     model_block, a = _sections(cfg, "model", "audit")
     graph, model, beta, _ = _parse_model(model_block)
     _expect(a, "audit", ("i", "j", "degree_cap", "order"), ("tol", "sign_tol"))
-    if not isinstance(graph, Hypergraph) or beta is None:
-        raise ValidationError("coefficient-audit needs a fixed graph and finite beta")
-    if graph.n > gibbs.BATCH_MAX_N:
-        raise CapacityError(f"batch enumeration capped at N={gibbs.BATCH_MAX_N}, got {graph.n}")
     i = _int(a["i"], "audit.i", 0, graph.n - 1)
     j = _int(a["j"], "audit.j", 0, graph.n - 1)
     degree_cap = _int(a["degree_cap"], "audit.degree_cap", 0)
     order = _int(a["order"], "audit.order")
-    hermite.check_sweep(graph.n_edges, degree_cap, order)
+    chaos.check_audit(graph, beta, degree_cap, order)
     tol = _number(a.get("tol", 1e-6), "audit.tol", 0.0)
     sign_tol = _number(a.get("sign_tol", 1e-8), "audit.sign_tol", 0.0)
 
@@ -376,6 +333,7 @@ def _parse_suite(cfg: dict):
     _expect(s, "suite", (), ("draws", "order"))
     draws = _int(s.get("draws", 100), "suite.draws")
     order = _int(s.get("order", 16), "suite.order")
+    hermite.check_order(order)
     seed = cfg["seed"]
 
     def run():
@@ -406,13 +364,11 @@ def _parse_levy(cfg: dict):
     (lv,) = _sections(cfg, "levy")
     _expect(lv, "levy", ("alpha", "beta", "n_values", "replicas"), ("t",))
     alpha = _number(lv["alpha"], "levy.alpha")
-    dis.DisorderModel("pareto-tail", alpha=alpha)  # rejects alpha outside (1, 2)
     beta = _number(lv["beta"], "levy.beta", 0.0)
     n_values = [_int(n, "levy.n_values entry") for n in _list(lv["n_values"], "levy.n_values")]
-    chaos.check_levy_sizes(n_values)
     replicas = _int(lv["replicas"], "levy.replicas", 2)
-    check_replicas(replicas, 1)
     t = None if lv.get("t") is None else _number(lv["t"], "levy.t")
+    chaos.check_levy(n_values, alpha, t, replicas)
     seed = cfg["seed"]
 
     def run():

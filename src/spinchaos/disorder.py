@@ -97,7 +97,7 @@ def continuous_path(J, t_grid, rng: np.random.Generator):
     """J(t) across a sorted grid, evolved sequentially so one replica's
     curve is sampled from a single coupled path. Returns (len(grid), *J.shape)."""
     J = np.asarray(J, dtype=float)
-    grid = _check_grid(t_grid)
+    grid = check_grid(t_grid)
     out = np.empty((len(grid),) + J.shape)
     cur, cur_t = J.copy(), 0.0
     for k, t in enumerate(grid):
@@ -112,7 +112,7 @@ def discrete_path(J, t_grid, rng: np.random.Generator):
     e is replaced by a fresh draw after time T_e ~ Exp(1), which makes each
     marginal J(t) = B J + (1-B) J' with B ~ Ber(e^-t)."""
     J = np.asarray(J, dtype=float)
-    grid = _check_grid(t_grid)
+    grid = check_grid(t_grid)
     clocks = rng.exponential(1.0, J.shape)
     fresh = rng.standard_normal(J.shape)
     out = np.empty((len(grid),) + J.shape)
@@ -121,12 +121,11 @@ def discrete_path(J, t_grid, rng: np.random.Generator):
     return out
 
 
-def _check_grid(t_grid):
-    grid = [float(t) for t in t_grid]
+def check_grid(t_grid) -> list[float]:
+    """The rules of every t grid: nonempty, nonnegative, strictly increasing."""
+    grid = [_check_t(t) for t in t_grid]
     if not grid:
         raise ValidationError("empty t grid")
-    if any(t < 0 or math.isnan(t) for t in grid):
-        raise ValidationError(f"t grid must be nonnegative, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"t grid must be strictly increasing, got {grid}")
     return grid
@@ -136,6 +135,5 @@ def levy_a_n(n: int, alpha: float) -> float:
     """Normalization a_N = N^(1/alpha) for the pure Pareto(alpha) tail."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"N must be a positive int, got {n!r}")
-    if not 1.0 < alpha < 2.0:
-        raise ValidationError(f"alpha must be in (1, 2), got {alpha}")
+    DisorderModel("pareto-tail", alpha=alpha)  # alpha in (1, 2)
     return float(n) ** (1.0 / alpha)

@@ -35,7 +35,7 @@ BATCH_MAX_N = 20
 # half table of the complete graph on 16 vertices fits in one block
 TABLE_BYTES = 64 << 20
 MCMC_BATCHES = 32  # batch means behind mcmc_correlations' standard errors
-BATCH_COLUMNS = 256  # coupling vectors per GEMM in batch_moments
+BATCH_COLUMNS = 256  # most coupling vectors per GEMM in batch_moments
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,6 @@ def spin_system(graph: Hypergraph, couplings, beta, levy_scale=1.0) -> SpinSyste
         beta = None
     elif beta is not None:
         beta = float(beta)
-        if math.isinf(beta):
-            raise ValidationError("pass beta='infinity' or None, not a float inf")
     cs = tuple(float(c) for c in np.asarray(couplings, dtype=float).ravel())
     return SpinSystem(graph, cs, beta, float(levy_scale))
 
@@ -140,6 +138,12 @@ def _half_blocks(graph: Hypergraph):
         yield (start, states, eprod, *_flip(graph, start))
 
 
+def check_size(n: int, cap: int) -> None:
+    """EXACT_MAX_N, or BATCH_MAX_N for batch_moments's full 2^N table."""
+    if n > cap:
+        raise CapacityError(f"enumeration capped at N={cap}, got {n}")
+
+
 def _require_finite_beta(system: SpinSystem) -> float:
     if system.beta is None:
         raise ValidationError("operation needs finite beta; route beta=infinity to ground_states")
@@ -152,8 +156,7 @@ def _energies(system: SpinSystem):
     flips the sign of every odd-arity edge product, so its energies use
     the couplings times the edge signs of the global flip."""
     n = system.n
-    if n > EXACT_MAX_N:
-        raise CapacityError(f"exact enumeration capped at N={EXACT_MAX_N}, got {n}")
+    check_size(n, EXACT_MAX_N)
     c_eff = np.asarray(system.couplings) * system.levy_scale
     c_neg = _flip(system.graph, (1 << n) - 1)[1] * c_eff
     return ((start, states, spin, eprod @ (sign * c_eff), eprod @ (sign * c_neg))
@@ -269,9 +272,10 @@ def _local_field(entries, sigma):
     return m
 
 
-def check_mcmc_size(n: int) -> None:
-    """The cap of mcmc_correlations: its (MCMC_BATCHES, N, N) float64
-    batch means fit TABLE_BYTES, so N <= 512."""
+def check_mcmc(n: int, sweeps: int) -> None:
+    """A sweep per batch mean, and (MCMC_BATCHES, N, N) floats in TABLE_BYTES."""
+    if sweeps < MCMC_BATCHES:
+        raise ValidationError(f"need sweeps >= {MCMC_BATCHES} (one per batch mean), got {sweeps}")
     if 8 * MCMC_BATCHES * n * n > TABLE_BYTES:
         raise CapacityError(f"mcmc batch means of N={n} exceed the "
                             f"{TABLE_BYTES >> 20} MiB budget")
@@ -285,11 +289,8 @@ def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
     from batch means over MCMC_BATCHES contiguous chunks.
     """
     beta = _require_finite_beta(system)
-    batches = MCMC_BATCHES
-    if sweeps < batches:
-        raise ValidationError(f"need sweeps >= {batches}, got {sweeps}")
     n = system.n
-    check_mcmc_size(n)
+    check_mcmc(n, sweeps)
     c_eff = [c * system.levy_scale for c in system.couplings]
     adj = _adjacency(system.graph, c_eff)
     sigma = (2 * rng.integers(0, 2, n) - 1).tolist()
@@ -305,10 +306,10 @@ def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
 
     for _ in range(burn_in):
         sweep()
-    per_batch = sweeps // batches
-    batch_corr = np.zeros((batches, n, n))
-    batch_mean = np.zeros((batches, n))
-    for b in range(batches):
+    per_batch = sweeps // MCMC_BATCHES
+    batch_corr = np.zeros((MCMC_BATCHES, n, n))
+    batch_mean = np.zeros((MCMC_BATCHES, n))
+    for b in range(MCMC_BATCHES):
         acc = np.zeros((n, n))
         accm = np.zeros(n)
         for _ in range(per_batch):
@@ -345,8 +346,7 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
     kernel behind quadrature grids and Monte Carlo over the disorder.
     """
     n = graph.n
-    if n > BATCH_MAX_N:
-        raise CapacityError(f"batch enumeration capped at N={BATCH_MAX_N}, got {n}")
+    check_size(n, BATCH_MAX_N)
     beta = float(beta)
     cs = np.atleast_2d(np.asarray(couplings, dtype=float))
     if cs.shape[1] != graph.n_edges:
@@ -363,12 +363,12 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
     nb = cs.shape[0]
     pair_vals = np.empty((len(pair_obs), nb))
     single_vals = np.empty((len(single_obs), nb))
-    block = BATCH_COLUMNS
+    block = max(1, min(BATCH_COLUMNS, TABLE_BYTES // (8 << n)))  # be is 2^N x block
     for start in range(0, nb, block):
         c_blk = cs[start:start + block]
         be = beta * (eprod @ c_blk.T)  # (2^n, b)
         be -= be.max(axis=0, keepdims=True)
-        w = np.exp(be)
+        w = np.exp(be, out=be)
         denom = w.sum(axis=0)
         for k, obs in enumerate(pair_obs):
             pair_vals[k, start:start + block] = (obs @ w) / denom

@@ -31,11 +31,16 @@ MAX_TOTAL_DEGREE = 10
 MAX_EDGE_DEGREE = 10
 
 
+def check_order(order: int) -> None:
+    """The cap of every Gauss-Hermite rule: order in [1, MAX_ORDER]."""
+    if not 1 <= order <= MAX_ORDER:
+        raise CapacityError(f"quadrature order must be in [1, {MAX_ORDER}], got {order}")
+
+
 @lru_cache(maxsize=32)
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the standard Gaussian probability measure."""
-    if not 1 <= order <= MAX_ORDER:
-        raise CapacityError(f"quadrature order must be in [1, {MAX_ORDER}], got {order}")
+    check_order(order)
     x, w = hermegauss(order)
     return x, w / math.sqrt(2.0 * math.pi)
 
@@ -72,8 +77,7 @@ def _check_grid(n_edges: int, order: int):
         raise ValidationError("need at least one coordinate")
     if n_edges > MAX_AXES:
         raise CapacityError(f"tensor quadrature capped at {MAX_AXES} coordinates, got {n_edges}")
-    if not 1 <= order <= MAX_ORDER:
-        raise CapacityError(f"quadrature order must be in [1, {MAX_ORDER}], got {order}")
+    check_order(order)
     if order ** n_edges > MAX_GRID:
         raise CapacityError(f"grid {order}^{n_edges} exceeds {MAX_GRID} nodes")
 
@@ -144,13 +148,12 @@ class CoefficientEntry:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Coefficients up to a total-degree cap, plus E[phi^2] when the
-    producing routine could compute it on the same grid."""
+    """Coefficients up to a total-degree cap, plus E[phi^2] on the same grid."""
 
     n_edges: int
     degree_cap: int
     entries: tuple[CoefficientEntry, ...]
-    e_phi_sq: float | None
+    e_phi_sq: float
 
 
 def coefficient_sweep(phi, n_edges: int, degree_cap: int, order: int) -> CoefficientTable:
@@ -215,8 +218,6 @@ def parseval_tail(table: CoefficientTable) -> float:
     """E[phi^2] minus the captured sum of squares. Must be >= -1e-8 relative
     to max(1, E[phi^2]) (Bessel); returned clamped at 0 for use as an
     error budget."""
-    if table.e_phi_sq is None:
-        raise ValidationError("table has no E[phi^2]; produce it by quadrature sweep")
     captured = sum(ent.value ** 2 for ent in table.entries)
     raw = table.e_phi_sq - captured
     if raw < -1e-8 * max(1.0, abs(table.e_phi_sq)):

@@ -45,8 +45,11 @@ class DilutedSpec:
                 raise ValidationError(f"alpha_{p} must be positive finite, got {a}")
             if p > self.n:
                 raise ValidationError(f"arity {p} exceeds N={self.n}")
-            if a * self.n > math.comb(self.n, p):
+            total = math.comb(self.n, p)
+            if a * self.n > total:
                 raise ValidationError(f"alpha_{p} N exceeds the number of {p}-subsets")
+            if total >= 2**63:
+                raise CapacityError(f"C({self.n}, {p}) overflows the binomial sampler")
             prev = p
         max_p = max((p for p, _ in self.alphas), default=2)
         cap = MAX_N_LOW_ARITY if max_p <= 3 else MAX_N_HIGH_ARITY
@@ -89,8 +92,6 @@ def sample_diluted(spec: DilutedSpec, rng: np.random.Generator) -> Hypergraph:
     edges: list[tuple[int, ...]] = []
     for p, a in spec.alphas:
         total = math.comb(n, p)
-        if total >= 2**63:
-            raise CapacityError(f"C({n}, {p}) overflows the binomial sampler")
         q = a * n / total
         m = int(rng.binomial(total, q))
         seen: set[tuple[int, ...]] = set()

@@ -13,7 +13,6 @@ order 16), since the grid cap keeps the full tensor below the order
 needed for 1e-6 at beta=1.
 """
 
-import itertools
 import json
 import math
 import time

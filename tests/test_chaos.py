@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spinchaos import chaos, fixtures, gibbs, hermite, randgraph
+from spinchaos import chaos, fixtures, gibbs, randgraph
 from spinchaos import disorder as dis
-from spinchaos.errors import CapacityError, NumericalError, ValidationError
+from spinchaos.errors import CapacityError, ValidationError
 from spinchaos.hypergraph import ball_sizes, berge_distance, hypergraph
 from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
                                  sample_diluted)
@@ -330,10 +330,10 @@ def test_theorem_bound_check_formulas():
         chaos.theorem_bound_check(curve, g, tags=("no-such-bound",))
     with pytest.raises(ValidationError):
         chaos.theorem_bound_check(curve, g, tags=("poly-growth",), params={"C": 1.0})
-    # constants with no finite bound are a classified error, not a raw one
+    # constants that give a bound no value are bad input, caught before any work
     for tag, bad in (("exp-growth", {"gamma": 0.0}), ("poly-growth", {"theta": 2000.0}),
                      ("levy", {"alpha": 0.0})):
-        with pytest.raises(NumericalError):
+        with pytest.raises(ValidationError):
             chaos.theorem_bound_check(curve, g, tags=(tag,), params=dict(params, **bad))
 
 
@@ -420,6 +420,13 @@ def test_lower_bound_gaussian():
     no_zero = chaos.chaos_curve(g, IDENT, 0.5, "continuous", [0.1, 0.5], 4, 1)
     with pytest.raises(ValidationError):
         chaos.lower_bound_gaussian(no_zero, 0.5, g.n_edges)
+    # through theorem_bound_check: after the upper tags, at the curve's beta
+    both = chaos.theorem_bound_check(curve, g, tags=("lower-gaussian", "general-ball"))
+    assert [c.tag for c in both] == ["general-ball"] * 3 + ["lower-gaussian"] * 2
+    assert both[3:] == checks
+    ground = chaos.chaos_curve(g, IDENT, None, "continuous", [0.0, 0.5], 4, 1)
+    with pytest.raises(ValidationError):
+        chaos.theorem_bound_check(ground, g, tags=("lower-gaussian",))
 
 
 # --------------------------------------------------------------------------

@@ -195,10 +195,24 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
                  id="audit-saved-n-over-batch-cap"),
     pytest.param("curve", {"model": {"graph": hypergraph(513, [(0, 1)])}, "mode": "mcmc"}, 3,
                  id="curve-mcmc-n-over-batch-means-cap"),
+    # rules that validate once left to run, where each failed after all its replicas
+    pytest.param("curve", {"experiment": "lower-bound-check", "fixture": "ea-ring",
+                           "model": {"perturbation": "discrete"}, "t_grid": [0.0, 1.0],
+                           "bounds": ["lower-discrete"]}, 2,
+                 id="lower-discrete-no-point-by-inverse-E"),
+    pytest.param("curve", {"experiment": "lower-bound-check", "t_grid": [0.0, 1.0],
+                           "model": {"graph": hypergraph(3, []), "perturbation": "discrete"},
+                           "bounds": ["lower-discrete"]}, 2, id="lower-discrete-zero-edges"),
+    pytest.param("curve", {"experiment": "bound-check", "bounds": ["exp-growth"],
+                           "bound_params": {"C": 1, "gamma": 0}}, 2, id="exp-growth-gamma-zero"),
+    pytest.param("levy", {"t": 0}, 2, id="levy-t-zero"),
+    pytest.param("suite", {"order": 25}, 3, id="suite-order-over-cap"),
+    pytest.param("growth", {"n": 2000, "alphas": {"12": 0.1}}, 3, id="growth-binomial-overflow"),
 ])
 def test_section_values_rejected(tmp_path, capsys, section, over, code):
     experiment, block = SECTION_BASE[section]
     over = dict(over)
+    experiment = over.pop("experiment", experiment)
     fixture = over.pop("fixture", "remark-path-graph")  # the model's graph
     model = over.pop("model", {})
     cfg = {"experiment": experiment, "seed": 3, "output": str(tmp_path / "out"),
@@ -292,8 +306,9 @@ def small_config(draw, exp):
 @given(st.tuples(*(small_config(exp) for exp in cli.RUNNERS)))
 def test_validated_configs_run_or_fail_classified(cfgs):
     """validate never raises; a config it accepts runs to exit 0 or stops
-    with a classified error (2, 3 or 4), and one it rejects fails the same
-    way at run. Each example holds one config of every kind."""
+    with a numerical breakdown (4), never a validation or capacity error,
+    and one it rejects fails the same way at run. Each example holds one
+    config of every kind."""
     for cfg in cfgs:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = dict(cfg, output=str(Path(tmp) / "out"))
@@ -303,7 +318,7 @@ def test_validated_configs_run_or_fail_classified(cfgs):
                 checked = cli.main(["validate", str(path)])
                 ran = cli.main(["run", str(path)])
         assert checked in (0, 2, 3), cfg
-        assert ran in ((0, 2, 3, 4) if checked == 0 else (checked,)), cfg
+        assert ran in ((0, 4) if checked == 0 else (checked,)), cfg
 
 
 def test_bound_check_kind_requires_upper_tags(tmp_path):
@@ -320,6 +335,7 @@ def test_bound_check_kind_requires_upper_tags(tmp_path):
 def test_lower_bound_check_kind_requires_lower_tags(tmp_path):
     cfg = curve_config(tmp_path / "out", experiment="lower-bound-check")
     cfg["model"]["perturbation"] = "discrete"
+    cfg["curve"]["t_grid"] = [0.0, 0.125, 0.5]  # a point at 1/|E| of the 8-edge ring
     cfg["curve"]["bounds"] = ["general-ball"]
     with pytest.raises(ValidationError):
         cli.load_config(write_config(tmp_path, cfg))

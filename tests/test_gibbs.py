@@ -1,7 +1,9 @@
-import itertools
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +12,15 @@ from spinchaos import gibbs
 from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
 from spinchaos.errors import CapacityError, ValidationError
-from spinchaos.gibbs import (CorrelationMatrix, batch_moments, exact_correlations,
+from spinchaos.gibbs import (batch_moments, exact_correlations,
                              ground_state_correlations, ground_states,
                              mcmc_correlations, overlap_second_moment,
                              spin_system)
 from spinchaos.hypergraph import hypergraph
 from spinchaos.rng import substream
 
-from conftest import (all_states, dense_correlations, dense_energies,
-                      dense_ground_correlations, dense_ground_states,
-                      hamiltonian, random_hypergraph)
+from conftest import (dense_correlations, dense_ground_correlations,
+                      dense_ground_states, hamiltonian, random_hypergraph)
 
 
 def ring(n):
@@ -305,7 +306,7 @@ def test_mcmc_validation():
         mcmc_correlations(spin_system(ring(4), np.ones(4), None), substream(1, "y"))
     # the (MCMC_BATCHES, N, N) batch means fit TABLE_BYTES up to N = 512; the
     # cap fires before the chain draws or allocates anything, so no generator
-    gibbs.check_mcmc_size(512)
+    gibbs.check_mcmc(512, gibbs.MCMC_BATCHES)
     with pytest.raises(CapacityError, match="N=513"):
         mcmc_correlations(spin_system(hypergraph(513, [(0, 1)]), [1.0], 1.0), None)
 
@@ -350,12 +351,49 @@ def test_batch_moments_match_loop(rng, monkeypatch):
             assert pv[k, b] == pytest.approx(cm.corr[i, j], abs=1e-12)
         for k, i in enumerate(singles):
             assert sv[k, b] == pytest.approx(cm.means[i], abs=1e-12)
-    # stacked from one-row blocks, the table and every moment are the same bits
+    # stacked from one-row blocks, the table and every moment are the same
+    # bits; a budget that small also leaves one coupling column per product
+    monkeypatch.setattr(gibbs, "BATCH_COLUMNS", 1)
+    pv, sv = batch_moments(g, cs, beta, pairs, singles)
     few_rows_per_block(monkeypatch, g, 1)
     assert len(list(gibbs._half_blocks(g))) > 1
     pv_blocked, sv_blocked = batch_moments(g, cs, beta, pairs, singles)
     assert np.array_equal(pv_blocked, pv)
     assert np.array_equal(sv_blocked, sv)
+
+
+def test_batch_columns_follow_the_byte_budget(monkeypatch):
+    # at N = 16 the budget leaves TABLE_BYTES // (8 << 16) = 128 coupling
+    # columns per product; twice the budget takes 256 over the same
+    # one-block table (the match is bitwise with OpenBLAS 0.3.31)
+    g = hypergraph(16, [(k, k + 1) for k in range(15)] + [(0, 5, 9)])
+    cs = substream(3, "columns").standard_normal((300, g.n_edges))
+    args = (g, cs, 0.8, [(0, 8), (3, 4)], [0, 9])
+    narrow = batch_moments(*args)
+    monkeypatch.setattr(gibbs, "TABLE_BYTES", 2 * gibbs.TABLE_BYTES)
+    for a, b in zip(narrow, batch_moments(*args)):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_batch_moments_peak_memory():
+    # a fresh interpreter, one N = 18 call on 256 coupling vectors: with
+    # 256 columns per product its 2^N x 256 work arrays peaked at 1.2 GB.
+    # VmHWM is the peak of this process image alone; ru_maxrss would also
+    # count the pytest process it was spawned from
+    code = (
+        "import numpy as np\n"
+        "from spinchaos.gibbs import batch_moments\n"
+        "from spinchaos.hypergraph import hypergraph\n"
+        "g = hypergraph(18, [(0, 1), (1, 2, 3), (4, 17)])\n"
+        "batch_moments(g, np.ones((256, 3)), 0.7, [(0, 17)])\n"
+        "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln[:6] == 'VmHWM:'))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert int(out.stdout) / 1024 < 400.0  # MB; VmHWM is in kB
 
 
 def test_identity_functional_vectorizes(rng):

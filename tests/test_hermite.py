@@ -146,8 +146,6 @@ def test_weighted_sum_and_parseval():
 
 def test_parseval_tail_guards():
     ent = CoefficientEntry(n=multi_index({0: 1}), value=1.0)
-    with pytest.raises(ValidationError):
-        parseval_tail(CoefficientTable(1, 1, (ent,), None))
     bad = CoefficientTable(1, 1, (ent,), 0.5)  # claims E[phi^2] < captured
     with pytest.raises(NumericalError):
         parseval_tail(bad)

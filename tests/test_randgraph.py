@@ -5,7 +5,7 @@ import pytest
 
 from spinchaos.errors import CapacityError, ValidationError
 from spinchaos.hypergraph import ball, berge_distance, has_berge_cycle, hypergraph
-from spinchaos.randgraph import (DilutedSpec, diluted_spec, explore,
+from spinchaos.randgraph import (diluted_spec, explore,
                                  frontier_mean_bound,
                                  frontier_second_moment_bound, growth_stats,
                                  growth_stats_rows, hypertree_trend,
@@ -121,9 +121,9 @@ def test_sampler_matches_rejection_loop_at_1e4():
 
 
 def test_sampler_capacity_guard():
-    spec = diluted_spec(10_000, {7: 1e-17})
+    # C(N, p) past int64 is refused by the spec, before any draw
     with pytest.raises(CapacityError):
-        sample_diluted(spec, substream(1, "cap"))
+        diluted_spec(10_000, {7: 1e-17})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The package exposes only what it uses.
+"""The package exposes only what it uses, and every module uses what it
+imports.
 
 Every public top-level function and public method in src/spinchaos must
 be called from library code in src/ or from the acceptance criteria.
@@ -7,7 +8,8 @@ import load as load_graph`, `from . import disorder as dis`); a method
 counts as called when any call site names it as an attribute. A call
 inside the defining module counts too, since the module itself is then
 its caller. Nothing is exempt: even the console entry point cli.main is
-called by criterion 13.
+called by criterion 13. No module in src/ or tests/ imports a name it
+never reads; the re-exports of the package's __init__ are exempt.
 """
 
 import ast
@@ -82,3 +84,24 @@ def test_every_public_function_has_a_caller():
         public.update(public_names(path))
     unused = sorted(qual for qual, site in public.items() if site not in called)
     assert not unused, f"public names that nothing in src/ or the criteria calls: {unused}"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """file:line name of each name the module imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_every_import_is_used():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [hit for path in files if path.name != "__init__.py" for hit in unused_imports(path)]
+    assert not unused, f"imported and never used: {unused}"
