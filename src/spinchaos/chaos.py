@@ -13,7 +13,9 @@ unperturbed value.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +29,6 @@ from .hypergraph import (Hypergraph, MultiIndex, ball_is_hypertree, ball_sizes,
 from .randgraph import DilutedSpec, sample_diluted
 from .rng import check_replicas, mean_se, replicate, substream
 
-PERTURBATION_KINDS = ("continuous", "discrete")
 # caller constants of the growth-rate bound families
 BOUND_CONSTANTS = {"poly-growth": ("C", "theta"), "exp-growth": ("C", "gamma"),
                    "diluted": ("C", "lambda"), "levy": ("K", "c", "eps", "alpha")}
@@ -65,8 +66,8 @@ def check_curve(graph_source, beta, kind: str, t_grid, replicas: int, mode: str,
     of the kernel that runs: enumeration (also at beta None) or sampler."""
     if not isinstance(graph_source, (Hypergraph, DilutedSpec)):
         raise ValidationError("graph source must be a Hypergraph or DilutedSpec")
-    if kind not in PERTURBATION_KINDS:
-        raise ValidationError(f"perturbation kind must be one of {PERTURBATION_KINDS}")
+    if kind not in dis.PERTURBATION_KINDS:
+        raise ValidationError(f"perturbation kind must be one of {dis.PERTURBATION_KINDS}")
     if mode not in ("exact", "mcmc"):
         raise ValidationError(f"mode must be exact or mcmc, got {mode!r}")
     check_replicas(replicas, len(dis.check_grid(t_grid)))
@@ -342,10 +343,13 @@ class AuditReport:
     e_phi_sq: float
 
 
-def check_audit(graph, beta, degree_cap: int, order: int) -> None:
+def check_audit(graph, beta, i: int, j: int, degree_cap: int, order: int) -> None:
     """The rules coefficient_audit applies before any work."""
     if not isinstance(graph, Hypergraph) or beta is None:
         raise ValidationError("coefficient-audit needs a fixed graph and finite beta")
+    for v in (i, j):
+        if not 0 <= v < graph.n:
+            raise ValidationError(f"audit vertex {v} outside [0, {graph.n})")
     gibbs.check_size(graph.n, gibbs.BATCH_MAX_N)
     hermite.check_sweep(graph.n_edges, degree_cap, order)
 
@@ -357,7 +361,7 @@ def coefficient_audit(graph: Hypergraph, model: dis.DisorderModel, beta: float,
     structural predictions: sign-forced zeros vanish; for even models
     mass requires an i-j path in the support; when the ball around i is
     a hypertree to radius r, mass requires |E(n)| >= min(r, d(i, j))."""
-    check_audit(graph, beta, degree_cap, order)
+    check_audit(graph, beta, i, j, degree_cap, order)
     phi = disorder_functional(graph, model, beta, i, j)
     table = hermite.coefficient_sweep(phi, graph.n_edges, degree_cap, order)
     d_ij = berge_distance(graph, i, j)
@@ -466,13 +470,36 @@ def tanh_product_error(k: int, beta: float, draws: int, seed: int) -> float:
     return worst
 
 
+@lru_cache(maxsize=8)
 def factorized_bridge_coefficient(beta: float) -> float:
     """phi_hat(n) through the verified closed form: the observable equals
     the product of four independent tanh factors, so the coefficient is
     E[J tanh(beta J)]^4 with the scalar mean done adaptively. Valid only
-    after tanh_product_error has certified the closed form."""
+    after tanh_product_error has certified the closed form. Cached: it
+    depends on beta alone, not on the bridge length."""
     f = hermite.adaptive_gaussian_mean(lambda x: x * math.tanh(beta * x))
     return f ** 4
+
+
+def _beta_functionals(graph: Hypergraph, betas, i: int, j: int, embed) -> list:
+    """phi_b(rows) = <sigma_i sigma_j> at couplings embed(rows), one per
+    beta b, for grid passes made one after another over the same rows.
+    The first pass's call at each block evaluates every beta in one
+    batch_moments call, so they share its GEMM and column max, and queues
+    the other betas' values for the later passes to read in order (copies,
+    so a queued block does not keep every beta's values alive)."""
+    queues = [deque() for _ in betas]
+
+    def make(k: int):
+        def phi(rows):
+            if not queues[k]:
+                vals = gibbs.batch_moments(graph, embed(rows), betas, [(i, j)])[0][0]
+                for queue, col in zip(queues, vals.T):
+                    queue.append(col.copy())
+            return queues[k].popleft()
+        return phi
+
+    return [make(k) for k in range(len(betas))]
 
 
 def bridged_coefficient(k: int, beta: float, order: int) -> dict:
@@ -485,36 +512,41 @@ def bridged_coefficient(k: int, beta: float, order: int) -> dict:
     The factorized route evaluates the certified closed form with an
     adaptive scalar integral; the gap between the two is the tensor
     truncation error, reported as quadrature_gap."""
+    return _bridged_coefficients(k, (beta,), order)[0]
+
+
+def _bridged_coefficients(k: int, betas, order: int) -> list[dict]:
+    """bridged_coefficient at each beta; the betas share every
+    batch_moments call (_beta_functionals), one grid pass per beta."""
     g, lab = two_lobe_graph(k)
     i, j = lab["i"], lab["j"]
-    model = dis.DisorderModel("identity")
     lobe_edges = list(lab["lobe_a"] + lab["lobe_b"])
     n = multi_index({eid: 1 for eid in lobe_edges})
     reduced = g.n_edges > hermite.MAX_AXES or order ** g.n_edges > hermite.MAX_GRID
-
     if not reduced:
-        phi = disorder_functional(g, model, beta, i, j)
-        value = hermite.coeff_quadrature(phi, g.n_edges, n, order)
+        axes, n_grid = g.n_edges, n
+
+        def embed(rows):
+            return rows
     else:
-        bridge = list(lab["bridge"])
+        axes, n_grid = 4, multi_index({col: 1 for col in range(4)})
 
-        def phi4(rows):
-            rows = np.asarray(rows)
+        def embed(rows):
             full = np.zeros((rows.shape[0], g.n_edges))
-            for col, eid in enumerate(lobe_edges):
-                full[:, eid] = rows[:, col]
-            vals, _ = gibbs.batch_moments(g, full, beta, [(i, j)])
-            return vals[0]
-
-        n4 = multi_index({col: 1 for col in range(4)})
-        value = hermite.coeff_quadrature(phi4, 4, n4, order)
-        lab = dict(lab, pinned=bridge)
-    factorized = factorized_bridge_coefficient(beta)
+            full[:, lobe_edges] = rows
+            return full
+    values = [hermite.coeff_quadrature(phi, axes, n_grid, order)
+              for phi in _beta_functionals(g, betas, i, j, embed)]
     support_path = connected_in(g, i, j, n.support)
-    return {"k": k, "beta": beta, "value": value, "factorized": factorized,
-            "quadrature_gap": abs(value - factorized), "order": order,
-            "reduced": reduced, "support_connects": support_path,
-            "distance": berge_distance(g, i, j)}
+    distance = berge_distance(g, i, j)
+    out = []
+    for beta, value in zip(betas, values):
+        factorized = factorized_bridge_coefficient(beta)
+        out.append({"k": k, "beta": beta, "value": value, "factorized": factorized,
+                    "quadrature_gap": abs(value - factorized), "order": order,
+                    "reduced": reduced, "support_connects": support_path,
+                    "distance": distance})
+    return out
 
 
 def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> dict:
@@ -550,8 +582,8 @@ def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> dict:
                    decoupling_error(k, b, draws, seed) for b in (0.5, 1.0)),
                "tanh_product_max_err": max(
                    tanh_product_error(k, b, draws, seed) for b in (0.5, 1.0))}
-        for beta in (0.5, 1.0):
-            row[f"coeff_beta_{beta}"] = bridged_coefficient(k, beta, order)
+        for coeff in _bridged_coefficients(k, (0.5, 1.0), order):
+            row[f"coeff_beta_{coeff['beta']}"] = coeff
         out["two_lobe"].append(row)
     return out
 

@@ -294,11 +294,11 @@ def _parse_audit(cfg: dict):
     model_block, a = _sections(cfg, "model", "audit")
     graph, model, beta, _ = _parse_model(model_block)
     _expect(a, "audit", ("i", "j", "degree_cap", "order"), ("tol", "sign_tol"))
-    i = _int(a["i"], "audit.i", 0, graph.n - 1)
-    j = _int(a["j"], "audit.j", 0, graph.n - 1)
+    i = _int(a["i"], "audit.i", 0)
+    j = _int(a["j"], "audit.j", 0)
     degree_cap = _int(a["degree_cap"], "audit.degree_cap", 0)
     order = _int(a["order"], "audit.order")
-    chaos.check_audit(graph, beta, degree_cap, order)
+    chaos.check_audit(graph, beta, i, j, degree_cap, order)
     tol = _number(a.get("tol", 1e-6), "audit.tol", 0.0)
     sign_tol = _number(a.get("sign_tol", 1e-8), "audit.sign_tol", 0.0)
 

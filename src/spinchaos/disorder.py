@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ValidationError
 
 KINDS = ("identity", "scaled-tanh", "pareto-tail")
+PERTURBATION_KINDS = ("continuous", "discrete")  # the two resampling semigroups
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ def rho(model: DisorderModel, x):
         return x.copy()
     if model.kind == "scaled-tanh":
         return np.tanh(model.kappa * x)
+    from scipy.special import erfc  # here: scipy.special costs about 0.35 s to import
     tail = erfc(np.abs(x) / math.sqrt(2.0))  # = 2 (1 - Phi(|x|))
     return np.sign(x) * tail ** (-1.0 / model.alpha)
 

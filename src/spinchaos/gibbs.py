@@ -35,7 +35,19 @@ BATCH_MAX_N = 20
 # half table of the complete graph on 16 vertices fits in one block
 TABLE_BYTES = 64 << 20
 MCMC_BATCHES = 32  # batch means behind mcmc_correlations' standard errors
-BATCH_COLUMNS = 256  # most coupling vectors per GEMM in batch_moments
+# batch_moments sizes its (2^N, columns) float64 work block near
+# BATCH_BLOCK_BYTES within BATCH_COLUMNS: with several betas the block and
+# its scratch copy then take about half of a 2 MiB L2 (at 1 MiB each, a
+# two-beta call at N = 7 ran 1.7x slower)
+BATCH_BLOCK_BYTES = 1 << 19
+BATCH_COLUMNS = (64, 1024)
+
+
+def _check_beta(beta) -> float:
+    b = float(beta)
+    if not (math.isfinite(b) and b >= 0):
+        raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
+    return b
 
 
 @dataclass(frozen=True)
@@ -52,10 +64,7 @@ class SpinSystem:
         if not all(math.isfinite(c) for c in self.couplings):
             raise ValidationError("couplings must be finite")
         if self.beta is not None:
-            b = float(self.beta)
-            if not (math.isfinite(b) and b >= 0):
-                raise ValidationError(
-                    f"beta must be finite and >= 0 or None for infinity, got {self.beta!r}")
+            _check_beta(self.beta)
         if not (math.isfinite(self.levy_scale) and self.levy_scale > 0):
             raise ValidationError(f"levy_scale must be positive finite, got {self.levy_scale}")
 
@@ -337,17 +346,32 @@ def overlap_second_moment(a: CorrelationMatrix, b: CorrelationMatrix) -> float:
     return float((a.corr * b.corr).sum()) / (n * n)
 
 
-def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
+def _batch_columns(n: int) -> int:
+    """Coupling vectors per GEMM in batch_moments: a (2^N, columns) block
+    of BATCH_BLOCK_BYTES within BATCH_COLUMNS, lowered past that only by
+    TABLE_BYTES, and never to one column, since a one-column product is
+    not bitwise a column of a wider GEMM."""
+    lo, hi = BATCH_COLUMNS
+    cols = min(hi, max(lo, BATCH_BLOCK_BYTES // (8 << n)))
+    return max(2, min(cols, TABLE_BYTES // (8 << n)))
+
+
+def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
                   pairs, singles=()) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gibbs moments for many coupling vectors at once.
 
     couplings has shape (B, n_edges); returns (pair_vals, single_vals) of
     shapes (len(pairs), B) and (len(singles), B). This is the vectorized
     kernel behind quadrature grids and Monte Carlo over the disorder.
+    beta may also be a sequence of K inverse temperatures, which share
+    each block's GEMM and column max; the results then gain a last axis
+    of length K, bitwise equal to K one-beta calls. For beta >= 0 the
+    column max of beta * H is beta times the column max of H, bitwise,
+    since rounding is monotone.
     """
     n = graph.n
     check_size(n, BATCH_MAX_N)
-    beta = float(beta)
+    betas = [_check_beta(b) for b in np.atleast_1d(beta)]
     cs = np.atleast_2d(np.asarray(couplings, dtype=float))
     if cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")
@@ -361,17 +385,21 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta: float,
     pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
     single_obs = [states[:, i] for i in singles]
     nb = cs.shape[0]
-    pair_vals = np.empty((len(pair_obs), nb))
-    single_vals = np.empty((len(single_obs), nb))
-    block = max(1, min(BATCH_COLUMNS, TABLE_BYTES // (8 << n)))  # be is 2^N x block
-    for start in range(0, nb, block):
-        c_blk = cs[start:start + block]
-        be = beta * (eprod @ c_blk.T)  # (2^n, b)
-        be -= be.max(axis=0, keepdims=True)
-        w = np.exp(be, out=be)
-        denom = w.sum(axis=0)
-        for k, obs in enumerate(pair_obs):
-            pair_vals[k, start:start + block] = (obs @ w) / denom
-        for k, obs in enumerate(single_obs):
-            single_vals[k, start:start + block] = (obs @ w) / denom
-    return pair_vals, single_vals
+    pair_vals = np.empty((len(betas), len(pair_obs), nb))
+    single_vals = np.empty((len(betas), len(single_obs), nb))
+    cols = _batch_columns(n)
+    for start in range(0, nb, cols):
+        h = eprod @ cs[start:start + cols].T  # (2^n, b)
+        h_max = h.max(axis=0)
+        for k, b in enumerate(betas):
+            w = h if k == len(betas) - 1 else np.empty_like(h)
+            np.multiply(h, b, out=w)
+            w -= b * h_max
+            np.exp(w, out=w)
+            denom = w.sum(axis=0)
+            for vals, obs_list in ((pair_vals, pair_obs), (single_vals, single_obs)):
+                for m, obs in enumerate(obs_list):
+                    vals[k, m, start:start + cols] = (obs @ w) / denom
+    if np.ndim(beta) == 0:
+        return pair_vals[0], single_vals[0]
+    return np.moveaxis(pair_vals, 0, -1), np.moveaxis(single_vals, 0, -1)

@@ -17,6 +17,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import numpy.random as npr  # numpy 2 loads it lazily: import it with the package
 
 from .errors import CapacityError, ValidationError
 
@@ -40,8 +41,8 @@ def substream(seed: int, *path) -> np.random.Generator:
     if not isinstance(seed, (int, np.integer)):
         raise ValidationError(f"seed must be an integer, got {type(seed).__name__}")
     key = tuple(_key_part(p) for p in path)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    ss = npr.SeedSequence(entropy=int(seed), spawn_key=key)
+    return npr.Generator(npr.Philox(ss))
 
 
 def check_replicas(replicas: int, values: int) -> None:

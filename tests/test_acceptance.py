@@ -378,7 +378,7 @@ def test_criterion_10_chaos_curves():
             base = rng.standard_normal(g.n_edges)
             cm = gibbs.exact_correlations(gibbs.spin_system(g, base, 0.9))
             self_overlap[k] = gibbs.overlap_second_moment(cm, cm)
-        for kind in chaos.PERTURBATION_KINDS:
+        for kind in dis.PERTURBATION_KINDS:
             curve = chaos.chaos_curve(g, IDENT, 0.9, kind, grid, 200, SEED)
             assert np.array_equal(curve.per_replica[:, 0], self_overlap), name
             assert np.all(curve.estimates >= 0.0) and np.all(curve.estimates <= 1.0)

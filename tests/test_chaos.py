@@ -105,7 +105,7 @@ def test_t_zero_reuses_unperturbed_correlations(monkeypatch, source, beta, kind,
         assert np.array_equal(curve.per_replica[k], row)
 
 
-@pytest.mark.parametrize("kind", chaos.PERTURBATION_KINDS)
+@pytest.mark.parametrize("kind", dis.PERTURBATION_KINDS)
 def test_beta_zero_curve_is_one_over_n(kind):
     g = fixtures.ring(5)
     curve = chaos.chaos_curve(g, IDENT, 0.0, kind, [0.0, 0.3, 2.0], 3, 7)
@@ -232,7 +232,7 @@ def test_monotonicity_check_synthetic():
 
 def test_emitted_curve_is_monotone():
     g = fixtures.ring(6)
-    for kind in chaos.PERTURBATION_KINDS:
+    for kind in dis.PERTURBATION_KINDS:
         curve = chaos.chaos_curve(g, IDENT, 0.7, kind, [0.0, 0.2, 0.6, 1.2], 100, 17)
         assert all(r["ok"] for r in chaos.monotonicity_check(curve))
 
@@ -461,6 +461,16 @@ def test_audit_path_graph():
     assert rep.e_phi_sq > sum(r.value ** 2 for r in rep.rows) > 0.9 * rep.e_phi_sq
 
 
+def test_audit_pair_must_be_vertices():
+    # a library call with j past the last vertex stops in check_audit, not
+    # with an IndexError inside batch_moments
+    g = chaos.remark_graph()
+    for i, j in ((0, 9), (-1, 1), (0, g.n)):
+        with pytest.raises(ValidationError):
+            chaos.coefficient_audit(g, IDENT, 1.0, i, j, 2, 4)
+    chaos.check_audit(g, 1.0, 0, g.n - 1, 2, 4)
+
+
 def test_audit_remark_graph_unforced_zero():
     g = chaos.remark_graph()
     rep = chaos.coefficient_audit(g, IDENT, 1.0, 0, 1, degree_cap=5, order=14)
@@ -540,6 +550,14 @@ def test_bridged_coefficient_routes():
         # documented tensor truncation, checked in acceptance
         assert out["quadrature_gap"] < 1e-6
         assert out["value"] > 0.01
+
+
+def test_bridged_betas_share_the_kernel_bitwise():
+    # the suite's betas share every batch_moments call, one grid pass per
+    # beta; each value is the bits of its own one-beta evaluation
+    for k in (0, 2):
+        shared = chaos._bridged_coefficients(k, (0.5, 1.0), 8)
+        assert shared == [chaos.bridged_coefficient(k, beta, 8) for beta in (0.5, 1.0)]
 
 
 def test_counterexample_suite_structure():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinchaos import gibbs
+from spinchaos import chaos, gibbs
 from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
 from spinchaos.errors import CapacityError, ValidationError
@@ -343,7 +343,7 @@ def test_batch_moments_match_loop(rng, monkeypatch):
     cs = rng.standard_normal((37, g.n_edges))
     pairs = [(0, 1), (0, g.n - 1)]
     singles = [0, g.n - 1]
-    monkeypatch.setattr(gibbs, "BATCH_COLUMNS", 8)  # 37 columns span several blocks
+    monkeypatch.setattr(gibbs, "BATCH_COLUMNS", (8, 8))  # 37 columns span several blocks
     pv, sv = batch_moments(g, cs, beta, pairs, singles)
     for b in range(cs.shape[0]):
         cm = exact_correlations(spin_system(g, cs[b], beta))
@@ -352,8 +352,9 @@ def test_batch_moments_match_loop(rng, monkeypatch):
         for k, i in enumerate(singles):
             assert sv[k, b] == pytest.approx(cm.means[i], abs=1e-12)
     # stacked from one-row blocks, the table and every moment are the same
-    # bits; a budget that small also leaves one coupling column per product
-    monkeypatch.setattr(gibbs, "BATCH_COLUMNS", 1)
+    # bits; a budget that small also leaves the floor of two coupling
+    # columns per product
+    monkeypatch.setattr(gibbs, "BATCH_COLUMNS", (2, 2))
     pv, sv = batch_moments(g, cs, beta, pairs, singles)
     few_rows_per_block(monkeypatch, g, 1)
     assert len(list(gibbs._half_blocks(g))) > 1
@@ -363,16 +364,49 @@ def test_batch_moments_match_loop(rng, monkeypatch):
 
 
 def test_batch_columns_follow_the_byte_budget(monkeypatch):
-    # at N = 16 the budget leaves TABLE_BYTES // (8 << 16) = 128 coupling
-    # columns per product; twice the budget takes 256 over the same
-    # one-block table (the match is bitwise with OpenBLAS 0.3.31)
+    # the (2^N, columns) work block stays near BATCH_BLOCK_BYTES within
+    # BATCH_COLUMNS; TABLE_BYTES // (8 << N) lowers it only past that, and
+    # nothing lowers it to one column
+    assert [gibbs._batch_columns(n) for n in (4, 7, 8, 9, 10, 16, 18, 20)] == [
+        1024, 512, 256, 128, 64, 64, 32, 8]
     g = hypergraph(16, [(k, k + 1) for k in range(15)] + [(0, 5, 9)])
     cs = substream(3, "columns").standard_normal((300, g.n_edges))
     args = (g, cs, 0.8, [(0, 8), (3, 4)], [0, 9])
-    narrow = batch_moments(*args)
-    monkeypatch.setattr(gibbs, "TABLE_BYTES", 2 * gibbs.TABLE_BYTES)
-    for a, b in zip(narrow, batch_moments(*args)):
+    wide = batch_moments(*args)
+    monkeypatch.setattr(gibbs, "TABLE_BYTES", gibbs.TABLE_BYTES // 4)
+    assert gibbs._batch_columns(16) == 32
+    # 32 columns per product against 64 over the same one-block table; the
+    # tail blocks differ (12 and 44 columns), so the match is not bitwise
+    for a, b in zip(wide, batch_moments(*args)):
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14)
+    monkeypatch.setattr(gibbs, "TABLE_BYTES", 8)
+    assert gibbs._batch_columns(3) == 2
+
+
+@pytest.mark.parametrize("n", [7, 11, 16])
+def test_batch_moments_share_betas_bitwise(n):
+    # several betas share each block's GEMM and column max; each beta's
+    # moments are the bits of its own one-beta call, over three or more
+    # column blocks and on graphs with odd (arity-3) edges
+    g = {7: chaos.two_lobe_graph(0)[0], 11: chaos.two_lobe_graph(3)[0],
+         16: hypergraph(16, [(k, k + 1) for k in range(15)] + [(0, 5, 9)])}[n]
+    rows = 2 * gibbs._batch_columns(n) + 37
+    cs = substream(5, "betas", n).standard_normal((rows, g.n_edges))
+    betas = (0.0, 0.5, 1.0, 2.5)
+    pairs, singles = [(0, 1), (2, n - 1)], [0, n - 1]
+    pv, sv = batch_moments(g, cs, betas, pairs, singles)
+    assert pv.shape == (2, rows, 4) and sv.shape == (2, rows, 4)
+    for k, beta in enumerate(betas):
+        p1, s1 = batch_moments(g, cs, beta, pairs, singles)
+        assert p1.shape == (2, rows)
+        assert np.array_equal(pv[..., k], p1) and np.array_equal(sv[..., k], s1)
+
+
+@pytest.mark.parametrize("beta", [-0.5, math.inf, math.nan, (0.5, -1.0)])
+def test_batch_moments_rejects_bad_beta(beta):
+    g = ring(4)
+    with pytest.raises(ValidationError):
+        batch_moments(g, np.ones((3, 4)), beta, [(0, 1)])
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -9,11 +9,19 @@ counts as called when any call site names it as an attribute. A call
 inside the defining module counts too, since the module itself is then
 its caller. Nothing is exempt: even the console entry point cli.main is
 called by criterion 13. No module in src/ or tests/ imports a name it
-never reads; the re-exports of the package's __init__ are exempt.
+never reads; the re-exports of the package's __init__ are exempt. Importing
+the CLI loads no scipy submodule that only one experiment path needs.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+from scipy.special import erfc
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "spinchaos"
@@ -105,3 +113,24 @@ def test_every_import_is_used():
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [hit for path in files if path.name != "__init__.py" for hit in unused_imports(path)]
     assert not unused, f"imported and never used: {unused}"
+
+
+def test_cli_import_defers_scipy():
+    # scipy.special (pareto-tail rho) and scipy.integrate (adaptive
+    # quadrature) are imported where they are called; numpy.random, which
+    # numpy 2 loads lazily, comes with the package
+    code = (
+        "import json, sys\n"
+        "import spinchaos.cli\n"
+        "loaded = [m in sys.modules for m in ('scipy.special', 'scipy.integrate', 'numpy.random')]\n"
+        "from spinchaos.disorder import DisorderModel, rho\n"
+        "vals = rho(DisorderModel('pareto-tail', alpha=1.3), [-2.5, -0.1, 0.0, 0.7, 4.0])\n"
+        "print(json.dumps({'loaded': loaded, 'rho': [v.hex() for v in vals]}))\n")
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                    text=True, check=True, timeout=120).stdout)
+    assert out["loaded"] == [False, False, True]
+    x = np.array([-2.5, -0.1, 0.0, 0.7, 4.0])  # the map as written with a module-level erfc
+    before = np.sign(x) * erfc(np.abs(x) / np.sqrt(2.0)) ** (-1.0 / 1.3)
+    assert out["rho"] == [float(v).hex() for v in before]
