@@ -8,13 +8,13 @@ a float) means the uniform measure over ground states.
 Every exact routine reads one cached table per graph: the 2^b lowest
 +-1 states, with every spin at bit b and above at -1, and the products
 of each edge's spins, where 2^b is the largest power of two of rows that
-fits TABLE_BYTES (at most 2^(N-1)). Any block of 2^b consecutive states
-is that table with some high spins flipped to +1, so its states and edge
-products are the table's times +-1 signs (_flip); the kernels fold the
-signs into the couplings and accumulators instead of rebuilding rows.
-Multiplying by +-1 is exact, so the folding costs no bits. Exact routines
-are capped at N = 24; larger systems go through the Glauber sampler,
-flagged as an estimate.
+fits TABLE_BYTES (at most 2^(N-1)), built by row doubling (_table). Any
+block of 2^b consecutive states is that table with some high spins
+flipped to +1, so its rows are the table's times +-1 signs (_flip); the
+kernels fold the signs into the couplings and accumulators instead of
+rebuilding rows. Multiplying by +-1 is exact, so the doubling and the
+folding cost no bits. Exact routines are capped at N = 24; larger systems
+go through the Glauber sampler, flagged as an estimate.
 """
 
 from __future__ import annotations
@@ -103,25 +103,6 @@ def _states(idx: np.ndarray, n: int) -> np.ndarray:
     return (2.0 * bits - 1.0)
 
 
-def _edge_products(states: np.ndarray, edges) -> np.ndarray:
-    out = np.empty((states.shape[0], len(edges)))
-    for k, e in enumerate(edges):
-        p = states[:, e[0]].copy()
-        for v in e[1:]:
-            p *= states[:, v]
-        out[:, k] = p
-    return out
-
-
-@lru_cache(maxsize=1)
-def _low_table(n: int, edges: tuple, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    states = _states(np.arange(rows, dtype=np.int64), n)
-    eprod = _edge_products(states, edges)
-    states.flags.writeable = False  # shared by every caller of the cache
-    eprod.flags.writeable = False
-    return states, eprod
-
-
 def _flip(graph: Hypergraph, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """(per-spin, per-edge) +-1 signs that turn the spins set in bits from
     -1 to +1: the flipped states are states * spin and their edge
@@ -132,17 +113,38 @@ def _flip(graph: Hypergraph, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return spin, sign
 
 
+def _table(graph: Hypergraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(states, edge products) of the indices 0..rows - 1, rows a power of
+    two, by doubling: row 0 has every spin at -1, and rows 2^v..2^(v+1) - 1
+    are rows 0..2^v - 1 times the signs of _flip(graph, 2^v)."""
+    states = np.empty((rows, graph.n))
+    eprod = np.empty((rows, graph.n_edges))
+    states[0], eprod[0] = _flip(graph, (1 << graph.n) - 1)
+    for v in range(rows.bit_length() - 1):
+        spin, sign = _flip(graph, 1 << v)
+        np.multiply(states[:1 << v], spin, out=states[1 << v:2 << v])
+        np.multiply(eprod[:1 << v], sign, out=eprod[1 << v:2 << v])
+    return states, eprod
+
+
+@lru_cache(maxsize=1)
+def _low_table(graph: Hypergraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    states, eprod = _table(graph, rows)
+    states.flags.writeable = False  # shared by every caller of the cache
+    eprod.flags.writeable = False
+    return states, eprod
+
+
 def _half_blocks(graph: Hypergraph):
     """(start, states, edge products, spin signs, edge signs) blocks over
     the 2^(N-1) states with the top spin at -1, in index order. states
     and edge products are the cached low table; the block's own are them
     times the signs of _flip(graph, start). The complement of index i is
     2^N - 1 - i."""
-    n, edges = graph.n, graph.edges
-    half = 1 << (n - 1)
-    fit = TABLE_BYTES // (8 * (n + len(edges)))
+    half = 1 << (graph.n - 1)
+    fit = TABLE_BYTES // (8 * (graph.n + graph.n_edges))
     rows = min(half, 1 << max(fit.bit_length() - 1, 0))
-    states, eprod = _low_table(n, edges, rows)
+    states, eprod = _low_table(graph, rows)
     for start in range(0, half, rows):
         yield (start, states, eprod, *_flip(graph, start))
 
@@ -315,10 +317,11 @@ def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
 
     for _ in range(burn_in):
         sweep()
-    per_batch = sweeps // MCMC_BATCHES
     batch_corr = np.zeros((MCMC_BATCHES, n, n))
     batch_mean = np.zeros((MCMC_BATCHES, n))
     for b in range(MCMC_BATCHES):
+        # the first sweeps % MCMC_BATCHES batches take one sweep more
+        per_batch = sweeps // MCMC_BATCHES + (b < sweeps % MCMC_BATCHES)
         acc = np.zeros((n, n))
         accm = np.zeros(n)
         for _ in range(per_batch):
@@ -375,13 +378,8 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     cs = np.atleast_2d(np.asarray(couplings, dtype=float))
     if cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")
-    # the half table plus its copy with the top spin flipped to +1
-    blocks = list(_half_blocks(graph))
-    lo = np.vstack([states * spin for _, states, _, spin, _ in blocks])
-    lo_eprod = np.vstack([eprod * sign for _, _, eprod, _, sign in blocks])
-    top_spin, top_sign = _flip(graph, 1 << (n - 1))
-    states = np.vstack((lo, lo * top_spin))
-    eprod = np.vstack((lo_eprod, lo_eprod * top_sign))
+    # uncached, so it neither evicts the half table nor outlives the call
+    states, eprod = _table(graph, 1 << n)
     pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
     single_obs = [states[:, i] for i in singles]
     nb = cs.shape[0]

@@ -22,6 +22,16 @@ def all_states(n: int) -> np.ndarray:
     return np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
 
 
+def bit_decoded_table(graph: Hypergraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(states, edge products) of the indices 0..rows - 1, decoded bit by
+    bit (spin k of index i is +1 iff bit k of i is set), with each edge
+    product an np.prod over the edge's spins."""
+    states = np.array([[1.0 if (i >> k) & 1 else -1.0 for k in range(graph.n)]
+                       for i in range(rows)])
+    eprod = np.array([[np.prod(row[list(e)]) for e in graph.edges] for row in states])
+    return states, eprod.reshape(rows, graph.n_edges)
+
+
 def dense_energies(graph: Hypergraph, couplings, states: np.ndarray) -> np.ndarray:
     vals = np.zeros(len(states))
     for c, edge in zip(couplings, graph.edges):

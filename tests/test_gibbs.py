@@ -19,7 +19,7 @@ from spinchaos.gibbs import (batch_moments, exact_correlations,
 from spinchaos.hypergraph import hypergraph
 from spinchaos.rng import substream
 
-from conftest import (dense_correlations, dense_ground_correlations,
+from conftest import (bit_decoded_table, dense_correlations, dense_ground_correlations,
                       dense_ground_states, hamiltonian, random_hypergraph)
 
 
@@ -154,6 +154,24 @@ def test_blocks_are_the_table_times_flip_signs(rng, monkeypatch, rows):
     spin, sign = gibbs._flip(g, (1 << g.n) - 1)  # the global flip
     assert np.all(spin == -1.0)
     assert np.array_equal(sign, [(-1.0) ** len(e) for e in g.edges])
+
+
+@pytest.mark.parametrize("graph", [
+    hypergraph(7, [(0, 1), (1, 2, 3), (0, 2, 4, 6), (3, 5), (2, 5, 6)]),
+    hypergraph(6, [(0, 1, 2, 3), (2, 3, 4, 5), (1, 4, 5)]),
+    hypergraph(5, []),
+    hypergraph(1, []),
+    "random"], ids=["arity-2-4", "arity-3-4", "no-edges", "one-spin", "random"])
+def test_table_matches_bit_decoded_oracle(rng, graph):
+    # every row count from one row to the full 2^N, on arities 2-4 and on
+    # graphs with no edges: the same values as decoding the index bits
+    g = random_hypergraph(rng, n_max=8, e_max=7, arities=(2, 3, 4)) if graph == "random" else graph
+    for rows in sorted({1, 2, 1 << (g.n // 2), 1 << (g.n - 1), 1 << g.n}):
+        states, eprod = gibbs._table(g, rows)
+        want_states, want_eprod = bit_decoded_table(g, rows)
+        for got, want in ((states, want_states), (eprod, want_eprod)):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_table_cache_shared_by_threads(rng):
@@ -298,6 +316,31 @@ def test_mcmc_large_beta_does_not_overflow():
         assert np.array_equal(samp.corr, ground.corr)
 
 
+class CountingGenerator:
+    """A generator that counts the sweeps drawn from it: each sweep makes
+    one rng.random(n) draw."""
+
+    def __init__(self, rng):
+        self.rng, self.sweeps = rng, 0
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def random(self, size):
+        self.sweeps += 1
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("sweeps", [32, 33, 63, 64, 95])
+def test_mcmc_runs_every_requested_sweep(sweeps):
+    # 63 sweeps used to run 32: sweeps % MCMC_BATCHES were dropped
+    rng = CountingGenerator(substream(9, "count-sweeps"))
+    samp = mcmc_correlations(spin_system(ring(4), np.ones(4), 0.5), rng,
+                             sweeps=sweeps, burn_in=3)
+    assert rng.sweeps == 3 + sweeps
+    assert np.all(np.isfinite(samp.corr)) and np.all(np.abs(samp.means) <= 1.0)
+
+
 def test_mcmc_validation():
     sys = spin_system(ring(4), np.ones(4), 1.0)
     with pytest.raises(ValidationError):
@@ -351,9 +394,9 @@ def test_batch_moments_match_loop(rng, monkeypatch):
             assert pv[k, b] == pytest.approx(cm.corr[i, j], abs=1e-12)
         for k, i in enumerate(singles):
             assert sv[k, b] == pytest.approx(cm.means[i], abs=1e-12)
-    # stacked from one-row blocks, the table and every moment are the same
-    # bits; a budget that small also leaves the floor of two coupling
-    # columns per product
+    # with one-row half-table blocks every moment is the same bits, since
+    # batch_moments builds its own full table; a budget that small also
+    # leaves the floor of two coupling columns per product
     monkeypatch.setattr(gibbs, "BATCH_COLUMNS", (2, 2))
     pv, sv = batch_moments(g, cs, beta, pairs, singles)
     few_rows_per_block(monkeypatch, g, 1)
@@ -361,6 +404,10 @@ def test_batch_moments_match_loop(rng, monkeypatch):
     pv_blocked, sv_blocked = batch_moments(g, cs, beta, pairs, singles)
     assert np.array_equal(pv_blocked, pv)
     assert np.array_equal(sv_blocked, sv)
+    # and it leaves the cached half table where it was
+    cached = gibbs._low_table.cache_info()
+    batch_moments(g, cs, beta, pairs, singles)
+    assert gibbs._low_table.cache_info() == cached
 
 
 def test_batch_columns_follow_the_byte_budget(monkeypatch):
@@ -422,12 +469,33 @@ def test_batch_moments_peak_memory():
         "g = hypergraph(18, [(0, 1), (1, 2, 3), (4, 17)])\n"
         "batch_moments(g, np.ones((256, 3)), 0.7, [(0, 17)])\n"
         "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln[:6] == 'VmHWM:'))\n")
+    assert peak_memory_mb(code) < 400.0
+
+
+def peak_memory_mb(code: str) -> float:
+    """VmHWM in MB of a fresh single-threaded interpreter running code,
+    which must end by printing its own VmHWM in kB."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=300)
-    assert int(out.stdout) / 1024 < 400.0  # MB; VmHWM is in kB
+    return int(out.stdout) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_batch_moments_full_table_peak_memory():
+    # a fresh interpreter, one N = 20 call on 4 coupling vectors: the full
+    # 2^N table of the 20-edge ring is 320 MB; stacked from per-block
+    # copies it peaked at 638 MB, built in place by doubling at 398 MB
+    code = (
+        "import numpy as np\n"
+        "from spinchaos.gibbs import batch_moments\n"
+        "from spinchaos.hypergraph import hypergraph\n"
+        "g = hypergraph(20, [(k, k + 1) for k in range(19)] + [(0, 19)])\n"
+        "batch_moments(g, np.ones((4, 20)), 0.7, [(0, 10)], [3])\n"
+        "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln[:6] == 'VmHWM:'))\n")
+    assert peak_memory_mb(code) < 520.0
 
 
 def test_identity_functional_vectorizes(rng):
