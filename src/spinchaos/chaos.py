@@ -348,8 +348,7 @@ def check_audit(graph, beta, i: int, j: int, degree_cap: int, order: int) -> Non
     if not isinstance(graph, Hypergraph) or beta is None:
         raise ValidationError("coefficient-audit needs a fixed graph and finite beta")
     for v in (i, j):
-        if not 0 <= v < graph.n:
-            raise ValidationError(f"audit vertex {v} outside [0, {graph.n})")
+        graph.check_vertex(v)
     gibbs.check_size(graph.n, gibbs.BATCH_MAX_N)
     hermite.check_sweep(graph.n_edges, degree_cap, order)
 

@@ -63,8 +63,7 @@ def hermite_values(max_degree: int, x) -> np.ndarray:
 
 
 def _check_index(n: MultiIndex, n_edges: int):
-    if n.degrees and n.degrees[-1][0] >= n_edges:
-        raise ValidationError(f"multi-index touches edge {n.degrees[-1][0]} of {n_edges}")
+    n.check_edges(n_edges)
     if n.total_degree > MAX_TOTAL_DEGREE:
         raise CapacityError(f"|n| = {n.total_degree} above cap {MAX_TOTAL_DEGREE}")
     for eid, d in n.degrees:
@@ -246,11 +245,8 @@ def sign_criterion(g: Hypergraph, n: MultiIndex, i: int, j: int) -> SignVerdict:
     a_v = (-1)^{x_v} gives I_n(a) = (-1)^{<parity, x>}, so a flip with
     I_n(a) = -1 exists iff the parity vector is nonzero.
     """
-    for v in (i, j):
-        if not 0 <= v < g.n:
-            raise ValidationError(f"vertex {v} outside [0, {g.n})")
-    if n.degrees and n.degrees[-1][0] >= g.n_edges:
-        raise ValidationError(f"multi-index touches edge {n.degrees[-1][0]} of {g.n_edges}")
+    i, j = g.check_vertex(i), g.check_vertex(j)
+    n.check_edges(g.n_edges)
     parity = np.zeros(g.n, dtype=np.int64)
     parity[i] ^= 1
     parity[j] ^= 1

@@ -9,16 +9,21 @@ and L distinct edges with consecutive vertex pairs contained in the
 connecting edge; distance is the minimum path length (0 for a vertex to
 itself, inf across components); a cycle is the closed variant with
 length >= 2, so two edges sharing two vertices already form one.
+
+One traversal serves all of Berge geometry: `_rounds` walks the CSR
+incidence from a root in the rounds of the diluted model's exploration
+(randgraph.explore), and round t reveals exactly the vertices at Berge
+distance t. Balls, ball sizes, distances, components and connectivity
+inside an edge subset all read its vertex layers.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -95,12 +100,19 @@ class Hypergraph:
         ids = np.repeat(np.arange(len(arity)), arity)[order]
         return ptr.tolist(), tuple(ids.tolist())
 
-    def incident(self, v: int) -> tuple[int, ...]:
-        """Edge ids containing vertex v, ascending."""
+    def check_vertex(self, v) -> int:
+        """v as an int in [0, N); numpy ints pass, floats and other non-integers are refused."""
+        v = _integer(v, "vertex")
         if not 0 <= v < self.n:
             raise ValidationError(f"vertex {v} outside [0, {self.n})")
-        ptr, ids = self._incident
-        return ids[ptr[v]:ptr[v + 1]]
+        return v
+
+
+def _integer(x, what: str) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {x!r}") from None
 
 
 def hypergraph(n: int, edges) -> Hypergraph:
@@ -148,17 +160,18 @@ class MultiIndex:
     def as_dict(self) -> dict[int, int]:
         return dict(self.degrees)
 
+    def check_edges(self, n_edges: int):
+        """Every edge id in [0, n_edges); the ids are sorted and >= 0."""
+        if self.degrees and self.degrees[-1][0] >= n_edges:
+            raise ValidationError(
+                f"multi-index edge id {self.degrees[-1][0]} outside [0, {n_edges})")
+
 
 def multi_index(degrees) -> MultiIndex:
     """Build from a mapping or iterable of (edge_id, degree); zeros dropped."""
     items = degrees.items() if hasattr(degrees, "items") else degrees
     kept = sorted((int(e), int(d)) for e, d in items if int(d) != 0)
     return MultiIndex(tuple(kept))
-
-
-def _check_vertex(g: Hypergraph, v: int):
-    if not (0 <= v < g.n):
-        raise ValidationError(f"vertex {v} outside [0, {g.n})")
 
 
 def _resolve_edges(g: Hypergraph, edge_ids) -> list[int]:
@@ -175,66 +188,75 @@ def _resolve_edges(g: Hypergraph, edge_ids) -> list[int]:
     return out
 
 
-def _bfs_layers(g: Hypergraph, root: int, edge_ids=None, max_depth=None):
-    """Vertex distances from root through the allowed edges.
+def _rounds(g: Hypergraph, root: int, max_depth: int | None = None, allowed=None):
+    """The exploration from root through the edge ids in `allowed` (all
+    edges if None), one round at a time, until extinction or max_depth.
 
-    A shortest vertex walk through edges automatically has distinct
-    vertices and edges, so this is exactly the Berge distance.
+    Round t yields (I_t, E_t, A_t, D_t): the fresh vertices, sorted; the
+    edge ids revealed entering round t, in discovery order; the A events,
+    revealed edges that meet the previous frontier twice; and the D
+    events, pairs of revealed edges that claim one fresh vertex. Round 0
+    is ([root], [], 0, 0). An edge is revealed in the round after its
+    first vertex enters the frontier, so I_t is exactly the set of
+    vertices at Berge distance t: a shortest walk through edges already
+    has distinct vertices and edges. The last round may have no fresh
+    vertex, only edges that close cycles. Callers read the yielded lists
+    and never change them.
     """
-    allowed = None if edge_ids is None else set(_resolve_edges(g, edge_ids))
-    dist = {root: 0}
-    frontier = deque([root])
-    edge_seen = set()
-    d = 0
-    while frontier and (max_depth is None or d < max_depth):
-        d += 1
-        nxt = deque()
-        for _ in range(len(frontier)):
-            v = frontier.popleft()
-            for eid in g.incident(v):
-                if eid in edge_seen or (allowed is not None and eid not in allowed):
+    root = g.check_vertex(root)
+    depth = math.inf if max_depth is None else _integer(max_depth, "max_depth")
+    if depth < 0:
+        raise ValidationError(f"max_depth must be >= 0, got {depth}")
+    ptr, ids = g._incident
+    edges = g.edges
+    # an edge first met in round t holds no vertex of an earlier frontier,
+    # whose edges were all met before: each of its vertices is either in
+    # the last frontier or fresh
+    found = {root}
+    seen_edges: set[int] = set()
+    frontier = [root]
+    yield frontier, [], 0, 0
+    t = 0
+    while frontier and t < depth:
+        t += 1
+        revealed: list[int] = []
+        claims: dict[int, int] = {}  # fresh vertex -> revealed edges holding it
+        a_cnt = d_cnt = 0
+        for v in frontier:
+            for eid in ids[ptr[v]:ptr[v + 1]]:
+                if eid in seen_edges or (allowed is not None and eid not in allowed):
                     continue
-                edge_seen.add(eid)
-                for u in g.edges[eid]:
-                    if u not in dist:
-                        dist[u] = d
-                        nxt.append(u)
-        frontier = nxt
-    return dist
+                seen_edges.add(eid)
+                revealed.append(eid)
+                hits_i = 0
+                for u in edges[eid]:
+                    if u in found:
+                        hits_i += 1
+                    else:
+                        c = claims.get(u, 0)
+                        d_cnt += c  # a pair with each earlier claim
+                        claims[u] = c + 1
+                if hits_i >= 2:
+                    a_cnt += 1
+        frontier = sorted(claims)
+        found.update(frontier)
+        yield frontier, revealed, a_cnt, d_cnt
 
 
-def berge_distance(g: Hypergraph, u: int, v: int, edge_ids=None) -> float:
+def berge_distance(g: Hypergraph, u: int, v: int) -> float:
     """Minimum Berge path length; 0 if u == v, inf if disconnected."""
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        return 0
-    dist = _bfs_layers(g, u, edge_ids)
-    return dist.get(v, math.inf)
+    v = g.check_vertex(v)
+    return next((t for t, (fresh, _, _, _) in enumerate(_rounds(g, u)) if v in fresh), math.inf)
 
 
-def ball(g: Hypergraph, v: int, r: int, edge_ids=None) -> frozenset[int]:
+def ball(g: Hypergraph, v: int, r: int) -> frozenset[int]:
     """B_r(v): vertices within Berge distance r."""
-    _check_vertex(g, v)
-    if r < 0:
-        raise ValidationError(f"radius must be >= 0, got {r}")
-    return frozenset(_bfs_layers(g, v, edge_ids, max_depth=r))
+    return frozenset(chain.from_iterable(fresh for fresh, _, _, _ in _rounds(g, v, r)))
 
 
 def ball_sizes(g: Hypergraph, v: int) -> list[int]:
     """|B_r(v)| for r = 0, 1, ... up to the eccentricity of v."""
-    _check_vertex(g, v)
-    dist = _bfs_layers(g, v)
-    ecc = max(dist.values())
-    counts = [0] * (ecc + 1)
-    for d in dist.values():
-        counts[d] += 1
-    out = []
-    total = 0
-    for c in counts:
-        total += c
-        out.append(total)
-    return out
+    return list(accumulate(len(fresh) for fresh, _, _, _ in _rounds(g, v) if fresh))
 
 
 def has_berge_cycle(g: Hypergraph, edge_ids=None) -> bool:
@@ -277,23 +299,21 @@ def ball_is_hypertree(g: Hypergraph, v: int, r: int) -> bool:
 
 def vertex_support(g: Hypergraph, n: MultiIndex) -> frozenset[int]:
     """V(n): vertices covered by edges in the support of n."""
-    out = set()
-    for eid in n.support:
-        if not (0 <= eid < g.n_edges):
-            raise ValidationError(f"multi-index edge id {eid} outside [0, {g.n_edges})")
-        out.update(g.edges[eid])
-    return frozenset(out)
+    n.check_edges(g.n_edges)
+    return frozenset(chain.from_iterable(g.edges[eid] for eid in n.support))
 
 
-def component(g: Hypergraph, v: int, edge_ids=None) -> frozenset[int]:
-    """C(v): vertex set of the connected component of v through the
-    allowed edges; {v} if v meets none of them."""
-    _check_vertex(g, v)
-    return frozenset(_bfs_layers(g, v, edge_ids))
+def component(g: Hypergraph, v: int) -> frozenset[int]:
+    """C(v): vertex set of the connected component of v; {v} if v is in
+    no edge."""
+    return frozenset(chain.from_iterable(fresh for fresh, _, _, _ in _rounds(g, v)))
 
 
-def connected_in(g: Hypergraph, u: int, v: int, edge_ids=None) -> bool:
-    return berge_distance(g, u, v, edge_ids) != math.inf
+def connected_in(g: Hypergraph, u: int, v: int, edge_ids) -> bool:
+    """Whether a Berge path inside the given edge ids joins u and v."""
+    v = g.check_vertex(v)
+    allowed = set(_resolve_edges(g, edge_ids))
+    return any(v in fresh for fresh, _, _, _ in _rounds(g, u, allowed=allowed))
 
 
 def to_text(g: Hypergraph) -> str:

@@ -10,7 +10,9 @@ vertices first reached at round t, E_t the edges that pulled them in.
 Cycle events are counted per round: an A event is a revealed edge meeting
 the previous frontier twice, a D event is two revealed edges claiming a
 common fresh vertex. The revealed edge sets form a hypertree exactly when
-no round flags an event.
+no round flags an event. The rounds are hypergraph's one Berge traversal,
+the same that grows balls and measures distances, so I_t is the set of
+vertices at Berge distance t from the root.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import filterfalse, islice
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _rounds
 from .rng import check_replicas, mean_se, replicate
 
 MAX_N_LOW_ARITY = 100_000
@@ -133,74 +135,16 @@ class ExplorationTrace:
 
 def explore(g: Hypergraph, root: int, max_depth: int | None = None) -> ExplorationTrace:
     """Run the exploration from the root until extinction or max_depth."""
-    if not 0 <= root < g.n:
-        raise ValidationError(f"root {root} outside [0, {g.n})")
-    if max_depth is not None and max_depth < 0:
-        raise ValidationError(f"max_depth must be >= 0, got {max_depth}")
-    in_r = bytearray(g.n)  # removed
-    in_i = bytearray(g.n)  # current frontier
-    in_i[root] = 1
-    frontier = [root]
-
-    i_sets = [frozenset([root])]
-    e_sets: list[tuple[int, ...]] = [()]
-    a_counts = [0]
-    d_counts = [0]
-    first_cycle = None
-
-    t = 0
-    while frontier and (max_depth is None or t < max_depth):
-        t += 1
-        revealed: list[int] = []
-        seen_edges: set[int] = set()
-        a_cnt = 0
-        for v in frontier:
-            for eid in g.incident(v):
-                if eid in seen_edges:
-                    continue
-                seen_edges.add(eid)
-                hits_r = False
-                hits_i = 0
-                for u in g.edges[eid]:
-                    if in_r[u]:
-                        hits_r = True
-                        break
-                    if in_i[u]:
-                        hits_i += 1
-                if hits_r:
-                    continue
-                revealed.append(eid)
-                if hits_i >= 2:
-                    a_cnt += 1
-        # fresh vertices and D events: two revealed edges claiming one
-        claims: dict[int, int] = {}
-        for eid in revealed:
-            for u in g.edges[eid]:
-                if not in_r[u] and not in_i[u]:
-                    claims[u] = claims.get(u, 0) + 1
-        d_cnt = sum(c * (c - 1) // 2 for c in claims.values())
-
-        for v in frontier:
-            in_r[v] = 1
-        new_frontier = sorted(claims)
-        for u in new_frontier:
-            in_i[u] = 1
-        for v in frontier:
-            in_i[v] = 0
-
-        i_sets.append(frozenset(new_frontier))
-        e_sets.append(tuple(sorted(revealed)))
-        a_counts.append(a_cnt)
-        d_counts.append(d_cnt)
-        if first_cycle is None and (a_cnt or d_cnt):
-            first_cycle = t
-        frontier = new_frontier
+    rounds = list(_rounds(g, root, max_depth))
     # drop the trailing empty frontier when the process died out
-    if len(i_sets) > 1 and not i_sets[-1] and not e_sets[-1]:
-        i_sets.pop(), e_sets.pop(), a_counts.pop(), d_counts.pop()
-    return ExplorationTrace(root=root, i_sets=tuple(i_sets), e_sets=tuple(e_sets),
-                            a_counts=tuple(a_counts), d_counts=tuple(d_counts),
-                            first_cycle_round=first_cycle)
+    if len(rounds) > 1 and not rounds[-1][0] and not rounds[-1][1]:
+        rounds.pop()
+    i_sets, e_sets, a_counts, d_counts = zip(*rounds)
+    flagged = (t for t, (a, d) in enumerate(zip(a_counts, d_counts)) if a or d)
+    return ExplorationTrace(root=root, i_sets=tuple(map(frozenset, i_sets)),
+                            e_sets=tuple(tuple(sorted(e)) for e in e_sets),
+                            a_counts=a_counts, d_counts=d_counts,
+                            first_cycle_round=next(flagged, None))
 
 
 def frontier_mean_bound(spec: DilutedSpec, t: int) -> float:

@@ -8,13 +8,14 @@ on. Slow is fine; these only run on small instances.
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from spinchaos.errors import ValidationError
-from spinchaos.hypergraph import Hypergraph, ball, hypergraph
+from spinchaos.hypergraph import Hypergraph, hypergraph
 
 
 def all_states(n: int) -> np.ndarray:
@@ -109,6 +110,30 @@ def berge_paths_exist(graph: Hypergraph, u: int, v: int):
     return best[0]
 
 
+def bfs_distances(graph: Hypergraph, root: int, max_depth=None) -> dict[int, int]:
+    """{vertex: Berge distance from root} for the vertices within
+    max_depth (all of the component if None): plain BFS over a deque,
+    each popped vertex scanning the whole edge list, every crossed edge
+    marked in one global seen set. A shortest vertex walk through edges
+    has distinct vertices and edges, so it is a Berge path."""
+    dist = {root: 0}
+    queue = deque([root])
+    seen_edges = set()
+    while queue:
+        v = queue.popleft()
+        if max_depth is not None and dist[v] >= max_depth:
+            continue
+        for eid, edge in enumerate(graph.edges):
+            if eid in seen_edges or v not in edge:
+                continue
+            seen_edges.add(eid)
+            for u in edge:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+    return dist
+
+
 def brute_has_berge_cycle(graph: Hypergraph) -> bool:
     """Exhaustive Berge cycle search: v_1, e_1, ..., v_l, e_l, v_1 with
     l >= 2, distinct vertices, distinct edges."""
@@ -134,10 +159,10 @@ def brute_has_berge_cycle(graph: Hypergraph) -> bool:
 
 def general_ball_bound(graph: Hypergraph, t: float) -> tuple[float, int]:
     """(min_r [ max_i |B_r(i)| / N + e^{-tr} ], its first argmin r) over
-    r = 0..N, every ball grown afresh by hypergraph.ball at its radius."""
+    r = 0..N, every ball grown afresh by the BFS oracle at its radius."""
     best = None
     for r in range(graph.n + 1):
-        widest = max(len(ball(graph, v, r)) for v in range(graph.n))
+        widest = max(len(bfs_distances(graph, v, r)) for v in range(graph.n))
         val = widest / graph.n + math.exp(-t * r)
         if best is None or val < best[0]:
             best = (val, r)

@@ -16,7 +16,7 @@ from spinchaos.hermite import (CoefficientEntry, CoefficientTable,
                                conditional_mean_resampled, gauss_hermite,
                                hermite_values, parseval_tail, semigroup_weight,
                                sign_criterion, weighted_coefficient_sum)
-from spinchaos.hypergraph import hypergraph, multi_index
+from spinchaos.hypergraph import hypergraph, multi_index, vertex_support
 from spinchaos.rng import substream
 
 from conftest import random_hypergraph, second_moment_quadrature, sign_product
@@ -282,6 +282,21 @@ def test_capacity_guards():
         coefficient_sweep(phi, 1, 11, 10)
     with pytest.raises(ValidationError):
         coeff_quadrature(phi, 2, multi_index({3: 1}), 8)
+
+
+def test_multi_index_edge_range_is_one_rule():
+    # the quadrature, the sign criterion and the vertex support share one
+    # check and one message
+    g = hypergraph(4, [(0, 1), (1, 2), (2, 3)])
+    for bad in (multi_index({3: 1}), multi_index({0: 2, 5: 1})):
+        calls = [lambda: coeff_quadrature(lambda rows: rows[:, 0], g.n_edges, bad, 4),
+                 lambda: sign_criterion(g, bad, 0, 1), lambda: vertex_support(g, bad)]
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"multi-index edge id \d outside \[0, 3\)"):
+                call()
+    for v in (4, -1, 1.0):
+        with pytest.raises(ValidationError):
+            sign_criterion(g, multi_index({0: 1}), v, 1)
 
 
 def test_adaptive_gaussian_mean():

@@ -16,6 +16,12 @@ from conftest import (berge_paths_exist, brute_has_berge_cycle, random_hypergrap
                       reference_validation_error)
 
 
+def incident(g, v):
+    """Edge ids containing v, read off the CSR incidence."""
+    ptr, ids = g._incident
+    return ids[ptr[v]:ptr[v + 1]]
+
+
 def figure1():
     # two 3-vertex lobes joined by a hub triple
     return hypergraph(7, [(1, 2, 3), (2, 3), (4, 5, 6), (5, 6), (0, 3, 6)])
@@ -67,7 +73,7 @@ def test_constructor_canonicalizes_and_validates():
     with pytest.raises(ValidationError, match=r"edge 0 must be sorted distinct vertices"):
         Hypergraph(3, ((1, 0), (0, -2**70)))
     # the empty edge set, and numpy ints that come in through hypergraph()
-    assert hypergraph(3, []).edges == () and hypergraph(3, []).incident(2) == ()
+    assert hypergraph(3, []).edges == () and incident(hypergraph(3, []), 2) == ()
     g = hypergraph(4, [np.array([2, 0]), (np.int64(3), np.int32(1))])
     assert g.edges == ((0, 2), (1, 3))
     assert all(type(v) is int for e in g.edges for v in e)
@@ -83,7 +89,7 @@ def test_constructor_canonicalizes_and_validates():
     with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids"):
         Hypergraph(3, ((0, 1), (1, np.float64(2.0))))
     g = Hypergraph(3, ((np.int64(0), np.int32(2)), (1, np.uint8(2))))
-    assert g.incident(2) == (0, 1) and g.incident(1) == (1,)
+    assert incident(g, 2) == (0, 1) and incident(g, 1) == (1,)
 
 
 def test_validation_matches_edge_by_edge_loop():
@@ -106,11 +112,12 @@ def test_validation_matches_edge_by_edge_loop():
 
 def test_incident():
     g = figure1()
-    assert g.incident(3) == (0, 1, 4)
-    assert g.incident(0) == (4,)
+    assert incident(g, 3) == (0, 1, 4)
+    assert incident(g, 0) == (4,)
+    assert g.check_vertex(np.int64(6)) == 6
     for v in (-1, 7, 100):
         with pytest.raises(ValidationError, match=r"outside \[0, 7\)"):
-            g.incident(v)
+            g.check_vertex(v)
 
 
 def test_incident_matches_brute_force(rng):
@@ -120,7 +127,7 @@ def test_incident_matches_brute_force(rng):
                                   for k in rng.integers(2, 5, size=600)}))
     for g in graphs:
         for v in range(g.n):
-            assert g.incident(v) == tuple(eid for eid, e in enumerate(g.edges) if v in e)
+            assert incident(g, v) == tuple(eid for eid, e in enumerate(g.edges) if v in e)
 
 
 def test_multi_index_basics():

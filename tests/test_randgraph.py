@@ -12,7 +12,8 @@ from spinchaos.randgraph import (diluted_spec, explore,
                                  probe_depth, sample_diluted)
 from spinchaos.rng import substream
 
-from conftest import brute_has_berge_cycle, random_hypergraph, reference_sample_diluted
+from conftest import (bfs_distances, brute_has_berge_cycle, random_hypergraph,
+                      reference_sample_diluted)
 
 
 def revealed_edges(trace) -> tuple[int, ...]:
@@ -131,16 +132,13 @@ def test_sampler_capacity_guard():
 
 
 def layers_oracle(g, root):
-    dist = {v: berge_distance(g, root, v) for v in range(g.n)}
-    max_d = max((d for d in dist.values() if d < math.inf), default=0)
-    i_sets = []
-    for t in range(int(max_d) + 1):
-        i_sets.append(frozenset(v for v, d in dist.items() if d == t))
-    e_by_round = {t: set() for t in range(int(max_d) + 2)}
+    dist = bfs_distances(g, root)
+    max_d = max(dist.values())
+    i_sets = [frozenset(v for v, d in dist.items() if d == t) for t in range(max_d + 1)]
+    e_by_round = {t: set() for t in range(max_d + 2)}
     for eid, e in enumerate(g.edges):
-        d = min(dist[v] for v in e)
-        if d < math.inf:
-            e_by_round[int(d) + 1].add(eid)
+        if e[0] in dist:  # an edge lies in the component with all its vertices or none
+            e_by_round[min(dist[v] for v in e) + 1].add(eid)
     return i_sets, e_by_round
 
 
@@ -186,7 +184,7 @@ def test_trace_partition_properties(rng):
         cum = set()
         for t, i_t in enumerate(tr.i_sets):
             cum |= i_t
-            assert frozenset(cum) == ball(g, root, t)
+            assert cum == set(bfs_distances(g, root, t))
 
 
 def test_flags_iff_revealed_cycle(rng):
@@ -242,6 +240,21 @@ def test_explore_validation():
     with pytest.raises(ValidationError, match="max_depth must be >= 0"):
         explore(g, 0, max_depth=-1)
     assert explore(g, 0, max_depth=0).i_sets == (frozenset({0}),)
+
+
+def test_traversal_rejects_non_integer_arguments():
+    # floats were truncated or compared: a radius 1.5 grew the radius-2
+    # ball, nan gave {0}, a target 1.5 sat at distance inf
+    path = hypergraph(5, [(k, k + 1) for k in range(4)])
+    calls = [lambda: ball(path, 0, 1.5), lambda: explore(path, 0, max_depth=1.5),
+             lambda: ball(path, 0, float("nan")), lambda: berge_distance(path, 0, 1.5),
+             lambda: explore(path, 1.5), lambda: ball(path, np.float64(0.0), 1)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call()
+    # numpy ints are integers
+    assert ball(path, np.int64(0), np.int32(2)) == frozenset({0, 1, 2})
+    assert berge_distance(path, np.int64(4), np.uint8(0)) == 4
 
 
 # ---------------------------------------------------------------------------

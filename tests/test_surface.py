@@ -8,7 +8,9 @@ import load as load_graph`, `from . import disorder as dis`); a method
 counts as called when any call site names it as an attribute. A call
 inside the defining module counts too, since the module itself is then
 its caller. Nothing is exempt: even the console entry point cli.main is
-called by criterion 13. No module in src/ or tests/ imports a name it
+called by criterion 13. Likewise every parameter with a default must be
+passed, by keyword or by position, at one of those call sites at least;
+one named exemption is listed with its reason. No module in src/ or tests/ imports a name it
 never reads; the re-exports of the package's __init__ are exempt. Importing
 the CLI loads no scipy submodule that only one experiment path needs.
 """
@@ -28,14 +30,21 @@ SRC = ROOT / "src" / "spinchaos"
 CALLERS = sorted(SRC.glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 
-def public_names(path: Path) -> dict[str, str]:
-    """{qualified name: the name a call site shows} of the module's public
-    functions (module.name) and methods (the bare name); properties are
-    read, not called, so they are left out."""
+# No call in src/ passes singles, but dropping it would change what
+# batch_moments returns, the (pairs, singles) tuple whose result[0].shape[1]
+# bench/spans.py reads; bench/ changes only together with the benchmark.
+UNPASSED_EXEMPT = {"gibbs.batch_moments(singles)"}
+
+
+def public_defs(path: Path) -> dict[str, tuple[str, ast.FunctionDef, int]]:
+    """{qualified name: (the name a call site shows, the def, how many
+    leading parameters a call site does not write)} of the module's public
+    functions (module.name, 0) and methods (the bare name, 1 for self);
+    properties are read, not called, so they are left out."""
     out = {}
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            out[f"{path.stem}.{node.name}"] = f"{path.stem}.{node.name}"
+            out[f"{path.stem}.{node.name}"] = (f"{path.stem}.{node.name}", node, 0)
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
@@ -43,13 +52,15 @@ def public_names(path: Path) -> dict[str, str]:
                 decorators = {getattr(d, "id", getattr(d, "attr", None))
                               for d in item.decorator_list}
                 if not decorators & {"property", "cached_property"}:
-                    out[f"{path.stem}.{node.name}.{item.name}"] = item.name
+                    skip = 0 if "staticmethod" in decorators else 1
+                    out[f"{path.stem}.{node.name}.{item.name}"] = (item.name, item, skip)
     return out
 
 
-def called_names(path: Path) -> set[str]:
-    """Qualified functions this file calls, as module.name, plus every
-    attribute name it calls as .method, as a bare name."""
+def calls(path: Path) -> list[tuple[set[str], ast.Call]]:
+    """(names, node) of every call in this file: the qualified function it
+    reaches, as module.name, and for an attribute call the bare .method
+    name too."""
     tree = ast.parse(path.read_text())
     own = path.stem if path.parent == SRC else None
     names, modules = {}, {}  # local name -> (module, name) / module
@@ -68,30 +79,71 @@ def called_names(path: Path) -> set[str]:
             for alias in node.names:
                 if alias.name.startswith("spinchaos.") and alias.asname:
                     modules[alias.asname] = alias.name.split(".")[1]
-    out = set()
+    out = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
+        func, reached = node.func, set()
         if isinstance(func, ast.Name):
             if func.id in names:
-                out.add(".".join(names[func.id]))
+                reached.add(".".join(names[func.id]))
             elif own is not None:
-                out.add(f"{own}.{func.id}")
+                reached.add(f"{own}.{func.id}")
         elif isinstance(func, ast.Attribute):
-            out.add(func.attr)
+            reached.add(func.attr)
             if isinstance(func.value, ast.Name) and func.value.id in modules:
-                out.add(f"{modules[func.value.id]}.{func.attr}")
+                reached.add(f"{modules[func.value.id]}.{func.attr}")
+        out.append((reached, node))
     return out
 
 
-def test_every_public_function_has_a_caller():
-    called = set().union(*(called_names(path) for path in CALLERS))
+def all_calls() -> list[tuple[set[str], ast.Call]]:
+    return [call for path in CALLERS for call in calls(path)]
+
+
+def all_public_defs() -> dict[str, tuple[str, ast.FunctionDef, int]]:
     public = {}
     for path in sorted(SRC.glob("*.py")):
-        public.update(public_names(path))
-    unused = sorted(qual for qual, site in public.items() if site not in called)
+        public.update(public_defs(path))
+    return public
+
+
+def test_every_public_function_has_a_caller():
+    called = set().union(*(reached for reached, _ in all_calls()))
+    unused = sorted(qual for qual, (site, _, _) in all_public_defs().items() if site not in called)
     assert not unused, f"public names that nothing in src/ or the criteria calls: {unused}"
+
+
+def defaulted(fn: ast.FunctionDef, skip: int) -> dict[str, int | None]:
+    """{name: position at a call site, None if keyword-only} of each
+    parameter of fn that has a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = {arg.arg: k - skip for k, arg in enumerate(positional) if k >= first}
+    out.update({arg.arg: None for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None})
+    return out
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call may pass the parameter; a * or ** argument may."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_is_overridden_somewhere():
+    sites = all_calls()
+    unpassed = sorted(
+        f"{qual}({name})" for qual, (site, fn, skip) in all_public_defs().items()
+        for name, position in defaulted(fn, skip).items()
+        if not any(site in reached and passes(call, name, position) for reached, call in sites))
+    stale = sorted(UNPASSED_EXEMPT.difference(unpassed))
+    assert not stale, f"exempt parameters that a call site now passes: {stale}"
+    unpassed = [u for u in unpassed if u not in UNPASSED_EXEMPT]
+    assert not unpassed, f"defaults that no call in src/ or the criteria overrides: {unpassed}"
 
 
 def unused_imports(path: Path) -> list[str]:
