@@ -107,10 +107,10 @@ def _flip(graph: Hypergraph, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """(per-spin, per-edge) +-1 signs that turn the spins set in bits from
     -1 to +1: the flipped states are states * spin and their edge
     products eprod * sign. bits = 2^N - 1 is the global flip."""
-    flipped = [(bits >> v) & 1 for v in range(graph.n)]
-    spin = np.array([(-1.0) ** f for f in flipped])
-    sign = np.array([(-1.0) ** sum(flipped[v] for v in e) for e in graph.edges])
-    return spin, sign
+    flipped = (bits >> np.arange(graph.n, dtype=np.int64)) & 1
+    # an edge changes sign when it holds an odd number of flipped spins
+    count = np.add.reduceat(flipped[graph.flat], graph.offsets[:-1])
+    return 1.0 - 2.0 * flipped, 1.0 - 2.0 * (count & 1)
 
 
 def _table(graph: Hypergraph, rows: int) -> tuple[np.ndarray, np.ndarray]:

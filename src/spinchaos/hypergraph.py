@@ -1,8 +1,10 @@
 """Finite hypergraphs and Berge geometry.
 
-Vertices are 0-based ints [0, N). Edges are sorted tuples of distinct
-vertices with arity >= 2; edge ids are positions in the edge list.
-Instances are immutable; all operations are pure.
+Vertices are 0-based ints [0, N). Edges are sets of at least two
+distinct vertices, stored as rising ids; edge ids are positions in the
+edge list. A graph is held as int64 arrays, the arity of each edge and
+all edges' vertex ids end to end, from the diluted sampler through to
+the traversal. Instances are immutable; all operations are pure.
 
 Berge conventions: a path of length L alternates L+1 distinct vertices
 and L distinct edges with consecutive vertex pairs contained in the
@@ -31,74 +33,93 @@ import numpy as np
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
+# offset and multiplier of the edge mix, from splitmix64
+_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
+
+
 class Hypergraph:
-    n: int
-    edges: tuple[tuple[int, ...], ...]
+    """A validated hypergraph on the vertices [0, n).
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"vertex count must be a positive int, got {self.n!r}")
-        arity = np.fromiter(map(len, self.edges), np.intp, len(self.edges))
-        try:  # operator.index: ints and numpy ints pass, floats are not truncated
-            flat = np.fromiter(map(operator.index, chain.from_iterable(self.edges)), np.int64)
-        except TypeError:
-            eid = next(eid for eid, e in enumerate(self.edges)
-                       if not all(hasattr(type(v), "__index__") for v in e))
-            raise ValidationError(f"edge {eid} must have integer vertex ids, "
-                                  f"got {self.edges[eid]}") from None
-        except OverflowError:  # a vertex beyond int64 is out of range; Python ints name it
-            self._raise_first_bad(arity, np.fromiter(chain.from_iterable(self.edges), object))
-        ok = arity.min(initial=2) >= 2
-        if ok:
-            # every step inside an edge must rise; steps across edge ends are free
-            rises = flat[1:] > flat[:-1]
-            rises[arity.cumsum()[:-1] - 1] = True
-            ok = (rises.all() and flat.min(initial=0) >= 0 and flat.max(initial=0) < self.n
-                  and len(set(self.edges)) == len(self.edges))
-        if not ok:
-            self._raise_first_bad(arity, flat)
-        object.__setattr__(self, "_flat", (arity, flat))  # reused by the incidence build
+    The primary form is two read-only int64 arrays: arity[k] is the size
+    of edge k, and flat lists the vertex ids of edges 0, 1, ... end to
+    end, so edge k is flat[offsets[k]:offsets[k + 1]] (offsets is the
+    read-only running sum of arity, from 0). `edges`, the same edges as
+    tuples of ints, is built on first use for the callers that iterate
+    edges: the exact kernels (N <= 24), to_text and the audit.
 
-    def _raise_first_bad(self, arity: np.ndarray, flat: np.ndarray):
-        """Name the lowest offending edge id and its first failed check,
-        in the order arity, sorted distinct vertices, range, duplicate."""
-        owner = np.repeat(np.arange(len(arity)), arity)
-        unsorted = owner[1:][(owner[1:] == owner[:-1]) & (flat[1:] <= flat[:-1])]
-        outside = owner[(flat < 0) | (flat >= self.n)]
-        first_id: dict = {}
-        duplicates = [eid for eid, e in enumerate(self.edges)
-                      if first_id.setdefault(e, eid) != eid]
-        eid = min(np.flatnonzero(arity < 2)[:1].tolist() + unsorted[:1].tolist()
-                  + outside[:1].tolist() + duplicates[:1])
-        e = self.edges[eid]
-        if len(e) < 2:
-            raise ValidationError(f"edge {eid} has arity {len(e)} < 2")
-        if eid in unsorted:
-            raise ValidationError(f"edge {eid} must be sorted distinct vertices, got {e}")
-        if eid in outside:
-            raise ValidationError(f"edge {eid} has vertex outside [0, {self.n})")
-        raise ValidationError(f"duplicate edge {e}")
+    The constructor takes edges either as sequences of integer vertex ids,
+    one per edge, or as a list of 2-D integer arrays whose rows are edges,
+    one array per block of equal arity (the diluted sampler's form). Both
+    are flattened, then validated by array ops alone. Graphs are equal, and
+    hash equal, when they have the same n and the same edges in the same
+    order, whichever form built them. Instances are immutable.
+    """
+
+    def __init__(self, n: int, edges):
+        if not isinstance(n, int) or n < 1:
+            raise ValidationError(f"vertex count must be a positive int, got {n!r}")
+        arity, flat = _flatten(edges)
+        offsets = np.zeros(len(arity) + 1, np.int64)
+        np.cumsum(arity, out=offsets[1:])
+        if flat.dtype != np.int64 or not _valid(n, arity, flat, offsets):
+            _raise_first_bad(n, arity, flat, offsets)
+        for a in (arity, flat, offsets):
+            a.setflags(write=False)
+        vars(self).update(n=n, arity=arity, flat=flat, offsets=offsets)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Hypergraph is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Hypergraph is immutable: cannot delete {name!r}")
+
+    @cached_property
+    def _key(self) -> tuple[int, bytes, bytes]:
+        return self.n, self.arity.tobytes(), self.flat.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return f"Hypergraph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.arity)
 
     @property
     def max_arity(self) -> int:
-        return max((len(e) for e in self.edges), default=0)
+        return int(self.arity.max(initial=0))
 
     @cached_property
-    def _incident(self) -> tuple[list[int], tuple[int, ...]]:
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as sorted tuples of ints, in id order."""
+        offsets, flat = self.offsets.tolist(), self.flat.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:]))
+
+    @cached_property
+    def _lists(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """The traversal's memo, filled by _rounds as it first reads each
+        entry of the arrays: vertex -> its edge ids, edge id -> its
+        vertices, as lists. A sparse exploration converts only what it
+        touches; repeated ones on a small graph convert it once."""
+        return {}, {}
+
+    @cached_property
+    def _incident(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR incidence: vertex v lies in edges ids[ptr[v]:ptr[v + 1]]."""
-        arity, flat = self._flat
         ptr = np.zeros(self.n + 1, np.int64)
-        np.cumsum(np.bincount(flat, minlength=self.n), out=ptr[1:])
+        np.cumsum(np.bincount(self.flat, minlength=self.n), out=ptr[1:])
         # stable, so each vertex lists its edges in ascending id; in the
         # narrowest unsigned type of the vertex ids numpy can radix-sort
-        order = np.argsort(flat.astype(np.min_scalar_type(self.n - 1)), kind="stable")
-        ids = np.repeat(np.arange(len(arity)), arity)[order]
-        return ptr.tolist(), tuple(ids.tolist())
+        order = np.argsort(self.flat.astype(np.min_scalar_type(self.n - 1)), kind="stable")
+        ids = np.repeat(np.arange(self.n_edges), self.arity)[order]
+        return ptr, ids
 
     def check_vertex(self, v) -> int:
         """v as an int in [0, N); numpy ints pass, floats and other non-integers are refused."""
@@ -106,6 +127,99 @@ class Hypergraph:
         if not 0 <= v < self.n:
             raise ValidationError(f"vertex {v} outside [0, {self.n})")
         return v
+
+
+def _flatten(edges) -> tuple[np.ndarray, np.ndarray]:
+    """(arity, flat) of the constructor's edges, both int64; flat holds
+    Python ints instead when an id lies beyond int64, and so out of range."""
+    if len(edges) and all(isinstance(b, np.ndarray) and b.ndim == 2 for b in edges):
+        first = 0
+        for b in edges:
+            if b.dtype.kind not in "iu" and len(b):
+                raise ValidationError(f"edge {first} must have integer vertex ids, "
+                                      f"got {tuple(b[0].tolist())}")
+            first += len(b)
+        arity = np.array([b.shape[1] for b in edges], np.int64).repeat([len(b) for b in edges])
+        return arity, np.concatenate([b.reshape(-1) for b in edges]).astype(np.int64, copy=False)
+    arity = np.fromiter(map(len, edges), np.int64, len(edges))
+    try:  # operator.index: ints and numpy ints pass, floats are not truncated
+        flat = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.int64)
+    except TypeError:
+        eid = next(eid for eid, e in enumerate(edges)
+                   if not all(hasattr(type(v), "__index__") for v in e))
+        raise ValidationError(f"edge {eid} must have integer vertex ids, "
+                              f"got {edges[eid]}") from None
+    except OverflowError:
+        flat = np.fromiter(chain.from_iterable(edges), object)
+    return arity, flat
+
+
+def _valid(n: int, arity: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> bool:
+    """Whether every edge has arity >= 2 and rising ids in [0, n), and no edge repeats."""
+    if np.minimum.reduce(arity, initial=2) < 2:
+        return False
+    # every step inside an edge must rise; steps across edge ends are free
+    rises = flat[1:] > flat[:-1]
+    rises[offsets[1:-1] - 1] = True
+    return bool(rises.all() and np.minimum.reduce(flat, initial=0) >= 0
+                and np.maximum.reduce(flat, initial=0) < n and not _duplicates(flat, offsets))
+
+
+def _edge_mix(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """uint64 hash of each edge of arity >= 1: the wrapped sum of its mixed ids."""
+    x = flat.astype(np.uint64)
+    x += _MIX[0]
+    x *= _MIX[1]
+    x ^= x >> np.uint64(29)
+    return np.add.reduceat(x, offsets[:-1])
+
+
+def _duplicates(flat: np.ndarray, offsets: np.ndarray) -> list[int]:
+    """Ids of the edges equal to an earlier edge, ascending. Edges of equal
+    mix are compared row by row, every pair of them, so a collision of the
+    mix costs time, never a wrong answer."""
+    mix = _edge_mix(flat, offsets)
+    ordered = mix.copy()
+    ordered.sort()
+    if not (ordered[1:] == ordered[:-1]).any():
+        return []
+    order = np.argsort(mix, kind="stable")  # runs of equal mix in ascending id
+    cuts = np.flatnonzero(mix[order[1:]] != mix[order[:-1]]) + 1
+    off, ids = offsets.tolist(), flat.tolist()
+    out = []
+    for run in np.split(order, cuts):
+        run = run.tolist()
+        rows = [ids[off[k]:off[k + 1]] for k in run]
+        out += [k for j, k in enumerate(run) if rows[j] in rows[:j]]
+    return sorted(out)
+
+
+def _raise_first_bad(n: int, arity: np.ndarray, flat: np.ndarray, offsets: np.ndarray):
+    """Name the lowest offending edge id and its first failed check, in
+    the order arity, sorted distinct vertices, range, duplicate."""
+    owner = np.repeat(np.arange(len(arity)), arity)
+    short = arity < 2
+    unsorted = np.zeros(len(arity), bool)
+    unsorted[owner[1:][(owner[1:] == owner[:-1]) & (flat[1:] <= flat[:-1])]] = True
+    outside = np.zeros(len(arity), bool)
+    outside[owner[(flat < 0) | (flat >= n)]] = True
+    # a repeat of a bad edge comes after it, so the repeats among the good
+    # edges are the only ones that can be named
+    ok = ~(short | unsorted | outside)
+    good = np.flatnonzero(ok)
+    good_offsets = np.zeros(len(good) + 1, np.int64)
+    np.cumsum(arity[good], out=good_offsets[1:])
+    repeated = np.zeros(len(arity), bool)
+    repeated[good[_duplicates(flat[ok[owner]].astype(np.int64), good_offsets)]] = True
+    eid = int(np.flatnonzero(short | unsorted | outside | repeated)[0])
+    e = tuple(flat[offsets[eid]:offsets[eid + 1]].tolist())
+    if short[eid]:
+        raise ValidationError(f"edge {eid} has arity {len(e)} < 2")
+    if unsorted[eid]:
+        raise ValidationError(f"edge {eid} must be sorted distinct vertices, got {e}")
+    if outside[eid]:
+        raise ValidationError(f"edge {eid} has vertex outside [0, {n})")
+    raise ValidationError(f"duplicate edge {e}")
 
 
 def _integer(x, what: str) -> int:
@@ -170,8 +284,8 @@ class MultiIndex:
 def multi_index(degrees) -> MultiIndex:
     """Build from a mapping or iterable of (edge_id, degree); zeros dropped."""
     items = degrees.items() if hasattr(degrees, "items") else degrees
-    kept = sorted((int(e), int(d)) for e, d in items if int(d) != 0)
-    return MultiIndex(tuple(kept))
+    pairs = ((_integer(e, "edge id"), _integer(d, "degree")) for e, d in items)
+    return MultiIndex(tuple(sorted((e, d) for e, d in pairs if d != 0)))
 
 
 def _resolve_edges(g: Hypergraph, edge_ids) -> list[int]:
@@ -179,7 +293,7 @@ def _resolve_edges(g: Hypergraph, edge_ids) -> list[int]:
         return list(range(g.n_edges))
     out = []
     for eid in edge_ids:
-        eid = int(eid)
+        eid = _integer(eid, "edge id")
         if not (0 <= eid < g.n_edges):
             raise ValidationError(f"edge id {eid} outside [0, {g.n_edges})")
         out.append(eid)
@@ -208,7 +322,8 @@ def _rounds(g: Hypergraph, root: int, max_depth: int | None = None, allowed=None
     if depth < 0:
         raise ValidationError(f"max_depth must be >= 0, got {depth}")
     ptr, ids = g._incident
-    edges = g.edges
+    offsets, flat = g.offsets, g.flat
+    edges_at, members = g._lists
     # an edge first met in round t holds no vertex of an earlier frontier,
     # whose edges were all met before: each of its vertices is either in
     # the last frontier or fresh
@@ -223,13 +338,19 @@ def _rounds(g: Hypergraph, root: int, max_depth: int | None = None, allowed=None
         claims: dict[int, int] = {}  # fresh vertex -> revealed edges holding it
         a_cnt = d_cnt = 0
         for v in frontier:
-            for eid in ids[ptr[v]:ptr[v + 1]]:
+            at = edges_at.get(v)
+            if at is None:
+                at = edges_at[v] = ids[ptr[v]:ptr[v + 1]].tolist()
+            for eid in at:
                 if eid in seen_edges or (allowed is not None and eid not in allowed):
                     continue
                 seen_edges.add(eid)
                 revealed.append(eid)
                 hits_i = 0
-                for u in edges[eid]:
+                edge = members.get(eid)
+                if edge is None:
+                    edge = members[eid] = flat[offsets[eid]:offsets[eid + 1]].tolist()
+                for u in edge:
                     if u in found:
                         hits_i += 1
                     else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import filterfalse, islice
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,25 +89,82 @@ def sample_diluted(spec: DilutedSpec, rng: np.random.Generator) -> Hypergraph:
     are dropped; the first m survivors become edges in draw order. These
     are the draws, the accepted rows and the edge order of a row-by-row
     rejection loop over the same blocks.
+
+    Rows are compared by their colex rank, sum_k C(v_k, k + 1) over the
+    sorted row, which numbers the p-subsets 0..C(N, p) - 1 and so fits
+    int64 (DilutedSpec refuses larger C(N, p)). The accepted rows go to
+    Hypergraph as one int64 block per draw, never as tuples.
     """
     n = spec.n
-    edges: list[tuple[int, ...]] = []
+    blocks = []
     for p, a in spec.alphas:
         total = math.comb(n, p)
-        q = a * n / total
-        m = int(rng.binomial(total, q))
-        seen: set[tuple[int, ...]] = set()
+        m = int(rng.binomial(total, a * n / total))
+        held = []  # ranks of this arity's accepted rows, block by block
         while m > 0:
-            rows = rng.integers(0, n, size=(2 * m + 8, p))
-            rows.sort(axis=1)
-            rows = rows[(rows[:, 1:] != rows[:, :-1]).all(axis=1)]
-            # dict keys keep each distinct row once, at its first occurrence
-            firsts = dict.fromkeys(zip(*rows.T.tolist()))
-            fresh = list(islice(filterfalse(seen.__contains__, firsts), m))
-            seen.update(fresh)
-            edges += fresh
-            m -= len(fresh)
-    return Hypergraph(n, tuple(edges))
+            rows = _sort_rows(rng.integers(0, n, size=(2 * m + 8, p)))
+            distinct = rows[:, 1] > rows[:, 0]
+            for k in range(2, p):
+                distinct &= rows[:, k] > rows[:, k - 1]
+            rows = rows[distinct]
+            rank = _colex_rank(n, rows)
+            first = _first_occurrences(rank)
+            if held:  # drop the rows that earlier blocks hold
+                first = first[~np.isin(rank[first], np.concatenate(held))]
+            first = first[:m]
+            blocks.append(rows[first])
+            held.append(rank[first])
+            m -= len(first)
+    return Hypergraph(n, blocks)
+
+
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """rows with each row sorted in place, by a compare-exchange network
+    over whole columns (a bubble sort's p(p - 1) / 2 exchanges)."""
+    for top in range(rows.shape[1] - 1, 0, -1):
+        for k in range(top):
+            lo, hi = rows[:, k], rows[:, k + 1]
+            low = np.minimum(lo, hi)
+            np.maximum(lo, hi, out=hi)
+            lo[...] = low
+    return rows
+
+
+def _first_occurrences(x: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each value of x."""
+    order = x.argsort()
+    ordered = x[order]
+    new = np.empty(len(x), bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = np.minimum.reduceat(order, new.nonzero()[0])
+    first.sort()
+    return first
+
+
+def _colex_rank(n: int, rows: np.ndarray) -> np.ndarray:
+    """Colex rank sum_k C(v_k, k + 1) of each row, a sorted p-subset of
+    [n]: a bijection onto 0..C(n, p) - 1."""
+    table = _colex_table(n, rows.shape[1])
+    rank = table[0][rows[:, 0]]
+    for k in range(1, len(table)):
+        rank += table[k][rows[:, k]]
+    return rank
+
+
+@lru_cache(maxsize=16)
+def _colex_table(n: int, p: int) -> tuple[np.ndarray, ...]:
+    """Column k maps v to C(v, k + 1) for the v <= n - p + k that a sorted
+    p-subset of [n] can hold there; every entry is at most C(n, p) - 1.
+    Read-only, shared by every draw of (n, p)."""
+    col = np.arange(n - p + 1, dtype=np.int64)
+    table = [col]
+    for _ in range(1, p):
+        col = np.concatenate(([0], np.cumsum(col)))  # C(v, j + 1) = sum_{u < v} C(u, j)
+        table.append(col)
+    for col in table:
+        col.flags.writeable = False
+    return tuple(table)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,24 @@ def test_blocks_are_the_table_times_flip_signs(rng, monkeypatch, rows):
     assert np.array_equal(sign, [(-1.0) ** len(e) for e in g.edges])
 
 
+def flip_by_edge_loop(graph, bits):
+    """The signs of gibbs._flip, one Python pass over each edge's vertices."""
+    flipped = [(bits >> v) & 1 for v in range(graph.n)]
+    spin = np.array([(-1.0) ** f for f in flipped])
+    sign = np.array([(-1.0) ** sum(flipped[v] for v in e) for e in graph.edges])
+    return spin, sign
+
+
+def test_flip_matches_the_edge_loop(rng):
+    graphs = [random_hypergraph(rng, n_max=12, e_max=10, arities=(2, 3, 4)) for _ in range(40)]
+    graphs += [hypergraph(5, []), hypergraph(1, [])]
+    for g in graphs:
+        for bits in rng.integers(0, 1 << g.n, size=6).tolist() + [0, (1 << g.n) - 1]:
+            for got, want in zip(gibbs._flip(g, bits), flip_by_edge_loop(g, bits)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (g, bits)
+
+
 @pytest.mark.parametrize("graph", [
     hypergraph(7, [(0, 1), (1, 2, 3), (0, 2, 4, 6), (3, 5), (2, 5, 6)]),
     hypergraph(6, [(0, 1, 2, 3), (2, 3, 4, 5), (1, 4, 5)]),

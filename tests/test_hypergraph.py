@@ -1,10 +1,13 @@
+import importlib
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinchaos import gibbs
 from spinchaos.errors import ValidationError
 from spinchaos.hypergraph import (Hypergraph, ball, ball_is_hypertree,
                                   ball_sizes, berge_distance, component,
@@ -19,7 +22,7 @@ from conftest import (berge_paths_exist, brute_has_berge_cycle, random_hypergrap
 def incident(g, v):
     """Edge ids containing v, read off the CSR incidence."""
     ptr, ids = g._incident
-    return ids[ptr[v]:ptr[v + 1]]
+    return tuple(ids[ptr[v]:ptr[v + 1]].tolist())
 
 
 def figure1():
@@ -108,6 +111,88 @@ def test_validation_matches_edge_by_edge_loop():
             with pytest.raises(ValidationError) as exc:
                 Hypergraph(n, edges)
             assert str(exc.value) == want
+
+
+def test_duplicate_check_compares_every_colliding_pair(monkeypatch):
+    """With an edge mix that sends every edge to one value, every pair of
+    edges is compared exactly: distinct edges pass, repeats are named."""
+    # the package re-exports the function hypergraph under the module's name
+    monkeypatch.setattr(importlib.import_module("spinchaos.hypergraph"), "_edge_mix",
+                        lambda flat, offsets: np.zeros(len(offsets) - 1, np.uint64))
+    edges = tuple((i, j) for i in range(6) for j in range(i + 1, 6)) + ((0, 1, 2), (1, 2, 5))
+    assert Hypergraph(6, edges).edges == edges
+    assert Hypergraph(6, [np.array(edges[:15]), np.array(edges[15:])]).edges == edges
+    with pytest.raises(ValidationError, match=r"duplicate edge \(1, 2, 5\)"):
+        Hypergraph(6, edges + ((3, 4, 5), (1, 2, 5)))
+    with pytest.raises(ValidationError, match=r"duplicate edge \(0, 3\)"):
+        Hypergraph(6, [np.array(edges[:15]), np.array([[0, 3]])])
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        edges = tuple(tuple(sorted(rng.choice(n, size=rng.integers(2, n + 1), replace=False).tolist()))
+                      for _ in range(rng.integers(0, 6)))
+        want = reference_validation_error(n, edges)
+        if want is None:
+            assert Hypergraph(n, edges).edges == edges
+        else:
+            with pytest.raises(ValidationError, match=re.escape(want)):
+                Hypergraph(n, edges)
+
+
+def test_array_and_tuple_forms_are_one_graph():
+    pairs, triples = np.array([[0, 1], [1, 2]]), np.array([[0, 2, 3]], np.int32)
+    arrays = Hypergraph(4, [pairs, triples])
+    tuples = hypergraph(4, [(1, 0), (2, 1), (3, 0, 2)])
+    assert arrays == tuples and hash(arrays) == hash(tuples)
+    assert arrays.edges == tuples.edges == ((0, 1), (1, 2), (0, 2, 3))
+    assert repr(arrays) == "Hypergraph(n=4, edges=((0, 1), (1, 2), (0, 2, 3)))"
+    assert arrays.n_edges == 3 and arrays.max_arity == 3
+    assert arrays.arity.tolist() == [2, 2, 3] and arrays.offsets.tolist() == [0, 2, 4, 7]
+    assert arrays != Hypergraph(4, [triples, pairs])  # same edges, other order
+    assert arrays != Hypergraph(5, [pairs, triples]) and arrays != tuples.edges
+    assert Hypergraph(4, [pairs]) == hypergraph(4, [(0, 1), (1, 2)])
+    # one table serves both
+    gibbs._low_table.cache_clear()
+    gibbs._low_table(arrays, 8)
+    gibbs._low_table(tuples, 8)
+    assert gibbs._low_table.cache_info()[:2] == (1, 1)
+    # the graph owns its arrays: they are read-only, and changing the
+    # caller's block afterwards changes nothing
+    pairs[0, 0] = 3
+    assert arrays.edges[0] == (0, 1)
+    for a in (arrays.arity, arrays.flat, arrays.offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    for name in ("n", "flat", "edges", "extra"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(arrays, name, 1)
+    with pytest.raises(AttributeError, match="immutable"):
+        del arrays.n
+    # blocks are validated like tuples
+    with pytest.raises(ValidationError, match=r"edge 1 must be sorted distinct vertices, got \(2, 1\)"):
+        Hypergraph(4, [np.array([[0, 1], [2, 1]])])
+    with pytest.raises(ValidationError, match=r"edge 2 has vertex outside \[0, 4\)"):
+        Hypergraph(4, [np.array([[0, 1]]), np.array([[0, 1, 2], [1, 2, 4]])])
+    with pytest.raises(ValidationError, match=r"edge 1 has arity 1 < 2"):
+        Hypergraph(4, [np.array([[0, 1]]), np.array([[2]])])
+    with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids, got \(1.0, 2.0\)"):
+        Hypergraph(4, [np.array([[0, 1]]), np.array([[1.0, 2.0]])])
+
+
+def test_edge_ids_and_degrees_are_not_truncated():
+    g = hypergraph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValidationError, match="edge id must be an integer, got 0.9"):
+        connected_in(g, 0, 1, [0.9])
+    with pytest.raises(ValidationError, match="edge id must be an integer, got 0.5"):
+        has_berge_cycle(g, [0.5, 1.7])
+    with pytest.raises(ValidationError, match="edge id must be an integer, got 1.9"):
+        multi_index({1.9: 2.6})
+    with pytest.raises(ValidationError, match="degree must be an integer, got 2.6"):
+        multi_index({1: 2.6})
+    # numpy ints still pass
+    assert connected_in(g, 0, 2, [np.int64(0), np.int32(1)])
+    assert not has_berge_cycle(g, np.arange(3))
+    assert multi_index({np.int64(1): np.uint8(2), 0: np.int64(0)}).degrees == ((1, 2),)
 
 
 def test_incident():

@@ -5,7 +5,7 @@ import pytest
 
 from spinchaos.errors import CapacityError, ValidationError
 from spinchaos.hypergraph import ball, berge_distance, has_berge_cycle, hypergraph
-from spinchaos.randgraph import (diluted_spec, explore,
+from spinchaos.randgraph import (_colex_rank, diluted_spec, explore,
                                  frontier_mean_bound,
                                  frontier_second_moment_bound, growth_stats,
                                  growth_stats_rows, hypertree_trend,
@@ -119,6 +119,26 @@ def test_sampler_matches_rejection_loop_at_1e4():
     g = sample_diluted(spec, substream(405, "oracle"))
     assert g.edges == reference_sample_diluted(spec, substream(405, "oracle"))
     assert all(type(v) is int for e in g.edges[:50] for v in e)
+
+
+def test_colex_rank_at_the_int64_limit():
+    """At N = 4000, p = 6 the colex ranks reach C(N, p) - 1, about
+    0.61 * 2^63: they equal the Python-int sums, and the sampler still
+    draws the rejection loop's graphs."""
+    n, p = 4000, 6
+    assert 0.6 * 2**63 < math.comb(n, p) < 2**63
+    rng = np.random.default_rng(6)
+    rows = [list(range(n - p, n)), [n - 7, *range(n - 5, n)], [*range(p - 1), n - 1],
+            list(range(p))] + [sorted(rng.choice(n, size=p, replace=False).tolist())
+                               for _ in range(50)]
+    got = _colex_rank(n, np.array(rows))
+    want = [sum(math.comb(v, k + 1) for k, v in enumerate(row)) for row in rows]
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert want[0] == math.comb(n, p) - 1 and want[3] == 0
+    spec = diluted_spec(n, {p: 0.01})
+    for k in range(4):
+        got = sample_diluted(spec, substream(406, "oracle", k)).edges
+        assert got == reference_sample_diluted(spec, substream(406, "oracle", k)), k
 
 
 def test_sampler_capacity_guard():
