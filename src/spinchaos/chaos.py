@@ -608,6 +608,9 @@ def check_levy(n_values, alpha: float, t: float | None, replicas: int) -> None:
     if t is not None and not t > 0:
         raise ValidationError(f"need t > 0, got {t}")
     check_replicas(replicas, 1)
+    if len(set(n_values)) != len(n_values):
+        # one substream per N: a repeated N repeats its point exactly
+        raise ValidationError(f"n_values must be distinct, got {list(n_values)}")
     for n in n_values:
         dis.levy_a_n(n, alpha)  # N a positive integer, alpha in (1, 2)
         gibbs.check_size(n, gibbs.EXACT_MAX_N)
@@ -644,9 +647,10 @@ def levy_chaos(n_values, alpha: float, beta: float, t: float | None,
         dev_mean, se = mean_se(vals - vals[0])
         points.append(LevyPoint(n=n, estimate=float(vals[0] + dev_mean), se=float(se),
                                 per_replica=vals))
-    logs_n = np.log([p.n for p in points])
-    logs_e = np.log([p.estimate for p in points])
-    slope = float(np.polyfit(logs_n, logs_e, 1)[0]) if len(points) >= 2 else math.nan
+    estimates = [p.estimate for p in points]
+    # a zero estimate has no logarithm, so the slope is undefined
+    slope = (float(np.polyfit(np.log([p.n for p in points]), np.log(estimates), 1)[0])
+             if len(points) >= 2 and min(estimates) > 0 else math.nan)
     return {"alpha": alpha, "beta": beta, "t": t, "replicas": replicas, "seed": seed,
             "points": points, "slope": slope,
             "slope_reference": -(2.0 / alpha - 1.0)}

@@ -8,11 +8,13 @@ Subcommands:
 Configs are strict JSON: unknown keys anywhere fail validation. Each
 experiment kind has one parser in RUNNERS; it reads keys and types, checks
 values with the library's own check functions, and returns a closure that
-runs the library on them. `validate` builds the closure and drops it, `run`
-builds it and calls it, so both read a config the same way. A run is a
-pure function of (config, seed): rerunning the same config writes
-byte-identical result CSV and JSON (the manifest records wall time and
-is exempt). Exit codes: 2 validation, 3 capacity, 4 numerical breakdown.
+runs the library on them and returns the CSV rows and the JSON payload.
+`validate` builds the closure and drops it. `run` parses the config once,
+before any work or write, and calls the closure, so a graph file is read
+and a fixture built once per run. A run is a pure function of (config,
+seed): rerunning the same config writes byte-identical result CSV and
+JSON (the manifest records wall time and is exempt). Exit codes: 2
+validation, 3 capacity, 4 numerical breakdown.
 
 SPINCHAOS_THREADS sets the worker count of every replica loop
 (rng.replicate); rows are merged by replica index, so the thread count
@@ -146,15 +148,20 @@ def _parse(cfg):
     return RUNNERS[cfg["experiment"]](cfg)
 
 
-def load_config(path) -> dict:
-    """Read and fully validate a config; returns the raw dict."""
+def _read(path):
+    """The decoded JSON of a config file, not yet validated."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> dict:
+    """Read and fully validate a config; returns the raw dict."""
+    cfg = _read(path)
     _parse(cfg)
     return cfg
 
@@ -171,10 +178,12 @@ def _fmt(val) -> str:
     return str(val)
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]):
+def _write_csv(path: Path, rows: list[dict]):
+    """One column per key of the first row, in its order."""
+    columns = list(rows[0])
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
+        lines.append(",".join(_fmt(row[c]) for c in columns))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -185,19 +194,11 @@ def _atomic_write(path: Path, text: str):
 
 
 def _write_json(path: Path, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    # numpy arrays and scalars become Python values; np.float64 is a float
+    # and prints as one without this
+    text = json.dumps(payload, indent=2, sort_keys=True,
+                      default=lambda obj: obj.tolist())
+    _atomic_write(path, text + "\n")
 
 
 def _parse_curve(cfg: dict):
@@ -237,13 +238,10 @@ def _parse_curve(cfg: dict):
         payload = {
             "curve": {"t_grid": list(curve.t_grid), "estimates": curve.estimates,
                       "ses": curve.ses, "meta": curve.meta},
-            "bounds": [{"tag": ch.tag, "t": ch.t, "estimate": ch.estimate, "se": ch.se,
-                        "bound": ch.bound, "margin": ch.margin, "ok": ch.ok,
-                        "extra": ch.extra} for ch in checks],
+            "bounds": [vars(ch) for ch in checks],
             "monotonicity": chaos.monotonicity_check(curve),
         }
-        columns = ["t", "estimate", "se", "bound_tag", "bound_value", "margin"]
-        return columns, rows, payload, tags
+        return rows, payload
     return run
 
 
@@ -265,9 +263,7 @@ def _parse_growth(cfg: dict):
             "cycle_prob": stats.cycle_prob, "cycle_prob_se": stats.cycle_prob_se,
             "rows": rows,
         }
-        columns = ["t", "mean_I", "se_I", "mean_I2", "se_I2", "mean_B",
-                   "bound_lambda_t", "bound_second_moment"]
-        return columns, rows, payload, []
+        return rows, payload
     return run
 
 
@@ -285,8 +281,7 @@ def _parse_trend(cfg: dict):
     def run():
         rows = randgraph.hypertree_trend(alphas, n_values, eps, replicas, seed)
         decreasing = all(b["cycle_prob"] <= a["cycle_prob"] for a, b in zip(rows, rows[1:]))
-        payload = {"rows": rows, "decreasing": decreasing}
-        return ["n", "depth", "cycle_prob", "se"], rows, payload, []
+        return rows, {"rows": rows, "decreasing": decreasing}
     return run
 
 
@@ -305,26 +300,11 @@ def _parse_audit(cfg: dict):
     def run():
         report = chaos.coefficient_audit(graph, model, beta, i, j, degree_cap, order,
                                          tol=tol, sign_tol=sign_tol)
-        rows = []
-        for r in report.rows:
-            rows.append({
-                "n": ";".join(f"{eid}:{d}" for eid, d in r.n.degrees) or "0",
-                "value": r.value, "forced_zero": r.forced_zero,
-                "in_support": r.in_support, "path_ij": r.path_ij,
-                "support_size": r.support_size,
-            })
-        payload = {
-            "i": report.i, "j": report.j, "beta": report.beta,
-            "degree_cap": report.degree_cap, "order": report.order,
-            "hypertree_radius": report.hypertree_radius,
-            "e_phi_sq": report.e_phi_sq,
-            "sign_violations": list(report.sign_violations),
-            "path_violations": list(report.path_violations),
-            "hypertree_violations": list(report.hypertree_violations),
-            "rows": rows,
-        }
-        columns = ["n", "value", "forced_zero", "in_support", "path_ij", "support_size"]
-        return columns, rows, payload, []
+        rows = [{"n": ";".join(f"{eid}:{d}" for eid, d in r.n.degrees) or "0",
+                 "value": r.value, "forced_zero": r.forced_zero,
+                 "in_support": r.in_support, "path_ij": r.path_ij,
+                 "support_size": r.support_size} for r in report.rows]
+        return rows, {**vars(report), "rows": rows}
     return run
 
 
@@ -350,13 +330,13 @@ def _parse_suite(cfg: dict):
                          "value": entry["decoupling_max_err"]})
             rows.append({"item": item, "metric": "tanh_product_max_err",
                          "value": entry["tanh_product_max_err"]})
-            for beta in (0.5, 1.0):
-                coeff = entry[f"coeff_beta_{beta}"]
-                rows.append({"item": item, "metric": f"coeff_beta_{beta}",
-                             "value": coeff["value"]})
-                rows.append({"item": item, "metric": f"coeff_factorized_beta_{beta}",
-                             "value": coeff["factorized"]})
-        return ["item", "metric", "value"], rows, result, []
+            for key, coeff in entry.items():
+                if key.startswith("coeff_beta_"):
+                    rows.append({"item": item, "metric": key, "value": coeff["value"]})
+                    rows.append({"item": item,
+                                 "metric": f"coeff_factorized_beta_{coeff['beta']}",
+                                 "value": coeff["factorized"]})
+        return rows, result
     return run
 
 
@@ -374,9 +354,7 @@ def _parse_levy(cfg: dict):
     def run():
         result = chaos.levy_chaos(n_values, alpha, beta, t, replicas, seed)
         rows = [{"n": p.n, "estimate": p.estimate, "se": p.se} for p in result["points"]]
-        payload = {k: v for k, v in result.items() if k != "points"}
-        payload["points"] = rows
-        return ["n", "estimate", "se"], rows, payload, []
+        return rows, {**result, "points": rows}
     return run
 
 
@@ -393,21 +371,22 @@ RUNNERS = {
 
 
 def run_experiment(cfg: dict) -> dict:
+    """Validate cfg, run it and write its three files; returns the manifest."""
     t0 = time.monotonic()
+    run = _parse(cfg)
     workers = threads()  # a bad SPINCHAOS_THREADS stops the run before it writes
-    columns, rows, payload, bound_tags = _parse(cfg)()
+    rows, payload = run()
     outdir = Path(cfg["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "results.csv"
     json_path = outdir / "results.json"
-    _write_csv(csv_path, columns, rows)
-    _write_json(json_path, _jsonable({"config": cfg, "seed": cfg["seed"],
-                                      "results": payload}))
+    _write_csv(csv_path, rows)
+    _write_json(json_path, {"config": cfg, "seed": cfg["seed"], "results": payload})
     manifest = {
         "experiment": cfg["experiment"],
         "seed": cfg["seed"],
         "config": cfg,
-        "bound_tags": bound_tags,
+        "bound_tags": cfg.get("curve", {}).get("bounds", []),
         "outputs": [csv_path.name, json_path.name],
         "versions": {"spinchaos": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
@@ -415,7 +394,7 @@ def run_experiment(cfg: dict) -> dict:
         "threads": workers,
         "wall_time_s": time.monotonic() - t0,
     }
-    _write_json(outdir / "manifest.json", _jsonable(manifest))
+    _write_json(outdir / "manifest.json", manifest)
     return manifest
 
 
@@ -445,7 +424,7 @@ def main(argv=None) -> int:
                     outdir.mkdir(parents=True, exist_ok=True)
                     save_graph(graph, outdir / f"{name}.hg")
             return 0
-        cfg = load_config(args.config)
+        cfg = _read(args.config)
         manifest = run_experiment(cfg)
         print(f"done: {cfg['experiment']} -> {cfg['output']} "
               f"({manifest['wall_time_s']:.1f}s)")

@@ -16,7 +16,8 @@ One traversal serves all of Berge geometry: `_rounds` walks the CSR
 incidence from a root in the rounds of the diluted model's exploration
 (randgraph.explore), and round t reveals exactly the vertices at Berge
 distance t. Balls, ball sizes, distances, components and connectivity
-inside an edge subset all read its vertex layers.
+inside an edge subset all read its vertex layers; cycle detection reads
+its A and D events.
 """
 
 from __future__ import annotations
@@ -381,26 +382,20 @@ def ball_sizes(g: Hypergraph, v: int) -> list[int]:
 
 
 def has_berge_cycle(g: Hypergraph, edge_ids=None) -> bool:
-    """Union-find on the vertex-edge incidence graph; cycle iff a union
-    joins two already-connected nodes."""
+    """Whether the given edge ids (all edges if None) hold a Berge cycle:
+    the exploration of each of their components flags an A or a D event
+    in some round, the hypertree test of randgraph.explore."""
     ids = _resolve_edges(g, edge_ids)
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
+    allowed = None if edge_ids is None else set(ids)
+    seen: set[int] = set()
     for eid in ids:
-        enode = ("e", eid)
         for v in g.edges[eid]:
-            rv, re = find(("v", v)), find(enode)
-            if rv == re:
-                return True
-            parent[rv] = re
+            if v in seen:
+                continue
+            for fresh, _, a_cnt, d_cnt in _rounds(g, v, allowed=allowed):
+                if a_cnt or d_cnt:
+                    return True
+                seen.update(fresh)
     return False
 
 

@@ -8,6 +8,7 @@ test_gibbs.py pins it against dense enumeration.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -606,8 +607,18 @@ def test_levy_default_t_and_errors():
         chaos.levy_chaos([4], 1.5, 0.3, 1.0, 1, 3)
     with pytest.raises(ValidationError):
         chaos.levy_chaos([4.7], 1.5, 0.3, 1.0, 5, 3)
+    with pytest.raises(ValidationError, match="distinct"):  # one substream per N
+        chaos.levy_chaos([4, 6, 4], 1.5, 0.3, 1.0, 5, 3)
     with pytest.raises(CapacityError):  # before the complete graph is built
         chaos.levy_chaos([4, 10 ** 6], 1.5, 0.3, 1.0, 5, 3)
+
+
+def test_levy_zero_estimate_gives_nan_slope_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = chaos.levy_chaos([2, 3], 1.5, 50.0, None, 2, 1)
+    assert res["points"][0].estimate == 0.0 < res["points"][1].estimate
+    assert math.isnan(res["slope"])
 
 
 @pytest.mark.parametrize("run", [

@@ -160,6 +160,7 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
     pytest.param("levy", {"replicas": 1}, 2, id="levy-one-replica"),
     pytest.param("levy", {"n_values": [4.7]}, 2, id="levy-n-float"),
     pytest.param("levy", {"n_values": [4, 0]}, 2, id="levy-n-zero"),
+    pytest.param("levy", {"n_values": [4, 6, 4]}, 2, id="levy-n-repeated"),
     pytest.param("levy", {"alpha": 0.5, "t": None}, 2, id="levy-alpha-default-t"),
     pytest.param("levy", {"beta": "infinity"}, 2, id="levy-beta-infinity"),
     pytest.param("trend", {"n_values": ["a", 500]}, 2, id="trend-n-string"),
@@ -530,6 +531,18 @@ def test_graph_from_file(tmp_path):
     cfg["model"]["graph"] = {"file": str(tmp_path / "missing.hg")}
     with pytest.raises(ValidationError):
         cli.load_config(write_config(tmp_path, cfg))
+
+
+def test_run_parses_the_config_once(tmp_path, monkeypatch):
+    gpath = tmp_path / "ring5.hg"
+    save_graph(fixtures.ring(5), gpath)
+    reads = []
+    real = cli.load_graph
+    monkeypatch.setattr(cli, "load_graph", lambda path: reads.append(path) or real(path))
+    cfg = curve_config(tmp_path / "out")
+    cfg["model"]["graph"] = {"file": str(gpath)}
+    assert run_cli(["run", write_config(tmp_path, cfg)]) == 0
+    assert reads == [str(gpath)]
 
 
 def test_beta_zero_curve_constant_column(tmp_path):

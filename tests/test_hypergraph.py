@@ -291,6 +291,17 @@ def test_cycle_detector_matches_brute_force(rng):
     assert 0 < hits < 300  # both outcomes exercised
 
 
+def test_cycle_detector_on_edge_subsets_matches_brute_force(rng):
+    hits = 0
+    for _ in range(300):
+        g = random_hypergraph(rng, n_max=8, e_max=6, arities=(2, 3, 4))
+        sub = rng.permutation(g.n_edges)[:int(rng.integers(0, g.n_edges + 1))].tolist()
+        want = brute_has_berge_cycle(hypergraph(g.n, [g.edges[e] for e in sub]))
+        hits += want
+        assert has_berge_cycle(g, sub) == want
+    assert 0 < hits < 300
+
+
 def test_two_overlapping_edges_form_cycle():
     assert has_berge_cycle(hypergraph(3, [(0, 1, 2), (0, 1)]))
     assert not has_berge_cycle(hypergraph(3, [(0, 1, 2)]))

@@ -10,7 +10,9 @@ inside the defining module counts too, since the module itself is then
 its caller. Nothing is exempt: even the console entry point cli.main is
 called by criterion 13. Likewise every parameter with a default must be
 passed, by keyword or by position, at one of those call sites at least;
-one named exemption is listed with its reason. No module in src/ or tests/ imports a name it
+one named exemption is listed with its reason. Every private top-level
+function in src/spinchaos is named somewhere in src/ outside its own body,
+so helpers that a rewrite leaves behind are caught. No module in src/ or tests/ imports a name it
 never reads; the re-exports of the package's __init__ are exempt. Importing
 the CLI loads no scipy submodule that only one experiment path needs.
 """
@@ -112,6 +114,32 @@ def test_every_public_function_has_a_caller():
     called = set().union(*(reached for reached, _ in all_calls()))
     unused = sorted(qual for qual, (site, _, _) in all_public_defs().items() if site not in called)
     assert not unused, f"public names that nothing in src/ or the criteria calls: {unused}"
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Every name the node reads, as a bare name, an attribute or an import."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_private_helper_has_a_caller():
+    # a reference counts, not only a call: RUNNERS holds its parsers and
+    # callbacks are passed by name; a function's own body does not count
+    bodies = [node for path in sorted(SRC.glob("*.py")) for node in ast.parse(path.read_text()).body]
+    helpers = [(node, name) for node in bodies if isinstance(node, ast.FunctionDef)
+               and (name := node.name).startswith("_") and not name.startswith("__")]
+    read = [names_read(node) for node in bodies]
+    unused = sorted(name for helper, name in helpers
+                    if not any(name in names for node, names in zip(bodies, read)
+                               if node is not helper))
+    assert not unused, f"private functions that nothing in src/ calls: {unused}"
 
 
 def defaulted(fn: ast.FunctionDef, skip: int) -> dict[str, int | None]:
