@@ -46,24 +46,25 @@ class Hypergraph:
     end, so edge k is flat[offsets[k]:offsets[k + 1]] (offsets is the
     read-only running sum of arity, from 0). `edges`, the same edges as
     tuples of ints, is built on first use for the callers that iterate
-    edges: the exact kernels (N <= 24), to_text and the audit.
+    edges: the Glauber sampler, the audit's geometry and to_text.
 
     The constructor takes edges either as sequences of integer vertex ids,
     one per edge, or as a list of 2-D integer arrays whose rows are edges,
     one array per block of equal arity (the diluted sampler's form). Both
-    are flattened, then validated by array ops alone. Graphs are equal, and
+    are flattened, then validated in one array pass. Graphs are equal, and
     hash equal, when they have the same n and the same edges in the same
     order, whichever form built them. Instances are immutable.
     """
 
     def __init__(self, n: int, edges):
-        if not isinstance(n, int) or n < 1:
+        if not hasattr(type(n), "__index__") or n < 1:  # numpy ints pass, floats do not
             raise ValidationError(f"vertex count must be a positive int, got {n!r}")
+        n = operator.index(n)
         arity, flat = _flatten(edges)
         offsets = np.zeros(len(arity) + 1, np.int64)
         np.cumsum(arity, out=offsets[1:])
-        if flat.dtype != np.int64 or not _valid(n, arity, flat, offsets):
-            _raise_first_bad(n, arity, flat, offsets)
+        if bad := _first_bad(n, arity, flat, offsets):
+            raise ValidationError(bad)
         for a in (arity, flat, offsets):
             a.setflags(write=False)
         vars(self).update(n=n, arity=arity, flat=flat, offsets=offsets)
@@ -102,14 +103,6 @@ class Hypergraph:
         """The edges as sorted tuples of ints, in id order."""
         offsets, flat = self.offsets.tolist(), self.flat.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:]))
-
-    @cached_property
-    def _lists(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        """The traversal's memo, filled by _rounds as it first reads each
-        entry of the arrays: vertex -> its edge ids, edge id -> its
-        vertices, as lists. A sparse exploration converts only what it
-        touches; repeated ones on a small graph convert it once."""
-        return {}, {}
 
     @cached_property
     def _incident(self) -> tuple[np.ndarray, np.ndarray]:
@@ -155,17 +148,6 @@ def _flatten(edges) -> tuple[np.ndarray, np.ndarray]:
     return arity, flat
 
 
-def _valid(n: int, arity: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> bool:
-    """Whether every edge has arity >= 2 and rising ids in [0, n), and no edge repeats."""
-    if np.minimum.reduce(arity, initial=2) < 2:
-        return False
-    # every step inside an edge must rise; steps across edge ends are free
-    rises = flat[1:] > flat[:-1]
-    rises[offsets[1:-1] - 1] = True
-    return bool(rises.all() and np.minimum.reduce(flat, initial=0) >= 0
-                and np.maximum.reduce(flat, initial=0) < n and not _duplicates(flat, offsets))
-
-
 def _edge_mix(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """uint64 hash of each edge of arity >= 1: the wrapped sum of its mixed ids."""
     x = flat.astype(np.uint64)
@@ -195,32 +177,35 @@ def _duplicates(flat: np.ndarray, offsets: np.ndarray) -> list[int]:
     return sorted(out)
 
 
-def _raise_first_bad(n: int, arity: np.ndarray, flat: np.ndarray, offsets: np.ndarray):
-    """Name the lowest offending edge id and its first failed check, in
-    the order arity, sorted distinct vertices, range, duplicate."""
-    owner = np.repeat(np.arange(len(arity)), arity)
-    short = arity < 2
-    unsorted = np.zeros(len(arity), bool)
-    unsorted[owner[1:][(owner[1:] == owner[:-1]) & (flat[1:] <= flat[:-1])]] = True
-    outside = np.zeros(len(arity), bool)
-    outside[owner[(flat < 0) | (flat >= n)]] = True
-    # a repeat of a bad edge comes after it, so the repeats among the good
-    # edges are the only ones that can be named
-    ok = ~(short | unsorted | outside)
-    good = np.flatnonzero(ok)
-    good_offsets = np.zeros(len(good) + 1, np.int64)
-    np.cumsum(arity[good], out=good_offsets[1:])
-    repeated = np.zeros(len(arity), bool)
-    repeated[good[_duplicates(flat[ok[owner]].astype(np.int64), good_offsets)]] = True
-    eid = int(np.flatnonzero(short | unsorted | outside | repeated)[0])
+def _first_bad(n: int, arity: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> str | None:
+    """The message naming the lowest bad edge and its first failed check,
+    in the order arity, sorted distinct vertices, range, duplicate; None
+    if every edge passes. flat may hold Python ints beyond int64."""
+    bound = len(arity)  # every edge before it has arity >= 2, rising ids in range
+    if np.minimum.reduce(arity, initial=2) < 2:
+        bound = int(np.argmax(arity < 2))
+    ids = flat[:offsets[bound]]
+    # every step inside an edge must rise; steps across edge ends are free
+    rises = ids[1:] > ids[:-1]
+    rises[offsets[1:bound] - 1] = True
+    if not rises.all():
+        bound = int(np.searchsorted(offsets, np.argmin(rises), "right")) - 1
+    if np.minimum.reduce(ids, initial=0) < 0 or np.maximum.reduce(ids, initial=0) >= n:
+        outside = int(np.argmax((ids < 0) | (ids >= n)))
+        bound = min(bound, int(np.searchsorted(offsets, outside, "right")) - 1)
+    # a repeat of a bad edge comes after it: only repeats before the bound count
+    repeats = _duplicates(flat[:offsets[bound]].astype(np.int64, copy=False), offsets[:bound + 1])
+    eid = repeats[0] if repeats else bound
+    if eid == len(arity):
+        return None
     e = tuple(flat[offsets[eid]:offsets[eid + 1]].tolist())
-    if short[eid]:
-        raise ValidationError(f"edge {eid} has arity {len(e)} < 2")
-    if unsorted[eid]:
-        raise ValidationError(f"edge {eid} must be sorted distinct vertices, got {e}")
-    if outside[eid]:
-        raise ValidationError(f"edge {eid} has vertex outside [0, {n})")
-    raise ValidationError(f"duplicate edge {e}")
+    if repeats:
+        return f"duplicate edge {e}"
+    if len(e) < 2:
+        return f"edge {eid} has arity {len(e)} < 2"
+    if any(a >= b for a, b in zip(e, e[1:])):
+        return f"edge {eid} must be sorted distinct vertices, got {e}"
+    return f"edge {eid} has vertex outside [0, {n})"
 
 
 def _integer(x, what: str) -> int:
@@ -240,8 +225,7 @@ def hypergraph(n: int, edges) -> Hypergraph:
         canon = tuple(tuple(sorted(map(operator.index, e))) for e in edges)
     except TypeError:
         canon = tuple(edges)  # Hypergraph names the first bad edge
-    # likewise for the vertex count; Hypergraph rejects what is not an int
-    return Hypergraph(operator.index(n) if hasattr(type(n), "__index__") else n, canon)
+    return Hypergraph(n, canon)
 
 
 @dataclass(frozen=True)
@@ -324,7 +308,6 @@ def _rounds(g: Hypergraph, root: int, max_depth: int | None = None, allowed=None
         raise ValidationError(f"max_depth must be >= 0, got {depth}")
     ptr, ids = g._incident
     offsets, flat = g.offsets, g.flat
-    edges_at, members = g._lists
     # an edge first met in round t holds no vertex of an earlier frontier,
     # whose edges were all met before: each of its vertices is either in
     # the last frontier or fresh
@@ -339,19 +322,13 @@ def _rounds(g: Hypergraph, root: int, max_depth: int | None = None, allowed=None
         claims: dict[int, int] = {}  # fresh vertex -> revealed edges holding it
         a_cnt = d_cnt = 0
         for v in frontier:
-            at = edges_at.get(v)
-            if at is None:
-                at = edges_at[v] = ids[ptr[v]:ptr[v + 1]].tolist()
-            for eid in at:
+            for eid in ids[ptr[v]:ptr[v + 1]].tolist():
                 if eid in seen_edges or (allowed is not None and eid not in allowed):
                     continue
                 seen_edges.add(eid)
                 revealed.append(eid)
                 hits_i = 0
-                edge = members.get(eid)
-                if edge is None:
-                    edge = members[eid] = flat[offsets[eid]:offsets[eid + 1]].tolist()
-                for u in edge:
+                for u in flat[offsets[eid]:offsets[eid + 1]].tolist():
                     if u in found:
                         hits_i += 1
                     else:

@@ -301,10 +301,13 @@ def probe_depth(spec: DilutedSpec, n: int, eps: float) -> int:
 
 def trend_sizes(alphas, n_values, eps: float, replicas: int) -> list[tuple[DilutedSpec, int]]:
     """(spec, probe depth) of each trend size, all checked before any draw:
-    depth >= 1 and a (replicas, depth + 2) array within the replica budget."""
+    strictly increasing N, depth >= 1 and a (replicas, depth + 2) array
+    within the replica budget."""
     out = []
     for n in n_values:
         spec = diluted_spec(n, alphas)
+        if out and spec.n <= out[-1][0].n:  # the trend reads growing N
+            raise ValidationError(f"n_values must strictly increase, got {list(n_values)}")
         depth = probe_depth(spec, n, eps)
         if depth < 1:
             raise ValidationError(f"probe depth 0 at N={n}; pick larger N or smaller eps")

@@ -165,6 +165,7 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
     pytest.param("levy", {"beta": "infinity"}, 2, id="levy-beta-infinity"),
     pytest.param("trend", {"n_values": ["a", 500]}, 2, id="trend-n-string"),
     pytest.param("trend", {"replicas": 1}, 2, id="trend-one-replica"),
+    pytest.param("trend", {"n_values": [120, 60]}, 2, id="trend-n-not-increasing"),
     pytest.param("trend", {"eps": math.inf}, 2, id="trend-eps-inf"),
     pytest.param("growth", {"n": 1}, 2, id="growth-n-one"),
     pytest.param("growth", {"alphas": {"2": math.nan}}, 2, id="growth-alpha-nan"),

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import re
 
@@ -14,6 +15,7 @@ from spinchaos.hypergraph import (Hypergraph, ball, ball_is_hypertree,
                                   connected_in, from_text, has_berge_cycle,
                                   hypergraph, interior_edges, multi_index,
                                   to_text, vertex_support)
+from spinchaos.randgraph import diluted_spec, explore, sample_diluted
 
 from conftest import (berge_paths_exist, brute_has_berge_cycle, random_hypergraph,
                       reference_validation_error)
@@ -52,6 +54,7 @@ def test_constructor_canonicalizes_and_validates():
         with pytest.raises(ValidationError, match="vertex count must be a positive int"):
             hypergraph(n, [(0, 1), (1, 2)])
     assert type(hypergraph(np.int64(4), [(0, 3)]).n) is int
+    assert type(Hypergraph(np.int64(4), [(0, 3)]).n) is int
     with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids, got \(0, 1.5\)"):
         hypergraph(3, [(1, 2), (0, 1.5)])  # not truncated to (0, 1)
     with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids"):
@@ -110,6 +113,30 @@ def test_validation_matches_edge_by_edge_loop():
         else:
             with pytest.raises(ValidationError) as exc:
                 Hypergraph(n, edges)
+            assert str(exc.value) == want
+
+
+def as_blocks(edges):
+    """The sampler's input form: one 2-D array per run of equal arity."""
+    runs = itertools.groupby(edges, len)
+    return [np.array(list(run), np.int64).reshape(-1, p) for p, run in runs]
+
+
+def test_validation_at_scale_names_a_late_bad_edge():
+    """An N = 1e4 draw with one bad edge inserted late, in both input
+    forms, raises the message of the edge-by-edge reference."""
+    n = 10_000
+    g = sample_diluted(diluted_spec(n, {2: 0.9, 3: 0.2}), np.random.default_rng(5))
+    edges = g.edges
+    assert Hypergraph(n, as_blocks(edges)) == g and reference_validation_error(n, edges) is None
+    late = len(edges) - 3
+    for bad in (edges[0], (7, 3), (0, n), (5,)):
+        broken = edges[:late] + (bad,) + edges[late:]
+        want = reference_validation_error(n, broken)
+        assert want is not None
+        for form in (broken, as_blocks(broken)):
+            with pytest.raises(ValidationError) as exc:
+                Hypergraph(n, form)
             assert str(exc.value) == want
 
 
@@ -365,6 +392,20 @@ def test_component():
     g = hypergraph(5, [(0, 1), (1, 2)])
     assert component(g, 0) == frozenset({0, 1, 2})
     assert component(g, 4) == frozenset({4})
+
+
+def test_traversals_leave_the_graph_as_they_found_it():
+    """Traversals keep no state on the graph, which replica threads share:
+    its instance dict gains only the cached incidence, edges and key."""
+    for g in (figure1(), sample_diluted(diluted_spec(50, {2: 0.9, 3: 0.3}),
+                                        np.random.default_rng(8))):
+        before = set(vars(g))
+        for v in range(g.n):
+            ball_sizes(g, v)
+        explore(g, 0)
+        connected_in(g, 0, g.n - 1, range(0, g.n_edges, 2))
+        hash(g)
+        assert set(vars(g)) - before <= {"_incident", "edges", "_key"}
 
 
 # ---------------------------------------------------------------------------

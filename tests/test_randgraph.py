@@ -342,3 +342,6 @@ def test_hypertree_trend_rows():
     assert again == rows
     with pytest.raises(ValidationError):
         hypertree_trend({2: 0.9, 3: 0.2}, [300, 600], eps=0.5, replicas=1, seed=11)
+    # a repeated N is no trend point, though its substream differs by position
+    with pytest.raises(ValidationError, match="n_values must strictly increase"):
+        hypertree_trend({2: 0.9}, [100, 100], eps=0.2, replicas=30, seed=1)
