@@ -3,10 +3,9 @@
 __version__ = "0.1.0"
 
 from .errors import CapacityError, NumericalError, SpinchaosError, ValidationError
-from .hypergraph import (Hypergraph, MultiIndex, ball, ball_is_hypertree,
-                         ball_sizes, berge_distance, component, connected_in,
-                         from_text, has_berge_cycle, hypergraph, interior_edges,
-                         multi_index, to_text, vertex_support)
+from .hypergraph import (Hypergraph, MultiIndex, ball_sizes, berge_distance,
+                         component, connected_in, from_text, hypergraph,
+                         hypertree_radius, multi_index, to_text, vertex_support)
 from .disorder import (DisorderModel, couple_symmetric, levy_a_n,
                        perturb_continuous, perturb_discrete, rho)
 from .gibbs import (CorrelationMatrix, GroundStates, SpinSystem,

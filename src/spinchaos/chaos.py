@@ -23,8 +23,8 @@ import numpy as np
 from . import disorder as dis
 from . import gibbs, hermite
 from .errors import ValidationError
-from .hypergraph import (Hypergraph, MultiIndex, ball_is_hypertree, ball_sizes,
-                         berge_distance, connected_in, hypergraph, multi_index,
+from .hypergraph import (Hypergraph, MultiIndex, ball_sizes, berge_distance,
+                         connected_in, hypergraph, hypertree_radius, multi_index,
                          vertex_support)
 from .randgraph import DilutedSpec, sample_diluted
 from .rng import check_replicas, mean_se, replicate, substream
@@ -365,9 +365,7 @@ def coefficient_audit(graph: Hypergraph, model: dis.DisorderModel, beta: float,
     table = hermite.coefficient_sweep(phi, graph.n_edges, degree_cap, order)
     d_ij = berge_distance(graph, i, j)
     even_model = all(len(e) % 2 == 0 for e in graph.edges)
-    r_ht = 0
-    while r_ht < graph.n and ball_is_hypertree(graph, i, r_ht + 1):
-        r_ht += 1
+    r_ht = hypertree_radius(graph, i)
 
     rows = []
     sign_bad, path_bad, tree_bad = [], [], []
@@ -427,27 +425,33 @@ def two_lobe_graph(k: int = 0) -> tuple[Hypergraph, dict]:
                "bridge": tuple(bridge_ids)}
 
 
+def _max_error(g: Hypergraph, i: int, j: int, beta: float, draws: int, rng, closed) -> float:
+    """max |<s_i s_j> - closed(cs)| over `draws` standard Gaussian coupling
+    vectors cs from rng, <s_i s_j> by exact enumeration."""
+    worst = 0.0
+    for _ in range(draws):
+        cs = rng.standard_normal(g.n_edges)
+        cm = gibbs.exact_correlations(gibbs.spin_system(g, cs, beta))
+        worst = max(worst, abs(cm.corr[i, j] - closed(cs)))
+    return worst
+
+
 def decoupling_error(k: int, beta: float, draws: int, seed: int) -> float:
     """max |<s_i s_j> - <s_i>_A <s_j>_B| over random Gaussian draws, where
     the lobe means are computed on the sub-systems with only that lobe's
     edges. Exact enumeration on both sides."""
     g, lab = two_lobe_graph(k)
-    rng = substream(seed, "decouple", k)
-    worst = 0.0
     i, j = lab["i"], lab["j"]
-    for _ in range(draws):
-        cs = rng.standard_normal(g.n_edges)
-        full = gibbs.exact_correlations(gibbs.spin_system(g, cs, beta))
-        lhs = full.corr[i, j]
+
+    def lobe_means(cs) -> float:
         rhs = 1.0
         for lobe, v in ((lab["lobe_a"], i), (lab["lobe_b"], j)):
             keep = np.zeros(g.n_edges)
-            for eid in lobe:
-                keep[eid] = cs[eid]
-            sub = gibbs.exact_correlations(gibbs.spin_system(g, keep, beta))
-            rhs *= sub.means[v]
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+            keep[list(lobe)] = cs[list(lobe)]
+            rhs *= gibbs.exact_correlations(gibbs.spin_system(g, keep, beta)).means[v]
+        return rhs
+
+    return _max_error(g, i, j, beta, draws, substream(seed, "decouple", k), lobe_means)
 
 
 def tanh_product_error(k: int, beta: float, draws: int, seed: int) -> float:
@@ -455,18 +459,9 @@ def tanh_product_error(k: int, beta: float, draws: int, seed: int) -> float:
     over the four lobe edges. Stronger than decoupling_error: it pins the
     closed form of the observable, not just its factorization."""
     g, lab = two_lobe_graph(k)
-    rng = substream(seed, "tanhprod", k)
-    i, j = lab["i"], lab["j"]
     lobe_edges = lab["lobe_a"] + lab["lobe_b"]
-    worst = 0.0
-    for _ in range(draws):
-        cs = rng.standard_normal(g.n_edges)
-        cm = gibbs.exact_correlations(gibbs.spin_system(g, cs, beta))
-        prod = 1.0
-        for eid in lobe_edges:
-            prod *= math.tanh(beta * cs[eid])
-        worst = max(worst, abs(cm.corr[i, j] - prod))
-    return worst
+    return _max_error(g, lab["i"], lab["j"], beta, draws, substream(seed, "tanhprod", k),
+                      lambda cs: math.prod(math.tanh(beta * cs[eid]) for eid in lobe_edges))
 
 
 @lru_cache(maxsize=8)
@@ -562,12 +557,8 @@ def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> dict:
     out = {"remark": {}, "two_lobe": []}
     g = remark_graph()
     rng = substream(seed, "remark")
-    worst = 0.0
-    for beta in (0.3, 1.0, 3.0):
-        for _ in range(draws):
-            cs = rng.standard_normal(3)
-            cm = gibbs.exact_correlations(gibbs.spin_system(g, cs, beta))
-            worst = max(worst, abs(cm.corr[0, 1] - math.tanh(beta * cs[0])))
+    worst = max(_max_error(g, 0, 1, beta, draws, rng, lambda cs: math.tanh(beta * cs[0]))
+                for beta in (0.3, 1.0, 3.0))
     n_ex = multi_index({0: 1, 1: 2})
     verdict = hermite.sign_criterion(g, n_ex, 0, 1)
     phi = disorder_functional(g, dis.DisorderModel("identity"), 1.0, 0, 1)

@@ -378,6 +378,9 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     cs = np.atleast_2d(np.asarray(couplings, dtype=float))
     if cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")
+    check = graph.check_vertex  # a negative id would index spins from the end
+    pairs = [(check(i), check(j)) for i, j in pairs]
+    singles = [check(i) for i in singles]
     # uncached, so it neither evicts the half table nor outlives the call
     states, eprod = _table(graph, 1 << n)
     pair_obs = [states[:, i] * states[:, j] for i, j in pairs]

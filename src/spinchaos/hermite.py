@@ -22,7 +22,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from . import disorder as dis
 from .errors import CapacityError, NumericalError, ValidationError
-from .hypergraph import Hypergraph, MultiIndex, multi_index
+from .hypergraph import Hypergraph, MultiIndex, _integer, multi_index
 
 MAX_AXES = 6
 MAX_ORDER = 24
@@ -266,6 +266,7 @@ def conditional_mean_resampled(phi, n_edges: int, fixed: dict[int, float],
     pinned, the rest are resampled fresh each draw. Returns (mean, se).
     phi sees 2^14 draws at a time; only the running sum and sum of
     squares are kept."""
+    fixed = {_integer(eid, "fixed coordinate"): x for eid, x in fixed.items()}
     for eid in fixed:
         if not 0 <= eid < n_edges:
             raise ValidationError(f"fixed coordinate {eid} outside [0, {n_edges})")

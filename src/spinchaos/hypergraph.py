@@ -15,9 +15,9 @@ length >= 2, so two edges sharing two vertices already form one.
 One traversal serves all of Berge geometry: `_rounds` walks the CSR
 incidence from a root in the rounds of the diluted model's exploration
 (randgraph.explore), and round t reveals exactly the vertices at Berge
-distance t. Balls, ball sizes, distances, components and connectivity
-inside an edge subset all read its vertex layers; cycle detection reads
-its A and D events.
+distance t. Ball sizes, distances, components and connectivity inside
+an edge subset read its vertex layers; the hypertree radius of a ball
+reads its A and D events.
 """
 
 from __future__ import annotations
@@ -274,8 +274,6 @@ def multi_index(degrees) -> MultiIndex:
 
 
 def _resolve_edges(g: Hypergraph, edge_ids) -> list[int]:
-    if edge_ids is None:
-        return list(range(g.n_edges))
     out = []
     for eid in edge_ids:
         eid = _integer(eid, "edge id")
@@ -348,46 +346,25 @@ def berge_distance(g: Hypergraph, u: int, v: int) -> float:
     return next((t for t, (fresh, _, _, _) in enumerate(_rounds(g, u)) if v in fresh), math.inf)
 
 
-def ball(g: Hypergraph, v: int, r: int) -> frozenset[int]:
-    """B_r(v): vertices within Berge distance r."""
-    return frozenset(chain.from_iterable(fresh for fresh, _, _, _ in _rounds(g, v, r)))
-
-
 def ball_sizes(g: Hypergraph, v: int) -> list[int]:
     """|B_r(v)| for r = 0, 1, ... up to the eccentricity of v."""
     return list(accumulate(len(fresh) for fresh, _, _, _ in _rounds(g, v) if fresh))
 
 
-def has_berge_cycle(g: Hypergraph, edge_ids=None) -> bool:
-    """Whether the given edge ids (all edges if None) hold a Berge cycle:
-    the exploration of each of their components flags an A or a D event
-    in some round, the hypertree test of randgraph.explore."""
-    ids = _resolve_edges(g, edge_ids)
-    allowed = None if edge_ids is None else set(ids)
-    seen: set[int] = set()
-    for eid in ids:
-        for v in g.edges[eid]:
-            if v in seen:
-                continue
-            for fresh, _, a_cnt, d_cnt in _rounds(g, v, allowed=allowed):
-                if a_cnt or d_cnt:
-                    return True
-                seen.update(fresh)
-    return False
-
-
-def interior_edges(g: Hypergraph, vertices) -> tuple[int, ...]:
-    """Edges with all vertices inside the given set."""
-    vs = set(vertices)
-    return tuple(eid for eid, e in enumerate(g.edges) if vs.issuperset(e))
-
-
-def ball_is_hypertree(g: Hypergraph, v: int, r: int) -> bool:
-    """Whether the depth-r ball around v, with its interior edges, is a
-    hypertree. Connectivity holds by construction, so this reduces to
-    the absence of a Berge cycle among interior edges."""
-    b = ball(g, v, r)
-    return not has_berge_cycle(g, interior_edges(g, b))
+def hypertree_radius(g: Hypergraph, v: int) -> int:
+    """The largest r <= N for which the ball B_r(v), with its interior
+    edges, is a hypertree. Those edges are the ones revealed in rounds
+    1..r of the exploration from v plus the round-(r + 1) edges that lie
+    inside I_r, each an A event; the rounds before the first A or D event
+    reveal a hypertree, and an interior edge closes a cycle with it."""
+    last = []
+    for t, (fresh, revealed, a_cnt, d_cnt) in enumerate(_rounds(g, v)):
+        if a_cnt or d_cnt:
+            inside = set(last).issuperset
+            return t - 1 - any(inside(g.flat[g.offsets[eid]:g.offsets[eid + 1]].tolist())
+                               for eid in revealed)
+        last = fresh
+    return g.n
 
 
 def vertex_support(g: Hypergraph, n: MultiIndex) -> frozenset[int]:

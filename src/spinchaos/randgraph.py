@@ -11,8 +11,8 @@ Cycle events are counted per round: an A event is a revealed edge meeting
 the previous frontier twice, a D event is two revealed edges claiming a
 common fresh vertex. The revealed edge sets form a hypertree exactly when
 no round flags an event. The rounds are hypergraph's one Berge traversal,
-the same that grows balls and measures distances, so I_t is the set of
-vertices at Berge distance t from the root.
+the same that measures ball sizes, distances and hypertree radii, so I_t
+is the set of vertices at Berge distance t from the root.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .hypergraph import Hypergraph, _rounds
+from .hypergraph import Hypergraph, _integer, _rounds
 from .rng import check_replicas, mean_se, replicate
 
 MAX_N_LOW_ARITY = 100_000
@@ -70,8 +70,10 @@ class DilutedSpec:
 
 
 def diluted_spec(n: int, alphas) -> DilutedSpec:
+    """N and the arities as ints (numpy ints pass, floats are refused), alphas as floats."""
     items = alphas.items() if hasattr(alphas, "items") else alphas
-    return DilutedSpec(int(n), tuple(sorted((int(p), float(a)) for p, a in items)))
+    return DilutedSpec(_integer(n, "N"),
+                       tuple(sorted((_integer(p, "arity"), float(a)) for p, a in items)))
 
 
 def sample_diluted(spec: DilutedSpec, rng: np.random.Generator) -> Hypergraph:

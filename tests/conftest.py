@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from spinchaos.chaos import disorder_functional
+from spinchaos.disorder import DisorderModel
 from spinchaos.errors import ValidationError
+from spinchaos.hermite import coefficient_sweep, parseval_tail, weighted_coefficient_sum
 from spinchaos.hypergraph import Hypergraph, hypergraph
 
 
@@ -167,6 +170,24 @@ def general_ball_bound(graph: Hypergraph, t: float) -> tuple[float, int]:
         if best is None or val < best[0]:
             best = (val, r)
     return best
+
+
+def spectral_curve(graph: Hypergraph, beta: float, kind: str, t_grid,
+                   degree_cap: int, order: int) -> tuple[np.ndarray, float]:
+    """E<R^2>_t of identity disorder by the spectral identity,
+    (1/N^2) sum_ij sum_n w(n, t) phi_hat_ij(n)^2 with w = e^{-|n| t}
+    (continuous) or e^{-|E(n)| t} (discrete), and its error budget, the
+    Parseval tails of the truncated sums weighted alike. Diagonal terms
+    are 1; each pair i < j counts twice and takes one coefficient_sweep."""
+    model = DisorderModel("identity")
+    curve = np.full(len(t_grid), float(graph.n))
+    tail = 0.0
+    for i, j in itertools.combinations(range(graph.n), 2):
+        table = coefficient_sweep(disorder_functional(graph, model, beta, i, j),
+                                  graph.n_edges, degree_cap, order)
+        curve += 2.0 * np.array([weighted_coefficient_sum(table, t, kind) for t in t_grid])
+        tail += 2.0 * parseval_tail(table)
+    return curve / graph.n ** 2, tail / graph.n ** 2
 
 
 def random_hypergraph(rng, n_max: int = 7, e_max: int = 5,

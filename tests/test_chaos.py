@@ -22,7 +22,7 @@ from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
                                  sample_diluted)
 from spinchaos.rng import replicate, substream
 
-from conftest import general_ball_bound
+from conftest import general_ball_bound, spectral_curve
 
 IDENT = dis.DisorderModel("identity")
 
@@ -140,6 +140,21 @@ def test_single_edge_closed_form():
             lambda a, b: (1.0 + math.tanh(beta * a) * np.tanh(beta * b)) / 2.0, t)
         se = max(curve.ses[ti], 1e-12)
         assert abs(curve.estimates[ti] - target) <= 3.0 * se
+
+
+@pytest.mark.parametrize("kind", dis.PERTURBATION_KINDS)
+@pytest.mark.parametrize("name, degree_cap, order", [("remark-path-graph", 10, 16),
+                                                      ("figure1-hypergraph", 8, 10)])
+def test_curve_matches_spectral_identity(name, degree_cap, order, kind):
+    """The curve machinery (coupled paths, replica loop, overlap and the
+    t = 0 reuse) against E<R^2>_t = (1/N^2) sum_ij sum_n w(n, t)
+    phi_hat_ij(n)^2 from the coefficients, within 3 s.e. plus the tail."""
+    g = fixtures.get_fixture(name)
+    grid = [0.0, 0.5, 1.0, 2.0]
+    spectral, tail = spectral_curve(g, 0.8, kind, grid, degree_cap, order)
+    curve = chaos.chaos_curve(g, IDENT, 0.8, kind, grid, 400, 31)
+    assert tail < 1e-3
+    assert np.all(np.abs(curve.estimates - spectral) <= 3.0 * curve.ses + tail)
 
 
 def test_curve_meta_and_se():

@@ -474,6 +474,19 @@ def test_batch_moments_rejects_bad_beta(beta):
         batch_moments(g, np.ones((3, 4)), beta, [(0, 1)])
 
 
+@pytest.mark.parametrize("pairs, singles", [([(0, -1)], []), ([(0, 9)], []), ([(0.0, 1)], []),
+                                            ([(0, 1)], [-2])])
+def test_batch_moments_rejects_bad_vertices(pairs, singles):
+    # (0, -1) read spin 3, so disorder_functional(g, model, 1.0, 0, -1) was
+    # <s_0 s_3>; (0, 9) and (0.0, 1) died with an IndexError
+    g = chaos.remark_graph()
+    with pytest.raises(ValidationError, match="outside|must be an integer"):
+        batch_moments(g, np.ones((2, 3)), 1.0, pairs, singles)
+    if not singles:
+        with pytest.raises(ValidationError):
+            disorder_functional(g, DisorderModel("identity"), 1.0, *pairs[0])(np.ones((2, 3)))
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_batch_moments_peak_memory():
     # a fresh interpreter, one N = 18 call on 256 coupling vectors: with

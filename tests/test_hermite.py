@@ -118,6 +118,11 @@ def test_montecarlo_coefficient(rng):
     assert again == mean
     with pytest.raises(ValidationError, match="samples >= 2"):
         conditional_mean_resampled(phi, 2, {}, 1, substream(4, "mc"))
+    # fixed coordinates are integers: 1.5 was looked up as 1, a raw KeyError
+    with pytest.raises(ValidationError, match="fixed coordinate must be an integer, got 1.5"):
+        conditional_mean_resampled(phi, 3, {1.5: 0.3}, 100, substream(4, "mc"))
+    pinned, _ = conditional_mean_resampled(phi, 2, {np.int64(0): 0.5, 1: -0.5}, 2, substream(4, "mc"))
+    assert pinned == pytest.approx(math.tanh(0.5 - 0.15), abs=1e-15)
 
 
 def test_semigroup_weights():

@@ -9,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchaos import gibbs
+from spinchaos.chaos import two_lobe_graph
 from spinchaos.errors import ValidationError
-from spinchaos.hypergraph import (Hypergraph, ball, ball_is_hypertree,
-                                  ball_sizes, berge_distance, component,
-                                  connected_in, from_text, has_berge_cycle,
-                                  hypergraph, interior_edges, multi_index,
+from spinchaos.fixtures import catalog
+from spinchaos.hypergraph import (Hypergraph, ball_sizes, berge_distance,
+                                  component, connected_in, from_text,
+                                  hypergraph, hypertree_radius, multi_index,
                                   to_text, vertex_support)
 from spinchaos.randgraph import diluted_spec, explore, sample_diluted
 
-from conftest import (berge_paths_exist, brute_has_berge_cycle, random_hypergraph,
-                      reference_validation_error)
+from conftest import (berge_paths_exist, bfs_distances, brute_has_berge_cycle,
+                      random_hypergraph, reference_validation_error)
 
 
 def incident(g, v):
@@ -30,6 +31,12 @@ def incident(g, v):
 def figure1():
     # two 3-vertex lobes joined by a hub triple
     return hypergraph(7, [(1, 2, 3), (2, 3), (4, 5, 6), (5, 6), (0, 3, 6)])
+
+
+def explore_finds_cycle(g) -> bool:
+    """Whether the exploration from some root flags an A or D event: the
+    rounds of each component reveal all of its edges."""
+    return any(explore(g, v).first_cycle_round is not None for v in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +217,13 @@ def test_edge_ids_and_degrees_are_not_truncated():
     g = hypergraph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValidationError, match="edge id must be an integer, got 0.9"):
         connected_in(g, 0, 1, [0.9])
-    with pytest.raises(ValidationError, match="edge id must be an integer, got 0.5"):
-        has_berge_cycle(g, [0.5, 1.7])
     with pytest.raises(ValidationError, match="edge id must be an integer, got 1.9"):
         multi_index({1.9: 2.6})
     with pytest.raises(ValidationError, match="degree must be an integer, got 2.6"):
         multi_index({1: 2.6})
     # numpy ints still pass
     assert connected_in(g, 0, 2, [np.int64(0), np.int32(1)])
-    assert not has_berge_cycle(g, np.arange(3))
+    assert connected_in(g, 0, 3, np.arange(3))
     assert multi_index({np.int64(1): np.uint8(2), 0: np.int64(0)}).degrees == ((1, 2),)
 
 
@@ -301,7 +306,7 @@ def test_ball_growth_and_stabilization(rng):
         assert sizes[0] == 1
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] == len(comp)
-        assert ball(g, v, len(sizes) + 5) == comp
+        assert comp == frozenset(bfs_distances(g, v))
 
 
 # ---------------------------------------------------------------------------
@@ -314,67 +319,68 @@ def test_cycle_detector_matches_brute_force(rng):
         g = random_hypergraph(rng, n_max=7, e_max=5)
         want = brute_has_berge_cycle(g)
         hits += want
-        assert has_berge_cycle(g) == want
+        assert explore_finds_cycle(g) == want
     assert 0 < hits < 300  # both outcomes exercised
 
 
-def test_cycle_detector_on_edge_subsets_matches_brute_force(rng):
-    hits = 0
-    for _ in range(300):
-        g = random_hypergraph(rng, n_max=8, e_max=6, arities=(2, 3, 4))
-        sub = rng.permutation(g.n_edges)[:int(rng.integers(0, g.n_edges + 1))].tolist()
-        want = brute_has_berge_cycle(hypergraph(g.n, [g.edges[e] for e in sub]))
-        hits += want
-        assert has_berge_cycle(g, sub) == want
-    assert 0 < hits < 300
-
-
 def test_two_overlapping_edges_form_cycle():
-    assert has_berge_cycle(hypergraph(3, [(0, 1, 2), (0, 1)]))
-    assert not has_berge_cycle(hypergraph(3, [(0, 1, 2)]))
+    assert explore_finds_cycle(hypergraph(3, [(0, 1, 2), (0, 1)]))
+    assert not explore_finds_cycle(hypergraph(3, [(0, 1, 2)]))
 
 
 def test_figure1_cycles():
     g = figure1()
-    assert has_berge_cycle(g)
+
+    def keep(ids):
+        return hypergraph(g.n, [g.edges[eid] for eid in ids])
+
+    assert explore_finds_cycle(g)
     # each lobe alone is already cyclic: its triple and pair share two vertices
-    assert has_berge_cycle(g, [0, 1])
+    assert explore_finds_cycle(keep([0, 1]))
     # the two lobes without the hub edge stay cyclic
-    assert has_berge_cycle(g, [0, 1, 2, 3])
+    assert explore_finds_cycle(keep([0, 1, 2, 3]))
     # one edge of each lobe plus the hub is a hypertree
-    assert not has_berge_cycle(g, [0, 2, 4])
+    assert not explore_finds_cycle(keep([0, 2, 4]))
 
 
 # ---------------------------------------------------------------------------
-# balls, interiors, local hypertree
+# local hypertree radius
 
 
-def test_interior_edges():
-    path = hypergraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    inner = interior_edges(path, ball(path, 2, 1))
-    assert inner == (1, 2)
-    assert interior_edges(path, range(5)) == (0, 1, 2, 3)
-    assert interior_edges(path, {0, 2, 4}) == ()  # no edge lies inside
+def ball_radius_oracle(g, v) -> int:
+    """The largest r <= N whose ball B_r(v), with every edge lying inside
+    it, holds no Berge cycle: balls by BFS, cycles by exhaustive search.
+    Balls only grow with r, so the first cyclic ball ends the search."""
+    dist = bfs_distances(g, v)
+    for r in range(1, g.n + 1):
+        inner = [e for e in g.edges if all(dist.get(u, r + 1) <= r for u in e)]
+        if inner and brute_has_berge_cycle(hypergraph(g.n, inner)):
+            return r - 1
+    return g.n
 
 
 def test_ball_is_hypertree_on_ring():
     n = 9
     ring = hypergraph(n, [(k, (k + 1) % n) for k in range(n)])
-    assert ball_is_hypertree(ring, 0, 3)
-    # radius 4 balls cover the whole ring: interior edges close the loop
-    assert not ball_is_hypertree(ring, 0, 4)
+    # the radius-3 ball is a path of 6 edges; at radius 4 it covers the
+    # whole ring and its interior edges close the loop
+    assert hypertree_radius(ring, 0) == 3
+    path = hypergraph(n, [(k, k + 1) for k in range(n - 1)])
+    assert [hypertree_radius(path, v) for v in range(n)] == [n] * n
 
 
-def test_ball_is_hypertree_equals_no_interior_cycle(rng):
-    for _ in range(120):
-        g = random_hypergraph(rng)
-        v = int(rng.integers(g.n))
-        r = int(rng.integers(0, 4))
-        sub_vertices = ball(g, v, r)
-        keep = interior_edges(g, sub_vertices)
-        sub = hypergraph(g.n, [g.edges[e] for e in keep]) if keep else None
-        expected = sub is None or not brute_has_berge_cycle(sub)
-        assert ball_is_hypertree(g, v, r) == expected
+def test_hypertree_radius_matches_ball_oracle(rng):
+    graphs = [random_hypergraph(rng, n_max=9, e_max=8, arities=(2, 3, 4)) for _ in range(3000)]
+    graphs += [g for g, _ in catalog().values()]
+    graphs += [two_lobe_graph(k)[0] for k in range(4)]
+    radii = set()
+    for g in graphs:
+        for v in range(g.n):
+            r = hypertree_radius(g, v)
+            assert r == ball_radius_oracle(g, v), (g, v)
+            radii.add(r if r < g.n else "N")
+    # a cycle at the first round, inside a later ball, and none at all
+    assert {0, 1, 2, 3, "N"} <= radii
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +408,7 @@ def test_traversals_leave_the_graph_as_they_found_it():
         before = set(vars(g))
         for v in range(g.n):
             ball_sizes(g, v)
+            hypertree_radius(g, v)
         explore(g, 0)
         connected_in(g, 0, g.n - 1, range(0, g.n_edges, 2))
         hash(g)
@@ -454,4 +461,4 @@ def test_distance_symmetry_and_cycle_oracle(g):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             assert berge_distance(g, u, v) == berge_distance(g, v, u)
-    assert has_berge_cycle(g) == brute_has_berge_cycle(g)
+    assert explore_finds_cycle(g) == brute_has_berge_cycle(g)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinchaos.errors import CapacityError, ValidationError
-from spinchaos.hypergraph import ball, berge_distance, has_berge_cycle, hypergraph
+from spinchaos.hypergraph import berge_distance, component, hypergraph, hypertree_radius
 from spinchaos.randgraph import (_colex_rank, diluted_spec, explore,
                                  frontier_mean_bound,
                                  frontier_second_moment_bound, growth_stats,
@@ -38,6 +38,13 @@ def test_spec_validation():
         diluted_spec(200_000, {2: 0.5})
     with pytest.raises(CapacityError):
         diluted_spec(50_000, {4: 0.1})
+    # N and arities are integers: 50.7 read as 50, arity 2.9 as 2, and a
+    # trend size 1.5 failed as "need N >= 2, got 1"
+    for call in (lambda: diluted_spec(50.7, {2: 0.9}), lambda: diluted_spec(16, {2.9: 0.5}),
+                 lambda: hypertree_trend({2: 0.9}, [1.5, 500], 0.2, 3, 1)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call()
+    assert diluted_spec(np.int64(16), {np.uint8(2): 0.5}).alphas == ((2, 0.5),)
 
 
 def test_growth_rates():
@@ -214,10 +221,8 @@ def test_flags_iff_revealed_cycle(rng):
         root = int(rng.integers(g.n))
         tr = explore(g, root)
         has_flags = tr.first_cycle_round is not None
-        cyc = has_berge_cycle(g, revealed_edges(tr))
-        assert has_flags == cyc
         sub = hypergraph(g.n, [g.edges[e] for e in revealed_edges(tr)])
-        assert cyc == brute_has_berge_cycle(sub)
+        assert has_flags == brute_has_berge_cycle(sub)
         if has_flags:
             flagged += 1
             t = tr.first_cycle_round
@@ -225,8 +230,8 @@ def test_flags_iff_revealed_cycle(rng):
             assert all(a == 0 and d == 0 for a, d in
                        zip(tr.a_counts[:t], tr.d_counts[:t]))
             # the rounds before the first flag reveal a cycle-free set
-            early = [e for s in range(t) for e in tr.e_sets[s]]
-            assert not has_berge_cycle(g, early)
+            early = [g.edges[e] for s in range(t) for e in tr.e_sets[s]]
+            assert not brute_has_berge_cycle(hypergraph(g.n, early))
         else:
             clean += 1
     assert flagged and clean
@@ -263,17 +268,17 @@ def test_explore_validation():
 
 
 def test_traversal_rejects_non_integer_arguments():
-    # floats were truncated or compared: a radius 1.5 grew the radius-2
+    # floats were truncated or compared: a depth 1.5 grew the depth-2
     # ball, nan gave {0}, a target 1.5 sat at distance inf
     path = hypergraph(5, [(k, k + 1) for k in range(4)])
-    calls = [lambda: ball(path, 0, 1.5), lambda: explore(path, 0, max_depth=1.5),
-             lambda: ball(path, 0, float("nan")), lambda: berge_distance(path, 0, 1.5),
-             lambda: explore(path, 1.5), lambda: ball(path, np.float64(0.0), 1)]
+    calls = [lambda: explore(path, 0, max_depth=1.5), lambda: explore(path, 0, max_depth=math.nan),
+             lambda: berge_distance(path, 0, 1.5), lambda: explore(path, 1.5),
+             lambda: component(path, np.float64(0.0)), lambda: hypertree_radius(path, 0.0)]
     for call in calls:
         with pytest.raises(ValidationError, match="must be an integer"):
             call()
     # numpy ints are integers
-    assert ball(path, np.int64(0), np.int32(2)) == frozenset({0, 1, 2})
+    assert explore(path, np.int64(0), max_depth=np.int32(2)).i_sets[2] == frozenset({2})
     assert berge_distance(path, np.int64(4), np.uint8(0)) == 4
 
 
