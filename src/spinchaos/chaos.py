@@ -22,7 +22,7 @@ import numpy as np
 
 from . import disorder as dis
 from . import gibbs, hermite
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 from .hypergraph import (Hypergraph, MultiIndex, ball_sizes, berge_distance,
                          connected_in, hypergraph, hypertree_radius, multi_index,
                          vertex_support)
@@ -325,7 +325,6 @@ class AuditRow:
     in_support: bool       # both i and j in V(n)
     path_ij: bool          # i-j Berge path inside G(n)
     support_size: int      # |E(n)|
-    distance_ij: float
 
 
 @dataclass(frozen=True)
@@ -371,15 +370,14 @@ def coefficient_audit(graph: Hypergraph, model: dis.DisorderModel, beta: float,
     sign_bad, path_bad, tree_bad = [], [], []
     for ent in table.entries:
         n = ent.n
-        verdict = hermite.sign_criterion(graph, n, i, j)
+        forced = hermite.sign_criterion(graph, n, i, j)
         vs = vertex_support(graph, n)
         in_sup = i in vs and j in vs
         path = connected_in(graph, i, j, n.support) if in_sup else False
-        rows.append(AuditRow(n=n, value=ent.value, forced_zero=verdict.forced_zero,
-                             in_support=in_sup, path_ij=path,
-                             support_size=len(n.support), distance_ij=d_ij))
+        rows.append(AuditRow(n=n, value=ent.value, forced_zero=forced,
+                             in_support=in_sup, path_ij=path, support_size=len(n.support)))
         idx = len(rows) - 1
-        if verdict.forced_zero and abs(ent.value) > sign_tol:
+        if forced and abs(ent.value) > sign_tol:
             sign_bad.append(idx)
         if abs(ent.value) > tol:
             if even_model and not path:
@@ -408,7 +406,7 @@ def two_lobe_graph(k: int = 0) -> tuple[Hypergraph, dict]:
     with hub vertex 0; k >= 1 replaces the bridge with a path of k
     arity-3 edges. Returns (graph, labels) with the observable vertices
     and edge groups."""
-    if k == 0:
+    if _integer(k, "bridge length") == 0:
         g = hypergraph(7, [(1, 2, 3), (2, 3), (4, 5, 6), (5, 6), (0, 3, 6)])
         return g, {"i": 1, "j": 4, "lobe_a": (0, 1), "lobe_b": (2, 3), "bridge": (4,)}
     a, b = 2, 5  # 3' and 3'' in the relabeled variant
@@ -429,7 +427,7 @@ def _max_error(g: Hypergraph, i: int, j: int, beta: float, draws: int, rng, clos
     """max |<s_i s_j> - closed(cs)| over `draws` standard Gaussian coupling
     vectors cs from rng, <s_i s_j> by exact enumeration."""
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(_integer(draws, "draws")):
         cs = rng.standard_normal(g.n_edges)
         cm = gibbs.exact_correlations(gibbs.spin_system(g, cs, beta))
         worst = max(worst, abs(cm.corr[i, j] - closed(cs)))
@@ -496,8 +494,9 @@ def _beta_functionals(graph: Hypergraph, betas, i: int, j: int, embed) -> list:
     return [make(k) for k in range(len(betas))]
 
 
-def bridged_coefficient(k: int, beta: float, order: int) -> dict:
-    """phi_hat(n) for n = 1 on the four lobe edges, 0 on the bridge.
+def bridged_coefficients(k: int, betas, order: int) -> list[dict]:
+    """phi_hat(n) for n = 1 on the four lobe edges, 0 on the bridge, at
+    each beta.
 
     The tensor route: for k <= 1 the system has 5 edges and the full
     grid applies; larger k exceeds the grid cap, so the bridge
@@ -505,13 +504,9 @@ def bridged_coefficient(k: int, beta: float, order: int) -> dict:
     provably does not depend on them (decoupling_error at 1e-12).
     The factorized route evaluates the certified closed form with an
     adaptive scalar integral; the gap between the two is the tensor
-    truncation error, reported as quadrature_gap."""
-    return _bridged_coefficients(k, (beta,), order)[0]
-
-
-def _bridged_coefficients(k: int, betas, order: int) -> list[dict]:
-    """bridged_coefficient at each beta; the betas share every
-    batch_moments call (_beta_functionals), one grid pass per beta."""
+    truncation error, reported as quadrature_gap. The betas share every
+    batch_moments call (_beta_functionals), one grid pass per beta, and
+    each value has the bits of a call with that beta alone."""
     g, lab = two_lobe_graph(k)
     i, j = lab["i"], lab["j"]
     lobe_edges = list(lab["lobe_a"] + lab["lobe_b"])
@@ -560,11 +555,11 @@ def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> dict:
     worst = max(_max_error(g, 0, 1, beta, draws, rng, lambda cs: math.tanh(beta * cs[0]))
                 for beta in (0.3, 1.0, 3.0))
     n_ex = multi_index({0: 1, 1: 2})
-    verdict = hermite.sign_criterion(g, n_ex, 0, 1)
+    forced = hermite.sign_criterion(g, n_ex, 0, 1)
     phi = disorder_functional(g, dis.DisorderModel("identity"), 1.0, 0, 1)
     coeff = hermite.coeff_quadrature(phi, 3, n_ex, order)
     out["remark"] = {"tanh_identity_max_err": worst,
-                     "unforced_index_forced_zero": verdict.forced_zero,
+                     "unforced_index_forced_zero": forced,
                      "unforced_index_coeff": coeff}
     for k in (0, 1, 2, 3):
         row = {"k": k,
@@ -572,7 +567,7 @@ def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> dict:
                    decoupling_error(k, b, draws, seed) for b in (0.5, 1.0)),
                "tanh_product_max_err": max(
                    tanh_product_error(k, b, draws, seed) for b in (0.5, 1.0))}
-        for coeff in _bridged_coefficients(k, (0.5, 1.0), order):
+        for coeff in bridged_coefficients(k, (0.5, 1.0), order):
             row[f"coeff_beta_{coeff['beta']}"] = coeff
         out["two_lobe"].append(row)
     return out

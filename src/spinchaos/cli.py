@@ -256,11 +256,10 @@ def _parse_growth(cfg: dict):
     seed = cfg["seed"]
 
     def run():
-        stats = randgraph.growth_stats(spec, depth, replicas, seed)
-        rows = randgraph.growth_stats_rows(stats)
+        rows, cycle_prob, cycle_prob_se = randgraph.growth_stats(spec, depth, replicas, seed)
         payload = {
             "lambda": spec.growth_rate, "lambda_prime": spec.growth_rate_prime,
-            "cycle_prob": stats.cycle_prob, "cycle_prob_se": stats.cycle_prob_se,
+            "cycle_prob": cycle_prob, "cycle_prob_se": cycle_prob_se,
             "rows": rows,
         }
         return rows, payload

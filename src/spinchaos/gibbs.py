@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError, ValidationError
+from .errors import CapacityError, NumericalError, ValidationError, _integer
 from .hypergraph import Hypergraph
 from .rng import mean_se
 
@@ -285,7 +285,7 @@ def _local_field(entries, sigma):
 
 def check_mcmc(n: int, sweeps: int) -> None:
     """A sweep per batch mean, and (MCMC_BATCHES, N, N) floats in TABLE_BYTES."""
-    if sweeps < MCMC_BATCHES:
+    if _integer(sweeps, "sweeps") < MCMC_BATCHES:
         raise ValidationError(f"need sweeps >= {MCMC_BATCHES} (one per batch mean), got {sweeps}")
     if 8 * MCMC_BATCHES * n * n > TABLE_BYTES:
         raise CapacityError(f"mcmc batch means of N={n} exceed the "
@@ -302,6 +302,7 @@ def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
     beta = _require_finite_beta(system)
     n = system.n
     check_mcmc(n, sweeps)
+    burn_in = _integer(burn_in, "burn_in")
     c_eff = [c * system.levy_scale for c in system.couplings]
     adj = _adjacency(system.graph, c_eff)
     sigma = (2 * rng.integers(0, 2, n) - 1).tolist()
@@ -370,7 +371,9 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     each block's GEMM and column max; the results then gain a last axis
     of length K, bitwise equal to K one-beta calls. For beta >= 0 the
     column max of beta * H is beta times the column max of H, bitwise,
-    since rounding is monotone.
+    since rounding is monotone. Every |beta H| is at most
+    max(beta) n_edges max|c|, so a call where that product is not finite
+    raises NumericalError instead of filling the results with NaN.
     """
     n = graph.n
     check_size(n, BATCH_MAX_N)
@@ -378,6 +381,10 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     cs = np.atleast_2d(np.asarray(couplings, dtype=float))
     if cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")
+    scale = max(betas, default=0.0) * graph.n_edges
+    if cs.size and not all(math.isfinite(scale * float(c)) for c in (cs.max(), cs.min())):
+        raise NumericalError(f"|beta H| may overflow: max(beta) * n_edges = {scale:g} "
+                             f"with couplings in [{cs.min():g}, {cs.max():g}]")
     check = graph.check_vertex  # a negative id would index spins from the end
     pairs = [(check(i), check(j)) for i, j in pairs]
     singles = [check(i) for i in singles]
@@ -395,7 +402,8 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
         for k, b in enumerate(betas):
             w = h if k == len(betas) - 1 else np.empty_like(h)
             np.multiply(h, b, out=w)
-            w -= b * h_max
+            with np.errstate(over="ignore"):  # below -max float: weight exp(-inf) = 0
+                w -= b * h_max
             np.exp(w, out=w)
             denom = w.sum(axis=0)
             for vals, obs_list in ((pair_vals, pair_obs), (single_vals, single_obs)):

@@ -21,8 +21,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from . import disorder as dis
-from .errors import CapacityError, NumericalError, ValidationError
-from .hypergraph import Hypergraph, MultiIndex, _integer, multi_index
+from .errors import CapacityError, NumericalError, ValidationError, _integer
+from .hypergraph import Hypergraph, MultiIndex, multi_index
 
 MAX_AXES = 6
 MAX_ORDER = 24
@@ -33,7 +33,7 @@ MAX_EDGE_DEGREE = 10
 
 def check_order(order: int) -> None:
     """The cap of every Gauss-Hermite rule: order in [1, MAX_ORDER]."""
-    if not 1 <= order <= MAX_ORDER:
+    if not 1 <= _integer(order, "quadrature order") <= MAX_ORDER:
         raise CapacityError(f"quadrature order must be in [1, {MAX_ORDER}], got {order}")
 
 
@@ -50,7 +50,7 @@ def hermite_values(max_degree: int, x) -> np.ndarray:
 
     Recurrence h_{m+1} = (x h_m - sqrt(m) h_{m-1}) / sqrt(m+1), h_0 = 1.
     """
-    if max_degree < 0:
+    if _integer(max_degree, "max_degree") < 0:
         raise ValidationError(f"max_degree must be >= 0, got {max_degree}")
     x = np.asarray(x, dtype=float)
     out = np.empty((max_degree + 1,) + x.shape)
@@ -72,7 +72,7 @@ def _check_index(n: MultiIndex, n_edges: int):
 
 
 def _check_grid(n_edges: int, order: int):
-    if n_edges < 1:
+    if _integer(n_edges, "n_edges") < 1:
         raise ValidationError("need at least one coordinate")
     if n_edges > MAX_AXES:
         raise CapacityError(f"tensor quadrature capped at {MAX_AXES} coordinates, got {n_edges}")
@@ -84,7 +84,7 @@ def _check_grid(n_edges: int, order: int):
 def check_sweep(n_edges: int, degree_cap: int, order: int):
     """The caps of coefficient_sweep: its tensor grid and degree cap."""
     _check_grid(n_edges, order)
-    if not 0 <= degree_cap <= MAX_TOTAL_DEGREE:
+    if not 0 <= _integer(degree_cap, "degree cap") <= MAX_TOTAL_DEGREE:
         raise CapacityError(f"degree cap must be in [0, {MAX_TOTAL_DEGREE}], got {degree_cap}")
 
 
@@ -152,8 +152,6 @@ class CoefficientEntry:
 class CoefficientTable:
     """Coefficients up to a total-degree cap, plus E[phi^2] on the same grid."""
 
-    n_edges: int
-    degree_cap: int
     entries: tuple[CoefficientEntry, ...]
     e_phi_sq: float
 
@@ -183,8 +181,7 @@ def coefficient_sweep(phi, n_edges: int, degree_cap: int, order: int) -> Coeffic
     for degs in _indices_up_to(n_edges, degree_cap):
         val = float(tensor[degs])
         entries.append(CoefficientEntry(n=multi_index(enumerate(degs)), value=val))
-    return CoefficientTable(n_edges=n_edges, degree_cap=degree_cap,
-                            entries=tuple(entries), e_phi_sq=e2)
+    return CoefficientTable(entries=tuple(entries), e_phi_sq=e2)
 
 
 def _indices_up_to(n_axes: int, cap: int):
@@ -223,41 +220,22 @@ def parseval_tail(table: CoefficientTable) -> float:
     return max(0.0, raw)
 
 
-@dataclass(frozen=True)
-class SignVerdict:
-    """Outcome of the sign-flip vanishing criterion.
-
-    parity[v] is the GF(2) exponent of a_v in I_n(a); forced_zero means
-    some sign vector a makes I_n(a) = -1 (equivalently parity != 0), and
-    witness is one such a.
-    """
-
-    forced_zero: bool
-    parity: np.ndarray
-    witness: np.ndarray | None
-
-
-def sign_criterion(g: Hypergraph, n: MultiIndex, i: int, j: int) -> SignVerdict:
-    """Decide whether symmetry forces phi_hat_ij(n) = 0.
+def sign_criterion(g: Hypergraph, n: MultiIndex, i: int, j: int) -> bool:
+    """Whether symmetry forces phi_hat_ij(n) = 0.
 
     Gauge flip a in {+-1}^N multiplies h_n(J)<sigma_i sigma_j> inside the
     disorder average by I_n(a) = a_i a_j prod_e a_e^{n_e}; writing
-    a_v = (-1)^{x_v} gives I_n(a) = (-1)^{<parity, x>}, so a flip with
-    I_n(a) = -1 exists iff the parity vector is nonzero.
+    a_v = (-1)^{x_v} gives I_n(a) = (-1)^{<parity, x>}, where parity[v] is
+    the GF(2) exponent of a_v. So a flip with I_n(a) = -1 exists iff the
+    parity vector is nonzero, that is iff some vertex has odd parity
+    (flipping that vertex alone is one such a).
     """
     i, j = g.check_vertex(i), g.check_vertex(j)
     n.check_edges(g.n_edges)
-    parity = np.zeros(g.n, dtype=np.int64)
-    parity[i] ^= 1
-    parity[j] ^= 1
+    odd = {i} ^ {j}  # the vertices of odd parity
     for eid in n.odd_support:
-        for v in g.edges[eid]:
-            parity[v] ^= 1
-    if not parity.any():
-        return SignVerdict(forced_zero=False, parity=parity, witness=None)
-    witness = np.ones(g.n, dtype=np.int64)
-    witness[int(np.argmax(parity))] = -1
-    return SignVerdict(forced_zero=True, parity=parity, witness=witness)
+        odd ^= set(g.edges[eid])
+    return bool(odd)
 
 
 def conditional_mean_resampled(phi, n_edges: int, fixed: dict[int, float],
@@ -266,6 +244,7 @@ def conditional_mean_resampled(phi, n_edges: int, fixed: dict[int, float],
     pinned, the rest are resampled fresh each draw. Returns (mean, se).
     phi sees 2^14 draws at a time; only the running sum and sum of
     squares are kept."""
+    n_edges, samples = _integer(n_edges, "n_edges"), _integer(samples, "samples")
     fixed = {_integer(eid, "fixed coordinate"): x for eid, x in fixed.items()}
     for eid in fixed:
         if not 0 <= eid < n_edges:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 
 
 # offset and multiplier of the edge mix, from splitmix64
@@ -206,13 +206,6 @@ def _first_bad(n: int, arity: np.ndarray, flat: np.ndarray, offsets: np.ndarray)
     if any(a >= b for a, b in zip(e, e[1:])):
         return f"edge {eid} must be sorted distinct vertices, got {e}"
     return f"edge {eid} has vertex outside [0, {n})"
-
-
-def _integer(x, what: str) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {x!r}") from None
 
 
 def hypergraph(n: int, edges) -> Hypergraph:

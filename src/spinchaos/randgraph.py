@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
-from .hypergraph import Hypergraph, _integer, _rounds
+from .errors import CapacityError, ValidationError, _integer
+from .hypergraph import Hypergraph, _rounds
 from .rng import check_replicas, mean_se, replicate
 
 MAX_N_LOW_ARITY = 100_000
@@ -177,7 +177,6 @@ class ExplorationTrace:
     the earliest flagged round, None if the revealed edges stay a
     hypertree."""
 
-    root: int
     i_sets: tuple[frozenset[int], ...]
     e_sets: tuple[tuple[int, ...], ...]
     a_counts: tuple[int, ...]
@@ -200,7 +199,7 @@ def explore(g: Hypergraph, root: int, max_depth: int | None = None) -> Explorati
         rounds.pop()
     i_sets, e_sets, a_counts, d_counts = zip(*rounds)
     flagged = (t for t, (a, d) in enumerate(zip(a_counts, d_counts)) if a or d)
-    return ExplorationTrace(root=root, i_sets=tuple(map(frozenset, i_sets)),
+    return ExplorationTrace(i_sets=tuple(map(frozenset, i_sets)),
                             e_sets=tuple(tuple(sorted(e)) for e in e_sets),
                             a_counts=a_counts, d_counts=d_counts,
                             first_cycle_round=next(flagged, None))
@@ -223,23 +222,6 @@ def frontier_second_moment_bound(spec: DilutedSpec, t: int) -> float:
     return first + lam_p * second
 
 
-@dataclass(frozen=True)
-class GrowthStats:
-    spec: DilutedSpec
-    depth: int
-    replicas: int
-    seed: int
-    mean_i: np.ndarray
-    se_i: np.ndarray
-    mean_i2: np.ndarray
-    se_i2: np.ndarray
-    mean_b: np.ndarray
-    bound_lambda_t: np.ndarray
-    bound_second_moment: np.ndarray
-    cycle_prob: float
-    cycle_prob_se: float
-
-
 def _explorations(spec: DilutedSpec, depth: int, replicas: int, seed: int,
                   *path) -> np.ndarray:
     """(replicas, depth + 2) array: row k explores vertex 0 of the diluted
@@ -252,42 +234,31 @@ def _explorations(spec: DilutedSpec, depth: int, replicas: int, seed: int,
     return replicate(one, replicas, depth + 2, seed, *path)
 
 
-def growth_stats(spec: DilutedSpec, depth: int, replicas: int, seed: int) -> GrowthStats:
-    """Replicated exploration from vertex 0 of fresh diluted draws."""
-    if depth < 0:
+def growth_stats(spec: DilutedSpec, depth: int, replicas: int,
+                 seed: int) -> tuple[list[dict], float, float]:
+    """Replicated exploration from vertex 0 of fresh diluted draws.
+
+    Returns (rows, cycle_prob, cycle_prob_se): row t = 0..depth holds the
+    mean and s.e. of |I_t| and |I_t|^2, the mean ball size
+    |B_t| = |I_0| + ... + |I_t| and the two frontier bounds; cycle_prob is
+    the share of replicas that flag a cycle event within the depth."""
+    if _integer(depth, "depth") < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
     per = _explorations(spec, depth, replicas, seed, "growth")
     sizes = per[:, :-1]
     mean_i, se_i = mean_se(sizes)
     mean_i2, se_i2 = mean_se(sizes ** 2)
+    mean_b = np.cumsum(sizes, axis=1).mean(axis=0)
+    rows = [{"t": t, "mean_I": float(mean_i[t]), "se_I": float(se_i[t]),
+             "mean_I2": float(mean_i2[t]), "se_I2": float(se_i2[t]),
+             "mean_B": float(mean_b[t]),
+             "bound_lambda_t": float(frontier_mean_bound(spec, t)),
+             "bound_second_moment": float(frontier_second_moment_bound(spec, t))}
+            for t in range(depth + 1)]
     # the flag column alone: inside a 2-D reduction it would sum row by row
     # and round differently
     cycle_prob, cycle_prob_se = map(float, mean_se(per[:, -1]))
-    return GrowthStats(
-        spec=spec, depth=depth, replicas=replicas, seed=seed,
-        mean_i=mean_i, se_i=se_i, mean_i2=mean_i2, se_i2=se_i2,
-        mean_b=np.cumsum(sizes, axis=1).mean(axis=0),
-        bound_lambda_t=np.array([frontier_mean_bound(spec, t) for t in range(depth + 1)]),
-        bound_second_moment=np.array(
-            [frontier_second_moment_bound(spec, t) for t in range(depth + 1)]),
-        cycle_prob=cycle_prob, cycle_prob_se=cycle_prob_se,
-    )
-
-
-def growth_stats_rows(stats: GrowthStats) -> list[dict]:
-    rows = []
-    for t in range(stats.depth + 1):
-        rows.append({
-            "t": t,
-            "mean_I": float(stats.mean_i[t]),
-            "se_I": float(stats.se_i[t]),
-            "mean_I2": float(stats.mean_i2[t]),
-            "se_I2": float(stats.se_i2[t]),
-            "mean_B": float(stats.mean_b[t]),
-            "bound_lambda_t": float(stats.bound_lambda_t[t]),
-            "bound_second_moment": float(stats.bound_second_moment[t]),
-        })
-    return rows
+    return rows, cycle_prob, cycle_prob_se
 
 
 def probe_depth(spec: DilutedSpec, n: int, eps: float) -> int:

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import numpy.random as npr  # numpy 2 loads it lazily: import it with the package
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, _integer
 
 # cap on one experiment's array of per-replica results
 REPLICA_BYTES = 1 << 27
@@ -38,8 +38,8 @@ def _key_part(part) -> int:
 
 def substream(seed: int, *path) -> np.random.Generator:
     """Return the generator for (seed, *path). Same args, same stream."""
-    if not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"seed must be an integer, got {type(seed).__name__}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     key = tuple(_key_part(p) for p in path)
     ss = npr.SeedSequence(entropy=int(seed), spawn_key=key)
     return npr.Generator(npr.Philox(ss))
@@ -49,7 +49,7 @@ def check_replicas(replicas: int, values: int) -> None:
     """Replica count check shared by every replica loop: at least 2 for a
     standard error, and a (replicas, values) float64 result array within
     REPLICA_BYTES."""
-    if replicas < 2:
+    if _integer(replicas, "replicas") < 2:
         raise ValidationError(f"need replicas >= 2, got {replicas}")
     if 8 * replicas * values > REPLICA_BYTES:
         raise CapacityError(f"{replicas} replicas of {values} values exceed the "

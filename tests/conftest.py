@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp, stdtr
 
 from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
@@ -190,6 +190,24 @@ def spectral_curve(graph: Hypergraph, beta: float, kind: str, t_grid,
     return curve / graph.n ** 2, tail / graph.n ** 2
 
 
+def check_calibrated(z, dof: int) -> tuple[float, float]:
+    """Assert that z-scores (estimate - exact) / s.e. of independent cases
+    are calibrated, and return (share of |z| <= 2, mean of z^2). With an
+    s.e. from dof + 1 normal batch means each z is Student t with dof
+    degrees of freedom, so the share lies within 4 binomial sd of
+    P(|t| <= 2) and the mean within 4 sd of E t^2 = dof / (dof - 2), the
+    sd from Var t^2 = E t^4 - (E t^2)^2, E t^4 = 3 dof^2 / ((dof - 2)(dof - 4))."""
+    z = np.asarray(z, dtype=float)
+    p = 2.0 * stdtr(dof, 2.0) - 1.0
+    share = float(np.mean(np.abs(z) <= 2.0))
+    assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / len(z)), (share, p)
+    m2 = dof / (dof - 2.0)
+    var2 = 3.0 * dof ** 2 / ((dof - 2.0) * (dof - 4.0)) - m2 ** 2
+    mean_sq = float(np.mean(z * z))
+    assert abs(mean_sq - m2) <= 4.0 * math.sqrt(var2 / len(z)), (mean_sq, m2)
+    return share, mean_sq
+
+
 def random_hypergraph(rng, n_max: int = 7, e_max: int = 5,
                       arities=(2, 3)) -> Hypergraph:
     n = int(rng.integers(2, n_max + 1))
@@ -257,14 +275,6 @@ def second_moment_quadrature(phi, n_edges: int, order: int) -> float:
     weights = np.array([math.prod(ws) for ws in itertools.product(w, repeat=n_edges)])
     vals = np.asarray(phi(rows), dtype=float)
     return float(weights @ (vals * vals))
-
-
-def sign_product(graph: Hypergraph, n, i: int, j: int, a) -> int:
-    """I_n(a) = a_i a_j prod_e (prod_{v in e} a_v)^{n_e}, literally."""
-    out = int(a[i]) * int(a[j])
-    for eid, d in n.degrees:
-        out *= math.prod(int(a[v]) for v in graph.edges[eid]) ** d
-    return out
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spinchaos import chaos, fixtures, gibbs, randgraph
+from spinchaos import chaos, fixtures, gibbs, hermite, randgraph
 from spinchaos import disorder as dis
 from spinchaos.errors import CapacityError, ValidationError
 from spinchaos.hypergraph import ball_sizes, berge_distance, hypergraph
@@ -177,8 +177,7 @@ def test_curve_meta_and_se():
     (lambda: chaos.levy_chaos([4, 5], 1.5, 0.3, 1.0, 5, 11),
      lambda res: [[p.estimate, p.se] for p in res["points"]] + [res["slope"]]),
     (lambda: growth_stats(diluted_spec(300, {2: 0.6, 3: 0.2}), 3, 9, 11),
-     lambda st: [st.mean_i, st.se_i, st.mean_i2, st.se_i2, st.mean_b,
-                 st.cycle_prob, st.cycle_prob_se]),
+     lambda st: [[list(r.values()) for r in st[0]], st[1], st[2]]),
     (lambda: hypertree_trend({2: 0.9}, [60, 120], 0.5, 9, 11),
      lambda rows: [[r["cycle_prob"], r["se"]] for r in rows]),
 ], ids=["curve", "levy", "growth", "trend"])
@@ -468,7 +467,7 @@ def test_audit_path_graph():
     rep = chaos.coefficient_audit(g, IDENT, 0.8, 0, 2, degree_cap=8, order=14)
     assert rep.sign_violations == () and rep.path_violations == ()
     assert rep.hypertree_violations == ()
-    assert rep.hypertree_radius == 3 and rep.rows[0].distance_ij == 2
+    assert rep.hypertree_radius == 3 and berge_distance(g, 0, 2) == 2
     massive = [r for r in rep.rows if abs(r.value) > 1e-6]
     assert massive, "the expansion cannot be empty"
     for r in massive:
@@ -557,7 +556,7 @@ def test_factorized_coefficient_against_stein():
 
 def test_bridged_coefficient_routes():
     for k, reduced in ((0, False), (1, False), (2, True), (3, True)):
-        out = chaos.bridged_coefficient(k, 0.5, 16)
+        (out,) = chaos.bridged_coefficients(k, (0.5,), 16)
         assert out["reduced"] == reduced
         assert not out["support_connects"]
         assert out["distance"] == (3 if k == 0 else k + 2)
@@ -572,8 +571,8 @@ def test_bridged_betas_share_the_kernel_bitwise():
     # the suite's betas share every batch_moments call, one grid pass per
     # beta; each value is the bits of its own one-beta evaluation
     for k in (0, 2):
-        shared = chaos._bridged_coefficients(k, (0.5, 1.0), 8)
-        assert shared == [chaos.bridged_coefficient(k, beta, 8) for beta in (0.5, 1.0)]
+        shared = chaos.bridged_coefficients(k, (0.5, 1.0), 8)
+        assert shared == [chaos.bridged_coefficients(k, (beta,), 8)[0] for beta in (0.5, 1.0)]
 
 
 def test_counterexample_suite_structure():
@@ -647,6 +646,40 @@ def test_replica_loops_reject_unholdable_counts(run):
     # raise a raw ValueError) and before any replica runs
     with pytest.raises(CapacityError):
         run(10 ** 20)
+
+
+def first_coordinate(rows):
+    return rows[:, 0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: replicate(lambda rng: [0.0], 2.5, 1, 1),
+    lambda: chaos.chaos_curve(fixtures.ring(4), IDENT, 0.5, "continuous", [0.0], 4.0, 1),
+    lambda: growth_stats(diluted_spec(50, {2: 0.6}), 2.0, 3, 1),
+    lambda: gibbs.mcmc_correlations(gibbs.spin_system(fixtures.ring(4), np.ones(4), 0.5),
+                                    substream(1, "chain"), sweeps=40.5),
+    lambda: gibbs.mcmc_correlations(gibbs.spin_system(fixtures.ring(4), np.ones(4), 0.5),
+                                    substream(1, "chain"), sweeps=64, burn_in=2.5),
+    lambda: hermite.coefficient_sweep(first_coordinate, 3, 2.0, 4),
+    lambda: hermite.coefficient_sweep(first_coordinate, 3.0, 2, 4),
+    lambda: hermite.hermite_values(2.0, [0.5]),
+    lambda: chaos.counterexample_suite(1, draws=1, order=4.0),
+    lambda: chaos.counterexample_suite(1, draws=1.5, order=4),
+    lambda: chaos.decoupling_error(1, 1.0, 2.5, 1),
+    lambda: chaos.tanh_product_error(1, 1.0, 2.5, 1),
+    lambda: chaos.two_lobe_graph(1.5),
+    lambda: hermite.conditional_mean_resampled(first_coordinate, 3, {}, 2.5, substream(1, "x")),
+    lambda: hermite.conditional_mean_resampled(first_coordinate, 3.0, {}, 4, substream(1, "x")),
+    lambda: substream(-1),
+], ids=["replicas", "curve-replicas", "growth-depth", "mcmc-sweeps", "mcmc-burn-in",
+        "sweep-degree-cap", "sweep-n-edges", "max-degree", "suite-order", "suite-draws",
+        "decoupling-draws", "tanh-draws", "bridge-length", "resampled-samples",
+        "resampled-n-edges", "negative-seed"])
+def test_library_counts_must_be_integers(call):
+    # each call died with a raw TypeError from range, numpy or a shape,
+    # and substream(-1) with numpy's ValueError
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_levy_beta_zero_is_one_over_n():

@@ -591,6 +591,27 @@ def test_exit_code_capacity_audit(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fixture, pair, beta, code", [
+    ("figure1-hypergraph", (1, 4), 1e308, 4), ("remark-path-graph", (0, 1), 1e307, 0)])
+def test_audit_at_huge_beta(tmp_path, capsys, fixture, pair, beta, code):
+    # at 1e308 the audit wrote NaN in every coefficient and exited 0;
+    # beta * |E| * max|c| = 1e307 * 3 * 3.32 still fits a float, so that runs
+    cfg = {
+        "experiment": "coefficient-audit", "seed": 1, "output": str(tmp_path / "o"),
+        "model": {"graph": {"fixture": fixture},
+                  "disorder": {"kind": "identity"}, "beta": beta},
+        "audit": {"i": pair[0], "j": pair[1], "degree_cap": 2, "order": 6},
+    }
+    path = write_config(tmp_path, cfg)
+    assert run_cli(["validate", path]) == 0
+    assert run_cli(["run", path]) == code
+    if code == 0:
+        report = json.loads((tmp_path / "o" / "results.json").read_text())["results"]
+        assert all(math.isfinite(row["value"]) for row in report["rows"])
+        assert math.isfinite(report["e_phi_sq"])
+    capsys.readouterr()
+
+
 def test_exit_code_numerical(tmp_path, capsys, monkeypatch):
     from spinchaos.errors import NumericalError
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinchaos import chaos, gibbs
+from spinchaos import chaos, fixtures, gibbs
 from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
 from spinchaos.errors import CapacityError, ValidationError
@@ -19,8 +19,9 @@ from spinchaos.gibbs import (batch_moments, exact_correlations,
 from spinchaos.hypergraph import hypergraph
 from spinchaos.rng import substream
 
-from conftest import (bit_decoded_table, dense_correlations, dense_ground_correlations,
-                      dense_ground_states, hamiltonian, random_hypergraph)
+from conftest import (bit_decoded_table, check_calibrated, dense_correlations,
+                      dense_ground_correlations, dense_ground_states, hamiltonian,
+                      random_hypergraph)
 
 
 def ring(n):
@@ -322,6 +323,24 @@ def test_mcmc_agrees_with_exact():
     assert np.all(err <= 4.0 * samp.se + 1e-3)
     assert np.all(np.diag(samp.se) == 0.0)
     assert math.isnan(samp.log_z)
+
+
+def test_mcmc_standard_errors_are_calibrated():
+    # 60 disorder seeds per fixture, one random pair each: the batch-means
+    # s.e. must make (sampled - exact) / s.e. a t variable with
+    # MCMC_BATCHES - 1 degrees of freedom, which "within k s.e." gates assume
+    z = []
+    for name in ("ea-ring", "diluted-demo", "figure1-hypergraph"):
+        g = fixtures.get_fixture(name)
+        for seed in range(60):
+            rng = substream(seed, "calibrate", name)
+            i, j = (int(v) for v in rng.choice(g.n, size=2, replace=False))
+            system = spin_system(g, rng.standard_normal(g.n_edges), 0.7)
+            samp = mcmc_correlations(system, rng, sweeps=640, burn_in=64)
+            exact = exact_correlations(system).corr[i, j]
+            z.append((samp.corr[i, j] - exact) / samp.se[i, j])
+    share, mean_sq = check_calibrated(z, gibbs.MCMC_BATCHES - 1)
+    print(f"{len(z)} cases: share |z| <= 2 {share:.3f}, mean z^2 {mean_sq:.3f}")
 
 
 def test_mcmc_large_beta_does_not_overflow():
