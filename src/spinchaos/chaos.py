@@ -70,6 +70,8 @@ def check_curve(graph_source, beta, kind: str, t_grid, replicas: int, mode: str,
         raise ValidationError(f"perturbation kind must be one of {dis.PERTURBATION_KINDS}")
     if mode not in ("exact", "mcmc"):
         raise ValidationError(f"mode must be exact or mcmc, got {mode!r}")
+    if beta is not None:
+        gibbs.check_beta(beta)
     check_replicas(replicas, len(dis.check_grid(t_grid)))
     if mode == "exact" or beta is None:
         gibbs.check_size(graph_source.n, gibbs.EXACT_MAX_N)
@@ -342,10 +344,14 @@ class AuditReport:
     e_phi_sq: float
 
 
-def check_audit(graph, beta, i: int, j: int, degree_cap: int, order: int) -> None:
+def check_audit(graph, beta, i: int, j: int, degree_cap: int, order: int,
+                tol: float, sign_tol: float) -> None:
     """The rules coefficient_audit applies before any work."""
     if not isinstance(graph, Hypergraph) or beta is None:
         raise ValidationError("coefficient-audit needs a fixed graph and finite beta")
+    gibbs.check_beta(beta)
+    if not (tol >= 0 and sign_tol >= 0):  # a negative tolerance flags every row
+        raise ValidationError(f"tol and sign_tol must be >= 0, got {tol} and {sign_tol}")
     for v in (i, j):
         graph.check_vertex(v)
     gibbs.check_size(graph.n, gibbs.BATCH_MAX_N)
@@ -359,7 +365,7 @@ def coefficient_audit(graph: Hypergraph, model: dis.DisorderModel, beta: float,
     structural predictions: sign-forced zeros vanish; for even models
     mass requires an i-j path in the support; when the ball around i is
     a hypertree to radius r, mass requires |E(n)| >= min(r, d(i, j))."""
-    check_audit(graph, beta, i, j, degree_cap, order)
+    check_audit(graph, beta, i, j, degree_cap, order, tol, sign_tol)
     phi = disorder_functional(graph, model, beta, i, j)
     table = hermite.coefficient_sweep(phi, graph.n_edges, degree_cap, order)
     d_ij = berge_distance(graph, i, j)
@@ -426,8 +432,10 @@ def two_lobe_graph(k: int = 0) -> tuple[Hypergraph, dict]:
 def _max_error(g: Hypergraph, i: int, j: int, beta: float, draws: int, rng, closed) -> float:
     """max |<s_i s_j> - closed(cs)| over `draws` standard Gaussian coupling
     vectors cs from rng, <s_i s_j> by exact enumeration."""
+    if _integer(draws, "draws") < 1:  # no draw would report an error of 0
+        raise ValidationError(f"need draws >= 1, got {draws}")
     worst = 0.0
-    for _ in range(_integer(draws, "draws")):
+    for _ in range(draws):
         cs = rng.standard_normal(g.n_edges)
         cm = gibbs.exact_correlations(gibbs.spin_system(g, cs, beta))
         worst = max(worst, abs(cm.corr[i, j] - closed(cs)))
@@ -538,8 +546,9 @@ def bridged_coefficients(k: int, betas, order: int) -> list[dict]:
     return out
 
 
-def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> dict:
-    """The two worked counterexamples, end to end.
+def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> tuple[list, dict]:
+    """The two worked counterexamples, end to end; returns (rows, result)
+    with one (item, metric, value) row per reported number.
 
     First: on the 4-vertex graph the pair (0,1) has <s_0 s_1> =
     tanh(beta c_01) exactly, and the index with degrees (1, 2, 0) has a
@@ -549,7 +558,6 @@ def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> dict:
     and the extended-bridge variants behave identically.
     """
     hermite.check_order(order)
-    out = {"remark": {}, "two_lobe": []}
     g = remark_graph()
     rng = substream(seed, "remark")
     worst = max(_max_error(g, 0, 1, beta, draws, rng, lambda cs: math.tanh(beta * cs[0]))
@@ -558,19 +566,26 @@ def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> dict:
     forced = hermite.sign_criterion(g, n_ex, 0, 1)
     phi = disorder_functional(g, dis.DisorderModel("identity"), 1.0, 0, 1)
     coeff = hermite.coeff_quadrature(phi, 3, n_ex, order)
-    out["remark"] = {"tanh_identity_max_err": worst,
-                     "unforced_index_forced_zero": forced,
-                     "unforced_index_coeff": coeff}
+    out = {"remark": {"tanh_identity_max_err": worst,
+                      "unforced_index_forced_zero": forced,
+                      "unforced_index_coeff": coeff},
+           "two_lobe": []}
+    rows = [{"item": "remark", "metric": "tanh_identity_max_err", "value": worst},
+            {"item": "remark", "metric": "unforced_index_coeff", "value": coeff}]
     for k in (0, 1, 2, 3):
         row = {"k": k,
                "decoupling_max_err": max(
                    decoupling_error(k, b, draws, seed) for b in (0.5, 1.0)),
                "tanh_product_max_err": max(
                    tanh_product_error(k, b, draws, seed) for b in (0.5, 1.0))}
+        metrics = [(key, row[key]) for key in ("decoupling_max_err", "tanh_product_max_err")]
         for coeff in bridged_coefficients(k, (0.5, 1.0), order):
             row[f"coeff_beta_{coeff['beta']}"] = coeff
+            metrics += [(f"coeff_beta_{coeff['beta']}", coeff["value"]),
+                        (f"coeff_factorized_beta_{coeff['beta']}", coeff["factorized"])]
         out["two_lobe"].append(row)
-    return out
+        rows += [{"item": f"two_lobe_k{k}", "metric": m, "value": v} for m, v in metrics]
+    return rows, out
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +604,9 @@ class LevyPoint:
     per_replica: np.ndarray
 
 
-def check_levy(n_values, alpha: float, t: float | None, replicas: int) -> None:
+def check_levy(n_values, alpha: float, beta: float, t: float | None, replicas: int) -> None:
     """The rules levy_chaos applies before complete_graph builds N^2 / 2 edges."""
+    gibbs.check_beta(beta)
     if t is not None and not t > 0:
         raise ValidationError(f"need t > 0, got {t}")
     check_replicas(replicas, 1)
@@ -613,7 +629,7 @@ def levy_chaos(n_values, alpha: float, beta: float, t: float | None,
     Replica k at size N draws from the substream (seed, 'levy', N, k).
     Estimates decay in N; the fitted log-log slope is reported.
     """
-    check_levy(n_values, alpha, t, replicas)
+    check_levy(n_values, alpha, beta, t, replicas)
     model = dis.DisorderModel("pareto-tail", alpha=alpha)  # before log(alpha - 1)
     t = -math.log(alpha - 1.0) + 0.1 if t is None else float(t)
     points = []

@@ -54,21 +54,18 @@ def _expect(block: dict, where: str, required: tuple[str, ...], optional: tuple[
         raise ValidationError(f"missing keys in {where}: {missing}")
 
 
-def _int(val, where: str, lo: int = 1, hi: int | None = None) -> int:
-    if (not isinstance(val, int) or isinstance(val, bool) or val < lo
-            or (hi is not None and val > hi)):
-        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValidationError(f"{where} must be an integer {span}, got {val!r}")
+def _int(val, where: str, lo: int = 1) -> int:
+    if not isinstance(val, int) or isinstance(val, bool) or val < lo:
+        raise ValidationError(f"{where} must be an integer >= {lo}, got {val!r}")
     return val
 
 
-def _number(val, where: str, lo: float = -float("inf")) -> float:
+def _number(val, where: str) -> float:
     # json accepts NaN and +-Infinity; abs() <= max also rejects ints
     # too large for a float
     if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or not abs(val) <= sys.float_info.max or val < lo):
-        floor = "" if lo == -float("inf") else f" >= {lo}"
-        raise ValidationError(f"{where} must be a finite number{floor}, got {val!r}")
+            or not abs(val) <= sys.float_info.max):
+        raise ValidationError(f"{where} must be a finite number, got {val!r}")
     return float(val)
 
 
@@ -121,7 +118,7 @@ def _parse_model(block) -> tuple:
     kind, beta = block.get("perturbation"), block["beta"]
     return (_parse_graph(block["graph"], "model.graph"),
             _parse_disorder(block["disorder"], "model.disorder"),
-            None if beta == "infinity" else _number(beta, "model.beta (or 'infinity')", 0.0), kind)
+            None if beta == "infinity" else _number(beta, "model.beta (or 'infinity')"), kind)
 
 
 def _sections(cfg: dict, *names: str) -> list:
@@ -292,9 +289,9 @@ def _parse_audit(cfg: dict):
     j = _int(a["j"], "audit.j", 0)
     degree_cap = _int(a["degree_cap"], "audit.degree_cap", 0)
     order = _int(a["order"], "audit.order")
-    chaos.check_audit(graph, beta, i, j, degree_cap, order)
-    tol = _number(a.get("tol", 1e-6), "audit.tol", 0.0)
-    sign_tol = _number(a.get("sign_tol", 1e-8), "audit.sign_tol", 0.0)
+    tol = _number(a.get("tol", 1e-6), "audit.tol")
+    sign_tol = _number(a.get("sign_tol", 1e-8), "audit.sign_tol")
+    chaos.check_audit(graph, beta, i, j, degree_cap, order, tol, sign_tol)
 
     def run():
         report = chaos.coefficient_audit(graph, model, beta, i, j, degree_cap, order,
@@ -315,39 +312,18 @@ def _parse_suite(cfg: dict):
     hermite.check_order(order)
     seed = cfg["seed"]
 
-    def run():
-        result = chaos.counterexample_suite(seed, draws=draws, order=order)
-        rows = [
-            {"item": "remark", "metric": "tanh_identity_max_err",
-             "value": result["remark"]["tanh_identity_max_err"]},
-            {"item": "remark", "metric": "unforced_index_coeff",
-             "value": result["remark"]["unforced_index_coeff"]},
-        ]
-        for entry in result["two_lobe"]:
-            item = f"two_lobe_k{entry['k']}"
-            rows.append({"item": item, "metric": "decoupling_max_err",
-                         "value": entry["decoupling_max_err"]})
-            rows.append({"item": item, "metric": "tanh_product_max_err",
-                         "value": entry["tanh_product_max_err"]})
-            for key, coeff in entry.items():
-                if key.startswith("coeff_beta_"):
-                    rows.append({"item": item, "metric": key, "value": coeff["value"]})
-                    rows.append({"item": item,
-                                 "metric": f"coeff_factorized_beta_{coeff['beta']}",
-                                 "value": coeff["factorized"]})
-        return rows, result
-    return run
+    return lambda: chaos.counterexample_suite(seed, draws=draws, order=order)
 
 
 def _parse_levy(cfg: dict):
     (lv,) = _sections(cfg, "levy")
     _expect(lv, "levy", ("alpha", "beta", "n_values", "replicas"), ("t",))
     alpha = _number(lv["alpha"], "levy.alpha")
-    beta = _number(lv["beta"], "levy.beta", 0.0)
+    beta = _number(lv["beta"], "levy.beta")
     n_values = [_int(n, "levy.n_values entry") for n in _list(lv["n_values"], "levy.n_values")]
     replicas = _int(lv["replicas"], "levy.replicas", 2)
     t = None if lv.get("t") is None else _number(lv["t"], "levy.t")
-    chaos.check_levy(n_values, alpha, t, replicas)
+    chaos.check_levy(n_values, alpha, beta, t, replicas)
     seed = cfg["seed"]
 
     def run():

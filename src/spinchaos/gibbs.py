@@ -43,7 +43,8 @@ BATCH_BLOCK_BYTES = 1 << 19
 BATCH_COLUMNS = (64, 1024)
 
 
-def _check_beta(beta) -> float:
+def check_beta(beta) -> float:
+    """A finite beta as a float; infinity is beta None, routed by callers."""
     b = float(beta)
     if not (math.isfinite(b) and b >= 0):
         raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
@@ -64,7 +65,7 @@ class SpinSystem:
         if not all(math.isfinite(c) for c in self.couplings):
             raise ValidationError("couplings must be finite")
         if self.beta is not None:
-            _check_beta(self.beta)
+            check_beta(self.beta)
         if not (math.isfinite(self.levy_scale) and self.levy_scale > 0):
             raise ValidationError(f"levy_scale must be positive finite, got {self.levy_scale}")
 
@@ -116,7 +117,8 @@ def _flip(graph: Hypergraph, bits: int) -> tuple[np.ndarray, np.ndarray]:
 def _table(graph: Hypergraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(states, edge products) of the indices 0..rows - 1, rows a power of
     two, by doubling: row 0 has every spin at -1, and rows 2^v..2^(v+1) - 1
-    are rows 0..2^v - 1 times the signs of _flip(graph, 2^v)."""
+    are rows 0..2^v - 1 times the signs of _flip(graph, 2^v). Read-only,
+    so _low_table can share them."""
     states = np.empty((rows, graph.n))
     eprod = np.empty((rows, graph.n_edges))
     states[0], eprod[0] = _flip(graph, (1 << graph.n) - 1)
@@ -124,15 +126,11 @@ def _table(graph: Hypergraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
         spin, sign = _flip(graph, 1 << v)
         np.multiply(states[:1 << v], spin, out=states[1 << v:2 << v])
         np.multiply(eprod[:1 << v], sign, out=eprod[1 << v:2 << v])
+    states.flags.writeable = eprod.flags.writeable = False
     return states, eprod
 
 
-@lru_cache(maxsize=1)
-def _low_table(graph: Hypergraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    states, eprod = _table(graph, rows)
-    states.flags.writeable = False  # shared by every caller of the cache
-    eprod.flags.writeable = False
-    return states, eprod
+_low_table = lru_cache(maxsize=1)(_table)
 
 
 def _half_blocks(graph: Hypergraph):
@@ -264,25 +262,6 @@ def ground_state_correlations(gs: GroundStates) -> CorrelationMatrix:
     return CorrelationMatrix(corr=corr, means=states.mean(axis=0), log_z=math.nan)
 
 
-def _adjacency(graph: Hypergraph, c_eff):
-    adj = [[] for _ in range(graph.n)]
-    for c, e in zip(c_eff, graph.edges):
-        for v in e:
-            others = tuple(u for u in e if u != v)
-            adj[v].append((c, others))
-    return adj
-
-
-def _local_field(entries, sigma):
-    m = 0.0
-    for c, others in entries:
-        p = 1
-        for u in others:
-            p *= sigma[u]
-        m += c * p
-    return m
-
-
 def check_mcmc(n: int, sweeps: int) -> None:
     """A sweep per batch mean, and (MCMC_BATCHES, N, N) floats in TABLE_BYTES."""
     if _integer(sweeps, "sweeps") < MCMC_BATCHES:
@@ -297,24 +276,41 @@ def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
     """Random-scan Glauber (heat-bath) sampling of pair correlations.
 
     One correlation sample per sweep after burn-in; standard errors come
-    from batch means over MCMC_BATCHES contiguous chunks.
+    from batch means over MCMC_BATCHES contiguous chunks. Each edge keeps
+    the product eprod[e] of its spins, negated when one of them flips. The
+    field at i is sigma_i times the sum of c_e eprod[e] over the edges at i
+    in ascending id: the bits of the sum over the other spins, since
+    negating every term of a float sum negates the sum exactly.
     """
     beta = _require_finite_beta(system)
     n = system.n
     check_mcmc(n, sweeps)
-    burn_in = _integer(burn_in, "burn_in")
+    if _integer(burn_in, "burn_in") < 0:
+        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+    graph = system.graph
     c_eff = [c * system.levy_scale for c in system.couplings]
-    adj = _adjacency(system.graph, c_eff)
-    sigma = (2 * rng.integers(0, 2, n) - 1).tolist()
+    ptr, ids = (a.tolist() for a in graph._incident)
+    incident = [ids[a:b] for a, b in zip(ptr, ptr[1:])]
+    spins = 2 * rng.integers(0, 2, n) - 1
+    sigma = spins.tolist()
+    eprod = np.multiply.reduceat(spins[graph.flat], graph.offsets[:-1]).tolist()
 
     def sweep():
         order = rng.integers(0, n, n)
         us = rng.random(n)
-        for i, u in zip(order, us):
-            m = _local_field(adj[i], sigma)
+        for i, u in zip(order.tolist(), us.tolist()):
+            edges, s = incident[i], sigma[i]
+            m = 0.0
+            for e in edges:
+                m += c_eff[e] * eprod[e]
+            m *= s
             # heat bath: P(sigma_i = +1 | rest) = 1/(1 + exp(-2 beta m)),
-            # written with tanh so that large |beta m| cannot overflow
-            sigma[i] = 1 if u < 0.5 * (1.0 + math.tanh(beta * m)) else -1
+            # written with tanh so that large |beta m| cannot overflow;
+            # the spin flips when the draw gives it the other sign
+            if (u < 0.5 * (1.0 + math.tanh(beta * m))) != (s > 0):
+                sigma[i] = -s
+                for e in edges:
+                    eprod[e] = -eprod[e]
 
     for _ in range(burn_in):
         sweep()
@@ -323,15 +319,13 @@ def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
     for b in range(MCMC_BATCHES):
         # the first sweeps % MCMC_BATCHES batches take one sweep more
         per_batch = sweeps // MCMC_BATCHES + (b < sweeps % MCMC_BATCHES)
-        acc = np.zeros((n, n))
-        accm = np.zeros(n)
         for _ in range(per_batch):
             sweep()
             s = np.asarray(sigma, dtype=float)
-            acc += np.outer(s, s)
-            accm += s
-        batch_corr[b] = acc / per_batch
-        batch_mean[b] = accm / per_batch
+            batch_corr[b] += np.outer(s, s)
+            batch_mean[b] += s
+        batch_corr[b] /= per_batch
+        batch_mean[b] /= per_batch
     corr, se = mean_se(batch_corr)
     corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)
@@ -377,7 +371,7 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     """
     n = graph.n
     check_size(n, BATCH_MAX_N)
-    betas = [_check_beta(b) for b in np.atleast_1d(beta)]
+    betas = [check_beta(b) for b in np.atleast_1d(beta)]
     cs = np.atleast_2d(np.asarray(couplings, dtype=float))
     if cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")

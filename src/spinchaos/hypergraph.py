@@ -46,7 +46,7 @@ class Hypergraph:
     end, so edge k is flat[offsets[k]:offsets[k + 1]] (offsets is the
     read-only running sum of arity, from 0). `edges`, the same edges as
     tuples of ints, is built on first use for the callers that iterate
-    edges: the Glauber sampler, the audit's geometry and to_text.
+    edges: the audit's geometry and to_text (the sampler reads _incident).
 
     The constructor takes edges either as sequences of integer vertex ids,
     one per edge, or as a list of 2-D integer arrays whose rows are edges,

@@ -69,6 +69,51 @@ def dense_correlations(graph: Hypergraph, couplings, beta: float):
     return corr, means, log_z
 
 
+def reference_mcmc(system, rng, sweeps: int, burn_in: int, batches: int):
+    """(corr, means, se) of random-scan heat-bath sampling, each local
+    field summed afresh from a tuple adjacency of graph.edges: vertex v
+    lists (c_e, the other vertices of e) for its edges in edge order, and
+    the field is the sum of c_e times their spins' product, from 0.0.
+    Same draws from rng as the package sampler; batch means as there."""
+    n = system.n
+    beta = system.beta
+    adj = [[] for _ in range(n)]
+    for c, e in zip(system.couplings, system.graph.edges):
+        for v in e:
+            adj[v].append((c * system.levy_scale, tuple(u for u in e if u != v)))
+    sigma = (2 * rng.integers(0, 2, n) - 1).tolist()
+
+    def sweep():
+        order = rng.integers(0, n, n)
+        us = rng.random(n)
+        for i, u in zip(order, us):
+            m = 0.0
+            for c, others in adj[i]:
+                m += c * math.prod(sigma[v] for v in others)
+            sigma[i] = 1 if u < 0.5 * (1.0 + math.tanh(beta * m)) else -1
+
+    for _ in range(burn_in):
+        sweep()
+    batch_corr = np.zeros((batches, n, n))
+    batch_mean = np.zeros((batches, n))
+    for b in range(batches):
+        per_batch = sweeps // batches + (b < sweeps % batches)
+        for _ in range(per_batch):
+            sweep()
+            s = np.asarray(sigma, dtype=float)
+            batch_corr[b] += np.outer(s, s)
+            batch_mean[b] += s
+        batch_corr[b] /= per_batch
+        batch_mean[b] /= per_batch
+    corr = batch_corr.mean(axis=0)
+    se = batch_corr.std(axis=0, ddof=1) / math.sqrt(batches)
+    corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    se = 0.5 * (se + se.T)
+    np.fill_diagonal(se, 0.0)
+    return corr, batch_mean.mean(axis=0), se
+
+
 def dense_ground_states(graph: Hypergraph, couplings):
     """(max energy, list of maximizing state rows)."""
     states = all_states(graph.n)

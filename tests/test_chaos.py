@@ -483,7 +483,7 @@ def test_audit_pair_must_be_vertices():
     for i, j in ((0, 9), (-1, 1), (0, g.n)):
         with pytest.raises(ValidationError):
             chaos.coefficient_audit(g, IDENT, 1.0, i, j, 2, 4)
-    chaos.check_audit(g, 1.0, 0, g.n - 1, 2, 4)
+    chaos.check_audit(g, 1.0, 0, g.n - 1, 2, 4, 1e-6, 1e-8)
 
 
 def test_audit_remark_graph_unforced_zero():
@@ -576,7 +576,7 @@ def test_bridged_betas_share_the_kernel_bitwise():
 
 
 def test_counterexample_suite_structure():
-    out = chaos.counterexample_suite(55, draws=10, order=8)
+    rows, out = chaos.counterexample_suite(55, draws=10, order=8)
     rem = out["remark"]
     assert rem["tanh_identity_max_err"] < 1e-12
     assert rem["unforced_index_forced_zero"] is False
@@ -589,6 +589,18 @@ def test_counterexample_suite_structure():
             coeff = row[f"coeff_beta_{beta}"]
             assert coeff["beta"] == beta and coeff["k"] == row["k"]
             assert coeff["value"] > 0.01
+    # the CSV rows: two for the remark, then per k two errors and the
+    # tensor and factorized coefficient at each beta, read off the result
+    want = [("remark", m, rem[m]) for m in ("tanh_identity_max_err", "unforced_index_coeff")]
+    for row in out["two_lobe"]:
+        want += [(f"two_lobe_k{row['k']}", m, row[m])
+                 for m in ("decoupling_max_err", "tanh_product_max_err")]
+        for beta in (0.5, 1.0):
+            coeff = row[f"coeff_beta_{beta}"]
+            want += [(f"two_lobe_k{row['k']}", f"coeff_beta_{beta}", coeff["value"]),
+                     (f"two_lobe_k{row['k']}", f"coeff_factorized_beta_{beta}",
+                      coeff["factorized"])]
+    assert [(r["item"], r["metric"], r["value"]) for r in rows] == want
 
 
 # --------------------------------------------------------------------------
@@ -680,6 +692,35 @@ def test_library_counts_must_be_integers(call):
     # and substream(-1) with numpy's ValueError
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chaos.decoupling_error(0, 1.0, 0, 1),
+    lambda: chaos.tanh_product_error(0, 1.0, 0, 1),
+    lambda: chaos.counterexample_suite(1, draws=0, order=4),
+    lambda: chaos.coefficient_audit(chaos.remark_graph(), IDENT, 1.0, 0, 1, 2, 6, tol=-1.0),
+    lambda: chaos.coefficient_audit(chaos.remark_graph(), IDENT, 1.0, 0, 1, 2, 6,
+                                    sign_tol=-1.0),
+    lambda: gibbs.mcmc_correlations(gibbs.spin_system(fixtures.ring(4), np.ones(4), 0.5),
+                                    substream(1, "chain"), sweeps=64, burn_in=-5),
+], ids=["decoupling-no-draws", "tanh-no-draws", "suite-no-draws", "audit-negative-tol",
+        "audit-negative-sign-tol", "mcmc-negative-burn-in"])
+def test_library_refuses_vacuous_counts_and_tolerances(call):
+    # zero draws reported a max error of 0.0, a negative tolerance flagged
+    # rows whose coefficients vanish, and a negative burn-in ran none
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("check", [
+    lambda: chaos.check_curve(chaos.remark_graph(), -1.0, "continuous", [0, 1], 2, "exact", 64),
+    lambda: chaos.check_audit(chaos.remark_graph(), -1.0, 0, 1, 2, 6, 1e-6, 1e-8),
+    lambda: chaos.check_levy([4], 1.5, -1.0, 1.0, 2),
+], ids=["curve", "audit", "levy"])
+def test_negative_beta_refused_before_any_draw(check):
+    # these checks passed, and a run failed only at its first spin system
+    with pytest.raises(ValidationError, match="beta"):
+        check()
 
 
 def test_levy_beta_zero_is_one_over_n():

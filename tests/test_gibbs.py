@@ -17,11 +17,12 @@ from spinchaos.gibbs import (batch_moments, exact_correlations,
                              mcmc_correlations, overlap_second_moment,
                              spin_system)
 from spinchaos.hypergraph import hypergraph
+from spinchaos.randgraph import diluted_spec, sample_diluted
 from spinchaos.rng import substream
 
 from conftest import (bit_decoded_table, check_calibrated, dense_correlations,
                       dense_ground_correlations, dense_ground_states, hamiltonian,
-                      random_hypergraph)
+                      random_hypergraph, reference_mcmc)
 
 
 def ring(n):
@@ -376,6 +377,32 @@ def test_mcmc_runs_every_requested_sweep(sweeps):
                              sweeps=sweeps, burn_in=3)
     assert rng.sweeps == 3 + sweeps
     assert np.all(np.isfinite(samp.corr)) and np.all(np.abs(samp.means) <= 1.0)
+
+
+def gaussian_system(graph, levy_scale=1.0):
+    return graph, np.random.default_rng(graph.n).standard_normal(graph.n_edges), levy_scale
+
+
+@pytest.mark.parametrize("graph, couplings, levy_scale", [
+    *(gaussian_system(g) for g, _ in fixtures.catalog().values()),
+    gaussian_system(sample_diluted(diluted_spec(200, {2: 0.8}), substream(3, "oracle-graph"))),
+    gaussian_system(sample_diluted(diluted_spec(60, {3: 0.5, 2: 0.3}),
+                                   substream(4, "oracle-graph"))),
+    gaussian_system(chaos.complete_graph(10), 0.3),
+    # spins 1 and 2 lock antiparallel, so the 1e16 terms at vertex 0 cancel
+    # exactly in edge order and leave c_03; another order rounds it away
+    (hypergraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), [1e16, 1e16, 1.0, -4e16], 1.0),
+], ids=[*fixtures.catalog(), "diluted-200", "arity-3", "K10-levy-scale", "cancelling"])
+def test_mcmc_matches_tuple_adjacency_oracle_bitwise(graph, couplings, levy_scale):
+    # the edge products kept across flips give every local field the bits
+    # of a sum over the other spins, so each heat-bath decision and draw
+    # is the oracle's
+    for beta in (0.0, 0.7, 2.5):
+        system = spin_system(graph, couplings, beta, levy_scale)
+        samp = mcmc_correlations(system, substream(7, "oracle"), sweeps=64, burn_in=8)
+        want = reference_mcmc(system, substream(7, "oracle"), 64, 8, gibbs.MCMC_BATCHES)
+        for got, ref in zip((samp.corr, samp.means, samp.se), want):
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_mcmc_validation():
