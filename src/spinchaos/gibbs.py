@@ -15,6 +15,15 @@ kernels fold the signs into the couplings and accumulators instead of
 rebuilding rows. Multiplying by +-1 is exact, so the doubling and the
 folding cost no bits. Exact routines are capped at N = 24; larger systems
 go through the Glauber sampler, flagged as an estimate.
+
+At beta = infinity the measure factorizes over connected components:
+ground_states enumerates each component that holds an edge over its own
+half table, sum_C 2^(|C|-1) rows instead of 2^(N-1), keeps ties within
+a relative 1e-12 of that component's maximum, and leaves the vertices in
+no edge free. The components, their sub-graphs and tables are cached
+one graph at a time. ground_state_correlations forms every moment as an
+exact integer count over the product states divided once by their
+number, so no state of the product is ever materialized.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, NumericalError, ValidationError, _integer
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, component
 from .rng import mean_se
 
 EXACT_MAX_N = 24
@@ -114,36 +123,51 @@ def _flip(graph: Hypergraph, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 - 2.0 * flipped, 1.0 - 2.0 * (count & 1)
 
 
-def _table(graph: Hypergraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
+def _table(graph: Hypergraph, rows: int, spins: bool = True):
     """(states, edge products) of the indices 0..rows - 1, rows a power of
     two, by doubling: row 0 has every spin at -1, and rows 2^v..2^(v+1) - 1
-    are rows 0..2^v - 1 times the signs of _flip(graph, 2^v). Read-only,
-    so _low_table can share them."""
-    states = np.empty((rows, graph.n))
+    are rows 0..2^v - 1 with spin v flipped to +1, which negates column v
+    of the states and the products of the edges at v. Read-only, so
+    _low_table can share them. With spins False states is None, for the
+    ground-state scan, which reads edge products only."""
+    bits = rows.bit_length() - 1
     eprod = np.empty((rows, graph.n_edges))
-    states[0], eprod[0] = _flip(graph, (1 << graph.n) - 1)
-    for v in range(rows.bit_length() - 1):
-        spin, sign = _flip(graph, 1 << v)
-        np.multiply(states[:1 << v], spin, out=states[1 << v:2 << v])
-        np.multiply(eprod[:1 << v], sign, out=eprod[1 << v:2 << v])
-    states.flags.writeable = eprod.flags.writeable = False
+    eprod[0] = 1.0 - 2.0 * (graph.arity & 1)
+    sign = np.ones((bits, graph.n_edges))  # row v: -1 on the edges at spin v
+    at = graph.flat < bits
+    sign[graph.flat[at], np.repeat(np.arange(graph.n_edges), graph.arity)[at]] = -1.0
+    for v in range(bits):
+        np.multiply(eprod[:1 << v], sign[v], out=eprod[1 << v:2 << v])
+    eprod.flags.writeable = False
+    if not spins:
+        return None, eprod
+    states = np.empty((rows, graph.n))
+    states[0] = -1.0
+    for v in range(bits):
+        np.copyto(states[1 << v:2 << v], states[:1 << v])
+        states[1 << v:2 << v, v] = 1.0
+    states.flags.writeable = False
     return states, eprod
 
 
 _low_table = lru_cache(maxsize=1)(_table)
 
 
-def _half_blocks(graph: Hypergraph):
+def _table_rows(graph: Hypergraph) -> int:
+    """Rows of the half table: the largest power of two of rows that fits
+    TABLE_BYTES, at most 2^(N-1)."""
+    fit = TABLE_BYTES // (8 * (graph.n + graph.n_edges))
+    return min(1 << (graph.n - 1), 1 << max(fit.bit_length() - 1, 0))
+
+
+def _half_blocks(graph: Hypergraph, table=None):
     """(start, states, edge products, spin signs, edge signs) blocks over
     the 2^(N-1) states with the top spin at -1, in index order. states
-    and edge products are the cached low table; the block's own are them
-    times the signs of _flip(graph, start). The complement of index i is
-    2^N - 1 - i."""
-    half = 1 << (graph.n - 1)
-    fit = TABLE_BYTES // (8 * (graph.n + graph.n_edges))
-    rows = min(half, 1 << max(fit.bit_length() - 1, 0))
-    states, eprod = _low_table(graph, rows)
-    for start in range(0, half, rows):
+    and edge products are table, by default the cached low table; the
+    block's own are them times the signs of _flip(graph, start). The
+    complement of index i is 2^N - 1 - i."""
+    states, eprod = _low_table(graph, _table_rows(graph)) if table is None else table
+    for start in range(0, 1 << (graph.n - 1), len(eprod)):
         yield (start, states, eprod, *_flip(graph, start))
 
 
@@ -159,17 +183,21 @@ def _require_finite_beta(system: SpinSystem) -> float:
     return float(system.beta)
 
 
-def _energies(system: SpinSystem):
+def _energies(graph: Hypergraph, c_eff: np.ndarray, table=None):
     """Blocks (start, states, spin signs, H of the rows, H of their
-    complements) over the half table, N <= 24. The complement -sigma
-    flips the sign of every odd-arity edge product, so its energies use
-    the couplings times the edge signs of the global flip."""
-    n = system.n
-    check_size(n, EXACT_MAX_N)
-    c_eff = np.asarray(system.couplings) * system.levy_scale
-    c_neg = _flip(system.graph, (1 << n) - 1)[1] * c_eff
-    return ((start, states, spin, eprod @ (sign * c_eff), eprod @ (sign * c_neg))
-            for start, states, eprod, spin, sign in _half_blocks(system.graph))
+    complements) over the half table of graph with couplings c_eff, N <= 24.
+    The complement -sigma flips the sign of every odd-arity edge product,
+    so its energies use the couplings times the edge signs of the global
+    flip. With no odd edge those signs are all +1 and the second GEMV
+    would repeat the first bit for bit, so the complements' energies are
+    the rows' own array (callers test `e_neg is e_pos`)."""
+    check_size(graph.n, EXACT_MAX_N)
+    odd = graph.arity & 1  # the global flip negates the odd edges' products
+    c_neg = (1.0 - 2.0 * odd) * c_eff
+    even = not odd.any()
+    for start, states, eprod, spin, sign in _half_blocks(graph, table):
+        e_pos = eprod @ (sign * c_eff)
+        yield start, states, spin, e_pos, e_pos if even else eprod @ (sign * c_neg)
 
 
 def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
@@ -181,10 +209,12 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     makes the global flip symmetry exact in floating point: for even
     models the paired weights are bitwise equal and the means cancel to
     exactly zero. A running log-sum-exp shift keeps the weighted
-    accumulators stable while the max energy is discovered online.
+    accumulators stable while the max energy is discovered online. Even
+    models skip the complements' exp and the means' GEMV, which would
+    return the same weights and exactly zero.
     """
     beta = _require_finite_beta(system)
-    blocks = _energies(system)
+    blocks = _energies(system.graph, np.asarray(system.couplings) * system.levy_scale)
     n = system.n
     shift = -math.inf  # current max of beta*H over both half-spaces
     z = 0.0            # sum of exp(beta*H - shift)
@@ -192,8 +222,9 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     acc_mean = np.zeros(n)
     for _, states, spin, e_pos, e_neg in blocks:
         # states with the top spin pinned to -1; complements cover the rest
+        even = e_neg is e_pos  # then every complement weighs what its row does
         be_pos = beta * e_pos
-        be_neg = beta * e_neg
+        be_neg = be_pos if even else beta * e_neg
         m = float(max(be_pos.max(), be_neg.max()))
         if m > shift:
             rescale = math.exp(shift - m) if shift > -math.inf else 0.0
@@ -202,11 +233,12 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
             acc_mean *= rescale
             shift = m
         w_pos = np.exp(be_pos - shift)
-        w_neg = np.exp(be_neg - shift)
+        w_neg = w_pos if even else np.exp(be_neg - shift)
         z += float(w_pos.sum() + w_neg.sum())
         both = w_pos + w_neg
         acc_corr += np.outer(spin, spin) * (states.T @ (states * both[:, None]))
-        acc_mean += spin * ((w_pos - w_neg) @ states)
+        if not even:  # w_pos - w_neg is +0.0, which leaves acc_mean at +0.0
+            acc_mean += spin * ((w_pos - w_neg) @ states)
     if not (z > 0 and math.isfinite(z)):
         raise NumericalError(f"degenerate partition accumulator z={z}")
     corr = acc_corr / z
@@ -217,49 +249,129 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
 
 @dataclass(frozen=True)
 class GroundStates:
-    """Maximizers of H. states is (K, N) of +-1 in enumeration order."""
+    """Maximizers of H on n spins, factorized over connected components.
 
+    The ground states are all products of one row of each factor with
+    any values of the free spins. A factor is (vertex ids, (K_C, |C|) +-1
+    tied states of those vertices, in the component's enumeration order)
+    for a connected component C that holds an edge; free lists the
+    vertices in no edge. energy is the sum of the component maxima."""
+
+    n: int
     energy: float
-    states: np.ndarray
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    free: np.ndarray
 
 
-def ground_states(system: SpinSystem) -> GroundStates:
-    """Exhaustive maximization over 2^N states, ties kept within a
-    relative 1e-12.
+@lru_cache(maxsize=1)
+def _components(graph: Hypergraph, table_bytes: int):
+    """(free vertices, parts) of graph, one graph at a time like
+    _low_table. Each part is (vertex ids, edge ids, sub-graph, its half
+    table) of a connected component with an edge: the sub-graph numbers
+    the vertices in rising order and keeps the edges in id order, built
+    from int64 row blocks of equal arity. table_bytes, the TABLE_BYTES
+    that sized the tables, is part of the key."""
+    label = np.full(graph.n, -1, np.int64)
+    local = np.zeros(graph.n, np.int64)
+    verts_of = []
+    for v in np.unique(graph.flat).tolist():
+        if label[v] < 0:
+            verts = np.array(sorted(component(graph, v)), np.int64)
+            verts.flags.writeable = False
+            label[verts] = len(verts_of)
+            local[verts] = np.arange(len(verts))
+            verts_of.append(verts)
+    free = np.flatnonzero(label < 0)
+    free.flags.writeable = False
+    edge_label = label[graph.flat[graph.offsets[:-1]]]
+    parts = []
+    for c, verts in enumerate(verts_of):
+        inside = edge_label == c
+        eids, arity = np.flatnonzero(inside), graph.arity[inside]
+        flat = local[graph.flat[np.repeat(inside, graph.arity)]]
+        runs = np.flatnonzero(np.diff(arity)) + 1  # where the arity changes, in eids
+        cuts = np.cumsum(arity)[runs - 1].tolist()
+        blocks = [b.reshape(-1, a) for b, a in zip(np.split(flat, cuts),
+                                                  arity[np.r_[0, runs]].tolist())]
+        sub = Hypergraph(len(verts), blocks)
+        parts.append((verts, eids, sub, _table(sub, _table_rows(sub), spins=False)))
+    return free, tuple(parts)
 
-    One pass over the half table scores each row and its complement.
-    Candidates within the tie tolerance of the running maximum are kept
-    and cut again at the final maximum; the states come out in
-    enumeration order.
-    """
-    blocks = _energies(system)
-    top = (1 << system.n) - 1
+
+def _ground_indices(graph: Hypergraph, c_eff: np.ndarray, table) -> tuple[float, np.ndarray]:
+    """(max of H, sorted enumeration indices of the states within a
+    relative 1e-12 of it) on one graph. One pass over the half table
+    scores each row and its complement, with one scan of an even model's
+    shared energies. Candidates within the tie tolerance of the running
+    maximum are kept and cut again at the final maximum."""
+    top = (1 << graph.n) - 1
 
     def cut():
         return best - 1e-12 * max(1.0, abs(best))
 
     best = -math.inf
     idx, energies = [], []
-    for start, _, _, e_pos, e_neg in blocks:
+    for start, _, _, e_pos, e_neg in _energies(graph, c_eff, table):
         rows = np.arange(start, start + len(e_pos), dtype=np.int64)
-        for ids, e in ((rows, e_pos), (top - rows, e_neg)):
+        scans = ([(e_pos, rows, top - rows)] if e_neg is e_pos
+                 else [(e_pos, rows), (e_neg, top - rows)])
+        for e, *ids in scans:
             best = max(best, float(e.max()))
             mask = e >= cut()
-            idx.append(ids[mask])
-            energies.append(e[mask])
+            kept = e[mask]
+            for i in ids:
+                idx.append(i[mask])
+                energies.append(kept)
     idx = np.concatenate(idx)[np.concatenate(energies) >= cut()]
-    return GroundStates(energy=best, states=_states(np.sort(idx), system.n))
+    return best, np.sort(idx)
+
+
+def ground_states(system: SpinSystem) -> GroundStates:
+    """Exhaustive maximization over 2^N states, N <= 24, factorized over
+    connected components.
+
+    H is a sum over the components that hold an edge, so its maximizers
+    are the products of each component's own, with every free spin at
+    either value. Each component is enumerated over its own half table of
+    2^(|C|-1) rows, so the cost is sum_C 2^(|C|-1) rather than 2^(N-1),
+    and its ties are kept within a relative 1e-12 of its own maximum.
+    """
+    check_size(system.n, EXACT_MAX_N)
+    free, parts = _components(system.graph, TABLE_BYTES)
+    c_eff = np.asarray(system.couplings) * system.levy_scale
+    energy, factors = 0.0, []
+    for verts, eids, sub, table in parts:
+        best, idx = _ground_indices(sub, c_eff[eids], table)
+        energy += best
+        factors.append((verts, _states(idx, sub.n)))
+    return GroundStates(system.n, energy, tuple(factors), free)
 
 
 def ground_state_correlations(gs: GroundStates) -> CorrelationMatrix:
-    """Uniform measure over the recorded ground states; log_z is nan
-    because the zero-temperature measure has no partition value."""
-    states = gs.states.astype(float)
-    k = states.shape[0]
-    corr = states.T @ states / k
-    corr = 0.5 * (corr + corr.T)
+    """Uniform measure over the K = 2^(free spins) prod_C K_C ground
+    states; log_z is nan because the zero-temperature measure has no
+    partition value.
+
+    Over those products, sum s_i s_j is (K / K_C) times the sum over C's
+    own states when i and j lie in one component C, (K / (K_C K_D)) times
+    the product of the two components' sums when they lie in C and D,
+    and 0 at a free spin. These exact integer counts, and the sums of
+    s_i, are divided once by K: the bits of states.T @ states / K and
+    states.mean(axis=0) over the materialized states.
+    """
+    k = 1 << len(gs.free)
+    sums = np.zeros(gs.n, np.int64)     # sum of s_i over its factor's states
+    sizes = np.full(gs.n, 2, np.int64)  # K_C of the factor of i, 2 at a free spin
+    for verts, states in gs.factors:
+        k *= len(states)
+        sums[verts] = states.sum(axis=0)
+        sizes[verts] = len(states)
+    count = np.outer(sums, sums) * k // np.outer(sizes, sizes)
+    for verts, states in gs.factors:
+        count[np.ix_(verts, verts)] = (states.T @ states).astype(np.int64) * (k // len(states))
+    corr = count / k
     np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(corr=corr, means=states.mean(axis=0), log_z=math.nan)
+    return CorrelationMatrix(corr=corr, means=sums * (k // sizes) / k, log_z=math.nan)
 
 
 def check_mcmc(n: int, sweeps: int) -> None:

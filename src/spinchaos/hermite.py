@@ -91,15 +91,26 @@ def check_sweep(n_edges: int, degree_cap: int, order: int):
 def _grid_blocks(n_edges: int, order: int):
     """Yield (rows, log-free weight, per-axis digit array) over the full
     tensor grid in C order, 2^16 nodes at a time, so the grid never fully
-    exists."""
+    exists. The last m axes, with order^m <= 2^16 nodes, cycle through
+    one pattern of digits, built once; a block is runs of that pattern,
+    each under one value of the leading digits, so no node's digits take
+    a division."""
     x, w = gauss_hermite(order)
     total = order ** n_edges
-    powers = [order ** (n_edges - 1 - k) for k in range(n_edges)]
+    m = n_edges
+    while order ** m > 1 << 16:
+        m -= 1
+    period, lead = order ** m, n_edges - m
+    low = np.indices((order,) * m).reshape(m, period).T.copy()  # digits of 0..period - 1
     for start in range(0, total, 1 << 16):
-        idx = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
-        digits = np.empty((len(idx), n_edges), dtype=np.int64)
-        for k, p in enumerate(powers):
-            digits[:, k] = (idx // p) % order
+        stop = min(start + (1 << 16), total)
+        digits = np.empty((stop - start, n_edges), dtype=np.int64)
+        for run in range(start - start % period, stop, period):
+            a, b = max(run, start), min(run + period, stop)
+            digits[a - start:b - start, lead:] = low[a - run:b - run]
+            q = run // period
+            for k in range(lead - 1, -1, -1):
+                q, digits[a - start:b - start, k] = divmod(q, order)
         rows = x[digits]
         weight = w[digits[:, 0]]
         for k in range(1, n_edges):  # left to right, as prod(axis=1), without a (B, n_edges) copy

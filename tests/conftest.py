@@ -131,6 +131,34 @@ def dense_ground_correlations(graph: Hypergraph, couplings):
     return corr, means
 
 
+def product_states(gs) -> np.ndarray:
+    """(K, N) +-1 rows of a factorized GroundStates, materialized: every
+    combination of one tied row per factor and any values of the free
+    spins, by itertools.product, sorted by enumeration index (spin k is
+    bit k, set at +1)."""
+    choices = [[(verts, row) for row in states] for verts, states in gs.factors]
+    choices += [[([v], [s]) for s in (-1.0, 1.0)] for v in gs.free]
+    rows = []
+    for combo in itertools.product(*choices):
+        row = np.zeros(gs.n)
+        for verts, vals in combo:
+            row[list(verts)] = vals
+        rows.append(row)
+    rows.sort(key=lambda r: sum(1 << k for k in range(gs.n) if r[k] > 0))
+    return np.array(rows).reshape(len(rows), gs.n)
+
+
+def materialized_ground_correlations(gs) -> tuple[np.ndarray, np.ndarray]:
+    """(corr, means) of the uniform measure over product_states(gs) by
+    the formula on the materialized (K, N) states: states.T @ states / K,
+    symmetrized, with diagonal 1, and states.mean(axis=0)."""
+    states = product_states(gs)
+    corr = states.T @ states / states.shape[0]
+    corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    return corr, states.mean(axis=0)
+
+
 def berge_paths_exist(graph: Hypergraph, u: int, v: int):
     """Shortest Berge path length by exhaustive search; None if none.
 

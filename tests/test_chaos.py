@@ -174,13 +174,16 @@ def test_curve_meta_and_se():
 @pytest.mark.parametrize("run,summary", [
     (lambda: chaos.chaos_curve(fixtures.ring(5), IDENT, 0.9, "continuous", [0.0, 0.5], 4, 11),
      lambda c: [c.estimates, c.ses]),
+    (lambda: chaos.chaos_curve(diluted_spec(16, {2: 0.6, 3: 0.2}), IDENT, None, "discrete",
+                               [0.0, 0.5, 1.0], 6, 11),
+     lambda c: [c.estimates, c.ses]),
     (lambda: chaos.levy_chaos([4, 5], 1.5, 0.3, 1.0, 5, 11),
      lambda res: [[p.estimate, p.se] for p in res["points"]] + [res["slope"]]),
     (lambda: growth_stats(diluted_spec(300, {2: 0.6, 3: 0.2}), 3, 9, 11),
      lambda st: [[list(r.values()) for r in st[0]], st[1], st[2]]),
     (lambda: hypertree_trend({2: 0.9}, [60, 120], 0.5, 9, 11),
      lambda rows: [[r["cycle_prob"], r["se"]] for r in rows]),
-], ids=["curve", "levy", "growth", "trend"])
+], ids=["curve", "diluted-ground", "levy", "growth", "trend"])
 def test_threads_do_not_change_output(monkeypatch, run, summary):
     # every per-replica array comes out of rng.replicate: record them all
     per, sums = {}, {}

@@ -243,11 +243,41 @@ CONSTANTS = {"C": 1.0, "theta": 1.0, "gamma": 2.0, "lambda": 2.0,
              "K": 1.0, "c": 1.0, "eps": 0.0, "alpha": 1.5}
 
 
+def cap_config(exp: str, past: bool, by_edges: bool) -> dict:
+    """A good config of a curve or audit kind whose graph sits at a size
+    cap, or one past it when past is set: N = 24 at beta = infinity, where
+    ground states enumerate each component's own half table, and the
+    audit's N = 20 of batch enumeration or, with by_edges, 6 edges of the
+    tensor grid, both at degree cap 10. A fixed graph is a Hypergraph, to
+    be saved."""
+    model = {"disorder": {"kind": "identity"}, "beta": "infinity", "perturbation": "discrete"}
+    if exp == "coefficient-audit":
+        graph = (hypergraph(7 + past, [(k, k + 1) for k in range(6 + past)]) if by_edges
+                 else hypergraph(20 + past, [(0, 1), (1, 2, 3)]))
+        return {"experiment": exp, "seed": 7, "model": dict(model, graph=graph, beta=0.7),
+                "audit": {"i": 0, "j": 1, "degree_cap": 10, "order": 4}}
+    curve = {"t_grid": [0.0, 1 / 32, 1.0], "replicas": 2}
+    if exp == "lower-bound-check":  # the lower bounds need a fixed graph: six 4-cycles
+        cycles = [(a + k, a + (k + 1) % 4) for a in range(0, 24, 4) for k in range(4)]
+        model["graph"] = hypergraph(24 + past, cycles)
+        curve["bounds"] = ["lower-discrete"]
+    else:
+        model["graph"] = {"diluted": {"n": 24 + past, "alphas": {"2": 0.6, "3": 0.2}}}
+        if exp == "bound-check":
+            curve["bounds"] = ["general-ball"]
+    return {"experiment": exp, "seed": 7, "model": model, "curve": curve}
+
+
+AT_CAP = st.sampled_from((False,) * 7 + (True,))  # now and then, a graph at a size cap
+
+
 @st.composite
 def small_config(draw, exp):
     """A config of kind exp at sizes that run in well under a second.
     Each field takes one of its good values or, now and then, one of its
-    bad values."""
+    bad values; now and then a curve's graph sits at or just past the
+    enumeration cap. The audit's caps, where an N = 20 run takes 0.4 s,
+    are left to test_configs_at_the_caps."""
     def pick(good, bad=()):
         bad_draw = bad and draw(st.sampled_from((False,) * 7 + (True,)))
         return draw(st.sampled_from(bad if bad_draw else good))
@@ -256,6 +286,8 @@ def small_config(draw, exp):
         drawn = {key: pick(*choices) for key, choices in fields.items()}
         return {key: val for key, val in drawn.items() if val is not OMIT}
 
+    if exp in ("chaos-curve", "bound-check", "lower-bound-check") and draw(AT_CAP):
+        return cap_config(exp, draw(st.booleans()), False)
     cfg = {"experiment": exp, "seed": pick((7, 90210), (0, "7"))}
     model = block(
         graph=(({"fixture": "remark-path-graph"}, {"fixture": "figure1-hypergraph"},
@@ -291,7 +323,7 @@ def small_config(draw, exp):
         cfg["model"] = dict(model, graph=pick(({"fixture": "remark-path-graph"},
                                                {"fixture": "figure1-hypergraph"}),
                                               ({"fixture": "ea-ring"}, {"diluted": {"n": 6}})))
-        cfg["audit"] = block(i=((0, 1), (-1,)), j=((1, 3), (7,)), degree_cap=((2, 0), (11, "x")),
+        cfg["audit"] = block(i=((0, 1), (-1,)), j=((1, 3), (7,)), degree_cap=((2, 0, 10), (11, "x")),
                              order=((4,), (0, 30)), tol=((OMIT, 0.0), (math.nan, -1.0)),
                              sign_tol=((OMIT, 1e-8),))
     elif exp == "counterexamples":
@@ -312,15 +344,33 @@ def test_validated_configs_run_or_fail_classified(cfgs):
     and one it rejects fails the same way at run. Each example holds one
     config of every kind."""
     for cfg in cfgs:
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = dict(cfg, output=str(Path(tmp) / "out"))
-            path = write_config(Path(tmp), cfg)
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                checked = cli.main(["validate", str(path)])
-                ran = cli.main(["run", str(path)])
+        checked, ran = validate_and_run(cfg)
         assert checked in (0, 2, 3), cfg
         assert ran in ((0, 4) if checked == 0 else (checked,)), cfg
+
+
+def validate_and_run(cfg: dict) -> tuple[int, int]:
+    """Exit codes of `spinchaos validate` and `spinchaos run` on cfg, in a
+    fresh directory; a Hypergraph as the model's graph goes to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = dict(cfg, output=str(Path(tmp) / "out"))
+        if isinstance(graph := cfg.get("model", {}).get("graph"), Hypergraph):
+            save_graph(graph, Path(tmp) / "graph.hg")
+            cfg["model"] = dict(cfg["model"], graph={"file": str(Path(tmp) / "graph.hg")})
+        path = write_config(Path(tmp), cfg)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(["validate", str(path)]), cli.main(["run", str(path)])
+
+
+@pytest.mark.parametrize("exp, by_edges", [("chaos-curve", False), ("bound-check", False),
+                                           ("lower-bound-check", False),
+                                           ("coefficient-audit", False),
+                                           ("coefficient-audit", True)])
+@pytest.mark.parametrize("past", [False, True], ids=["at-cap", "past-cap"])
+def test_configs_at_the_caps(exp, by_edges, past):
+    # each size cap from either side: a graph at the cap validates and
+    # runs, one past it fails both with a capacity error (3)
+    assert validate_and_run(cap_config(exp, past, by_edges)) == ((3, 3) if past else (0, 0))
 
 
 def test_bound_check_kind_requires_upper_tags(tmp_path):

@@ -22,6 +22,7 @@ from spinchaos.rng import substream
 
 from conftest import (bit_decoded_table, check_calibrated, dense_correlations,
                       dense_ground_correlations, dense_ground_states, hamiltonian,
+                      materialized_ground_correlations, product_states,
                       random_hypergraph, reference_mcmc)
 
 
@@ -88,7 +89,7 @@ def test_blocked_streaming_is_exact(rng, monkeypatch):
     assert np.allclose(a.corr, b.corr, rtol=0, atol=1e-14)
     assert a.log_z == pytest.approx(b.log_z, abs=1e-12)
     assert ga.energy == gb.energy
-    assert np.array_equal(ga.states, gb.states)
+    assert np.array_equal(product_states(ga), product_states(gb))
 
 
 def test_small_blocks_match_dense_oracle(rng, monkeypatch):
@@ -118,11 +119,14 @@ def test_ground_states_in_enumeration_order(rng, monkeypatch, rows):
     for _ in range(10):
         cs = rng.integers(-2, 3, g.n_edges).astype(float)
         gs = ground_states(spin_system(g, cs, None))
-        assert gs.states.shape[0] >= 2
-        assert np.all(np.diff(enumeration_index(gs.states)) > 0)
+        assert gs.free.tolist() == [6]
+        for _, states in gs.factors:  # each factor in its component's order
+            assert np.all(np.diff(enumeration_index(states)) > 0)
+        got = product_states(gs)
+        assert got.shape[0] >= 2
         want_e, want_states = dense_ground_states(g, cs)
         assert gs.energy == pytest.approx(want_e, rel=1e-12)
-        assert {tuple(r) for r in gs.states} == {tuple(r) for r in want_states}
+        assert {tuple(r) for r in got} == {tuple(r) for r in want_states}
 
 
 def test_cached_table_is_read_only(monkeypatch):
@@ -277,7 +281,7 @@ def test_infinite_beta_routes_to_ground_states():
     with pytest.raises(ValidationError):
         exact_correlations(sys)
     gs = ground_states(sys)
-    assert gs.states.shape == (2, 4)  # all up and all down
+    assert product_states(gs).shape == (2, 4)  # all up and all down
 
 
 def test_ground_states_match_dense(rng):
@@ -288,7 +292,7 @@ def test_ground_states_match_dense(rng):
         gs = ground_states(sys)
         want_e, want_states = dense_ground_states(g, cs)
         assert gs.energy == pytest.approx(want_e, rel=1e-12)
-        got = {tuple(row) for row in gs.states.astype(int)}
+        got = {tuple(row) for row in product_states(gs).astype(int)}
         want = {tuple(row) for row in want_states.astype(int)}
         assert got == want
 
@@ -297,7 +301,7 @@ def test_even_model_ground_degeneracy(rng):
     g = ring(6)
     cs = rng.standard_normal(6)
     gs = ground_states(spin_system(g, cs, None))
-    assert gs.states.shape[0] % 2 == 0  # sigma and -sigma tie exactly
+    assert product_states(gs).shape[0] % 2 == 0  # sigma and -sigma tie exactly
     cm = ground_state_correlations(gs)
     assert np.all(cm.means == 0.0)
     assert math.isnan(cm.log_z)
@@ -311,6 +315,101 @@ def test_ground_state_correlations_match_dense(rng):
         corr, means = dense_ground_correlations(g, cs)
         assert np.allclose(cm.corr, corr, atol=1e-12)
         assert np.allclose(cm.means, means, atol=1e-12)
+
+
+def disconnected_hypergraph(rng, n_max: int = 14):
+    """Random components on disjoint vertex sets, each even (arities 2
+    and 4) or odd (arity 3 beside 2), plus isolated vertices; the edges
+    come shuffled, so equal arities do not come in one run."""
+    n = int(rng.integers(2, n_max + 1))
+    rest = rng.permutation(n).tolist()
+    edges = set()
+    while rest:
+        size = int(rng.integers(1, 6))
+        part, rest = rest[:size], rest[size:]
+        arities = [a for a in ((2, 4), (2, 3))[int(rng.integers(2))] if a <= len(part)]
+        for _ in range(int(rng.integers(1, 2 * len(part))) if arities else 0):
+            p = int(rng.choice(arities))
+            edges.add(tuple(sorted(rng.choice(part, size=p, replace=False).tolist())))
+    edges = sorted(edges)
+    return hypergraph(n, [edges[k] for k in rng.permutation(len(edges))])
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_factorized_ground_correlations_match_materialized_bitwise(rng, monkeypatch, rows):
+    # integer couplings tie within and across components; the counts over
+    # the factors must give the bits of the formula on the materialized
+    # product states, which must be the dense oracle's maximizers
+    for _ in range(25):
+        g = disconnected_hypergraph(rng)
+        if rows:
+            few_rows_per_block(monkeypatch, g, rows)
+        cs = rng.integers(-2, 3, g.n_edges).astype(float)
+        gs = ground_states(spin_system(g, cs, None))
+        cm = ground_state_correlations(gs)
+        corr, means = materialized_ground_correlations(gs)
+        assert cm.corr.tobytes() == corr.tobytes()
+        assert cm.means.tobytes() == means.tobytes()
+        want_e, want_states = dense_ground_states(g, cs)
+        assert gs.energy == pytest.approx(want_e, rel=1e-12, abs=1e-12)
+        assert {tuple(r) for r in product_states(gs)} == {tuple(r) for r in want_states}
+        covered = np.concatenate([gs.free, *(verts for verts, _ in gs.factors)])
+        assert sorted(covered.tolist()) == list(range(g.n))
+
+
+@pytest.mark.parametrize("graph, even", [
+    (ring(6), True),
+    (fixtures.get_fixture("ea-torus-4x4"), True),
+    (hypergraph(7, [(0, 1, 2, 3), (2, 4), (0, 4, 5, 6)]), True),
+    (hypergraph(5, []), True),
+    (hypergraph(7, [(0, 1, 2), (2, 3), (1, 4, 5), (0, 5)]), False),
+], ids=["ring", "torus", "arity-2-4", "no-edges", "odd"])
+def test_even_models_share_the_complement_energies(rng, monkeypatch, graph, even):
+    # with no odd edge the complements' energies are the rows' own array;
+    # handing the kernels a copy instead runs the general path, which
+    # must give the same bytes of corr, means, log_z and ground states
+    cs = rng.standard_normal(graph.n_edges)
+    shared = [e_neg is e_pos for *_, e_pos, e_neg in gibbs._energies(graph, cs)]
+    assert all(shared) if even else not any(shared)
+
+    def results():
+        exact = exact_correlations(spin_system(graph, cs, 0.9))
+        ground = ground_state_correlations(ground_states(spin_system(graph, cs, None)))
+        return [exact.corr, exact.means, np.float64(exact.log_z), ground.corr, ground.means]
+
+    fast = results()
+    real = gibbs._energies
+
+    def copied(*args):
+        for *head, e_pos, e_neg in real(*args):
+            yield *head, e_pos, e_neg.copy()
+    monkeypatch.setattr(gibbs, "_energies", copied)
+    for got, want in zip(fast, results()):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_ground_states_cache_shared_by_threads(rng):
+    # threads on different disconnected graphs evict each other's cached
+    # components and tables; each result must still equal the one computed alone
+    systems = []
+    for _ in range(4):
+        g = disconnected_hypergraph(rng)
+        systems.append(spin_system(g, rng.integers(-2, 3, g.n_edges).astype(float), None))
+
+    def ground(k):
+        cm = ground_state_correlations(ground_states(systems[k % 4]))
+        return cm.corr, cm.means
+    want = [ground(k) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(ground, range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, pair in enumerate(got):
+        for a, b in zip(pair, want[k % 4]):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_mcmc_agrees_with_exact():

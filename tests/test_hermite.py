@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_hermitenorm, factorial
 
+from spinchaos import hermite
 from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
 from spinchaos.errors import CapacityError, NumericalError, ValidationError
@@ -47,6 +48,24 @@ def test_hermite_values_match_scipy():
     for m in range(10):
         want = eval_hermitenorm(m, x) / math.sqrt(float(factorial(m)))
         assert np.allclose(hv[m], want, atol=1e-11)
+
+
+@pytest.mark.parametrize("n_edges, order", [(5, 11), (6, 7), (4, 16), (3, 24), (2, 7), (1, 1)])
+def test_grid_blocks_walk_the_grid_in_c_order(n_edges, order):
+    # 2^16-node blocks whose digits are np.unravel_index of the node ids,
+    # also where 2^16 is no multiple of the trailing axes' period (11^4,
+    # 7^5); rows and weights are the nodes and weight products of them
+    x, w = gauss_hermite(order)
+    total = order ** n_edges
+    want = np.stack(np.unravel_index(np.arange(total), (order,) * n_edges), axis=1)
+    pos = 0
+    for rows, weight, digits in hermite._grid_blocks(n_edges, order):
+        assert len(digits) == min(1 << 16, total - pos)
+        assert digits.dtype == np.int64 and np.array_equal(digits, want[pos:pos + len(digits)])
+        assert rows.tobytes() == x[digits].tobytes()
+        assert weight.tobytes() == np.prod(w[digits], axis=1).tobytes()
+        pos += len(digits)
+    assert pos == total
 
 
 def test_orthonormal_gram():
