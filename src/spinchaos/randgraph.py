@@ -29,6 +29,10 @@ from .rng import check_replicas, mean_se, replicate
 
 MAX_N_LOW_ARITY = 100_000
 MAX_N_HIGH_ARITY = 10_000
+# the sampler reads a block of at most this many rows in one pass and sorts
+# it with numpy's row sort: below it the fixed numpy calls of a second pass,
+# or of a sorting network, cost more than they save
+_SHORT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -92,37 +96,66 @@ def sample_diluted(spec: DilutedSpec, rng: np.random.Generator) -> Hypergraph:
     are the draws, the accepted rows and the edge order of a row-by-row
     rejection loop over the same blocks.
 
+    Whether a row survives depends only on the rows drawn before it, so
+    the first m survivors of a block are those of its shortest prefix
+    that holds m survivors. A block of more than _SHORT_BLOCK = 64 rows is
+    read in two parts: a prefix of m + m // 32 + 8 rows, which in the diluted
+    regime almost always holds the m survivors, and only when it holds
+    fewer, the rest of the block, whose rows are checked against the
+    prefix's. A shorter block is read in one pass. Either way the stream
+    contract and the edges are those of the row-by-row loop, bit for bit.
+
     Rows are compared by their colex rank, sum_k C(v_k, k + 1) over the
     sorted row, which numbers the p-subsets 0..C(N, p) - 1 and so fits
     int64 (DilutedSpec refuses larger C(N, p)). The accepted rows go to
-    Hypergraph as one int64 block per draw, never as tuples.
+    Hypergraph as int64 row blocks, never as tuples.
     """
     n = spec.n
     blocks = []
     for p, a in spec.alphas:
         total = math.comb(n, p)
         m = int(rng.binomial(total, a * n / total))
-        held = []  # ranks of this arity's accepted rows, block by block
+        held = []  # ranks of this arity's accepted rows, part by part
         while m > 0:
-            rows = _sort_rows(rng.integers(0, n, size=(2 * m + 8, p)))
-            distinct = rows[:, 1] > rows[:, 0]
-            for k in range(2, p):
-                distinct &= rows[:, k] > rows[:, k - 1]
-            rows = rows[distinct]
-            rank = _colex_rank(n, rows)
-            first = _first_occurrences(rank)
-            if held:  # drop the rows that earlier blocks hold
-                first = first[~np.isin(rank[first], np.concatenate(held))]
-            first = first[:m]
-            blocks.append(rows[first])
-            held.append(rank[first])
-            m -= len(first)
+            block = rng.integers(0, n, size=(2 * m + 8, p))
+            cut = m + m // 32 + 8
+            parts = (block,) if len(block) <= _SHORT_BLOCK else (block[:cut], block[cut:])
+            for part in parts:
+                rows, rank = _survivors(n, _sort_rows(part), held)
+                blocks.append(rows[:m])
+                held.append(rank[:m])
+                m -= len(blocks[-1])
+                if m == 0:
+                    break
     return Hypergraph(n, blocks)
 
 
+def _survivors(n: int, rows: np.ndarray, held: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, colex ranks) of the sorted rows that hold distinct vertices
+    and repeat neither an earlier row nor a rank in held, in draw order."""
+    distinct = rows[:, 1] > rows[:, 0]
+    for k in range(2, rows.shape[1]):
+        distinct &= rows[:, k] > rows[:, k - 1]
+    if np.count_nonzero(distinct) < len(rows):
+        rows = rows.compress(distinct, axis=0)
+    rank = _colex_rank(n, rows)
+    first = _first_occurrences(rank)
+    if len(first) < len(rank):
+        rows, rank = rows[first], rank[first]
+    if held:
+        fresh = ~np.isin(rank, np.concatenate(held))
+        rows, rank = rows.compress(fresh, axis=0), rank[fresh]
+    return rows, rank
+
+
 def _sort_rows(rows: np.ndarray) -> np.ndarray:
-    """rows with each row sorted in place, by a compare-exchange network
-    over whole columns (a bubble sort's p(p - 1) / 2 exchanges)."""
+    """rows with each row sorted in place: a short block by numpy's row
+    sort, whose cost is per row, a longer one by a compare-exchange
+    network over whole columns (a bubble sort's p(p - 1) / 2 exchanges),
+    whose cost is per exchange."""
+    if len(rows) <= _SHORT_BLOCK:
+        rows.sort(axis=1)
+        return rows
     for top in range(rows.shape[1] - 1, 0, -1):
         for k in range(top):
             lo, hi = rows[:, k], rows[:, k + 1]
@@ -133,13 +166,16 @@ def _sort_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _first_occurrences(x: np.ndarray) -> np.ndarray:
-    """Ascending positions of the first occurrence of each value of x."""
-    order = x.argsort()
-    ordered = x[order]
-    new = np.empty(len(x), bool)
+    """Ascending positions of the first occurrence of each value of x.
+    A sort shows whether any value repeats; only then is x argsorted."""
+    ordered = x.copy()
+    ordered.sort()
+    new = np.empty(len(x), bool)  # where a run of equal values starts in the sorted x
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    first = np.minimum.reduceat(order, new.nonzero()[0])
+    if np.count_nonzero(new) == len(x):
+        return np.arange(len(x))
+    first = np.minimum.reduceat(x.argsort(), new.nonzero()[0])
     first.sort()
     return first
 

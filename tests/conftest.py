@@ -322,6 +322,17 @@ def reference_sample_diluted(spec, rng) -> tuple[tuple[int, ...], ...]:
     return tuple(edges)
 
 
+def first_positions(values) -> list[int]:
+    """Positions of the first occurrence of each value, read left to right."""
+    seen = set()
+    out = []
+    for i, v in enumerate(values):
+        if v not in seen:
+            seen.add(v)
+            out.append(i)
+    return out
+
+
 def reference_validation_error(n: int, edges):
     """Message of the first failed edge check, edge by edge in id order
     (arity, sorted distinct vertices, range, duplicate); None if valid."""

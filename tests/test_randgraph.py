@@ -1,18 +1,20 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from spinchaos import randgraph
 from spinchaos.errors import CapacityError, ValidationError
 from spinchaos.hypergraph import berge_distance, component, hypergraph, hypertree_radius
-from spinchaos.randgraph import (_colex_rank, diluted_spec, explore,
+from spinchaos.randgraph import (_colex_rank, _first_occurrences, diluted_spec, explore,
                                  frontier_mean_bound,
                                  frontier_second_moment_bound, growth_stats,
                                  hypertree_trend, probe_depth, sample_diluted)
 from spinchaos.rng import substream
 
-from conftest import (bfs_distances, brute_has_berge_cycle, random_hypergraph,
-                      reference_sample_diluted)
+from conftest import (bfs_distances, brute_has_berge_cycle, first_positions,
+                      random_hypergraph, reference_sample_diluted)
 
 
 def revealed_edges(trace) -> tuple[int, ...]:
@@ -88,18 +90,44 @@ def test_sample_edge_counts_binomial():
 
 
 class CountingRng:
-    """Generator proxy that counts the integer blocks drawn."""
+    """Generator proxy that records, per integer block drawn, its length
+    followed by the length of each part of it the sampler reads."""
 
     def __init__(self, rng):
         self.rng = rng
-        self.blocks = 0
+        self.reads = []
 
     def binomial(self, *args, **kwargs):
         return self.rng.binomial(*args, **kwargs)
 
     def integers(self, *args, **kwargs):
-        self.blocks += 1
-        return self.rng.integers(*args, **kwargs)
+        block = self.rng.integers(*args, **kwargs)
+        self.reads.append([len(block)])
+        return block
+
+    def paths(self) -> list[str]:
+        """How each block was read: "one pass" over the whole block,
+        "prefix" alone, or the prefix and then the "rest"."""
+        return ["rest" if len(r) == 3 else "one pass" if r[1] == r[0] else "prefix"
+                for r in self.reads]
+
+
+@pytest.fixture
+def read_spy(monkeypatch):
+    """Installs a spy on the sampler's survivor pass and returns a
+    function that wraps a generator in a CountingRng the spy reports to."""
+    survivors, current = randgraph._survivors, []
+
+    def spy(n, rows, held):
+        current[-1].reads[-1].append(len(rows))
+        return survivors(n, rows, held)
+
+    monkeypatch.setattr(randgraph, "_survivors", spy)
+
+    def counting(rng):
+        current.append(CountingRng(rng))
+        return current[-1]
+    return counting
 
 
 @pytest.mark.parametrize("n, alphas, seeds, min_blocks", [
@@ -109,22 +137,53 @@ class CountingRng:
     (12, {2: 5.0, 3: 15.0, 4: 2.0}, 300, 1900),  # near-full arities: over 1000 retry blocks
     (10_000, {5: 0.3}, 4, 0),                     # wide arity: C(N, 5) ~ 8e17
 ])
-def test_sampler_matches_rejection_loop(n, alphas, seeds, min_blocks):
+def test_sampler_matches_rejection_loop(n, alphas, seeds, min_blocks, read_spy):
     spec = diluted_spec(n, alphas)
-    blocks = 0
+    paths = Counter()
     for k in range(seeds):
-        counted = CountingRng(substream(404, "oracle", k))
+        counted = read_spy(substream(404, "oracle", k))
         got = sample_diluted(spec, counted).edges
         assert got == reference_sample_diluted(spec, substream(404, "oracle", k)), k
-        blocks += counted.blocks
-    assert blocks >= min_blocks
+        paths.update(counted.paths())
+    assert sum(paths.values()) >= min_blocks
+    if n == 16:  # short blocks only
+        assert set(paths) == {"one pass"}
+    if n == 12:  # dense: some prefixes fall short and the rest of their block is read
+        assert paths["rest"] > 0
+    if n >= 50:  # sparse: every prefix holds its block's survivors
+        assert paths["prefix"] > 0 and paths["rest"] == 0
 
 
-def test_sampler_matches_rejection_loop_at_1e4():
+def test_sampler_matches_rejection_loop_at_1e4(read_spy):
     spec = diluted_spec(10_000, {2: 0.6, 3: 0.2})
-    g = sample_diluted(spec, substream(405, "oracle"))
+    counted = read_spy(substream(405, "oracle"))
+    g = sample_diluted(spec, counted)
     assert g.edges == reference_sample_diluted(spec, substream(405, "oracle"))
     assert all(type(v) is int for e in g.edges[:50] for v in e)
+    assert counted.paths() == ["prefix", "prefix"]
+
+
+@pytest.mark.parametrize("x", [
+    [], [7], [3, 0, 2, 9], [5, 5], [4, 1, 4, 1, 9, 4], [2, 2, 2, 2],
+    [9, 8, 7, 1, 8, 9, 0],
+])
+def test_first_occurrences_matches_first_positions(x):
+    got = _first_occurrences(np.array(x, np.int64))
+    assert got.tolist() == first_positions(x)
+
+
+def test_first_occurrences_at_random():
+    """Unsorted int64 draws over wide and narrow ranges, so that both the
+    no-repeat and the repeat path run at sizes from 1 to 5000."""
+    rng = np.random.default_rng(19)
+    repeated = 0
+    for size in (1, 2, 3, 17, 64, 65, 500, 5000):
+        for high in (2, size + 1, 2**62):
+            x = rng.integers(0, high, size)
+            got = _first_occurrences(x)
+            assert got.tolist() == first_positions(x.tolist()), (size, high)
+            repeated += len(got) < size
+    assert repeated >= 10
 
 
 def test_colex_rank_at_the_int64_limit():
