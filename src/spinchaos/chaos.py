@@ -38,17 +38,28 @@ LOWER_TAGS = ("lower-discrete", "lower-gaussian")
 
 @dataclass(frozen=True)
 class ChaosCurve:
+    """A curve and the inputs it was drawn from, which its bound checks read."""
     t_grid: tuple[float, ...]
     estimates: np.ndarray
     ses: np.ndarray
     per_replica: np.ndarray  # (replicas, len(t_grid))
-    meta: dict = field(default_factory=dict)
+    source: Hypergraph | DilutedSpec
+    model: dis.DisorderModel
+    beta: float | None  # None at infinity
+    kind: str
+    seed: int
+    mode: str
 
-
-def _resolve_graph(graph_source, rng) -> Hypergraph:
-    if isinstance(graph_source, Hypergraph):
-        return graph_source
-    return sample_diluted(graph_source, rng)
+    @property
+    def meta(self) -> dict:
+        """The run's description as results.json records it."""
+        src = self.source
+        graph = ({"type": "fixed", "n": src.n, "n_edges": src.n_edges}
+                 if isinstance(src, Hypergraph) else
+                 {"type": "diluted", "n": src.n, "alphas": {str(p): a for p, a in src.alphas}})
+        return {"kind": self.kind, "beta": "infinity" if self.beta is None else self.beta,
+                "replicas": len(self.per_replica), "seed": self.seed, "mode": self.mode,
+                "graph": graph}
 
 
 def _correlations(system: gibbs.SpinSystem, mode: str, rng,
@@ -96,7 +107,8 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
     deterministic = mode == "exact" or beta_v is None
 
     def one(rng) -> np.ndarray:
-        g = _resolve_graph(graph_source, rng)
+        g = (graph_source if isinstance(graph_source, Hypergraph)
+             else sample_diluted(graph_source, rng))
         base = rng.standard_normal(g.n_edges)
         if kind == "continuous":
             path = dis.continuous_path(base, grid, rng)
@@ -115,22 +127,11 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
         return out
 
     per = replicate(one, replicas, len(grid), seed, "replica")
-    meta = {
-        "kind": kind, "beta": "infinity" if beta_v is None else beta_v,
-        "replicas": replicas, "seed": seed, "mode": mode,
-        "graph": _describe_graph(graph_source),
-    }
     # mean centered at replica 0: exact when all replicas agree (beta = 0)
     dev_mean, ses = mean_se(per - per[0])
-    return ChaosCurve(t_grid=grid, estimates=per[0] + dev_mean, ses=ses,
-                      per_replica=per, meta=meta)
-
-
-def _describe_graph(graph_source) -> dict:
-    if isinstance(graph_source, Hypergraph):
-        return {"type": "fixed", "n": graph_source.n, "n_edges": graph_source.n_edges}
-    return {"type": "diluted", "n": graph_source.n,
-            "alphas": {str(p): a for p, a in graph_source.alphas}}
+    return ChaosCurve(t_grid=grid, estimates=per[0] + dev_mean, ses=ses, per_replica=per,
+                      source=graph_source, model=model, beta=beta_v, kind=kind, seed=seed,
+                      mode=mode)
 
 
 def monotonicity_check(curve: ChaosCurve) -> list[dict]:
@@ -176,9 +177,9 @@ def _ball_bound(max_ball: list[int], t: float) -> tuple[float, int]:
     return best, best_r
 
 
-def theorem_bound_check(curve: ChaosCurve, graph_source,
-                        tags=("general-ball",), params: dict | None = None) -> list[BoundCheck]:
-    """Evaluate decay bounds against the curve.
+def theorem_bound_check(curve: ChaosCurve, tags=("general-ball",),
+                        params: dict | None = None) -> list[BoundCheck]:
+    """Evaluate decay bounds against the curve, on its own graph source.
 
     general-ball is the constant-free min_r [ max_i |B_r(i)| / N + e^{-tr} ],
     with its argmin r as extra r_star on a fixed graph. The growth-rate
@@ -188,41 +189,43 @@ def theorem_bound_check(curve: ChaosCurve, graph_source,
     resampled from the curve's own substreams. Lower tags come last.
     """
     params = params or {}
+    source = curve.source
+    check_bounds(tags, params, source, curve.model, curve.beta, curve.kind, curve.t_grid)
     out = []
-    n = curve.meta["graph"]["n"]
-    beta = None if curve.meta["beta"] == "infinity" else curve.meta["beta"]
-    _check_bounds(tags, params, graph_source, beta, curve.meta["kind"], curve.t_grid)
     if "general-ball" in tags:  # one max-ball profile per graph, shared by every t
-        if isinstance(graph_source, Hypergraph):
-            profiles = [_max_ball_profile(graph_source)]
+        if isinstance(source, Hypergraph):
+            profiles = [_max_ball_profile(source)]
         else:  # the curve's own graphs, redrawn from its substreams
-            profiles = replicate(lambda rng: _max_ball_profile(_resolve_graph(graph_source, rng)),
-                                 curve.meta["replicas"], n + 1, curve.meta["seed"], "replica")
+            profiles = replicate(lambda rng: _max_ball_profile(sample_diluted(source, rng)),
+                                 len(curve.per_replica), source.n + 1, curve.seed, "replica")
     for tag in [tag for tag in tags if tag in UPPER_TAGS]:
         for ti, t in enumerate(curve.t_grid):
             est = float(curve.estimates[ti])
             se = float(curve.ses[ti])
             extra = {}
             if tag == "general-ball":
-                if isinstance(graph_source, Hypergraph):
+                if isinstance(source, Hypergraph):
                     bound, extra["r_star"] = _ball_bound(profiles[0], t)
                 else:
                     bound = float(np.mean([_ball_bound(prof, t)[0] for prof in profiles]))
             else:
-                bound = _family_bound(tag, params, n, t)
+                bound = _family_bound(tag, params, source.n, t)
             margin = bound - est
             out.append(BoundCheck(tag=tag, t=t, estimate=est, se=se, bound=bound,
                                   margin=margin, ok=margin > 0, extra=extra))
     if "lower-discrete" in tags:
-        out.append(lower_bound_discrete(curve, graph_source.n_edges))
+        out.append(lower_bound_discrete(curve))
     if "lower-gaussian" in tags:
-        out.extend(lower_bound_gaussian(curve, beta, graph_source.n_edges))
+        out.extend(lower_bound_gaussian(curve))
     return out
 
 
-def _check_bounds(tags, params: dict, graph_source, beta, kind: str, t_grid) -> None:
-    """The rules of theorem_bound_check, down to a value of each family's
-    bound at every grid point and what each lower tag needs."""
+def check_bounds(tags, params: dict, graph_source, model: dis.DisorderModel, beta,
+                 kind: str, t_grid) -> None:
+    """Every rule of the bound checks: known tags, a value of each
+    family's bound at every grid point, and what each lower tag needs of
+    the curve (a fixed graph, the kind, a grid from 0; for lower-gaussian
+    finite beta and identity disorder)."""
     for tag in tags:
         if tag not in UPPER_TAGS + LOWER_TAGS:
             raise ValidationError(f"unknown bound tag {tag!r}")
@@ -234,21 +237,19 @@ def _check_bounds(tags, params: dict, graph_source, beta, kind: str, t_grid) -> 
                 _family_bound(tag, params, graph_source.n, t)
             except (ArithmeticError, ValueError) as exc:  # e.g. log(gamma), gamma <= 0
                 raise ValidationError(f"bound {tag!r} has no value at t={t}: {exc}") from exc
-        if tag in LOWER_TAGS and not isinstance(graph_source, Hypergraph):
+        if tag not in LOWER_TAGS:
+            continue
+        if not isinstance(graph_source, Hypergraph):
             raise ValidationError(f"{tag} needs a fixed graph")
         if tag == "lower-gaussian" and beta is None:
             raise ValidationError("lower-gaussian needs finite beta")
-        if tag in LOWER_TAGS:
-            _check_lower(tag, kind, t_grid, graph_source.n_edges)
-
-
-def check_bounds(tags, params: dict, graph_source, model: dis.DisorderModel, beta,
-                 kind: str, t_grid) -> None:
-    """The rules of theorem_bound_check on a curve config, plus one that
-    only the config shows: lower-gaussian needs identity disorder."""
-    if "lower-gaussian" in tags and model.kind != "identity":
-        raise ValidationError("lower-gaussian needs identity disorder")
-    _check_bounds(tags, params, graph_source, beta, kind, t_grid)
+        if tag == "lower-gaussian" and model.kind != "identity":
+            raise ValidationError("lower-gaussian needs identity disorder")
+        needs = "discrete" if tag == "lower-discrete" else "continuous"
+        if kind != needs or t_grid[0] != 0.0:
+            raise ValidationError(f"{tag} needs a {needs}-kind curve with a t_grid from 0")
+        if tag == "lower-discrete" and not _short_times(t_grid, graph_source.n_edges):
+            raise ValidationError(f"{tag} needs an edge and a positive grid point t <= 1/|E|")
 
 
 def _family_bound(tag: str, p: dict, n: int, t: float) -> float:
@@ -263,43 +264,37 @@ def _family_bound(tag: str, p: dict, n: int, t: float) -> float:
     return p["K"] * n ** (-expo)
 
 
-def _check_lower(tag: str, kind: str, t_grid, n_edges: int) -> int:
-    """The rules of the lower bounds; for lower-discrete, returns the index
-    of the last positive grid point t <= 1/|E|."""
-    needs = "discrete" if tag == "lower-discrete" else "continuous"
-    if kind != needs or t_grid[0] != 0.0:
-        raise ValidationError(f"{tag} needs a {needs}-kind curve with a t_grid from 0")
-    if tag == "lower-gaussian":
-        return 0
-    hits = [k for k, t in enumerate(t_grid) if n_edges and 0 < t <= 1.0 / n_edges + 1e-12]
-    if not hits:
-        raise ValidationError(f"{tag} needs an edge and a positive grid point t <= 1/|E|")
-    return hits[-1]
+def _short_times(t_grid, n_edges: int) -> list[int]:
+    """Indices of the positive grid points t <= 1/|E|; none without an edge."""
+    return [k for k, t in enumerate(t_grid) if n_edges and 0 < t <= 1.0 / n_edges + 1e-12]
 
 
-def lower_bound_discrete(curve: ChaosCurve, n_edges: int) -> BoundCheck:
-    """Short-time lower bound for the discrete kind: at t <= 1/|E| the
-    perturbed second moment keeps at least e^{-1} of the t = 0 value."""
-    ti = _check_lower("lower-discrete", curve.meta["kind"], curve.t_grid, n_edges)
-    t = curve.t_grid[ti]
+def lower_bound_discrete(curve: ChaosCurve) -> BoundCheck:
+    """Short-time lower bound for the discrete kind: at the last grid
+    point t <= 1/|E| the perturbed second moment keeps at least e^{-1} of
+    the t = 0 value."""
+    check_bounds(("lower-discrete",), {}, curve.source, curve.model, curve.beta, curve.kind,
+                 curve.t_grid)
+    n_edges = curve.source.n_edges
+    ti = _short_times(curve.t_grid, n_edges)[-1]
     margin, se = map(float, mean_se(
         curve.per_replica[:, ti] - math.exp(-1.0) * curve.per_replica[:, 0]))
-    est = float(curve.estimates[ti])
     bound = math.exp(-1.0) * float(curve.estimates[0])
-    return BoundCheck(tag="lower-discrete", t=t, estimate=est, se=se, bound=bound,
-                      margin=margin, ok=margin >= -3.0 * se,
-                      extra={"t_max": 1.0 / n_edges})
+    return BoundCheck(tag="lower-discrete", t=curve.t_grid[ti],
+                      estimate=float(curve.estimates[ti]), se=se, bound=bound,
+                      margin=margin, ok=margin >= -3.0 * se, extra={"t_max": 1.0 / n_edges})
 
 
-def lower_bound_gaussian(curve: ChaosCurve, beta: float, n_edges: int) -> list[BoundCheck]:
+def lower_bound_gaussian(curve: ChaosCurve) -> list[BoundCheck]:
     """Gaussian identity-coupling lower bound: estimate(t) cannot fall
     more than 6 sqrt(t) sqrt(beta) |E|^{3/4} below estimate(0). Vacuous
     whenever the slack exceeds the unperturbed value."""
-    _check_lower("lower-gaussian", curve.meta["kind"], curve.t_grid, n_edges)
+    check_bounds(("lower-gaussian",), {}, curve.source, curve.model, curve.beta, curve.kind,
+                 curve.t_grid)
     out = []
     base = float(curve.estimates[0])
     for ti, t in enumerate(curve.t_grid[1:], start=1):
-        slack = 6.0 * math.sqrt(t) * math.sqrt(beta) * n_edges ** 0.75
+        slack = 6.0 * math.sqrt(t) * math.sqrt(curve.beta) * curve.source.n_edges ** 0.75
         bound = base - slack
         margin, se = map(float, mean_se(
             curve.per_replica[:, ti] - (curve.per_replica[:, 0] - slack)))

@@ -228,7 +228,7 @@ def _parse_curve(cfg: dict):
         rows = [{"t": t, "estimate": float(curve.estimates[ti]), "se": float(curve.ses[ti]),
                  "bound_tag": None, "bound_value": None, "margin": None}
                 for ti, t in enumerate(curve.t_grid)]
-        checks = chaos.theorem_bound_check(curve, graph_source, tags=tags, params=params)
+        checks = chaos.theorem_bound_check(curve, tags=tags, params=params)
         for ch in checks:
             rows.append({"t": ch.t, "estimate": ch.estimate, "se": ch.se,
                          "bound_tag": ch.tag, "bound_value": ch.bound, "margin": ch.margin})

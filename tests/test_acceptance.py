@@ -381,7 +381,7 @@ def test_criterion_10_chaos_curves():
             assert np.array_equal(curve.per_replica[:, 0], self_overlap), name
             assert np.all(curve.estimates >= 0.0) and np.all(curve.estimates <= 1.0)
             assert all(r["ok"] for r in chaos.monotonicity_check(curve)), (name, kind)
-            for chk in chaos.theorem_bound_check(curve, g, tags=("general-ball",)):
+            for chk in chaos.theorem_bound_check(curve, tags=("general-ball",)):
                 assert chk.margin > -3.0 * chk.se, (name, kind, chk)
     elapsed = time.monotonic() - t0
     print(f"criterion 10: 5 fixtures x 2 kinds pass (beta=0 exact, t=0 "
@@ -395,7 +395,7 @@ def test_criterion_11_discrete_lower_bound():
     t0 = time.monotonic()
     g = fixtures.get_fixture("ea-ring")
     curve = chaos.chaos_curve(g, IDENT, 1.0, "discrete", [0.0, 1.0 / 8.0], 500, SEED)
-    chk = chaos.lower_bound_discrete(curve, g.n_edges)
+    chk = chaos.lower_bound_discrete(curve)
     elapsed = time.monotonic() - t0
     print(f"criterion 11: margin {chk.margin:+.4f} vs -3 s.e. "
           f"{-3.0 * chk.se:+.4f} at t=1/8, {elapsed:.1f}s (< 180s)")

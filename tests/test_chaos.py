@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from spinchaos import chaos, fixtures, gibbs, hermite, randgraph
 from spinchaos import disorder as dis
 from spinchaos.errors import CapacityError, ValidationError
-from spinchaos.hypergraph import ball_sizes, berge_distance, hypergraph
+from spinchaos.hypergraph import Hypergraph, ball_sizes, berge_distance, hypergraph
 from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
                                  sample_diluted)
 from spinchaos.rng import replicate, substream
@@ -27,14 +27,12 @@ from conftest import general_ball_bound, spectral_curve
 IDENT = dis.DisorderModel("identity")
 
 
-def make_curve(per_replica, t_grid, kind="continuous", meta_extra=None):
+def make_curve(per_replica, t_grid):
     per = np.asarray(per_replica, dtype=float)
-    meta = {"kind": kind, "beta": 1.0, "replicas": per.shape[0], "seed": 1,
-            "mode": "exact", "graph": {"type": "fixed", "n": 8, "n_edges": 8}}
-    meta.update(meta_extra or {})
     return chaos.ChaosCurve(t_grid=tuple(t_grid), estimates=per.mean(axis=0),
                             ses=per.std(axis=0, ddof=1) / math.sqrt(per.shape[0]),
-                            per_replica=per, meta=meta)
+                            per_replica=per, source=fixtures.ring(8), model=IDENT, beta=1.0,
+                            kind="continuous", seed=1, mode="exact")
 
 
 # --------------------------------------------------------------------------
@@ -93,7 +91,7 @@ def test_t_zero_reuses_unperturbed_correlations(monkeypatch, source, beta, kind,
     monkeypatch.undo()
     for k in range(replicas):
         rng = substream(seed, "replica", k)
-        g = chaos._resolve_graph(source, rng)
+        g = source if isinstance(source, Hypergraph) else sample_diluted(source, rng)
         base = rng.standard_normal(g.n_edges)
         path = (dis.continuous_path if kind == "continuous" else dis.discrete_path)(
             base, grid, rng)
@@ -323,7 +321,7 @@ def test_theorem_bound_check_formulas():
     params = {"C": 2.0, "theta": 1.0, "gamma": 3.0, "lambda": 2.4,
               "K": 1.0, "c": 1.0, "eps": 0.1, "alpha": 1.5}
     tags = ("general-ball", "poly-growth", "exp-growth", "diluted", "levy")
-    checks = chaos.theorem_bound_check(curve, g, tags=tags, params=params)
+    checks = chaos.theorem_bound_check(curve, tags=tags, params=params)
     assert len(checks) == len(tags) * 3
     by_tag = {tag: [c for c in checks if c.tag == tag] for tag in tags}
     for ti, t in enumerate(curve.t_grid):
@@ -345,20 +343,20 @@ def test_theorem_bound_check_formulas():
     # the constant-free bound holds comfortably on this instance
     assert all(c.ok for c in by_tag["general-ball"])
     with pytest.raises(ValidationError):
-        chaos.theorem_bound_check(curve, g, tags=("no-such-bound",))
+        chaos.theorem_bound_check(curve, tags=("no-such-bound",))
     with pytest.raises(ValidationError):
-        chaos.theorem_bound_check(curve, g, tags=("poly-growth",), params={"C": 1.0})
+        chaos.theorem_bound_check(curve, tags=("poly-growth",), params={"C": 1.0})
     # constants that give a bound no value are bad input, caught before any work
     for tag, bad in (("exp-growth", {"gamma": 0.0}), ("poly-growth", {"theta": 2000.0}),
                      ("levy", {"alpha": 0.0})):
         with pytest.raises(ValidationError):
-            chaos.theorem_bound_check(curve, g, tags=(tag,), params=dict(params, **bad))
+            chaos.theorem_bound_check(curve, tags=(tag,), params=dict(params, **bad))
 
 
 def test_theorem_bound_check_diluted_average():
     spec = diluted_spec(10, {2: 0.5})
     curve = chaos.chaos_curve(spec, IDENT, 0.6, "continuous", [0.0, 1.0], 5, 77)
-    checks = chaos.theorem_bound_check(curve, spec, tags=("general-ball",))
+    checks = chaos.theorem_bound_check(curve, tags=("general-ball",))
     for ti, t in enumerate(curve.t_grid):
         vals = []
         for k in range(5):
@@ -383,7 +381,7 @@ def test_bound_check_draws_each_graph_once(monkeypatch):
 
     monkeypatch.setattr(chaos, "sample_diluted", counting_sample)
     monkeypatch.setattr(chaos, "ball_sizes", counting_balls)
-    checks = chaos.theorem_bound_check(curve, spec, tags=("general-ball",))
+    checks = chaos.theorem_bound_check(curve, tags=("general-ball",))
     assert len(draws) == 5 and len(balls) == 5 * 14  # once per replica, not per t
     graphs = [sample_diluted(spec, substream(88, "replica", k)) for k in range(5)]
     for chk, t in zip(checks, grid):
@@ -392,7 +390,7 @@ def test_bound_check_draws_each_graph_once(monkeypatch):
     g = fixtures.torus_4x4()
     balls.clear()
     fixed = chaos.chaos_curve(g, IDENT, 0.5, "continuous", grid, 3, 89)
-    checks = chaos.theorem_bound_check(fixed, g, tags=("general-ball",))
+    checks = chaos.theorem_bound_check(fixed, tags=("general-ball",))
     assert len(balls) == g.n
     for chk, t in zip(checks, grid):
         assert (chk.bound, chk.extra["r_star"]) == general_ball_bound(g, t)
@@ -401,7 +399,7 @@ def test_bound_check_draws_each_graph_once(monkeypatch):
 def test_lower_bound_discrete():
     g = fixtures.ring(8)
     curve = chaos.chaos_curve(g, IDENT, 1.0, "discrete", [0.0, 0.125, 0.5], 60, 311)
-    chk = chaos.lower_bound_discrete(curve, g.n_edges)
+    chk = chaos.lower_bound_discrete(curve)
     assert chk.tag == "lower-discrete" and chk.t == 0.125
     assert chk.extra["t_max"] == 1.0 / 8.0
     assert chk.bound == math.exp(-1.0) * float(curve.estimates[0])
@@ -410,19 +408,19 @@ def test_lower_bound_discrete():
     assert chk.ok == (chk.margin >= -3.0 * chk.se)
     cont = chaos.chaos_curve(g, IDENT, 1.0, "continuous", [0.0, 0.125], 4, 1)
     with pytest.raises(ValidationError):
-        chaos.lower_bound_discrete(cont, g.n_edges)
+        chaos.lower_bound_discrete(cont)
     no_zero = chaos.chaos_curve(g, IDENT, 1.0, "discrete", [0.125, 0.5], 4, 1)
     with pytest.raises(ValidationError):
-        chaos.lower_bound_discrete(no_zero, g.n_edges)
+        chaos.lower_bound_discrete(no_zero)
     coarse = chaos.chaos_curve(g, IDENT, 1.0, "discrete", [0.0, 0.5], 4, 1)
     with pytest.raises(ValidationError):
-        chaos.lower_bound_discrete(coarse, g.n_edges)
+        chaos.lower_bound_discrete(coarse)
 
 
 def test_lower_bound_gaussian():
     g = fixtures.ring(8)
     curve = chaos.chaos_curve(g, IDENT, 0.5, "continuous", [0.0, 1e-4, 0.5], 40, 13)
-    checks = chaos.lower_bound_gaussian(curve, 0.5, g.n_edges)
+    checks = chaos.lower_bound_gaussian(curve)
     assert [c.t for c in checks] == [1e-4, 0.5]
     for chk in checks:
         slack = 6.0 * math.sqrt(chk.t) * math.sqrt(0.5) * 8.0 ** 0.75
@@ -434,17 +432,34 @@ def test_lower_bound_gaussian():
     assert abs(checks[0].extra["slack"] - 0.2018) < 5e-4
     disc = chaos.chaos_curve(g, IDENT, 0.5, "discrete", [0.0, 0.5], 4, 1)
     with pytest.raises(ValidationError):
-        chaos.lower_bound_gaussian(disc, 0.5, g.n_edges)
+        chaos.lower_bound_gaussian(disc)
     no_zero = chaos.chaos_curve(g, IDENT, 0.5, "continuous", [0.1, 0.5], 4, 1)
     with pytest.raises(ValidationError):
-        chaos.lower_bound_gaussian(no_zero, 0.5, g.n_edges)
+        chaos.lower_bound_gaussian(no_zero)
     # through theorem_bound_check: after the upper tags, at the curve's beta
-    both = chaos.theorem_bound_check(curve, g, tags=("lower-gaussian", "general-ball"))
+    both = chaos.theorem_bound_check(curve, tags=("lower-gaussian", "general-ball"))
     assert [c.tag for c in both] == ["general-ball"] * 3 + ["lower-gaussian"] * 2
     assert both[3:] == checks
     ground = chaos.chaos_curve(g, IDENT, None, "continuous", [0.0, 0.5], 4, 1)
     with pytest.raises(ValidationError):
-        chaos.theorem_bound_check(ground, g, tags=("lower-gaussian",))
+        chaos.theorem_bound_check(ground, tags=("lower-gaussian",))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chaos.theorem_bound_check(chaos.chaos_curve(
+        fixtures.ring(8), dis.DisorderModel("scaled-tanh", kappa=1.0), 0.5, "continuous",
+        [0.0, 0.5], 4, 1), tags=("lower-gaussian",)),
+    lambda: chaos.lower_bound_gaussian(chaos.chaos_curve(
+        fixtures.ring(8), IDENT, None, "continuous", [0.0, 0.5], 4, 1)),
+    lambda: chaos.lower_bound_discrete(chaos.chaos_curve(
+        diluted_spec(8, {2: 0.5}), IDENT, 0.5, "discrete", [0.0, 0.1], 4, 1)),
+], ids=["gaussian-on-scaled-tanh", "gaussian-at-beta-infinity", "discrete-on-diluted"])
+def test_bound_checks_apply_the_rules_to_the_curves_own_inputs(call):
+    # when the caller passed the graph, beta and edge count again, these
+    # gave a bound of -14.1 off a scaled-tanh curve, a TypeError from
+    # sqrt(None), and a check of a diluted curve at a caller's edge count
+    with pytest.raises(ValidationError):
+        call()
 
 
 # --------------------------------------------------------------------------
