@@ -72,7 +72,7 @@ def _correlations(system: gibbs.SpinSystem, mode: str, rng,
 
 
 def check_curve(graph_source, beta, kind: str, t_grid, replicas: int, mode: str,
-                mcmc_sweeps: int) -> None:
+                mcmc_sweeps: int, mcmc_burn_in: int) -> None:
     """The rules chaos_curve applies before any draw, down to the size cap
     of the kernel that runs: enumeration (also at beta None) or sampler."""
     if not isinstance(graph_source, (Hypergraph, DilutedSpec)):
@@ -84,6 +84,7 @@ def check_curve(graph_source, beta, kind: str, t_grid, replicas: int, mode: str,
     if beta is not None:
         gibbs.check_beta(beta)
     check_replicas(replicas, len(dis.check_grid(t_grid)))
+    gibbs.check_burn_in(mcmc_burn_in)
     if mode == "exact" or beta is None:
         gibbs.check_size(graph_source.n, gibbs.EXACT_MAX_N)
     else:
@@ -100,7 +101,7 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
     path across the grid, and any sampler randomness (rng.replicate).
     """
     beta_v = None if beta is None or beta == "infinity" else float(beta)
-    check_curve(graph_source, beta_v, kind, t_grid, replicas, mode, mcmc_sweeps)
+    check_curve(graph_source, beta_v, kind, t_grid, replicas, mode, mcmc_sweeps, mcmc_burn_in)
     grid = tuple(float(t) for t in t_grid)
     # exact and ground-state kernels draw nothing, so skipping a repeated
     # call leaves the replica's stream as it was; the sampler must rerun
@@ -222,10 +223,12 @@ def theorem_bound_check(curve: ChaosCurve, tags=("general-ball",),
 
 def check_bounds(tags, params: dict, graph_source, model: dis.DisorderModel, beta,
                  kind: str, t_grid) -> None:
-    """Every rule of the bound checks: known tags, a value of each
-    family's bound at every grid point, and what each lower tag needs of
-    the curve (a fixed graph, the kind, a grid from 0; for lower-gaussian
-    finite beta and identity disorder)."""
+    """Every rule of the bound checks: known and distinct tags, a value of
+    each family's bound at every grid point, and what each lower tag
+    needs of the curve (a fixed graph, the kind, a grid from 0; for
+    lower-gaussian finite beta and identity disorder)."""
+    if len(set(tags)) != len(tags):  # a repeated tag repeats its checks and rows
+        raise ValidationError(f"bound tags must be distinct, got {list(tags)}")
     for tag in tags:
         if tag not in UPPER_TAGS + LOWER_TAGS:
             raise ValidationError(f"unknown bound tag {tag!r}")
@@ -605,6 +608,8 @@ def check_levy(n_values, alpha: float, beta: float, t: float | None, replicas: i
     if t is not None and not t > 0:
         raise ValidationError(f"need t > 0, got {t}")
     check_replicas(replicas, 1)
+    if len(n_values) == 0:  # no point and a nan slope
+        raise ValidationError("n_values must not be empty")
     if len(set(n_values)) != len(n_values):
         # one substream per N: a repeated N repeats its point exactly
         raise ValidationError(f"n_values must be distinct, got {list(n_values)}")

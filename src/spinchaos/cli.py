@@ -210,7 +210,7 @@ def _parse_curve(cfg: dict):
     mode = c.get("mode", "exact")
     sweeps = _int(c.get("mcmc_sweeps", 20000), "curve.mcmc_sweeps")
     burn_in = _int(c.get("mcmc_burn_in", 2000), "curve.mcmc_burn_in", 0)
-    chaos.check_curve(graph_source, beta, kind, t_grid, replicas, mode, sweeps)
+    chaos.check_curve(graph_source, beta, kind, t_grid, replicas, mode, sweeps, burn_in)
     tags = _list(c.get("bounds", []), "curve.bounds", 0)
     kind_tags = {"bound-check": chaos.UPPER_TAGS, "lower-bound-check": chaos.LOWER_TAGS}.get(exp)
     if kind_tags and (not tags or any(tag not in kind_tags for tag in tags)):

@@ -383,6 +383,12 @@ def check_mcmc(n: int, sweeps: int) -> None:
                             f"{TABLE_BYTES >> 20} MiB budget")
 
 
+def check_burn_in(burn_in: int) -> None:
+    """Burn-in sweeps are a count >= 0."""
+    if _integer(burn_in, "burn_in") < 0:
+        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+
+
 def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
                       sweeps: int = 20000, burn_in: int = 2000) -> CorrelationMatrix:
     """Random-scan Glauber (heat-bath) sampling of pair correlations.
@@ -397,8 +403,7 @@ def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
     beta = _require_finite_beta(system)
     n = system.n
     check_mcmc(n, sweeps)
-    if _integer(burn_in, "burn_in") < 0:
-        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+    check_burn_in(burn_in)
     graph = system.graph
     c_eff = [c * system.levy_scale for c in system.couplings]
     ptr, ids = (a.tolist() for a in graph._incident)

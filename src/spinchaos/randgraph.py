@@ -312,6 +312,8 @@ def trend_sizes(alphas, n_values, eps: float, replicas: int) -> list[tuple[Dilut
     """(spec, probe depth) of each trend size, all checked before any draw:
     strictly increasing N, depth >= 1 and a (replicas, depth + 2) array
     within the replica budget."""
+    if len(n_values) == 0:  # a trend of no rows
+        raise ValidationError("n_values must not be empty")
     out = []
     for n in n_values:
         spec = diluted_spec(n, alphas)

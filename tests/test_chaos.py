@@ -22,7 +22,7 @@ from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
                                  sample_diluted)
 from spinchaos.rng import replicate, substream
 
-from conftest import general_ball_bound, spectral_curve
+from conftest import check_calibrated, general_ball_bound, spectral_curve
 
 IDENT = dis.DisorderModel("identity")
 
@@ -153,6 +153,23 @@ def test_curve_matches_spectral_identity(name, degree_cap, order, kind):
     curve = chaos.chaos_curve(g, IDENT, 0.8, kind, grid, 400, 31)
     assert tail < 1e-3
     assert np.all(np.abs(curve.estimates - spectral) <= 3.0 * curve.ses + tail)
+
+
+@pytest.mark.parametrize("kind", dis.PERTURBATION_KINDS)
+def test_curve_standard_errors_are_calibrated(kind):
+    # 120 independent curves of 32 replicas, one t each: (estimate -
+    # spectral value) / s.e. must be a t variable with 31 degrees of
+    # freedom, which the "within 3 s.e." gates on curves assume
+    g = fixtures.get_fixture("remark-path-graph")
+    times = [0.5, 1.0, 2.0]
+    spectral, tail = spectral_curve(g, 0.8, kind, times, 10, 16)
+    assert tail < 1e-3
+    z = []
+    for seed in range(120):
+        curve = chaos.chaos_curve(g, IDENT, 0.8, kind, [times[seed % 3]], 32, seed)
+        z.append((curve.estimates[0] - spectral[seed % 3]) / curve.ses[0])
+    share, mean_sq = check_calibrated(z, 32 - 1)
+    print(f"{kind}: share |z| <= 2 {share:.3f}, mean z^2 {mean_sq:.3f}")
 
 
 def test_curve_meta_and_se():
@@ -344,6 +361,8 @@ def test_theorem_bound_check_formulas():
     assert all(c.ok for c in by_tag["general-ball"])
     with pytest.raises(ValidationError):
         chaos.theorem_bound_check(curve, tags=("no-such-bound",))
+    with pytest.raises(ValidationError, match="distinct"):  # each check came twice
+        chaos.theorem_bound_check(curve, tags=("general-ball", "general-ball"))
     with pytest.raises(ValidationError):
         chaos.theorem_bound_check(curve, tags=("poly-growth",), params={"C": 1.0})
     # constants that give a bound no value are bad input, caught before any work
@@ -455,9 +474,8 @@ def test_lower_bound_gaussian():
         diluted_spec(8, {2: 0.5}), IDENT, 0.5, "discrete", [0.0, 0.1], 4, 1)),
 ], ids=["gaussian-on-scaled-tanh", "gaussian-at-beta-infinity", "discrete-on-diluted"])
 def test_bound_checks_apply_the_rules_to_the_curves_own_inputs(call):
-    # when the caller passed the graph, beta and edge count again, these
-    # gave a bound of -14.1 off a scaled-tanh curve, a TypeError from
-    # sqrt(None), and a check of a diluted curve at a caller's edge count
+    # the rules read the curve's own model, beta and graph source, so a
+    # bound that does not apply to the curve has no value to return
     with pytest.raises(ValidationError):
         call()
 
@@ -721,17 +739,21 @@ def test_library_counts_must_be_integers(call):
                                     sign_tol=-1.0),
     lambda: gibbs.mcmc_correlations(gibbs.spin_system(fixtures.ring(4), np.ones(4), 0.5),
                                     substream(1, "chain"), sweeps=64, burn_in=-5),
+    lambda: chaos.levy_chaos([], 1.5, 0.5, 1.0, 3, 1),
+    lambda: hypertree_trend({2: 0.9}, [], 0.2, 3, 1),
 ], ids=["decoupling-no-draws", "tanh-no-draws", "suite-no-draws", "audit-negative-tol",
-        "audit-negative-sign-tol", "mcmc-negative-burn-in"])
+        "audit-negative-sign-tol", "mcmc-negative-burn-in", "levy-no-sizes", "trend-no-sizes"])
 def test_library_refuses_vacuous_counts_and_tolerances(call):
     # zero draws reported a max error of 0.0, a negative tolerance flagged
-    # rows whose coefficients vanish, and a negative burn-in ran none
+    # rows whose coefficients vanish, a negative burn-in ran none, and no
+    # sizes gave a Levy result with no points and a trend with no rows
     with pytest.raises(ValidationError):
         call()
 
 
 @pytest.mark.parametrize("check", [
-    lambda: chaos.check_curve(chaos.remark_graph(), -1.0, "continuous", [0, 1], 2, "exact", 64),
+    lambda: chaos.check_curve(chaos.remark_graph(), -1.0, "continuous", [0, 1], 2, "exact", 64,
+                              8),
     lambda: chaos.check_audit(chaos.remark_graph(), -1.0, 0, 1, 2, 6, 1e-6, 1e-8),
     lambda: chaos.check_levy([4], 1.5, -1.0, 1.0, 2),
 ], ids=["curve", "audit", "levy"])
@@ -739,6 +761,17 @@ def test_negative_beta_refused_before_any_draw(check):
     # these checks passed, and a run failed only at its first spin system
     with pytest.raises(ValidationError, match="beta"):
         check()
+
+
+@pytest.mark.parametrize("mode", ["exact", "mcmc"])
+def test_negative_burn_in_refused_before_any_draw(monkeypatch, mode):
+    # the rule stops the curve before a replica draws a graph or couplings
+    monkeypatch.setattr(chaos, "replicate", lambda *args: pytest.fail("a replica ran"))
+    with pytest.raises(ValidationError, match="burn_in"):
+        chaos.check_curve(chaos.remark_graph(), 0.5, "continuous", [0, 1], 2, mode, 64, -1)
+    with pytest.raises(ValidationError, match="burn_in"):
+        chaos.chaos_curve(diluted_spec(10, {2: 0.5}), IDENT, 0.7, "continuous", [0.0, 1.0], 2,
+                          1, mode=mode, mcmc_sweeps=64, mcmc_burn_in=-1)
 
 
 def test_levy_beta_zero_is_one_over_n():

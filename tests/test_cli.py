@@ -96,6 +96,9 @@ def test_section_mismatch_rejected(tmp_path):
     (lambda c: c["curve"].__setitem__("replicas", 1.5), "replicas"),
     (lambda c: c["curve"].__setitem__("mode", "hybrid"), "mode"),
     (lambda c: c["curve"].__setitem__("bounds", ["thm-1.1"]), "bounds"),
+    # a repeated tag wrote each of its rows twice
+    (lambda c: c["curve"].__setitem__("bounds", ["general-ball", "general-ball"]),
+     "bounds_repeated"),
     (lambda c: c["model"].__setitem__("graph", {"fixture": "nope"}), "fixture"),
     (lambda c: c["model"].__setitem__("disorder", {"kind": "cauchy"}), "disorder"),
     (lambda c: c["curve"].__setitem__("t_grid", [0.0, math.nan]), "t_grid"),

@@ -8,7 +8,8 @@ import load as load_graph`, `from . import disorder as dis`); a method
 counts as called when any call site names it as an attribute. A call
 inside the defining module counts too, since the module itself is then
 its caller. Nothing is exempt: even the console entry point cli.main is
-called by criterion 13. Likewise every parameter with a default must be
+called by criterion 13. Likewise every parameter with a default, of a
+public function or method or of a private top-level function, must be
 passed, by keyword or by position, at one of those call sites at least;
 one named exemption is listed with its reason. Every private top-level
 function in src/spinchaos is named somewhere in src/ outside its own body,
@@ -103,6 +104,14 @@ def all_calls() -> list[tuple[set[str], ast.Call]]:
     return [call for path in CALLERS for call in calls(path)]
 
 
+def private_defs(path: Path) -> dict[str, tuple[str, ast.FunctionDef, int]]:
+    """The same record of the module's private top-level functions."""
+    return {f"{path.stem}.{node.name}": (f"{path.stem}.{node.name}", node, 0)
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")}
+
+
 def all_public_defs() -> dict[str, tuple[str, ast.FunctionDef, int]]:
     public = {}
     for path in sorted(SRC.glob("*.py")):
@@ -163,9 +172,14 @@ def passes(call: ast.Call, name: str, position: int | None) -> bool:
 
 
 def test_every_default_is_overridden_somewhere():
+    # a private helper's default that no caller sets is one value, and
+    # the parameter can go
     sites = all_calls()
+    defs = all_public_defs()
+    for path in sorted(SRC.glob("*.py")):
+        defs.update(private_defs(path))
     unpassed = sorted(
-        f"{qual}({name})" for qual, (site, fn, skip) in all_public_defs().items()
+        f"{qual}({name})" for qual, (site, fn, skip) in defs.items()
         for name, position in defaulted(fn, skip).items()
         if not any(site in reached and passes(call, name, position) for reached, call in sites))
     stale = sorted(UNPASSED_EXEMPT.difference(unpassed))
