@@ -274,7 +274,8 @@ def _components(graph: Hypergraph, table_bytes: int):
     label = np.full(graph.n, -1, np.int64)
     local = np.zeros(graph.n, np.int64)
     verts_of = []
-    for v in np.unique(graph.flat).tolist():
+    # the vertices in some edge, rising; np.unique would load numpy.ma on numpy 2
+    for v in np.flatnonzero(np.bincount(graph.flat, minlength=graph.n)).tolist():
         if label[v] < 0:
             verts = np.array(sorted(component(graph, v)), np.int64)
             verts.flags.writeable = False

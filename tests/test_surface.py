@@ -15,7 +15,8 @@ one named exemption is listed with its reason. Every private top-level
 function in src/spinchaos is named somewhere in src/ outside its own body,
 so helpers that a rewrite leaves behind are caught. No module in src/ or tests/ imports a name it
 never reads; the re-exports of the package's __init__ are exempt. Importing
-the CLI loads no scipy submodule that only one experiment path needs.
+the CLI loads no scipy submodule that only one experiment path needs, and
+a run of any kind off those two paths imports no module at all.
 """
 
 import ast
@@ -220,11 +221,63 @@ def test_cli_import_defers_scipy():
         "from spinchaos.disorder import DisorderModel, rho\n"
         "vals = rho(DisorderModel('pareto-tail', alpha=1.3), [-2.5, -0.1, 0.0, 0.7, 4.0])\n"
         "print(json.dumps({'loaded': loaded, 'rho': [v.hex() for v in vals]}))\n")
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                    text=True, check=True, timeout=120).stdout)
+    out = _run_python(code)
     assert out["loaded"] == [False, False, True]
     x = np.array([-2.5, -0.1, 0.0, 0.7, 4.0])  # the map as written with a module-level erfc
     before = np.sign(x) * erfc(np.abs(x) / np.sqrt(2.0)) ** (-1.0 / 1.3)
     assert out["rho"] == [float(v).hex() for v in before]
+
+
+_RING = {"graph": {"fixture": "ea-ring"}, "disorder": {"kind": "identity"},
+         "perturbation": "continuous"}
+# one tiny run of every kind that needs neither scipy.special nor
+# scipy.integrate; keyed "<kind>" or "<kind> <label>"
+_NO_IMPORT_RUNS = {
+    "chaos-curve": {"model": dict(_RING, beta=0.8), "curve": {"t_grid": [0.0, 1.0], "replicas": 2}},
+    "chaos-curve infinity": {"model": dict(_RING, beta="infinity"),
+                             "curve": {"t_grid": [0.0, 1.0], "replicas": 2}},
+    "bound-check": {
+        "model": {"graph": {"diluted": {"n": 16, "alphas": {"2": 0.6, "3": 0.2}}},
+                  "disorder": {"kind": "identity"}, "beta": "infinity", "perturbation": "discrete"},
+        "curve": {"t_grid": [0.0, 1.0], "replicas": 2, "bounds": ["general-ball"]}},
+    "lower-bound-check": {
+        "model": {"graph": {"fixture": "remark-path-graph"}, "disorder": {"kind": "identity"},
+                  "beta": 0.7, "perturbation": "discrete"},
+        "curve": {"t_grid": [0.0, 0.25], "replicas": 2, "bounds": ["lower-discrete"]}},
+    "growth-stats": {"growth": {"n": 100, "alphas": {"2": 0.6}, "depth": 2, "replicas": 2}},
+    "hypertree-trend": {"trend": {"alphas": {"2": 0.9}, "n_values": [50, 100], "eps": 0.2,
+                                  "replicas": 2}},
+    "coefficient-audit": {
+        "model": {"graph": {"fixture": "figure1-hypergraph"}, "disorder": {"kind": "identity"},
+                  "beta": 1.0},
+        "audit": {"i": 1, "j": 4, "degree_cap": 2, "order": 4}},
+}
+
+
+def test_runs_import_nothing():
+    # a run is one process, so a module first imported inside it is paid
+    # on every run. numpy 2 hides such imports: np.unique loads numpy.ma.
+    # On numpy 1.x `import numpy` loads numpy.ma, so there this check
+    # cannot see that import.
+    code = (
+        "import json, sys, tempfile\n"
+        "import spinchaos.cli\n"
+        f"runs = json.loads({json.dumps(json.dumps(_NO_IMPORT_RUNS))})\n"
+        "added = {}\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    for name, cfg in runs.items():\n"
+        "        before = set(sys.modules)\n"
+        "        cfg = dict(cfg, experiment=name.split()[0], seed=3, output=f'{tmp}/{len(added)}')\n"
+        "        spinchaos.cli.run_experiment(cfg)\n"
+        "        added[name] = sorted(set(sys.modules) - before)\n"
+        "print(json.dumps(added))\n")
+    added = _run_python(code)
+    assert added == {name: [] for name in _NO_IMPORT_RUNS}
+
+
+def _run_python(code: str):
+    """The JSON that code prints, run in a fresh interpreter on src/."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                     text=True, check=True, timeout=120).stdout)
