@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -100,8 +99,8 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
     the graph when the source is diluted, the base couplings, one coupled
     path across the grid, and any sampler randomness (rng.replicate).
     """
-    beta_v = None if beta is None or beta == "infinity" else float(beta)
-    check_curve(graph_source, beta_v, kind, t_grid, replicas, mode, mcmc_sweeps, mcmc_burn_in)
+    check_curve(graph_source, beta, kind, t_grid, replicas, mode, mcmc_sweeps, mcmc_burn_in)
+    beta_v = None if beta is None else float(beta)
     grid = tuple(float(t) for t in t_grid)
     # exact and ground-state kernels draw nothing, so skipping a repeated
     # call leaves the replica's stream as it was; the sampler must rerun
@@ -468,13 +467,11 @@ def tanh_product_error(k: int, beta: float, draws: int, seed: int) -> float:
                       lambda cs: math.prod(math.tanh(beta * cs[eid]) for eid in lobe_edges))
 
 
-@lru_cache(maxsize=8)
 def factorized_bridge_coefficient(beta: float) -> float:
     """phi_hat(n) through the verified closed form: the observable equals
     the product of four independent tanh factors, so the coefficient is
     E[J tanh(beta J)]^4 with the scalar mean done adaptively. Valid only
-    after tanh_product_error has certified the closed form. Cached: it
-    depends on beta alone, not on the bridge length."""
+    after tanh_product_error has certified the closed form."""
     f = hermite.adaptive_gaussian_mean(lambda x: x * math.tanh(beta * x))
     return f ** 4
 

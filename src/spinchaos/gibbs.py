@@ -14,21 +14,25 @@ flipped to +1, so its rows are the table's times +-1 signs (_flip); the
 kernels fold the signs into the couplings and accumulators instead of
 rebuilding rows. Multiplying by +-1 is exact, so the doubling and the
 folding cost no bits. Exact routines are capped at N = 24; larger systems
-go through the Glauber sampler, flagged as an estimate.
+go through the Glauber sampler, flagged as an estimate. Before any
+arithmetic each exact kernel checks that the bounds |H| <= n_edges max|c|
+and |beta H| <= max(beta) n_edges max|c| are finite (_check_scale).
 
 At beta = infinity the measure factorizes over connected components:
 ground_states enumerates each component that holds an edge over its own
 half table, sum_C 2^(|C|-1) rows instead of 2^(N-1), keeps ties within
 a relative 1e-12 of that component's maximum, and leaves the vertices in
 no edge free. The components, their sub-graphs and tables are cached
-one graph at a time. ground_state_correlations forms every moment as an
-exact integer count over the product states divided once by their
-number, so no state of the product is ever materialized.
+one graph at a time. ground_state_correlations forms every moment as a
+ratio of exact integers over the product states, rounded once, so no
+state of the product is ever materialized.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,11 +57,12 @@ BATCH_COLUMNS = (64, 1024)
 
 
 def check_beta(beta) -> float:
-    """A finite beta as a float; infinity is beta None, routed by callers."""
-    b = float(beta)
-    if not (math.isfinite(b) and b >= 0):
-        raise ValidationError(f"beta must be finite and >= 0, got {beta!r}")
-    return b
+    """A finite beta >= 0 as a float. Only a real number passes, not a
+    bool or a string; infinity is beta None, routed by callers."""
+    if (isinstance(beta, bool) or not isinstance(beta, numbers.Real)  # np.bool_ is no Real either
+            or not 0 <= beta <= sys.float_info.max):
+        raise ValidationError(f"beta must be a finite real number >= 0, got {beta!r}")
+    return float(beta)
 
 
 @dataclass(frozen=True)
@@ -84,13 +89,8 @@ class SpinSystem:
 
 
 def spin_system(graph: Hypergraph, couplings, beta, levy_scale=1.0) -> SpinSystem:
-    """Validated constructor; beta may be a number, None, or 'infinity'."""
-    if isinstance(beta, str):
-        if beta != "infinity":
-            raise ValidationError(f"beta string must be 'infinity', got {beta!r}")
-        beta = None
-    elif beta is not None:
-        beta = float(beta)
+    """Validated constructor; beta is a number, or None at infinity."""
+    beta = None if beta is None else check_beta(beta)
     cs = tuple(float(c) for c in np.asarray(couplings, dtype=float).ravel())
     return SpinSystem(graph, cs, beta, float(levy_scale))
 
@@ -160,17 +160,6 @@ def _table_rows(graph: Hypergraph) -> int:
     return min(1 << (graph.n - 1), 1 << max(fit.bit_length() - 1, 0))
 
 
-def _half_blocks(graph: Hypergraph, table=None):
-    """(start, states, edge products, spin signs, edge signs) blocks over
-    the 2^(N-1) states with the top spin at -1, in index order. states
-    and edge products are table, by default the cached low table; the
-    block's own are them times the signs of _flip(graph, start). The
-    complement of index i is 2^N - 1 - i."""
-    states, eprod = _low_table(graph, _table_rows(graph)) if table is None else table
-    for start in range(0, 1 << (graph.n - 1), len(eprod)):
-        yield (start, states, eprod, *_flip(graph, start))
-
-
 def check_size(n: int, cap: int) -> None:
     """EXACT_MAX_N, or BATCH_MAX_N for batch_moments's full 2^N table."""
     if n > cap:
@@ -183,19 +172,33 @@ def _require_finite_beta(system: SpinSystem) -> float:
     return float(system.beta)
 
 
-def _energies(graph: Hypergraph, c_eff: np.ndarray, table=None):
+def _check_scale(c_eff: np.ndarray, betas=()) -> None:
+    """Refuse, before any arithmetic, couplings c_eff (one vector or a
+    (B, n_edges) batch) whose bound n_edges max|c| on |H|, or that bound
+    times max(beta) on |beta H|, is not finite."""
+    h = c_eff.shape[-1] * max(float(c_eff.max(initial=0.0)), -float(c_eff.min(initial=0.0)))
+    top = max(betas, default=0.0)
+    if not (math.isfinite(h) and math.isfinite(h * top)):
+        raise NumericalError(f"|H| or |beta H| may overflow: n_edges * max|c| = {h:g}, "
+                             f"max(beta) = {top:g}")
+
+
+def _energies(graph: Hypergraph, c_eff: np.ndarray, table):
     """Blocks (start, states, spin signs, H of the rows, H of their
-    complements) over the half table of graph with couplings c_eff, N <= 24.
-    The complement -sigma flips the sign of every odd-arity edge product,
-    so its energies use the couplings times the edge signs of the global
-    flip. With no odd edge those signs are all +1 and the second GEMV
-    would repeat the first bit for bit, so the complements' energies are
-    the rows' own array (callers test `e_neg is e_pos`)."""
-    check_size(graph.n, EXACT_MAX_N)
+    complements) over the 2^(N-1) states with the top spin at -1, in
+    index order: each is table, the (states or None, edge products) of
+    the first rows, times the signs of _flip(graph, start). The
+    complement of index i is 2^N - 1 - i; -sigma negates every odd-arity
+    edge product, so its energies use c_eff times the global flip's edge
+    signs. With no odd edge the second GEMV would repeat the first bit
+    for bit, so the complements' energies are the rows' own array
+    (callers test `e_neg is e_pos`)."""
+    states, eprod = table
     odd = graph.arity & 1  # the global flip negates the odd edges' products
     c_neg = (1.0 - 2.0 * odd) * c_eff
     even = not odd.any()
-    for start, states, eprod, spin, sign in _half_blocks(graph, table):
+    for start in range(0, 1 << (graph.n - 1), len(eprod)):
+        spin, sign = _flip(graph, start)
         e_pos = eprod @ (sign * c_eff)
         yield start, states, spin, e_pos, e_pos if even else eprod @ (sign * c_neg)
 
@@ -214,8 +217,11 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     return the same weights and exactly zero.
     """
     beta = _require_finite_beta(system)
-    blocks = _energies(system.graph, np.asarray(system.couplings) * system.levy_scale)
-    n = system.n
+    graph, n = system.graph, system.n
+    check_size(n, EXACT_MAX_N)
+    c_eff = np.asarray(system.couplings) * system.levy_scale
+    _check_scale(c_eff, (beta,))
+    blocks = _energies(graph, c_eff, _low_table(graph, _table_rows(graph)))
     shift = -math.inf  # current max of beta*H over both half-spaces
     z = 0.0            # sum of exp(beta*H - shift)
     acc_corr = np.zeros((n, n))
@@ -267,10 +273,10 @@ class GroundStates:
 def _components(graph: Hypergraph, table_bytes: int):
     """(free vertices, parts) of graph, one graph at a time like
     _low_table. Each part is (vertex ids, edge ids, sub-graph, its half
-    table) of a connected component with an edge: the sub-graph numbers
-    the vertices in rising order and keeps the edges in id order, built
-    from int64 row blocks of equal arity. table_bytes, the TABLE_BYTES
-    that sized the tables, is part of the key."""
+    table) of a connected component with an edge: the sub-graph is the
+    parent's edge tuples in id order with the vertices renumbered in
+    rising order. table_bytes, the TABLE_BYTES that sized the tables, is
+    part of the key."""
     label = np.full(graph.n, -1, np.int64)
     local = np.zeros(graph.n, np.int64)
     verts_of = []
@@ -285,16 +291,11 @@ def _components(graph: Hypergraph, table_bytes: int):
     free = np.flatnonzero(label < 0)
     free.flags.writeable = False
     edge_label = label[graph.flat[graph.offsets[:-1]]]
+    local, edges = local.tolist(), graph.edges
     parts = []
     for c, verts in enumerate(verts_of):
-        inside = edge_label == c
-        eids, arity = np.flatnonzero(inside), graph.arity[inside]
-        flat = local[graph.flat[np.repeat(inside, graph.arity)]]
-        runs = np.flatnonzero(np.diff(arity)) + 1  # where the arity changes, in eids
-        cuts = np.cumsum(arity)[runs - 1].tolist()
-        blocks = [b.reshape(-1, a) for b, a in zip(np.split(flat, cuts),
-                                                  arity[np.r_[0, runs]].tolist())]
-        sub = Hypergraph(len(verts), blocks)
+        eids = np.flatnonzero(edge_label == c)
+        sub = Hypergraph(len(verts), [[local[v] for v in edges[e]] for e in eids.tolist()])
         parts.append((verts, eids, sub, _table(sub, _table_rows(sub), spins=False)))
     return free, tuple(parts)
 
@@ -338,8 +339,9 @@ def ground_states(system: SpinSystem) -> GroundStates:
     and its ties are kept within a relative 1e-12 of its own maximum.
     """
     check_size(system.n, EXACT_MAX_N)
-    free, parts = _components(system.graph, TABLE_BYTES)
     c_eff = np.asarray(system.couplings) * system.levy_scale
+    _check_scale(c_eff)
+    free, parts = _components(system.graph, TABLE_BYTES)
     energy, factors = 0.0, []
     for verts, eids, sub, table in parts:
         best, idx = _ground_indices(sub, c_eff[eids], table)
@@ -349,30 +351,28 @@ def ground_states(system: SpinSystem) -> GroundStates:
 
 
 def ground_state_correlations(gs: GroundStates) -> CorrelationMatrix:
-    """Uniform measure over the K = 2^(free spins) prod_C K_C ground
-    states; log_z is nan because the zero-temperature measure has no
-    partition value.
+    """Uniform measure over the products of the factors' states with any
+    values of the free spins; log_z is nan because the zero-temperature
+    measure has no partition value.
 
-    Over those products, sum s_i s_j is (K / K_C) times the sum over C's
-    own states when i and j lie in one component C, (K / (K_C K_D)) times
-    the product of the two components' sums when they lie in C and D,
-    and 0 at a free spin. These exact integer counts, and the sums of
-    s_i, are divided once by K: the bits of states.T @ states / K and
-    states.mean(axis=0) over the materialized states.
+    <s_i s_j> is the sum of s_i s_j over C's own K_C states over K_C
+    when i and j lie in one component C, the product of the two
+    components' sums over K_C K_D when they lie in C and D, and 0 at a
+    free spin; <s_i> is its component's sum over K_C. Each is a ratio of
+    exact integers, rounded once: the bits of states.T @ states / K and
+    states.mean(axis=0) over the K materialized states. The sums stay
+    int64, since a float 0 times a negative sum would give -0.0.
     """
-    k = 1 << len(gs.free)
     sums = np.zeros(gs.n, np.int64)     # sum of s_i over its factor's states
     sizes = np.full(gs.n, 2, np.int64)  # K_C of the factor of i, 2 at a free spin
     for verts, states in gs.factors:
-        k *= len(states)
         sums[verts] = states.sum(axis=0)
         sizes[verts] = len(states)
-    count = np.outer(sums, sums) * k // np.outer(sizes, sizes)
+    corr = np.outer(sums, sums) / np.outer(sizes, sizes)
     for verts, states in gs.factors:
-        count[np.ix_(verts, verts)] = (states.T @ states).astype(np.int64) * (k // len(states))
-    corr = count / k
+        corr[np.ix_(verts, verts)] = (states.T @ states).astype(np.int64) / len(states)
     np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(corr=corr, means=sums * (k // sizes) / k, log_z=math.nan)
+    return CorrelationMatrix(corr=corr, means=sums / sizes, log_z=math.nan)
 
 
 def check_mcmc(n: int, sweeps: int) -> None:
@@ -483,20 +483,17 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     each block's GEMM and column max; the results then gain a last axis
     of length K, bitwise equal to K one-beta calls. For beta >= 0 the
     column max of beta * H is beta times the column max of H, bitwise,
-    since rounding is monotone. Every |beta H| is at most
-    max(beta) n_edges max|c|, so a call where that product is not finite
-    raises NumericalError instead of filling the results with NaN.
+    since rounding is monotone. A call whose |H| or |beta H| bound is
+    not finite raises NumericalError (_check_scale) instead of filling
+    the results with NaN.
     """
     n = graph.n
     check_size(n, BATCH_MAX_N)
-    betas = [check_beta(b) for b in np.atleast_1d(beta)]
+    betas = [check_beta(b) for b in (beta if np.ndim(beta) else (beta,))]
     cs = np.atleast_2d(np.asarray(couplings, dtype=float))
     if cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")
-    scale = max(betas, default=0.0) * graph.n_edges
-    if cs.size and not all(math.isfinite(scale * float(c)) for c in (cs.max(), cs.min())):
-        raise NumericalError(f"|beta H| may overflow: max(beta) * n_edges = {scale:g} "
-                             f"with couplings in [{cs.min():g}, {cs.max():g}]")
+    _check_scale(cs, betas)
     check = graph.check_vertex  # a negative id would index spins from the end
     pairs = [(check(i), check(j)) for i, j in pairs]
     singles = [check(i) for i in singles]

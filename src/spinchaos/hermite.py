@@ -6,9 +6,9 @@ orthonormal (probabilist) Hermite basis h_m, E[h_m(J) h_k(J)] = delta_mk
 for J standard normal, built from the stable three-term recurrence.
 
 Tensor quadrature grids are capped at 6 coordinates, order 24 per axis,
-and 2^22 total nodes; coefficient degrees are capped at 10 per edge and
-10 total. Everything past a cap raises CapacityError rather than
-degrading silently.
+and 2^22 total nodes; coefficient degrees are capped at 10 in total.
+Everything past a cap raises CapacityError rather than degrading
+silently.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ MAX_AXES = 6
 MAX_ORDER = 24
 MAX_GRID = 1 << 22
 MAX_TOTAL_DEGREE = 10
-MAX_EDGE_DEGREE = 10
 
 
 def check_order(order: int) -> None:
@@ -66,9 +65,6 @@ def _check_index(n: MultiIndex, n_edges: int):
     n.check_edges(n_edges)
     if n.total_degree > MAX_TOTAL_DEGREE:
         raise CapacityError(f"|n| = {n.total_degree} above cap {MAX_TOTAL_DEGREE}")
-    for eid, d in n.degrees:
-        if d > MAX_EDGE_DEGREE:
-            raise CapacityError(f"n_{eid} = {d} above cap {MAX_EDGE_DEGREE}")
 
 
 def _check_grid(n_edges: int, order: int):

@@ -6,8 +6,10 @@ bound formulas. Gibbs-level machinery is trusted here because
 test_gibbs.py pins it against dense enumeration.
 """
 
+import dataclasses
 import math
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -16,7 +18,7 @@ from scipy.integrate import quad
 
 from spinchaos import chaos, fixtures, gibbs, hermite, randgraph
 from spinchaos import disorder as dis
-from spinchaos.errors import CapacityError, ValidationError
+from spinchaos.errors import CapacityError, NumericalError, ValidationError
 from spinchaos.hypergraph import Hypergraph, ball_sizes, berge_distance, hypergraph
 from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
                                  sample_diluted)
@@ -71,7 +73,7 @@ def test_t_zero_matches_self_overlap_bitwise():
 
 @pytest.mark.parametrize("source,beta,kind,mode,kernel,saved", [
     (fixtures.ring(6), 0.8, "continuous", "exact", "exact_correlations", 1),
-    (diluted_spec(9, {2: 0.8}), "infinity", "discrete", "mcmc", "ground_states", 1),
+    (diluted_spec(9, {2: 0.8}), None, "discrete", "mcmc", "ground_states", 1),
     (fixtures.ring(4), 0.8, "discrete", "mcmc", "mcmc_correlations", 0),
 ], ids=["exact", "ground", "mcmc"])
 def test_t_zero_reuses_unperturbed_correlations(monkeypatch, source, beta, kind, mode,
@@ -186,6 +188,32 @@ def test_curve_meta_and_se():
     assert np.all(curve.estimates >= 0.0) and np.all(curve.estimates <= 1.0)
 
 
+@pytest.mark.parametrize("fault", ["raises", "bad-row"])
+def test_failed_replica_stops_the_threaded_loop(monkeypatch, fault):
+    # replica 3 fails while the rest of 200 slow replicas are queued: the
+    # error keeps its class and the queued replicas never start. A replica
+    # that raises ends the map's own iterator, which cancels the queue; a
+    # row that cannot be stored fails in replicate's loop, which must
+    failing = substream(4, "fail", 3).random()
+    started = []
+
+    def one(rng):
+        x = rng.random()
+        started.append(x)
+        time.sleep(0.005)
+        if x != failing:
+            return [x]
+        if fault == "raises":
+            raise NumericalError("replica 3 failed")
+        return [x, x]
+    monkeypatch.setenv("SPINCHAOS_THREADS", "2")
+    error = NumericalError if fault == "raises" else ValueError
+    with pytest.raises(error) as err:
+        replicate(one, 200, 1, 4, "fail")
+    assert err.type is error
+    assert failing in started and len(started) < 20
+
+
 @pytest.mark.parametrize("run,summary", [
     (lambda: chaos.chaos_curve(fixtures.ring(5), IDENT, 0.9, "continuous", [0.0, 0.5], 4, 11),
      lambda c: [c.estimates, c.ses]),
@@ -224,12 +252,10 @@ def test_threads_do_not_change_output(monkeypatch, run, summary):
 
 def test_ground_state_mode():
     g = fixtures.ring(4)
-    curve = chaos.chaos_curve(g, IDENT, "infinity", "continuous", [0.0, 1.0], 4, 5)
+    curve = chaos.chaos_curve(g, IDENT, None, "continuous", [0.0, 1.0], 4, 5)
     assert curve.meta["beta"] == "infinity"
     assert np.all(curve.estimates >= 1.0 / 4.0 - 1e-12)
     assert np.all(curve.estimates <= 1.0 + 1e-12)
-    same = chaos.chaos_curve(g, IDENT, None, "continuous", [0.0, 1.0], 4, 5)
-    assert np.array_equal(curve.per_replica, same.per_replica)
 
 
 def test_diluted_source_draws_per_replica():
@@ -522,6 +548,24 @@ def test_audit_pair_must_be_vertices():
     chaos.check_audit(g, 1.0, 0, g.n - 1, 2, 4, 1e-6, 1e-8)
 
 
+def test_audit_flags_mass_at_a_sign_forced_index(monkeypatch):
+    # no true coefficient breaks the parity criterion, so a sweep that puts
+    # mass on every sign-forced index stands in for one that would
+    g = fixtures.ring(5)
+    real = hermite.coefficient_sweep
+
+    def sweep(*args):
+        table = real(*args)
+        return dataclasses.replace(table, entries=tuple(
+            dataclasses.replace(ent, value=1.0) if hermite.sign_criterion(g, ent.n, 0, 2)
+            else ent for ent in table.entries))
+    monkeypatch.setattr(hermite, "coefficient_sweep", sweep)
+    rep = chaos.coefficient_audit(g, IDENT, 0.8, 0, 2, degree_cap=2, order=6)
+    forced = [k for k, row in enumerate(rep.rows) if row.forced_zero]
+    assert forced and rep.sign_violations == tuple(forced)
+    assert all(rep.rows[k].value == 1.0 for k in forced)
+
+
 def test_audit_remark_graph_unforced_zero():
     g = chaos.remark_graph()
     rep = chaos.coefficient_audit(g, IDENT, 1.0, 0, 1, degree_cap=5, order=14)
@@ -751,16 +795,29 @@ def test_library_refuses_vacuous_counts_and_tolerances(call):
         call()
 
 
-@pytest.mark.parametrize("check", [
-    lambda: chaos.check_curve(chaos.remark_graph(), -1.0, "continuous", [0, 1], 2, "exact", 64,
-                              8),
-    lambda: chaos.check_audit(chaos.remark_graph(), -1.0, 0, 1, 2, 6, 1e-6, 1e-8),
-    lambda: chaos.check_levy([4], 1.5, -1.0, 1.0, 2),
-], ids=["curve", "audit", "levy"])
-def test_negative_beta_refused_before_any_draw(check):
-    # these checks passed, and a run failed only at its first spin system
+BETA_CHECKS = {
+    "curve": lambda b: chaos.check_curve(chaos.remark_graph(), b, "continuous", [0, 1], 2,
+                                         "exact", 64, 8),
+    "audit": lambda b: chaos.check_audit(chaos.remark_graph(), b, 0, 1, 2, 6, 1e-6, 1e-8),
+    "levy": lambda b: chaos.check_levy([4], 1.5, b, 1.0, 2),
+    "run-curve": lambda b: chaos.chaos_curve(chaos.remark_graph(), IDENT, b, "continuous",
+                                             [0, 1], 2, 1),
+    "run-audit": lambda b: chaos.coefficient_audit(chaos.remark_graph(), IDENT, b, 0, 1, 2, 6),
+    "run-levy": lambda b: chaos.levy_chaos([4], 1.5, b, 1.0, 2, 1),
+}
+
+
+@pytest.mark.parametrize("check, beta", [
+    pytest.param(check, beta, id=name if beta == -1.0 else f"{name}-{beta}")
+    for beta in (-1.0, "abc", "0.5", "infinity", True) for name, check in BETA_CHECKS.items()])
+def test_negative_beta_refused_before_any_draw(monkeypatch, check, beta):
+    # a negative beta passed these checks and a run failed only at its
+    # first spin system; "abc" died in float(), "0.5" and True ran as
+    # numbers, and only the CLI decodes the config spelling "infinity"
+    monkeypatch.setattr(chaos, "replicate", lambda *args: pytest.fail("a replica ran"))
+    monkeypatch.setattr(hermite, "coefficient_sweep", lambda *args: pytest.fail("a sweep ran"))
     with pytest.raises(ValidationError, match="beta"):
-        check()
+        check(beta)
 
 
 @pytest.mark.parametrize("mode", ["exact", "mcmc"])

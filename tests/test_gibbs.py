@@ -11,7 +11,7 @@ import pytest
 from spinchaos import chaos, fixtures, gibbs
 from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
-from spinchaos.errors import CapacityError, ValidationError
+from spinchaos.errors import CapacityError, NumericalError, ValidationError
 from spinchaos.gibbs import (batch_moments, exact_correlations,
                              ground_state_correlations, ground_states,
                              mcmc_correlations, overlap_second_moment,
@@ -38,12 +38,12 @@ def test_spin_system_validation():
         spin_system(g, [1.0, 2.0, 3.0, math.nan], 1.0)
     with pytest.raises(ValidationError):
         spin_system(g, np.ones(4), -0.5)
-    with pytest.raises(ValidationError):
-        spin_system(g, np.ones(4), math.inf)  # spell it 'infinity'
-    with pytest.raises(ValidationError):
-        spin_system(g, np.ones(4), "beta=oo")
-    assert spin_system(g, np.ones(4), "infinity").beta is None
+    # infinity is None; strings, bools and a float infinity are refused
+    for beta in (math.inf, "beta=oo", "infinity", "0.5", "abc", True, np.bool_(False)):
+        with pytest.raises(ValidationError, match="beta"):
+            spin_system(g, np.ones(4), beta)
     assert spin_system(g, np.ones(4), None).beta is None
+    assert spin_system(g, np.ones(4), np.float64(0.5)).beta == 0.5
 
 
 def test_hamiltonian_manual():
@@ -75,6 +75,12 @@ def few_rows_per_block(monkeypatch, g, rows=3):
     monkeypatch.setattr(gibbs, "TABLE_BYTES", 8 * (g.n + g.n_edges) * rows)
 
 
+def half_blocks(g, cs):
+    """The blocks of _energies over the cached low table, as
+    exact_correlations reads them."""
+    return list(gibbs._energies(g, cs, gibbs._low_table(g, gibbs._table_rows(g))))
+
+
 def test_blocked_streaming_is_exact(rng, monkeypatch):
     # tiny blocks force the online renormalization across many partials
     g = random_hypergraph(rng, n_max=8, e_max=6)
@@ -83,7 +89,7 @@ def test_blocked_streaming_is_exact(rng, monkeypatch):
     a = exact_correlations(spin_system(g, cs, 2.0))
     ga = ground_states(spin_system(g, cs, None))
     few_rows_per_block(monkeypatch, g)
-    assert len(list(gibbs._half_blocks(g))) > 1
+    assert len(half_blocks(g, cs)) > 1
     b = exact_correlations(spin_system(g, cs, 2.0))
     gb = ground_states(spin_system(g, cs, None))
     assert np.allclose(a.corr, b.corr, rtol=0, atol=1e-14)
@@ -133,14 +139,17 @@ def test_cached_table_is_read_only(monkeypatch):
     g = hypergraph(5, [(0, 1, 2), (3, 4)])
     few_rows_per_block(monkeypatch, g)
     exact_correlations(spin_system(g, [1.0, -0.5], 0.7))  # fills the cache
-    blocks = list(gibbs._half_blocks(g))
-    assert len(blocks) == 8  # 16 half rows, 2 per block
-    for _, states, eprod, _, _ in blocks:
-        assert states is blocks[0][1] and eprod is blocks[0][2]  # one table for all
-        for table in (states, eprod):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0, 0] = 0.0
+    hits = gibbs._low_table.cache_info().hits
+    states, eprod = gibbs._low_table(g, gibbs._table_rows(g))
+    assert gibbs._low_table.cache_info().hits == hits + 1
+    blocks = half_blocks(g, np.array([1.0, -0.5]))
+    assert len(blocks) == 8 and len(eprod) == 2  # 16 half rows, 2 per block
+    for _, block_states, *_ in blocks:
+        assert block_states is states  # one table for all
+    for table in (states, eprod):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("rows", [1, 2, 4])
@@ -150,13 +159,18 @@ def test_blocks_are_the_table_times_flip_signs(rng, monkeypatch, rows):
     g = random_hypergraph(rng, n_max=7, e_max=6, arities=(2, 3, 4))
     few_rows_per_block(monkeypatch, g, rows)
     half = 1 << (g.n - 1)
-    blocks = list(gibbs._half_blocks(g))
+    cs = rng.standard_normal(g.n_edges)
+    states, eprod = gibbs._low_table(g, gibbs._table_rows(g))
+    blocks = half_blocks(g, cs)
     assert [start for start, *_ in blocks] == list(range(0, half, min(rows, half)))
-    for start, states, eprod, spin, sign in blocks:
+    for start, block_states, spin, e_pos, _ in blocks:
+        assert block_states is states
         block = states * spin
         assert np.array_equal(enumeration_index(block), np.arange(start, start + len(block)))
         want = np.array([[np.prod(row[list(e)]) for e in g.edges] for row in block])
+        sign = gibbs._flip(g, start)[1]
         assert np.array_equal(eprod * sign, want.reshape(eprod.shape))
+        assert np.allclose(e_pos, want.reshape(eprod.shape) @ cs, rtol=0, atol=1e-12)
     spin, sign = gibbs._flip(g, (1 << g.n) - 1)  # the global flip
     assert np.all(spin == -1.0)
     assert np.array_equal(sign, [(-1.0) ** len(e) for e in g.edges])
@@ -277,7 +291,7 @@ def test_beta_zero_uniform():
 
 def test_infinite_beta_routes_to_ground_states():
     g = ring(4)
-    sys = spin_system(g, np.ones(4), "infinity")
+    sys = spin_system(g, np.ones(4), None)
     with pytest.raises(ValidationError):
         exact_correlations(sys)
     gs = ground_states(sys)
@@ -369,7 +383,7 @@ def test_even_models_share_the_complement_energies(rng, monkeypatch, graph, even
     # handing the kernels a copy instead runs the general path, which
     # must give the same bytes of corr, means, log_z and ground states
     cs = rng.standard_normal(graph.n_edges)
-    shared = [e_neg is e_pos for *_, e_pos, e_neg in gibbs._energies(graph, cs)]
+    shared = [e_neg is e_pos for *_, e_pos, e_neg in half_blocks(graph, cs)]
     assert all(shared) if even else not any(shared)
 
     def results():
@@ -563,7 +577,7 @@ def test_batch_moments_match_loop(rng, monkeypatch):
     monkeypatch.setattr(gibbs, "BATCH_COLUMNS", (2, 2))
     pv, sv = batch_moments(g, cs, beta, pairs, singles)
     few_rows_per_block(monkeypatch, g, 1)
-    assert len(list(gibbs._half_blocks(g))) > 1
+    assert len(half_blocks(g, cs[0])) > 1
     pv_blocked, sv_blocked = batch_moments(g, cs, beta, pairs, singles)
     assert np.array_equal(pv_blocked, pv)
     assert np.array_equal(sv_blocked, sv)
@@ -612,11 +626,26 @@ def test_batch_moments_share_betas_bitwise(n):
         assert np.array_equal(pv[..., k], p1) and np.array_equal(sv[..., k], s1)
 
 
-@pytest.mark.parametrize("beta", [-0.5, math.inf, math.nan, (0.5, -1.0)])
+@pytest.mark.parametrize("beta", [-0.5, math.inf, math.nan, (0.5, -1.0), "abc", "0.5", True,
+                                  (0.5, True), None])
 def test_batch_moments_rejects_bad_beta(beta):
     g = ring(4)
     with pytest.raises(ValidationError):
         batch_moments(g, np.ones((3, 4)), beta, [(0, 1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact_correlations(spin_system(fixtures.get_fixture("ea-ring"), np.ones(8), 1e308)),
+    lambda: ground_state_correlations(ground_states(
+        spin_system(hypergraph(3, [(0, 1), (1, 2)]), [1e308, 1e308], None))),
+    lambda: batch_moments(ring(4), np.full((2, 4), 1e308), 1e-300, [(0, 1)]),
+], ids=["exact-beta-1e308", "ground-couplings-1e308", "batch-couplings-1e308"])
+def test_exact_kernels_refuse_overflowing_energies(call):
+    # every |beta H| is at most max(beta) n_edges max|c|: these calls ended
+    # in z = nan, a ZeroDivisionError of an empty tie set, and an inf from
+    # the GEMM after batch_moments' own check of beta times the couplings
+    with pytest.raises(NumericalError, match="overflow"):
+        call()
 
 
 @pytest.mark.parametrize("pairs, singles", [([(0, -1)], []), ([(0, 9)], []), ([(0.0, 1)], []),
