@@ -38,7 +38,7 @@ from . import disorder as dis
 from .errors import SpinchaosError, ValidationError
 from .hypergraph import load as load_graph
 from .hypergraph import save as save_graph
-from .rng import check_replicas, threads
+from .rng import threads
 
 SECTIONS = ("model", "curve", "growth", "trend", "audit", "suite", "levy")
 
@@ -140,7 +140,10 @@ def _parse(cfg):
                               f"got {cfg['experiment']!r}")
     _int(cfg["seed"], "seed")
     out = cfg["output"]
-    if not isinstance(out, str) or not out or (Path(out).exists() and not Path(out).is_dir()):
+    path = Path(out) if isinstance(out, str) and out else None
+    # the path or, if it does not exist, its nearest existing ancestor must
+    # be a directory: a file there would stop mkdir only after the whole run
+    if path is None or not next((p for p in (path, *path.parents) if p.exists()), path).is_dir():
         raise ValidationError(f"output must be a directory path, got {out!r}")
     return RUNNERS[cfg["experiment"]](cfg)
 
@@ -249,7 +252,7 @@ def _parse_growth(cfg: dict):
                                   _parse_alphas(g["alphas"], "growth.alphas"))
     depth = _int(g["depth"], "growth.depth", 0)
     replicas = _int(g["replicas"], "growth.replicas", 2)
-    check_replicas(replicas, depth + 2)  # frontier sizes plus the cycle flag
+    randgraph.check_growth(spec, depth, replicas)
     seed = cfg["seed"]
 
     def run():

@@ -6,6 +6,10 @@ edge list. A graph is held as int64 arrays, the arity of each edge and
 all edges' vertex ids end to end, from the diluted sampler through to
 the traversal. Instances are immutable; all operations are pure.
 
+Validation has two parts. A whole-array test of the flattened edges
+only accepts. Every rejection is named by one loop over the edges as
+given, in id order: the lowest bad edge and its first failed rule.
+
 Berge conventions: a path of length L alternates L+1 distinct vertices
 and L distinct edges with consecutive vertex pairs contained in the
 connecting edge; distance is the minimum path length (0 for a vertex to
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import math
 import operator
+import re
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
@@ -36,6 +42,7 @@ from .errors import ValidationError, _integer
 
 # offset and multiplier of the edge mix, from splitmix64
 _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
+_INT = re.compile(r"-?[0-9]+")  # a vertex id or count in the text format
 
 
 class Hypergraph:
@@ -51,20 +58,21 @@ class Hypergraph:
     The constructor takes edges either as sequences of integer vertex ids,
     one per edge, or as a list of 2-D integer arrays whose rows are edges,
     one array per block of equal arity (the diluted sampler's form). Both
-    are flattened, then validated in one array pass. Graphs are equal, and
-    hash equal, when they have the same n and the same edges in the same
-    order, whichever form built them. Instances are immutable.
+    are flattened and tested whole (_accepts); any failure, or two equal
+    edge mixes, sends the edges to one loop that names the lowest bad edge
+    (_first_bad). Graphs are equal, and hash equal, when they have the same
+    n and the same edges in the same order, whichever form built them.
+    Instances are immutable.
     """
 
     def __init__(self, n: int, edges):
         if not hasattr(type(n), "__index__") or n < 1:  # numpy ints pass, floats do not
             raise ValidationError(f"vertex count must be a positive int, got {n!r}")
         n = operator.index(n)
-        arity, flat = _flatten(edges)
-        offsets = np.zeros(len(arity) + 1, np.int64)
-        np.cumsum(arity, out=offsets[1:])
-        if bad := _first_bad(n, arity, flat, offsets):
+        arrays = _flatten(edges)
+        if (arrays is None or not _accepts(n, *arrays)) and (bad := _first_bad(n, edges)):
             raise ValidationError(bad)
+        arity, flat, offsets = arrays
         for a in (arity, flat, offsets):
             a.setflags(write=False)
         vars(self).update(n=n, arity=arity, flat=flat, offsets=offsets)
@@ -123,29 +131,30 @@ class Hypergraph:
         return v
 
 
-def _flatten(edges) -> tuple[np.ndarray, np.ndarray]:
-    """(arity, flat) of the constructor's edges, both int64; flat holds
-    Python ints instead when an id lies beyond int64, and so out of range."""
-    if len(edges) and all(isinstance(b, np.ndarray) and b.ndim == 2 for b in edges):
-        first = 0
-        for b in edges:
-            if b.dtype.kind not in "iu" and len(b):
-                raise ValidationError(f"edge {first} must have integer vertex ids, "
-                                      f"got {tuple(b[0].tolist())}")
-            first += len(b)
+def _blocks(edges) -> bool:
+    """Whether edges come in the row-block form: 2-D arrays, at least one."""
+    return bool(len(edges)) and all(isinstance(b, np.ndarray) and b.ndim == 2 for b in edges)
+
+
+def _flatten(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(arity, flat, offsets) of the constructor's edges, all int64; None
+    when an id is not an integer or lies beyond int64."""
+    if _blocks(edges):
+        # block by block: concatenating bool and int blocks gives int64
+        if any(b.dtype.kind not in "iu" and len(b) for b in edges):
+            return None
         arity = np.array([b.shape[1] for b in edges], np.int64).repeat([len(b) for b in edges])
-        return arity, np.concatenate([b.reshape(-1) for b in edges]).astype(np.int64, copy=False)
-    arity = np.fromiter(map(len, edges), np.int64, len(edges))
-    try:  # operator.index: ints and numpy ints pass, floats are not truncated
-        flat = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.int64)
-    except TypeError:
-        eid = next(eid for eid, e in enumerate(edges)
-                   if not all(hasattr(type(v), "__index__") for v in e))
-        raise ValidationError(f"edge {eid} must have integer vertex ids, "
-                              f"got {edges[eid]}") from None
-    except OverflowError:
-        flat = np.fromiter(chain.from_iterable(edges), object)
-    return arity, flat
+        # uint64 ids past int64 wrap to negative ids, which the range test refuses
+        flat = np.concatenate([b.reshape(-1) for b in edges], dtype=np.int64, casting="unsafe")
+    else:
+        arity = np.fromiter(map(len, edges), np.int64, len(edges))
+        try:  # operator.index: ints and numpy ints pass, floats are not truncated
+            flat = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.int64)
+        except (TypeError, OverflowError):
+            return None
+    offsets = np.zeros(len(arity) + 1, np.int64)
+    np.cumsum(arity, out=offsets[1:])
+    return arity, flat, offsets
 
 
 def _edge_mix(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -157,68 +166,64 @@ def _edge_mix(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.add.reduceat(x, offsets[:-1])
 
 
-def _duplicates(flat: np.ndarray, offsets: np.ndarray) -> list[int]:
-    """Ids of the edges equal to an earlier edge, ascending. Edges of equal
-    mix are compared row by row, every pair of them, so a collision of the
-    mix costs time, never a wrong answer."""
-    mix = _edge_mix(flat, offsets)
-    ordered = mix.copy()
-    ordered.sort()
-    if not (ordered[1:] == ordered[:-1]).any():
-        return []
-    order = np.argsort(mix, kind="stable")  # runs of equal mix in ascending id
-    cuts = np.flatnonzero(mix[order[1:]] != mix[order[:-1]]) + 1
-    off, ids = offsets.tolist(), flat.tolist()
-    out = []
-    for run in np.split(order, cuts):
-        run = run.tolist()
-        rows = [ids[off[k]:off[k + 1]] for k in run]
-        out += [k for j, k in enumerate(run) if rows[j] in rows[:j]]
-    return sorted(out)
-
-
-def _first_bad(n: int, arity: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> str | None:
-    """The message naming the lowest bad edge and its first failed check,
-    in the order arity, sorted distinct vertices, range, duplicate; None
-    if every edge passes. flat may hold Python ints beyond int64."""
-    bound = len(arity)  # every edge before it has arity >= 2, rising ids in range
-    if np.minimum.reduce(arity, initial=2) < 2:
-        bound = int(np.argmax(arity < 2))
-    ids = flat[:offsets[bound]]
+def _accepts(n: int, arity: np.ndarray, flat: np.ndarray, offsets: np.ndarray) -> bool:
+    """True when every edge has arity >= 2 and rising ids in [0, n), and
+    no two edges share a mix; False only sends the edges to _first_bad."""
+    if arity.min(initial=2) < 2 or flat.min(initial=0) < 0 or flat.max(initial=0) >= n:
+        return False
     # every step inside an edge must rise; steps across edge ends are free
-    rises = ids[1:] > ids[:-1]
-    rises[offsets[1:bound] - 1] = True
+    rises = flat[1:] > flat[:-1]
+    rises[offsets[1:-1] - 1] = True
     if not rises.all():
-        bound = int(np.searchsorted(offsets, np.argmin(rises), "right")) - 1
-    if np.minimum.reduce(ids, initial=0) < 0 or np.maximum.reduce(ids, initial=0) >= n:
-        outside = int(np.argmax((ids < 0) | (ids >= n)))
-        bound = min(bound, int(np.searchsorted(offsets, outside, "right")) - 1)
-    # a repeat of a bad edge comes after it: only repeats before the bound count
-    repeats = _duplicates(flat[:offsets[bound]].astype(np.int64, copy=False), offsets[:bound + 1])
-    eid = repeats[0] if repeats else bound
-    if eid == len(arity):
+        return False
+    mix = _edge_mix(flat, offsets)
+    mix.sort()
+    return not (mix[1:] == mix[:-1]).any()
+
+
+def _first_bad(n: int, edges) -> str | None:
+    """The message naming the lowest bad edge and its first failed check,
+    in the order integer ids, arity, sorted distinct vertices, range,
+    duplicate; None if every edge passes, when equal mixes came from
+    distinct edges. A block's rows are read as Python ints, so uint64 ids
+    are named unwrapped; a block of another dtype fails at its first row."""
+    rows = (((tuple(row), b.dtype.kind in "iu") for b in edges for row in b.tolist())
+            if _blocks(edges) else ((e, True) for e in edges))
+    seen = set()
+    for eid, (e, integer) in enumerate(rows):
+        ids = _ids(e) if integer else None
+        if ids is None:
+            return f"edge {eid} must have integer vertex ids, got {e}"
+        if len(ids) < 2:
+            return f"edge {eid} has arity {len(ids)} < 2"
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            return f"edge {eid} must be sorted distinct vertices, got {ids}"
+        if ids[0] < 0 or ids[-1] >= n:
+            return f"edge {eid} has vertex outside [0, {n})"
+        if ids in seen:
+            return f"duplicate edge {ids}"
+        seen.add(ids)
+    return None
+
+
+def _ids(e) -> tuple[int, ...] | None:
+    """e's ids as ints, or None: operator.index, as in _flatten, passes
+    numpy ints and refuses floats rather than truncate them."""
+    try:
+        return tuple(map(operator.index, e))
+    except TypeError:
         return None
-    e = tuple(flat[offsets[eid]:offsets[eid + 1]].tolist())
-    if repeats:
-        return f"duplicate edge {e}"
-    if len(e) < 2:
-        return f"edge {eid} has arity {len(e)} < 2"
-    if any(a >= b for a, b in zip(e, e[1:])):
-        return f"edge {eid} must be sorted distinct vertices, got {e}"
-    return f"edge {eid} has vertex outside [0, {n})"
 
 
 def hypergraph(n: int, edges) -> Hypergraph:
     """Build a validated hypergraph; edges may be any iterables of ints.
 
     Vertex order within an edge is free, repeats are not: an edge is a
-    set, and silently deduplicating would change the arity."""
+    set, and silently deduplicating would change the arity. An edge with
+    a non-integer id is passed on as it is, for Hypergraph to name."""
     edges = [tuple(e) for e in edges]  # read once: edges may be a generator
-    try:  # operator.index, as in Hypergraph: numpy ints pass, floats are not truncated
-        canon = tuple(tuple(sorted(map(operator.index, e))) for e in edges)
-    except TypeError:
-        canon = tuple(edges)  # Hypergraph names the first bad edge
-    return Hypergraph(n, canon)
+    return Hypergraph(n, tuple(e if ids is None else tuple(sorted(ids))
+                               for e, ids in zip(edges, map(_ids, edges))))
 
 
 @dataclass(frozen=True)
@@ -388,25 +393,24 @@ def to_text(g: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(line: str, what: str) -> list[int]:
+    """A text-format line as ints, each token an optional '-' and ASCII
+    digits: int() alone also reads "1_0" as 10, "+1" and non-ASCII digits."""
+    tokens = line.split()
+    if all(map(_INT.fullmatch, tokens)):
+        with suppress(ValueError):  # past int()'s digit limit
+            return [int(tok) for tok in tokens]
+    raise ValidationError(f"non-integer {what} {line!r}")
+
+
 def from_text(text: str) -> Hypergraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationError("empty hypergraph text")
-    head = lines[0].split()
-    if len(head) != 2:
+    if len(lines[0].split()) != 2:
         raise ValidationError(f"header must be 'N max_arity', got {lines[0]!r}")
-    try:
-        n, delta = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ValidationError(f"non-integer header {lines[0]!r}") from exc
-    edges = []
-    for ln in lines[1:]:
-        try:
-            e = tuple(int(tok) for tok in ln.split())
-        except ValueError as exc:
-            raise ValidationError(f"non-integer vertex id in line {ln!r}") from exc
-        edges.append(e)
-    g = Hypergraph(n, tuple(edges))
+    n, delta = _ints(lines[0], "header")
+    g = Hypergraph(n, tuple(tuple(_ints(ln, "vertex id in line")) for ln in lines[1:]))
     if g.max_arity != delta:
         raise ValidationError(f"header arity {delta} but edges have max arity {g.max_arity}")
     return g

@@ -270,6 +270,20 @@ def _explorations(spec: DilutedSpec, depth: int, replicas: int, seed: int,
     return replicate(one, replicas, depth + 2, seed, *path)
 
 
+def check_growth(spec: DilutedSpec, depth: int, replicas: int) -> None:
+    """The growth rules, all checked before any draw: depth >= 0, a
+    (replicas, depth + 2) array within the replica budget, and a largest
+    bound term lambda^(2 depth) that is a finite float."""
+    if _integer(depth, "depth") < 0:
+        raise ValidationError(f"depth must be >= 0, got {depth}")
+    check_replicas(replicas, depth + 2)  # frontier sizes plus the cycle flag
+    try:
+        spec.growth_rate ** (2 * depth)
+    except OverflowError:
+        raise CapacityError(f"the growth bounds at depth {depth} overflow a float: "
+                            f"lambda = {spec.growth_rate}") from None
+
+
 def growth_stats(spec: DilutedSpec, depth: int, replicas: int,
                  seed: int) -> tuple[list[dict], float, float]:
     """Replicated exploration from vertex 0 of fresh diluted draws.
@@ -278,8 +292,7 @@ def growth_stats(spec: DilutedSpec, depth: int, replicas: int,
     mean and s.e. of |I_t| and |I_t|^2, the mean ball size
     |B_t| = |I_0| + ... + |I_t| and the two frontier bounds; cycle_prob is
     the share of replicas that flag a cycle event within the depth."""
-    if _integer(depth, "depth") < 0:
-        raise ValidationError(f"depth must be >= 0, got {depth}")
+    check_growth(spec, depth, replicas)
     per = _explorations(spec, depth, replicas, seed, "growth")
     sizes = per[:, :-1]
     mean_i, se_i = mean_se(sizes)

@@ -335,9 +335,12 @@ def first_positions(values) -> list[int]:
 
 def reference_validation_error(n: int, edges):
     """Message of the first failed edge check, edge by edge in id order
-    (arity, sorted distinct vertices, range, duplicate); None if valid."""
+    (integer ids, arity, sorted distinct vertices, range, duplicate); None
+    if valid."""
     seen = set()
     for eid, e in enumerate(edges):
+        if not all(hasattr(type(v), "__index__") for v in e):
+            return f"edge {eid} must have integer vertex ids, got {e}"
         if len(e) < 2:
             return f"edge {eid} has arity {len(e)} < 2"
         if list(e) != sorted(set(e)):

@@ -213,6 +213,8 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
     pytest.param("levy", {"t": 0}, 2, id="levy-t-zero"),
     pytest.param("suite", {"order": 25}, 3, id="suite-order-over-cap"),
     pytest.param("growth", {"n": 2000, "alphas": {"12": 0.1}}, 3, id="growth-binomial-overflow"),
+    # lambda = 1.2: the second-moment bound's lambda^(2 depth) overflows a float
+    pytest.param("growth", {"depth": 5000}, 3, id="growth-depth-bound-overflow"),
 ])
 def test_section_values_rejected(tmp_path, capsys, section, over, code):
     experiment, block = SECTION_BASE[section]
@@ -234,11 +236,16 @@ def test_section_values_rejected(tmp_path, capsys, section, over, code):
 
 
 def test_output_must_not_be_a_file(tmp_path, capsys):
+    """An output that is a file, or lies below one, is refused by both
+    subcommands before the run: mkdir would fail only after it."""
     (tmp_path / "taken").write_text("")
-    cfg = curve_config(tmp_path / "taken")
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["run", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: output")
+    for below in ("", "sub", "sub/deeper"):
+        path = write_config(tmp_path, curve_config(tmp_path / "taken" / below))
+        before = sorted(tmp_path.rglob("*"))
+        for cmd in ("validate", "run"):
+            assert cli.main([cmd, str(path)]) == 2, below
+            assert capsys.readouterr().err.startswith("error: output")
+        assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "taken").read_text() == ""
 
 
 OMIT = object()  # leave the key out of the drawn block
@@ -317,7 +324,7 @@ def small_config(draw, exp):
     elif exp == "growth-stats":
         cfg["growth"] = block(n=((200, 30), (1,)),
                               alphas=(({"2": 0.6, "3": 0.2}, {"2": 0.5}), ({"2": 0.0}, {"x": 1})),
-                              depth=((2, 0), (-1,)), replicas=((5, 2), (1,)))
+                              depth=((2, 0), (-1, 5000)), replicas=((5, 2), (1,)))
     elif exp == "hypertree-trend":
         cfg["trend"] = block(alphas=(({"2": 0.9}, {"2": 0.6, "3": 0.3}), ({"2": 0.3},)),
                              n_values=(([60, 120], [2, 5]), (["a", 500], [60])),

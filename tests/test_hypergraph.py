@@ -66,6 +66,12 @@ def test_constructor_canonicalizes_and_validates():
         hypergraph(3, [(1, 2), (0, 1.5)])  # not truncated to (0, 1)
     with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids"):
         hypergraph(3, (e for e in [(1, 2), (0, 1.5), (0, 2)]))
+    # hypergraph() sorts every edge it can: an unsorted edge before a
+    # non-integer one is not named
+    with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids, got \(0, 1.5\)"):
+        hypergraph(3, [(1, 0), (0, 1.5)])
+    with pytest.raises(ValidationError, match=r"edge 2 must have integer vertex ids, got \(2, None\)"):
+        hypergraph(3, [(2, 0), (2, 1), (2, None), (0, 1, 2)])
     assert hypergraph(3, [np.array([2, 0])]).edges == ((0, 2),)
     assert type(hypergraph(3, [np.array([2, 0])]).edges[0][0]) is int
     # several bad edges: the lowest edge id is named, with its first failed check
@@ -94,7 +100,10 @@ def test_constructor_canonicalizes_and_validates():
         hypergraph(4, [np.array([2, 0]), np.array([1, 4])])
     with pytest.raises(ValidationError, match=r"duplicate edge \(0, 2\)"):
         hypergraph(4, [np.array([2, 0]), (np.int64(0), 2)])
-    # non-integer ids are named, not truncated (1.5 -> 1) or misread as unsorted
+    # non-integer ids are named, not truncated (1.5 -> 1) or misread as unsorted;
+    # like every other rule they name the lowest bad edge, not an earlier one
+    with pytest.raises(ValidationError, match=r"edge 0 must be sorted distinct vertices, got \(1, 0\)"):
+        Hypergraph(3, ((1, 0), (0, 1.5)))
     with pytest.raises(ValidationError, match=r"edge 0 must have integer vertex ids, got \(0, 1.5\)"):
         Hypergraph(3, ((0, 1.5),))
     with pytest.raises(ValidationError, match=r"edge 0 must have integer vertex ids, got \(0, 0.5\)"):
@@ -111,22 +120,27 @@ def test_validation_matches_edge_by_edge_loop():
     rng = np.random.default_rng(11)
     for _ in range(400):
         n = int(rng.integers(1, 6))
-        pool = [-1, *range(n + 1), 2**70]  # includes ids outside [0, N) and beyond int64
+        # ids outside [0, N), beyond int64, and not integers
+        pool = [-1, *range(n + 1), 2**70, 2.5, None]
         edges = tuple(tuple(pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 4)))
                       for _ in range(rng.integers(0, 6)))
         want = reference_validation_error(n, edges)
-        if want is None:
-            assert Hypergraph(n, edges).edges == edges
-        else:
-            with pytest.raises(ValidationError) as exc:
-                Hypergraph(n, edges)
-            assert str(exc.value) == want
+        forms = [edges]
+        if all(type(v) is int and abs(v) < 2**63 for e in edges for v in e):
+            forms.append(as_blocks(edges))
+        for form in forms:
+            if want is None:
+                assert Hypergraph(n, form).edges == edges
+            else:
+                with pytest.raises(ValidationError) as exc:
+                    Hypergraph(n, form)
+                assert str(exc.value) == want
 
 
 def as_blocks(edges):
     """The sampler's input form: one 2-D array per run of equal arity."""
-    runs = itertools.groupby(edges, len)
-    return [np.array(list(run), np.int64).reshape(-1, p) for p, run in runs]
+    runs = [(p, list(run)) for p, run in itertools.groupby(edges, len)]
+    return [np.array(run, np.int64).reshape(len(run), p) for p, run in runs]
 
 
 def test_validation_at_scale_names_a_late_bad_edge():
@@ -434,6 +448,23 @@ def test_from_text_rejects_garbage():
         from_text("3 2\n0 1\n1 2 0\n")  # arity above header
     with pytest.raises(ValidationError):
         from_text("3 2\n0 x\n")
+    # a minus sign is part of a token: the graph names the negative id
+    with pytest.raises(ValidationError, match=r"edge 0 has vertex outside \[0, 3\)"):
+        from_text("3 2\n-1 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\n0 1_0\n",  # int() reads "1_0" as vertex 10
+    "3 2\n+0 1\n",
+    "3 2\n0 \u0661\n",  # an Arabic-Indic digit one
+    "3_0 2\n0 1\n",
+    "+3 2\n0 1\n",
+    "3 \u0662\n0 1\n",
+    "3 2\n0 " + "1" * 5000 + "\n",  # past int()'s digit limit
+])
+def test_from_text_reads_only_ascii_decimal_tokens(text):
+    with pytest.raises(ValidationError, match="non-integer"):
+        from_text(text)
 
 
 # ---------------------------------------------------------------------------

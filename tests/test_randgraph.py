@@ -370,6 +370,16 @@ def test_growth_stats_within_bounds():
     assert 0.0 <= cycle_prob <= 1.0
 
 
+def test_growth_stats_refuses_overflowing_bounds(monkeypatch):
+    # lambda = 1.2: 1.2^10000 is past the float range, and the second-moment
+    # bound raised a raw OverflowError after every replica had run
+    monkeypatch.setattr(randgraph, "sample_diluted", None)  # no draw may start
+    with pytest.raises(CapacityError, match="overflow a float"):
+        growth_stats(diluted_spec(400, {2: 0.6}), 5000, 4, seed=1)
+    # at lambda = 1 every term is 1.0
+    randgraph.check_growth(diluted_spec(400, {2: 0.5}), 5000, 4)
+
+
 def test_growth_stats_deterministic():
     spec = diluted_spec(500, {2: 0.7})
     assert growth_stats(spec, 3, 50, seed=7) == growth_stats(spec, 3, 50, seed=7)
