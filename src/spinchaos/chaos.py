@@ -226,11 +226,12 @@ def check_bounds(tags, params: dict, graph_source, model: dis.DisorderModel, bet
     each family's bound at every grid point, and what each lower tag
     needs of the curve (a fixed graph, the kind, a grid from 0; for
     lower-gaussian finite beta and identity disorder)."""
+    for tag in tags:  # before set(tags): a tag from a config may be unhashable
+        if tag not in UPPER_TAGS + LOWER_TAGS:
+            raise ValidationError(f"unknown bound tag {tag!r}")
     if len(set(tags)) != len(tags):  # a repeated tag repeats its checks and rows
         raise ValidationError(f"bound tags must be distinct, got {list(tags)}")
     for tag in tags:
-        if tag not in UPPER_TAGS + LOWER_TAGS:
-            raise ValidationError(f"unknown bound tag {tag!r}")
         missing = sorted(set(BOUND_CONSTANTS.get(tag, ())) - set(params))
         if missing:
             raise ValidationError(f"bound {tag!r} needs constants {missing}")

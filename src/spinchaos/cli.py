@@ -95,9 +95,11 @@ def _parse_graph(block, where: str):
     if "fixture" in block:
         return fixtures.get_fixture(block["fixture"])
     if "file" in block:
+        if not isinstance(block["file"], str):
+            raise ValidationError(f"{where}.file must be a path string, got {block['file']!r}")
         try:
             return load_graph(block["file"])
-        except (OSError, TypeError, UnicodeDecodeError) as exc:  # TypeError: not a path
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{where}.file cannot be read: {exc}") from exc
     sub = block["diluted"]
     _expect(sub, f"{where}.diluted", ("n", "alphas"))
@@ -173,8 +175,6 @@ def _fmt(val) -> str:
         return "true" if val else "false"
     if isinstance(val, (float, np.floating)):
         return repr(float(val))
-    if isinstance(val, np.integer):
-        return str(int(val))
     return str(val)
 
 

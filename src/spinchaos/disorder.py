@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 
 KINDS = ("identity", "scaled-tanh", "pareto-tail")
 PERTURBATION_KINDS = ("continuous", "discrete")  # the two resampling semigroups
@@ -134,7 +134,7 @@ def check_grid(t_grid) -> list[float]:
 
 def levy_a_n(n: int, alpha: float) -> float:
     """Normalization a_N = N^(1/alpha) for the pure Pareto(alpha) tail."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if _integer(n, "N") < 1:
         raise ValidationError(f"N must be a positive int, got {n!r}")
     DisorderModel("pareto-tail", alpha=alpha)  # alpha in (1, 2)
     return float(n) ** (1.0 / alpha)

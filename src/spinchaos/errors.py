@@ -6,6 +6,8 @@ bad inputs from blown capacity limits from numerical breakdown.
 
 import operator
 
+import numpy as np
+
 
 class SpinchaosError(Exception):
     """Base class for package errors."""
@@ -32,8 +34,8 @@ class NumericalError(SpinchaosError):
 
 
 def _integer(x, what: str) -> int:
-    """x as an int: numpy ints pass, floats are refused, not truncated."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {x!r}") from None
+    """x as an int: numpy ints pass; floats are refused, not truncated, and
+    bools, not read as 0 and 1."""
+    if isinstance(x, (bool, np.bool_)) or not hasattr(type(x), "__index__"):
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return operator.index(x)

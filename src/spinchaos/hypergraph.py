@@ -43,6 +43,7 @@ from .errors import ValidationError, _integer
 # offset and multiplier of the edge mix, from splitmix64
 _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
 _INT = re.compile(r"-?[0-9]+")  # a vertex id or count in the text format
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class Hypergraph:
@@ -66,9 +67,9 @@ class Hypergraph:
     """
 
     def __init__(self, n: int, edges):
-        if not hasattr(type(n), "__index__") or n < 1:  # numpy ints pass, floats do not
-            raise ValidationError(f"vertex count must be a positive int, got {n!r}")
-        n = operator.index(n)
+        n = _integer(n, "vertex count")
+        if not 1 <= n <= _INT64_MAX:  # so every id in [0, n) fits the int64 arrays
+            raise ValidationError(f"vertex count must be in [1, 2**63 - 1], got {n}")
         arrays = _flatten(edges)
         if (arrays is None or not _accepts(n, *arrays)) and (bad := _first_bad(n, edges)):
             raise ValidationError(bad)

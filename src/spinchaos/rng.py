@@ -26,22 +26,20 @@ REPLICA_BYTES = 1 << 27
 
 
 def _key_part(part) -> int:
-    if isinstance(part, (int, np.integer)):
-        if part < 0:
-            raise ValidationError(f"stream path ints must be nonnegative, got {part}")
-        return int(part)
     if isinstance(part, str):
         # stable across runs and platforms, unlike hash()
         return zlib.crc32(part.encode("utf-8"))
-    raise ValidationError(f"stream path parts must be str or int, got {type(part).__name__}")
+    if (part := _integer(part, "non-str stream path part")) < 0:
+        raise ValidationError(f"stream path ints must be nonnegative, got {part}")
+    return part
 
 
 def substream(seed: int, *path) -> np.random.Generator:
     """Return the generator for (seed, *path). Same args, same stream."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if (seed := _integer(seed, "seed")) < 0:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     key = tuple(_key_part(p) for p in path)
-    ss = npr.SeedSequence(entropy=int(seed), spawn_key=key)
+    ss = npr.SeedSequence(entropy=seed, spawn_key=key)
     return npr.Generator(npr.Philox(ss))
 
 

@@ -385,8 +385,9 @@ def test_theorem_bound_check_formulas():
         assert abs(lv.bound - 8.0 ** (-expo)) < 1e-15
     # the constant-free bound holds comfortably on this instance
     assert all(c.ok for c in by_tag["general-ball"])
-    with pytest.raises(ValidationError):
-        chaos.theorem_bound_check(curve, tags=("no-such-bound",))
+    for bad in ("no-such-bound", ["general-ball"]):  # a list is no tag, and unhashable
+        with pytest.raises(ValidationError, match="unknown bound tag"):
+            chaos.theorem_bound_check(curve, tags=(bad,))
     with pytest.raises(ValidationError, match="distinct"):  # each check came twice
         chaos.theorem_bound_check(curve, tags=("general-ball", "general-ball"))
     with pytest.raises(ValidationError):
@@ -763,10 +764,21 @@ def first_coordinate(rows):
     lambda: hermite.conditional_mean_resampled(first_coordinate, 3, {}, 2.5, substream(1, "x")),
     lambda: hermite.conditional_mean_resampled(first_coordinate, 3.0, {}, 4, substream(1, "x")),
     lambda: substream(-1),
+    lambda: substream(1, -1),
+    lambda: substream(1, 1.5),
+    # a bool is no count: each of these ran with True read as 1
+    lambda: growth_stats(diluted_spec(50, {2: 0.6}), True, 2, 1),
+    lambda: chaos.two_lobe_graph(True),
+    lambda: hermite.hermite_values(True, [0.5]),
+    lambda: chaos.counterexample_suite(1, draws=True, order=4),
+    lambda: substream(True),
+    lambda: substream(1, "x", True),
 ], ids=["replicas", "curve-replicas", "growth-depth", "mcmc-sweeps", "mcmc-burn-in",
         "sweep-degree-cap", "sweep-n-edges", "max-degree", "suite-order", "suite-draws",
         "decoupling-draws", "tanh-draws", "bridge-length", "resampled-samples",
-        "resampled-n-edges", "negative-seed"])
+        "resampled-n-edges", "negative-seed", "negative-path-part", "float-path-part",
+        "growth-depth-bool", "bridge-length-bool", "max-degree-bool", "suite-draws-bool",
+        "seed-bool", "path-part-bool"])
 def test_library_counts_must_be_integers(call):
     # each call died with a raw TypeError from range, numpy or a shape,
     # and substream(-1) with numpy's ValueError
@@ -785,8 +797,12 @@ def test_library_counts_must_be_integers(call):
                                     substream(1, "chain"), sweeps=64, burn_in=-5),
     lambda: chaos.levy_chaos([], 1.5, 0.5, 1.0, 3, 1),
     lambda: hypertree_trend({2: 0.9}, [], 0.2, 3, 1),
+    lambda: growth_stats(diluted_spec(50, {2: 0.6}), -1, 2, 1),
+    lambda: hermite.hermite_values(-1, [0.5]),
+    lambda: hermite.coefficient_sweep(first_coordinate, 0, 2, 4),
 ], ids=["decoupling-no-draws", "tanh-no-draws", "suite-no-draws", "audit-negative-tol",
-        "audit-negative-sign-tol", "mcmc-negative-burn-in", "levy-no-sizes", "trend-no-sizes"])
+        "audit-negative-sign-tol", "mcmc-negative-burn-in", "levy-no-sizes", "trend-no-sizes",
+        "growth-negative-depth", "negative-max-degree", "sweep-no-coordinates"])
 def test_library_refuses_vacuous_counts_and_tolerances(call):
     # zero draws reported a max error of 0.0, a negative tolerance flagged
     # rows whose coefficients vanish, a negative burn-in ran none, and no

@@ -125,6 +125,9 @@ def test_section_mismatch_rejected(tmp_path):
     (lambda c: (c["model"].__setitem__("graph", {"diluted": {"n": 8, "alphas": {"2": 0.5}}}),
                 c["curve"].__setitem__("bounds", ["lower-discrete"])), "lower_graph"),
     (lambda c: c["model"].__setitem__("graph", {"file": 3}), "graph_file"),
+    (lambda c: c["model"]["graph"].__setitem__("diluted", {"n": 8, "alphas": {"2": 0.5}}),
+     "graph_two_sources"),
+    (lambda c: c.__setitem__("curve", [0.0, 1.0]), "section_not_object"),
 ])
 def test_bad_values_rejected(tmp_path, capsys, mutate, field):
     cfg = curve_config(tmp_path / "out")
@@ -175,6 +178,7 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
     # int() reads both keys as arity 2, and the later value would win
     pytest.param("growth", {"alphas": {"2": 0.6, "02": 0.3}}, 2, id="growth-alpha-key-zero-padded"),
     pytest.param("growth", {"alphas": {"2_0": 0.6}}, 2, id="growth-alpha-key-underscore"),
+    pytest.param("growth", {"alphas": {}}, 2, id="growth-alphas-empty"),
     pytest.param("suite", {"draws": "x"}, 2, id="suite-draws-string"),
     pytest.param("suite", {"order": 2.5}, 2, id="suite-order-float"),
     pytest.param("audit", {"j": 4}, 2, id="audit-j-outside-graph"),
@@ -215,6 +219,7 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
     pytest.param("growth", {"n": 2000, "alphas": {"12": 0.1}}, 3, id="growth-binomial-overflow"),
     # lambda = 1.2: the second-moment bound's lambda^(2 depth) overflows a float
     pytest.param("growth", {"depth": 5000}, 3, id="growth-depth-bound-overflow"),
+    pytest.param("curve", {"bounds": [["general-ball"]]}, 2, id="curve-bound-tag-unhashable"),
 ])
 def test_section_values_rejected(tmp_path, capsys, section, over, code):
     experiment, block = SECTION_BASE[section]
@@ -591,6 +596,11 @@ def test_graph_from_file(tmp_path):
     assert payload["results"]["curve"]["meta"]["graph"]["n"] == 5
     cfg["model"]["graph"] = {"file": str(tmp_path / "missing.hg")}
     with pytest.raises(ValidationError):
+        cli.load_config(write_config(tmp_path, cfg))
+    # a vertex count past int64 is named; it was reported as an unreadable file
+    gpath.write_text(f"{2 ** 64} 2\n0 {2 ** 63}\n")
+    cfg["model"]["graph"] = {"file": str(gpath)}
+    with pytest.raises(ValidationError, match=r"vertex count must be in \[1, 2\*\*63 - 1\]"):
         cli.load_config(write_config(tmp_path, cfg))
 
 

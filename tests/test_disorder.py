@@ -193,7 +193,8 @@ def test_grid_need_not_start_at_zero():
 def test_levy_a_n():
     assert levy_a_n(16, 1.6) == pytest.approx(16 ** (1 / 1.6))
     assert levy_a_n(81, 1.5) == pytest.approx(81 ** (2 / 3))
-    with pytest.raises(ValidationError):
-        levy_a_n(0, 1.5)
+    for n in (0, True):  # a bool is no size
+        with pytest.raises(ValidationError):
+            levy_a_n(n, 1.5)
     with pytest.raises(ValidationError):
         levy_a_n(16, 2.5)

@@ -34,6 +34,10 @@ def test_spin_system_validation():
     g = ring(4)
     with pytest.raises(ValidationError):
         spin_system(g, [1.0, 2.0], 1.0)  # wrong coupling count
+    with pytest.raises(ValidationError, match=r"couplings must be \(B, 4\)"):
+        batch_moments(g, np.ones((3, 2)), 1.0, [(0, 1)])  # and batch_moments' rows
+    with pytest.raises(ValidationError, match="levy_scale"):
+        spin_system(g, np.ones(4), 1.0, levy_scale=0.0)
     with pytest.raises(ValidationError):
         spin_system(g, [1.0, 2.0, 3.0, math.nan], 1.0)
     with pytest.raises(ValidationError):

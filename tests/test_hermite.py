@@ -299,6 +299,8 @@ def test_capacity_guards():
         coeff_quadrature(phi, 6, multi_index({0: 1}), 24)  # 24^6 nodes
     with pytest.raises(CapacityError):
         coefficient_sweep(phi, 1, 11, 10)
+    with pytest.raises(CapacityError, match=r"\|n\| = 11 above cap 10"):
+        coeff_quadrature(phi, 1, multi_index({0: 11}), 8)
     with pytest.raises(ValidationError):
         coeff_quadrature(phi, 2, multi_index({3: 1}), 8)
 

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import math
 import re
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinchaos.hypergraph as hypergraph_module
 from spinchaos import gibbs
 from spinchaos.chaos import two_lobe_graph
 from spinchaos.errors import ValidationError
@@ -56,10 +56,15 @@ def test_constructor_canonicalizes_and_validates():
         hypergraph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValidationError, match="vertex count"):
         hypergraph(0, [])
-    # the vertex count is not truncated either; numpy ints pass as ints
-    for n in (3.7, np.float64(4.2), 3.0, "3"):
-        with pytest.raises(ValidationError, match="vertex count must be a positive int"):
+    # the vertex count is not truncated either, nor a bool read as 1; numpy
+    # ints pass as ints
+    for n in (3.7, np.float64(4.2), 3.0, "3", True, np.True_):
+        with pytest.raises(ValidationError, match="vertex count must be an integer"):
             hypergraph(n, [(0, 1), (1, 2)])
+    # ids in [0, n) must fit int64: 2**63 ended in a raw TypeError
+    with pytest.raises(ValidationError, match=r"vertex count must be in \[1, 2\*\*63 - 1\]"):
+        Hypergraph(2 ** 64, [(0, 2 ** 63)])
+    assert Hypergraph(2 ** 63 - 1, [(0, 2 ** 63 - 2)]).edges == ((0, 2 ** 63 - 2),)
     assert type(hypergraph(np.int64(4), [(0, 3)]).n) is int
     assert type(Hypergraph(np.int64(4), [(0, 3)]).n) is int
     with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids, got \(0, 1.5\)"):
@@ -164,8 +169,7 @@ def test_validation_at_scale_names_a_late_bad_edge():
 def test_duplicate_check_compares_every_colliding_pair(monkeypatch):
     """With an edge mix that sends every edge to one value, every pair of
     edges is compared exactly: distinct edges pass, repeats are named."""
-    # the package re-exports the function hypergraph under the module's name
-    monkeypatch.setattr(importlib.import_module("spinchaos.hypergraph"), "_edge_mix",
+    monkeypatch.setattr(hypergraph_module, "_edge_mix",
                         lambda flat, offsets: np.zeros(len(offsets) - 1, np.uint64))
     edges = tuple((i, j) for i in range(6) for j in range(i + 1, 6)) + ((0, 1, 2), (1, 2, 5))
     assert Hypergraph(6, edges).edges == edges
@@ -249,6 +253,9 @@ def test_incident():
     for v in (-1, 7, 100):
         with pytest.raises(ValidationError, match=r"outside \[0, 7\)"):
             g.check_vertex(v)
+    for v in (True, np.False_):  # not read as vertex 1 or 0
+        with pytest.raises(ValidationError, match="vertex must be an integer"):
+            g.check_vertex(v)
 
 
 def test_incident_matches_brute_force(rng):
@@ -269,6 +276,8 @@ def test_multi_index_basics():
     assert n.as_dict() == {0: 3, 2: 1}
     with pytest.raises(ValidationError):
         multi_index({0: -1})
+    with pytest.raises(ValidationError, match="sorted by edge id"):
+        hypergraph_module.MultiIndex(((2, 1), (0, 3)))
 
 
 def test_multi_index_odd_support():
@@ -406,6 +415,10 @@ def test_vertex_support_and_connected_in():
     assert vertex_support(g, multi_index({0: 1, 1: 2})) == frozenset({1, 2, 3})
     assert connected_in(g, 1, 4, (0, 1, 2, 3)) is False
     assert connected_in(g, 1, 4, (0, 2, 4)) is True
+    with pytest.raises(ValidationError, match=r"edge id 5 outside \[0, 5\)"):
+        connected_in(g, 1, 4, (0, 5))
+    with pytest.raises(ValidationError, match="duplicates"):
+        connected_in(g, 1, 4, (0, 2, 0))
 
 
 def test_component():
@@ -446,6 +459,8 @@ def test_from_text_rejects_garbage():
         from_text("3\n0 1\n")  # header missing arity
     with pytest.raises(ValidationError):
         from_text("3 2\n0 1\n1 2 0\n")  # arity above header
+    with pytest.raises(ValidationError, match="header arity 3 but edges have max arity 2"):
+        from_text("3 3\n0 1\n")
     with pytest.raises(ValidationError):
         from_text("3 2\n0 x\n")
     # a minus sign is part of a token: the graph names the negative id

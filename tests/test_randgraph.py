@@ -356,6 +356,8 @@ def test_bound_formulas():
     assert frontier_second_moment_bound(spec, t) == pytest.approx(first + lam_p * second)
     with pytest.raises(ValidationError):
         frontier_mean_bound(spec, -1)
+    with pytest.raises(ValidationError):
+        frontier_second_moment_bound(spec, -1)
 
 
 def test_growth_stats_within_bounds():

@@ -14,9 +14,10 @@ passed, by keyword or by position, at one of those call sites at least;
 one named exemption is listed with its reason. Every private top-level
 function in src/spinchaos is named somewhere in src/ outside its own body,
 so helpers that a rewrite leaves behind are caught. No module in src/ or tests/ imports a name it
-never reads; the re-exports of the package's __init__ are exempt. Importing
-the CLI loads no scipy submodule that only one experiment path needs, and
-a run of any kind off those two paths imports no module at all.
+never reads. The package itself holds its submodules and `__version__`, so
+each name has one import path. Importing the CLI loads no scipy submodule
+that only one experiment path needs, and a run of any kind off those two
+paths imports no module at all.
 """
 
 import ast
@@ -206,8 +207,24 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_every_import_is_used():
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    unused = [hit for path in files if path.name != "__init__.py" for hit in unused_imports(path)]
+    unused = [hit for path in files for hit in unused_imports(path)]
     assert not unused, f"imported and never used: {unused}"
+
+
+def test_package_holds_only_its_modules():
+    # a re-exported function named like its module shadows it: `import
+    # spinchaos.hypergraph as hg` would bind the function
+    code = (
+        "import json, sys\n"
+        "import spinchaos.hypergraph\n"
+        "alone = sorted(m for m in sys.modules if m.startswith('spinchaos.'))\n"
+        "import spinchaos.cli\n"
+        "public = {name: obj is sys.modules.get(f'spinchaos.{name}')\n"
+        "          for name, obj in vars(spinchaos).items() if not name.startswith('_')}\n"
+        "print(json.dumps({'alone': alone, 'public': public}))\n")
+    out = _run_python(code)
+    assert out["public"] == {path.stem: True for path in SRC.glob("*.py") if path.stem != "__init__"}
+    assert out["alone"] == ["spinchaos.errors", "spinchaos.hypergraph"]
 
 
 def test_cli_import_defers_scipy():
