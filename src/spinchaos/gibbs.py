@@ -18,6 +18,10 @@ go through the Glauber sampler, flagged as an estimate. Before any
 arithmetic each exact kernel checks that the bounds |H| <= n_edges max|c|
 and |beta H| <= max(beta) n_edges max|c| are finite (_check_scale).
 
+batch_moments scores each gauge class once, the states with one row of
+edge products (2^rank of them, rank the GF(2) rank of the edge-vertex
+incidence), and gathers the weights back to the 2^N states, bit for bit.
+
 At beta = infinity the measure factorizes over connected components:
 ground_states enumerates each component that holds an edge over its own
 half table, sum_C 2^(|C|-1) rows instead of 2^(N-1), keeps ties within
@@ -472,6 +476,30 @@ def _batch_columns(n: int) -> int:
     return max(2, min(cols, TABLE_BYTES // (8 << n)))
 
 
+def _classes(graph: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """(key, rep): the gauge class of each of the 2^N states and one state
+    per class. Bit j of a key is the parity of the +1 spins in pivot edge
+    j, the r edges that greedy elimination of the vertex bitmasks keeps
+    independent over GF(2); every edge is a sum of pivots, so equal keys
+    mean equal edge products, and all 2^r keys occur. Keys are built by
+    row doubling, like _table: spin v toggles the pivots at v."""
+    lead, pivots = {}, []  # reduced masks by leading bit; the pivots' masks
+    for mask in np.bitwise_or.reduceat(1 << graph.flat, graph.offsets[:-1]).tolist():
+        m = mask
+        while m and (top := m.bit_length()) in lead:
+            m ^= lead[top]
+        if m:
+            lead[top] = m
+            pivots.append(mask)
+    key = np.zeros(1 << graph.n, np.int64)
+    for v in range(graph.n):
+        flip = sum(1 << j for j, mask in enumerate(pivots) if mask >> v & 1)
+        np.bitwise_xor(key[:1 << v], flip, out=key[1 << v:2 << v])
+    rep = np.empty(1 << len(pivots), np.int64)
+    rep[key] = np.arange(1 << graph.n)  # any state of a class will do
+    return key, rep
+
+
 def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
                   pairs, singles=()) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gibbs moments for many coupling vectors at once.
@@ -486,6 +514,12 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     since rounding is monotone. A call whose |H| or |beta H| bound is
     not finite raises NumericalError (_check_scale) instead of filling
     the results with NaN.
+
+    The GEMM, column max, scaling and exp run on one row per gauge class
+    (_classes); a gather by class key restores the 2^N rows the sums read,
+    bit for bit: a GEMM row depends on its own row of the left factor
+    only, a max not on order (but for the sign of a zero, and x - 0.0 and
+    x - -0.0 have one exp), and the rest acts on each entry alone.
     """
     n = graph.n
     check_size(n, BATCH_MAX_N)
@@ -501,19 +535,24 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     states, eprod = _table(graph, 1 << n)
     pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
     single_obs = [states[:, i] for i in singles]
+    key, rep = _classes(graph)
+    eprod = eprod[rep]  # one row per class; the full table is freed
     nb = cs.shape[0]
     pair_vals = np.empty((len(betas), len(pair_obs), nb))
     single_vals = np.empty((len(betas), len(single_obs), nb))
     cols = _batch_columns(n)
+    buf = np.empty(min(nb, cols) << n)  # a block's weights, one row per state
     for start in range(0, nb, cols):
-        h = eprod @ cs[start:start + cols].T  # (2^n, b)
+        h = eprod @ cs[start:start + cols].T  # (2^rank, b)
         h_max = h.max(axis=0)
+        w = buf[:h.shape[1] << n].reshape(1 << n, -1)
         for k, b in enumerate(betas):
-            w = h if k == len(betas) - 1 else np.empty_like(h)
-            np.multiply(h, b, out=w)
+            w_class = h if k == len(betas) - 1 else np.empty_like(h)
+            np.multiply(h, b, out=w_class)
             with np.errstate(over="ignore"):  # below -max float: weight exp(-inf) = 0
-                w -= b * h_max
-            np.exp(w, out=w)
+                w_class -= b * h_max
+            np.exp(w_class, out=w_class)
+            np.take(w_class, key, axis=0, out=w, mode="clip")  # clip: no buffered copy
             denom = w.sum(axis=0)
             for vals, obs_list in ((pair_vals, pair_obs), (single_vals, single_obs)):
                 for m, obs in enumerate(obs_list):

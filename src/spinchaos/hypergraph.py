@@ -37,13 +37,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, _integer
+from .errors import CapacityError, ValidationError, _integer
 
 
+INCIDENCE_BYTES = 1 << 28  # the incidence's pointer and vertex counts, 16 bytes a vertex
 # offset and multiplier of the edge mix, from splitmix64
 _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
 _INT = re.compile(r"-?[0-9]+")  # a vertex id or count in the text format
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_BOOLS = frozenset((bool, np.bool_))  # ints to operator.index, not vertex ids
 
 
 class Hypergraph:
@@ -116,6 +118,9 @@ class Hypergraph:
     @cached_property
     def _incident(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR incidence: vertex v lies in edges ids[ptr[v]:ptr[v + 1]]."""
+        if 16 * self.n > INCIDENCE_BYTES:
+            raise CapacityError(f"the incidence of {self.n} vertices exceeds the "
+                                f"{INCIDENCE_BYTES >> 20} MiB budget")
         ptr = np.zeros(self.n + 1, np.int64)
         np.cumsum(np.bincount(self.flat, minlength=self.n), out=ptr[1:])
         # stable, so each vertex lists its edges in ascending id; in the
@@ -139,7 +144,7 @@ def _blocks(edges) -> bool:
 
 def _flatten(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(arity, flat, offsets) of the constructor's edges, all int64; None
-    when an id is not an integer or lies beyond int64."""
+    when an id is not an integer (a bool is none) or lies beyond int64."""
     if _blocks(edges):
         # block by block: concatenating bool and int blocks gives int64
         if any(b.dtype.kind not in "iu" and len(b) for b in edges):
@@ -149,6 +154,8 @@ def _flatten(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         flat = np.concatenate([b.reshape(-1) for b in edges], dtype=np.int64, casting="unsafe")
     else:
         arity = np.fromiter(map(len, edges), np.int64, len(edges))
+        if not _BOOLS.isdisjoint(map(type, chain.from_iterable(edges))):
+            return None
         try:  # operator.index: ints and numpy ints pass, floats are not truncated
             flat = np.fromiter(map(operator.index, chain.from_iterable(edges)), np.int64)
         except (TypeError, OverflowError):
@@ -208,8 +215,10 @@ def _first_bad(n: int, edges) -> str | None:
 
 
 def _ids(e) -> tuple[int, ...] | None:
-    """e's ids as ints, or None: operator.index, as in _flatten, passes
-    numpy ints and refuses floats rather than truncate them."""
+    """e's ids as ints, or None: as in _flatten, numpy ints pass, and
+    floats and bools are refused rather than truncated or read as 0, 1."""
+    if not _BOOLS.isdisjoint(map(type, e)):
+        return None
     try:
         return tuple(map(operator.index, e))
     except TypeError:

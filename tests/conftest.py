@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp, stdtr
 
+from spinchaos import gibbs
 from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
 from spinchaos.errors import ValidationError
@@ -112,6 +113,42 @@ def reference_mcmc(system, rng, sweeps: int, burn_in: int, batches: int):
     se = 0.5 * (se + se.T)
     np.fill_diagonal(se, 0.0)
     return corr, batch_mean.mean(axis=0), se
+
+
+def batch_moments_full_table(graph: Hypergraph, couplings, beta, pairs, singles=()):
+    """gibbs.batch_moments as it was before gauge classes: every block's
+    GEMM, column max, scaling and exp run on all 2^N rows of the table.
+    Same validation, column blocks and result shapes."""
+    n = graph.n
+    gibbs.check_size(n, gibbs.BATCH_MAX_N)
+    betas = [gibbs.check_beta(b) for b in (beta if np.ndim(beta) else (beta,))]
+    cs = np.atleast_2d(np.asarray(couplings, dtype=float))
+    gibbs._check_scale(cs, betas)
+    pairs = [(graph.check_vertex(i), graph.check_vertex(j)) for i, j in pairs]
+    singles = [graph.check_vertex(i) for i in singles]
+    states, eprod = gibbs._table(graph, 1 << n)
+    pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
+    single_obs = [states[:, i] for i in singles]
+    nb = cs.shape[0]
+    pair_vals = np.empty((len(betas), len(pair_obs), nb))
+    single_vals = np.empty((len(betas), len(single_obs), nb))
+    cols = gibbs._batch_columns(n)
+    for start in range(0, nb, cols):
+        h = eprod @ cs[start:start + cols].T  # (2^n, b)
+        h_max = h.max(axis=0)
+        for k, b in enumerate(betas):
+            w = h if k == len(betas) - 1 else np.empty_like(h)
+            np.multiply(h, b, out=w)
+            with np.errstate(over="ignore"):
+                w -= b * h_max
+            np.exp(w, out=w)
+            denom = w.sum(axis=0)
+            for vals, obs_list in ((pair_vals, pair_obs), (single_vals, single_obs)):
+                for m, obs in enumerate(obs_list):
+                    vals[k, m, start:start + cols] = (obs @ w) / denom
+    if np.ndim(beta) == 0:
+        return pair_vals[0], single_vals[0]
+    return np.moveaxis(pair_vals, 0, -1), np.moveaxis(single_vals, 0, -1)
 
 
 def dense_ground_states(graph: Hypergraph, couplings):
@@ -339,7 +376,8 @@ def reference_validation_error(n: int, edges):
     if valid."""
     seen = set()
     for eid, e in enumerate(edges):
-        if not all(hasattr(type(v), "__index__") for v in e):
+        if not all(hasattr(type(v), "__index__") and not isinstance(v, (bool, np.bool_))
+                   for v in e):
             return f"edge {eid} must have integer vertex ids, got {e}"
         if len(e) < 2:
             return f"edge {eid} has arity {len(e)} < 2"

@@ -20,9 +20,9 @@ from spinchaos.hypergraph import hypergraph
 from spinchaos.randgraph import diluted_spec, sample_diluted
 from spinchaos.rng import substream
 
-from conftest import (bit_decoded_table, check_calibrated, dense_correlations,
-                      dense_ground_correlations, dense_ground_states, hamiltonian,
-                      materialized_ground_correlations, product_states,
+from conftest import (batch_moments_full_table, bit_decoded_table, check_calibrated,
+                      dense_correlations, dense_ground_correlations, dense_ground_states,
+                      hamiltonian, materialized_ground_correlations, product_states,
                       random_hypergraph, reference_mcmc)
 
 
@@ -628,6 +628,44 @@ def test_batch_moments_share_betas_bitwise(n):
         p1, s1 = batch_moments(g, cs, beta, pairs, singles)
         assert p1.shape == (2, rows)
         assert np.array_equal(pv[..., k], p1) and np.array_equal(sv[..., k], s1)
+
+
+CLASS_GRAPHS = {  # name: (graph, 2^rank gauge classes)
+    "figure1-hypergraph": (fixtures.get_fixture("figure1-hypergraph"), 32),  # two-lobe, k = 0
+    **{f"two-lobe-{k}": (chaos.two_lobe_graph(k)[0], c) for k, c in ((1, 32), (2, 64), (3, 128))},
+    "remark": (chaos.remark_graph(), 8),
+    "ea-ring": (fixtures.get_fixture("ea-ring"), 128),  # even: the global flip is a class
+    "full-rank-odd": (hypergraph(3, [(0, 1, 2), (0, 1), (1, 2)]), 8),
+    "no-edges": (hypergraph(3, []), 1),
+}
+
+
+@pytest.mark.parametrize("graph, classes", CLASS_GRAPHS.values(), ids=CLASS_GRAPHS)
+def test_gauge_classes_are_the_distinct_edge_product_rows(graph, classes):
+    # each state's edge products are its class representative's, each
+    # representative is in its own class, and there are as many classes
+    # as distinct rows in the bit-decoded table: 2^rank, the GF(2) rank of
+    # the edge-vertex incidence
+    key, rep = gibbs._classes(graph)
+    _, eprod = bit_decoded_table(graph, 1 << graph.n)
+    assert np.array_equal(key[rep], np.arange(len(rep)))
+    assert np.array_equal(eprod[rep][key], eprod)
+    assert len({row.tobytes() for row in eprod}) == len(rep) == classes
+
+
+@pytest.mark.parametrize("graph", [g for g, _ in CLASS_GRAPHS.values()], ids=CLASS_GRAPHS)
+@pytest.mark.parametrize("beta", [0.7, [0.0, 0.5, 1.0, 10.0]], ids=["one-beta", "four-betas"])
+@pytest.mark.parametrize("tail", [37, 1])
+def test_batch_moments_matches_full_table_bitwise(graph, beta, tail):
+    # the distinct rows give every bit of the full table's kernel, over
+    # two whole column blocks and a partial one (of one column, a GEMV)
+    rows = 2 * gibbs._batch_columns(graph.n) + tail
+    cs = substream(9, "classes", graph.n, tail).standard_normal((rows, graph.n_edges))
+    pairs, singles = [(0, 1), (1, graph.n - 1)], [0, graph.n - 1]
+    got = batch_moments(graph, cs, beta, pairs, singles)
+    want = batch_moments_full_table(graph, cs, beta, pairs, singles)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("beta", [-0.5, math.inf, math.nan, (0.5, -1.0), "abc", "0.5", True,

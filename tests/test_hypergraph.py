@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 import spinchaos.hypergraph as hypergraph_module
 from spinchaos import gibbs
 from spinchaos.chaos import two_lobe_graph
-from spinchaos.errors import ValidationError
+from spinchaos.errors import CapacityError, ValidationError
 from spinchaos.fixtures import catalog
-from spinchaos.hypergraph import (Hypergraph, ball_sizes, berge_distance,
-                                  component, connected_in, from_text,
+from spinchaos.hypergraph import (INCIDENCE_BYTES, Hypergraph, ball_sizes,
+                                  berge_distance, component, connected_in, from_text,
                                   hypergraph, hypertree_radius, multi_index,
                                   to_text, vertex_support)
-from spinchaos.randgraph import diluted_spec, explore, sample_diluted
+from spinchaos.randgraph import MAX_N_LOW_ARITY, diluted_spec, explore, sample_diluted
 
 from conftest import (berge_paths_exist, bfs_distances, brute_has_berge_cycle,
                       random_hypergraph, reference_validation_error)
@@ -117,6 +117,11 @@ def test_constructor_canonicalizes_and_validates():
         Hypergraph(3, ((0, 1), (1, np.float64(2.0))))
     g = Hypergraph(3, ((np.int64(0), np.int32(2)), (1, np.uint8(2))))
     assert incident(g, 2) == (0, 1) and incident(g, 1) == (1,)
+    # bools are not read as vertices 1 and 0, as in the block form
+    with pytest.raises(ValidationError, match=r"edge 0 must have integer vertex ids, got \(True, 2\)"):
+        hypergraph(3, [(True, 2)])  # was the edge (1, 2)
+    with pytest.raises(ValidationError, match=r"edge 1 must have integer vertex ids"):
+        Hypergraph(3, ((0, 1), (0, np.True_)))
 
 
 def test_validation_matches_edge_by_edge_loop():
@@ -126,7 +131,7 @@ def test_validation_matches_edge_by_edge_loop():
     for _ in range(400):
         n = int(rng.integers(1, 6))
         # ids outside [0, N), beyond int64, and not integers
-        pool = [-1, *range(n + 1), 2**70, 2.5, None]
+        pool = [-1, *range(n + 1), 2**70, 2.5, None, True]
         edges = tuple(tuple(pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 4)))
                       for _ in range(rng.integers(0, 6)))
         want = reference_validation_error(n, edges)
@@ -256,6 +261,12 @@ def test_incident():
     for v in (True, np.False_):  # not read as vertex 1 or 0
         with pytest.raises(ValidationError, match="vertex must be an integer"):
             g.check_vertex(v)
+    # a legal but huge vertex count is refused before the (n + 1) pointer
+    # is allocated: numpy's ValueError at 2**63 - 1, a MemoryError at 2**40
+    for n in (2**63 - 1, 2**40):
+        with pytest.raises(CapacityError, match="incidence of"):
+            ball_sizes(Hypergraph(n, [(0, 1)]), 0)
+    assert 16 * MAX_N_LOW_ARITY < INCIDENCE_BYTES >> 7  # the diluted sampler's cap
 
 
 def test_incident_matches_brute_force(rng):
