@@ -61,13 +61,16 @@ class ChaosCurve:
                 "graph": graph}
 
 
-def _correlations(system: gibbs.SpinSystem, mode: str, rng,
-                  mcmc_sweeps: int, mcmc_burn_in: int) -> gibbs.CorrelationMatrix:
-    if system.beta is None:
-        return gibbs.ground_state_correlations(gibbs.ground_states(system))
+def _correlations(systems: list, mode: str, rng, mcmc_sweeps: int,
+                  mcmc_burn_in: int) -> list[gibbs.CorrelationMatrix]:
+    """One correlation matrix per system, in order: all of a beta =
+    infinity list from one ground_states call, else one kernel call each."""
+    if systems[0].beta is None:
+        return [gibbs.ground_state_correlations(gs) for gs in gibbs.ground_states(*systems)]
     if mode == "exact":
-        return gibbs.exact_correlations(system)
-    return gibbs.mcmc_correlations(system, rng, sweeps=mcmc_sweeps, burn_in=mcmc_burn_in)
+        return [gibbs.exact_correlations(s) for s in systems]
+    return [gibbs.mcmc_correlations(s, rng, sweeps=mcmc_sweeps, burn_in=mcmc_burn_in)
+            for s in systems]
 
 
 def check_curve(graph_source, beta, kind: str, t_grid, replicas: int, mode: str,
@@ -114,17 +117,14 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
             path = dis.continuous_path(base, grid, rng)
         else:
             path = dis.discrete_path(base, grid, rng)
-        sys_a = gibbs.spin_system(g, dis.rho(model, base), beta_v)
-        corr_a = _correlations(sys_a, mode, rng, mcmc_sweeps, mcmc_burn_in)
-        out = np.empty(len(grid))
-        for ti in range(len(grid)):
-            if ti == 0 and deterministic and np.array_equal(path[0], base):
-                corr_b = corr_a  # t = 0 leaves the couplings, so the system, unmoved
-            else:
-                sys_b = gibbs.spin_system(g, dis.rho(model, path[ti]), beta_v)
-                corr_b = _correlations(sys_b, mode, rng, mcmc_sweeps, mcmc_burn_in)
-            out[ti] = gibbs.overlap_second_moment(corr_a, corr_b)
-        return out
+        # t = 0 leaves the couplings, so the system, unmoved: reuse its result
+        reuse = deterministic and np.array_equal(path[0], base)
+        systems = [gibbs.spin_system(g, dis.rho(model, j), beta_v)
+                   for j in (base, *path[int(reuse):])]
+        corr_a, *corr_b = _correlations(systems, mode, rng, mcmc_sweeps, mcmc_burn_in)
+        if reuse:
+            corr_b.insert(0, corr_a)
+        return np.array([gibbs.overlap_second_moment(corr_a, b) for b in corr_b])
 
     per = replicate(one, replicas, len(grid), seed, "replica")
     # mean centered at replica 0: exact when all replicas agree (beta = 0)

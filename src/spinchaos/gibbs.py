@@ -5,7 +5,7 @@ H(sigma) = levy_scale * sum_e c_e prod_{v in e} sigma_v, so ground states
 are maximizers of H and beta = infinity (represented as beta=None, never
 a float) means the uniform measure over ground states.
 
-Every exact routine reads one cached table per graph: the 2^b lowest
+exact_correlations reads one cached table per graph: the 2^b lowest
 +-1 states, with every spin at bit b and above at -1, and the products
 of each edge's spins, where 2^b is the largest power of two of rows that
 fits TABLE_BYTES (at most 2^(N-1)), built by row doubling (_table). Any
@@ -22,14 +22,14 @@ batch_moments scores each gauge class once, the states with one row of
 edge products (2^rank of them, rank the GF(2) rank of the edge-vertex
 incidence), and gathers the weights back to the 2^N states, bit for bit.
 
-At beta = infinity the measure factorizes over connected components:
-ground_states enumerates each component that holds an edge over its own
-half table, sum_C 2^(|C|-1) rows instead of 2^(N-1), keeps ties within
-a relative 1e-12 of that component's maximum, and leaves the vertices in
-no edge free. The components, their sub-graphs and tables are cached
-one graph at a time. ground_state_correlations forms every moment as a
-ratio of exact integers over the product states, rounded once, so no
-state of the product is ever materialized.
+At beta = infinity the measure factorizes over connected components.
+ground_states scores all the systems of a graph at once, one GEMM per
+component over its split tables: the edge products P of the states of
+its low half of spins and Q of its high half, whose rows multiply to
+each state's, exactly. Ties are kept within a relative 1e-12 of each
+system's maximum on the component; vertices in no edge stay free.
+ground_state_correlations forms every moment as a ratio of exact
+integers over the product states, rounded once.
 """
 
 from __future__ import annotations
@@ -127,30 +127,27 @@ def _flip(graph: Hypergraph, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 - 2.0 * flipped, 1.0 - 2.0 * (count & 1)
 
 
-def _table(graph: Hypergraph, rows: int, spins: bool = True):
+def _doubled(first: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Products (of an edge's spins, or of one spin) over 2^len(sign) states:
+    row 0 is first, rows 2^v..2^(v+1) - 1 rows 0..2^v - 1 times sign[v]."""
+    rows = np.empty((1 << len(sign), len(first)))
+    rows[0] = first
+    for v in range(len(sign)):
+        np.multiply(rows[:1 << v], sign[v], out=rows[1 << v:2 << v])
+    return rows
+
+
+def _table(graph: Hypergraph, rows: int):
     """(states, edge products) of the indices 0..rows - 1, rows a power of
-    two, by doubling: row 0 has every spin at -1, and rows 2^v..2^(v+1) - 1
-    are rows 0..2^v - 1 with spin v flipped to +1, which negates column v
-    of the states and the products of the edges at v. Read-only, so
-    _low_table can share them. With spins False states is None, for the
-    ground-state scan, which reads edge products only."""
+    two, by doubling: spin v at +1 negates column v of the states and the
+    edges at v. Read-only, so _low_table can share them."""
     bits = rows.bit_length() - 1
-    eprod = np.empty((rows, graph.n_edges))
-    eprod[0] = 1.0 - 2.0 * (graph.arity & 1)
     sign = np.ones((bits, graph.n_edges))  # row v: -1 on the edges at spin v
     at = graph.flat < bits
     sign[graph.flat[at], np.repeat(np.arange(graph.n_edges), graph.arity)[at]] = -1.0
-    for v in range(bits):
-        np.multiply(eprod[:1 << v], sign[v], out=eprod[1 << v:2 << v])
-    eprod.flags.writeable = False
-    if not spins:
-        return None, eprod
-    states = np.empty((rows, graph.n))
-    states[0] = -1.0
-    for v in range(bits):
-        np.copyto(states[1 << v:2 << v], states[:1 << v])
-        states[1 << v:2 << v, v] = 1.0
-    states.flags.writeable = False
+    eprod = _doubled(1.0 - 2.0 * (graph.arity & 1), sign)
+    states = _doubled(np.full(graph.n, -1.0), 1.0 - 2.0 * np.eye(bits, graph.n))
+    states.flags.writeable = eprod.flags.writeable = False
     return states, eprod
 
 
@@ -190,7 +187,7 @@ def _check_scale(c_eff: np.ndarray, betas=()) -> None:
 def _energies(graph: Hypergraph, c_eff: np.ndarray, table):
     """Blocks (start, states, spin signs, H of the rows, H of their
     complements) over the 2^(N-1) states with the top spin at -1, in
-    index order: each is table, the (states or None, edge products) of
+    index order: each is table, the (states, edge products) of
     the first rows, times the signs of _flip(graph, start). The
     complement of index i is 2^N - 1 - i; -sigma negates every odd-arity
     edge product, so its energies use c_eff times the global flip's edge
@@ -274,13 +271,12 @@ class GroundStates:
 
 
 @lru_cache(maxsize=1)
-def _components(graph: Hypergraph, table_bytes: int):
+def _components(graph: Hypergraph):
     """(free vertices, parts) of graph, one graph at a time like
-    _low_table. Each part is (vertex ids, edge ids, sub-graph, its half
-    table) of a connected component with an edge: the sub-graph is the
-    parent's edge tuples in id order with the vertices renumbered in
-    rising order. table_bytes, the TABLE_BYTES that sized the tables, is
-    part of the key."""
+    _low_table. Each part is (vertex ids, edge ids, P, Q) of a connected
+    component with an edge, its m vertices renumbered in rising order: P
+    and Q hold the edge products of the states of its low a = m // 2 and
+    of its high m - a spins, so state lo + 2^a hi has P[lo] * Q[hi]."""
     label = np.full(graph.n, -1, np.int64)
     local = np.zeros(graph.n, np.int64)
     verts_of = []
@@ -294,64 +290,85 @@ def _components(graph: Hypergraph, table_bytes: int):
             verts_of.append(verts)
     free = np.flatnonzero(label < 0)
     free.flags.writeable = False
+    edge_of = np.repeat(np.arange(graph.n_edges), graph.arity)  # of each incidence
     edge_label = label[graph.flat[graph.offsets[:-1]]]
-    local, edges = local.tolist(), graph.edges
     parts = []
     for c, verts in enumerate(verts_of):
         eids = np.flatnonzero(edge_label == c)
-        sub = Hypergraph(len(verts), [[local[v] for v in edges[e]] for e in eids.tolist()])
-        parts.append((verts, eids, sub, _table(sub, _table_rows(sub), spins=False)))
+        at = edge_label[edge_of] == c
+        sign = np.ones((len(verts), len(eids)))  # row v: -1 on the edges at v
+        sign[local[graph.flat[at]], np.searchsorted(eids, edge_of[at])] = -1.0
+        p, q = (_doubled(rows.prod(axis=0), rows) for rows in np.split(sign, [len(verts) // 2]))
+        p.flags.writeable = q.flags.writeable = False
+        parts.append((verts, eids, p, q))
     return free, tuple(parts)
 
 
-def _ground_indices(graph: Hypergraph, c_eff: np.ndarray, table) -> tuple[float, np.ndarray]:
-    """(max of H, sorted enumeration indices of the states within a
-    relative 1e-12 of it) on one graph. One pass over the half table
-    scores each row and its complement, with one scan of an even model's
-    shared energies. Candidates within the tie tolerance of the running
-    maximum are kept and cut again at the final maximum."""
-    top = (1 << graph.n) - 1
+def _maximizers(p: np.ndarray, q: np.ndarray, c: np.ndarray):
+    """(max of H, sorted state indices within a relative 1e-12 of it) for
+    each row c[k] of couplings on one component: with 2^a rows in P and
+    2^b in Q, row k 2^b + hi of the GEMM (c[k] Q) P^T holds H_k of the
+    states 2^a hi + lo in index order.
+    The rows go in power-of-two chunks (whole systems, or a run of one
+    system's) whose energies and scaled Q rows fit TABLE_BYTES beside P
+    and Q; candidates within the tolerance of the running maxima are
+    kept and cut again at the final ones."""
+    (lo_n, edges), hi_n, a = p.shape, len(q), len(p).bit_length() - 1
+    fit = (TABLE_BYTES - 8 * (p.size + q.size)) // (8 * (lo_n + edges))
+    if fit < 2:
+        raise CapacityError(f"a {a + hi_n.bit_length() - 1}-vertex component with "
+                            f"{edges} edges exceeds the {TABLE_BYTES >> 20} MiB budget")
+    width = 1 << (fit.bit_length() - 1)
+    k_step, h_step = max(1, width // hi_n), min(hi_n, width)
+    best = np.full(len(c), -math.inf)
+    found = []  # (system, state index, energy) of the candidates, chunk by chunk
+    for k0 in range(0, len(c), k_step):
+        for h0 in range(0, hi_n, h_step):
+            cq = c[k0:k0 + k_step, None, :] * q[None, h0:h0 + h_step]
+            e = (cq.reshape(-1, edges) @ p.T).reshape(len(cq), -1)  # a row per system
+            top = best[k0:k0 + k_step]
+            np.maximum(top, e.max(axis=1), out=top)
+            at = np.flatnonzero(e >= (top - 1e-12 * np.maximum(1.0, np.abs(top)))[:, None])
+            k, idx = divmod(at, e.shape[1])
+            found.append((k + k0, idx + (h0 << a), e.ravel()[at]))
+    k, idx, e = (np.concatenate(parts) for parts in zip(*found))
+    keep = e >= (best - 1e-12 * np.maximum(1.0, np.abs(best)))[k]
+    bounds = np.searchsorted(k[keep], np.arange(len(c) + 1))
+    return best, np.split(idx[keep], bounds[1:-1])
 
-    def cut():
-        return best - 1e-12 * max(1.0, abs(best))
 
-    best = -math.inf
-    idx, energies = [], []
-    for start, _, _, e_pos, e_neg in _energies(graph, c_eff, table):
-        rows = np.arange(start, start + len(e_pos), dtype=np.int64)
-        scans = ([(e_pos, rows, top - rows)] if e_neg is e_pos
-                 else [(e_pos, rows), (e_neg, top - rows)])
-        for e, *ids in scans:
-            best = max(best, float(e.max()))
-            mask = e >= cut()
-            kept = e[mask]
-            for i in ids:
-                idx.append(i[mask])
-                energies.append(kept)
-    idx = np.concatenate(idx)[np.concatenate(energies) >= cut()]
-    return best, np.sort(idx)
-
-
-def ground_states(system: SpinSystem) -> GroundStates:
-    """Exhaustive maximization over 2^N states, N <= 24, factorized over
-    connected components.
+def ground_states(system: SpinSystem, *others: SpinSystem) -> tuple[GroundStates, ...]:
+    """Exhaustive maximization over 2^N states, N <= 24, of system and of
+    any others on its graph, factorized over connected components; one
+    GroundStates per system, each with its couplings times its own
+    levy_scale.
 
     H is a sum over the components that hold an edge, so its maximizers
     are the products of each component's own, with every free spin at
-    either value. Each component is enumerated over its own half table of
-    2^(|C|-1) rows, so the cost is sum_C 2^(|C|-1) rather than 2^(N-1),
-    and its ties are kept within a relative 1e-12 of its own maximum.
+    either value. A component of m vertices is scored for every system
+    by one GEMM of its split tables (_components), Q scaled by each
+    system's couplings against P, 2^(m - m // 2) and 2^(m // 2) rows
+    instead of a half table's 2^(m - 1), with ties within a relative
+    1e-12 of each system's own maximum (_maximizers). A GEMM row does not
+    depend on the other rows, so neither the other systems nor chunks of
+    rows within TABLE_BYTES move a tie.
     """
+    systems = (system, *others)
+    if any(s.graph != system.graph for s in others):
+        raise ValidationError("ground_states' systems must share one graph")
     check_size(system.n, EXACT_MAX_N)
-    c_eff = np.asarray(system.couplings) * system.levy_scale
+    c_eff = (np.array([s.couplings for s in systems])
+             * np.array([s.levy_scale for s in systems])[:, None])
     _check_scale(c_eff)
-    free, parts = _components(system.graph, TABLE_BYTES)
-    energy, factors = 0.0, []
-    for verts, eids, sub, table in parts:
-        best, idx = _ground_indices(sub, c_eff[eids], table)
+    free, parts = _components(system.graph)
+    energy, factors = np.zeros(len(systems)), [[] for _ in systems]
+    for verts, eids, p, q in parts:
+        best, ties = _maximizers(p, q, c_eff[:, eids])
         energy += best
-        factors.append((verts, _states(idx, sub.n)))
-    return GroundStates(system.n, energy, tuple(factors), free)
+        for got, idx in zip(factors, ties):
+            got.append((verts, _states(idx, len(verts))))
+    return tuple(GroundStates(system.n, float(e), tuple(f), free)
+                 for e, f in zip(energy, factors))
 
 
 def ground_state_correlations(gs: GroundStates) -> CorrelationMatrix:
@@ -531,12 +548,13 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     check = graph.check_vertex  # a negative id would index spins from the end
     pairs = [(check(i), check(j)) for i, j in pairs]
     singles = [check(i) for i in singles]
-    # uncached, so it neither evicts the half table nor outlives the call
-    states, eprod = _table(graph, 1 << n)
+    states = _doubled(np.full(n, -1.0), 1.0 - 2.0 * np.eye(n))
     pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
     single_obs = [states[:, i] for i in singles]
     key, rep = _classes(graph)
-    eprod = eprod[rep]  # one row per class; the full table is freed
+    eprod = np.ones((len(rep), graph.n_edges))  # a class's products: exact +-1
+    for e, v in zip(np.repeat(np.arange(graph.n_edges), graph.arity), graph.flat):
+        eprod[:, e] *= states[rep, v]
     nb = cs.shape[0]
     pair_vals = np.empty((len(betas), len(pair_obs), nb))
     single_vals = np.empty((len(betas), len(single_obs), nb))

@@ -168,6 +168,50 @@ def dense_ground_correlations(graph: Hypergraph, couplings):
     return corr, means
 
 
+def gf2_rank(rows: np.ndarray) -> int:
+    """Rank over GF(2) of a 0/1 matrix, by row reduction with column pivots."""
+    m = np.array(rows, dtype=bool)
+    rank = 0
+    for col in range(m.shape[1]):
+        hit = np.flatnonzero(m[rank:, col])
+        if len(hit) == 0:
+            continue
+        m[[rank, rank + hit[0]]] = m[[rank + hit[0], rank]]
+        below = np.flatnonzero(m[:, col])
+        m[below[below != rank]] ^= m[rank]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def planted_ground_states(graph: Hypergraph, tau) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, corr, means) of the uniform measure on the maximizers of a
+    planted gauge ferromagnet, c_e = |g_e| prod_{v in e} tau_v with every
+    |g_e| > 0, from GF(2) ranks alone. Writing sigma_v tau_v = (-1)^x_v,
+    the maximizers are the x with sum_{v in e} x_v = 0 for every edge e:
+    the null space of the edge-vertex incidence A, of size 2^(N - rank A).
+    A linear form on it is constant (0) when it lies in the row space of
+    A, and balanced otherwise, so <sigma_i sigma_j> is tau_i tau_j when
+    x_i + x_j is in the row space and 0 otherwise, and <sigma_i> is tau_i
+    when x_i is."""
+    n = graph.n
+    a = np.zeros((graph.n_edges, n), dtype=bool)
+    for k, e in enumerate(graph.edges):
+        a[k, list(e)] = True
+    rank = gf2_rank(a)
+
+    def in_rows(form):
+        return gf2_rank(np.vstack([a, form])) == rank
+    tau = np.asarray(tau, dtype=float)
+    unit = np.eye(n, dtype=bool)
+    means = np.array([tau[i] if in_rows(unit[i]) else 0.0 for i in range(n)])
+    corr = np.eye(n)
+    for i, j in itertools.combinations(range(n), 2):
+        corr[i, j] = corr[j, i] = tau[i] * tau[j] if in_rows(unit[i] ^ unit[j]) else 0.0
+    return 1 << (n - rank), corr, means
+
+
 def product_states(gs) -> np.ndarray:
     """(K, N) +-1 rows of a factorized GroundStates, materialized: every
     combination of one tied row per factor and any values of the free

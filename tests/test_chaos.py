@@ -83,13 +83,13 @@ def test_t_zero_reuses_unperturbed_correlations(monkeypatch, source, beta, kind,
     its stream. Every row equals a recomputation that calls the kernel
     at every grid point."""
     grid, replicas, seed = [0.0, 0.5, 1.5], 4, 23
-    calls = []
+    scored = []  # the systems each kernel call scores: ground_states takes several
     real = getattr(gibbs, kernel)
-    monkeypatch.setattr(gibbs, kernel, lambda system, *a, **kw: calls.append(1) or
-                        real(system, *a, **kw))
+    monkeypatch.setattr(gibbs, kernel, lambda *a, **kw: scored.extend(
+        x for x in a if isinstance(x, gibbs.SpinSystem)) or real(*a, **kw))
     curve = chaos.chaos_curve(source, IDENT, beta, kind, grid, replicas, seed, mode=mode,
                               mcmc_sweeps=64, mcmc_burn_in=8)
-    assert len(calls) == replicas * (1 + len(grid) - saved)
+    assert len(scored) == replicas * (1 + len(grid) - saved)
     monkeypatch.undo()
     for k in range(replicas):
         rng = substream(seed, "replica", k)
@@ -99,11 +99,23 @@ def test_t_zero_reuses_unperturbed_correlations(monkeypatch, source, beta, kind,
             base, grid, rng)
 
         def corr(j):
-            return chaos._correlations(gibbs.spin_system(g, dis.rho(IDENT, j), beta),
-                                       mode, rng, 64, 8)
+            return chaos._correlations([gibbs.spin_system(g, dis.rho(IDENT, j), beta)],
+                                       mode, rng, 64, 8)[0]
         a = corr(base)
         row = [gibbs.overlap_second_moment(a, corr(j)) for j in path]
         assert np.array_equal(curve.per_replica[k], row)
+
+
+def test_ground_curve_bytes_do_not_depend_on_threads(monkeypatch):
+    """Each replica scores its systems in one ground-state GEMM; the
+    per-replica array must keep its bytes on one replica thread and two."""
+    per = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPINCHAOS_THREADS", threads)
+        per[threads] = chaos.chaos_curve(diluted_spec(14, {2: 0.3, 3: 0.4, 4: 0.1}), IDENT,
+                                         None, "discrete", [0.0, 0.5, 1.0, 2.0], 8,
+                                         5).per_replica.tobytes()
+    assert per["1"] == per["2"]
 
 
 @pytest.mark.parametrize("kind", dis.PERTURBATION_KINDS)

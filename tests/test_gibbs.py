@@ -22,8 +22,8 @@ from spinchaos.rng import substream
 
 from conftest import (batch_moments_full_table, bit_decoded_table, check_calibrated,
                       dense_correlations, dense_ground_correlations, dense_ground_states,
-                      hamiltonian, materialized_ground_correlations, product_states,
-                      random_hypergraph, reference_mcmc)
+                      hamiltonian, materialized_ground_correlations, planted_ground_states,
+                      product_states, random_hypergraph, reference_mcmc)
 
 
 def ring(n):
@@ -79,6 +79,15 @@ def few_rows_per_block(monkeypatch, g, rows=3):
     monkeypatch.setattr(gibbs, "TABLE_BYTES", 8 * (g.n + g.n_edges) * rows)
 
 
+def few_columns_per_chunk(monkeypatch, g, cols=2):
+    """A TABLE_BYTES that holds the split tables of each component of g
+    and, for the largest, energy chunks of cols columns (rounded down to a
+    power of two), each column 2^a energies and a row of c * Q."""
+    need = [p.size + q.size + cols * (len(p) + p.shape[1])
+            for *_, p, q in gibbs._components(g)[1]]
+    monkeypatch.setattr(gibbs, "TABLE_BYTES", 8 * max(need, default=0))
+
+
 def half_blocks(g, cs):
     """The blocks of _energies over the cached low table, as
     exact_correlations reads them."""
@@ -91,11 +100,12 @@ def test_blocked_streaming_is_exact(rng, monkeypatch):
     g = hypergraph(8, g.edges)  # 128 half rows: dozens of blocks
     cs = 3.0 * rng.standard_normal(g.n_edges)  # spread the energies
     a = exact_correlations(spin_system(g, cs, 2.0))
-    ga = ground_states(spin_system(g, cs, None))
+    ga = ground_states(spin_system(g, cs, None))[0]
     few_rows_per_block(monkeypatch, g)
     assert len(half_blocks(g, cs)) > 1
     b = exact_correlations(spin_system(g, cs, 2.0))
-    gb = ground_states(spin_system(g, cs, None))
+    few_columns_per_chunk(monkeypatch, g)
+    gb = ground_states(spin_system(g, cs, None))[0]
     assert np.allclose(a.corr, b.corr, rtol=0, atol=1e-14)
     assert a.log_z == pytest.approx(b.log_z, abs=1e-12)
     assert ga.energy == gb.energy
@@ -122,13 +132,13 @@ def enumeration_index(states):
 @pytest.mark.parametrize("rows", [None, 3])
 def test_ground_states_in_enumeration_order(rng, monkeypatch, rows):
     # odd arities put ground states in both halves; the free vertex 6 and
-    # integer couplings make ties, so several rows must be merged in order
+    # integer couplings make ties, so several chunks must be merged in order
     g = hypergraph(7, [(0, 1, 2), (2, 3), (1, 4, 5), (0, 5)])
     if rows:
-        few_rows_per_block(monkeypatch, g, rows)
+        few_columns_per_chunk(monkeypatch, g, rows)
     for _ in range(10):
         cs = rng.integers(-2, 3, g.n_edges).astype(float)
-        gs = ground_states(spin_system(g, cs, None))
+        gs = ground_states(spin_system(g, cs, None))[0]
         assert gs.free.tolist() == [6]
         for _, states in gs.factors:  # each factor in its component's order
             assert np.all(np.diff(enumeration_index(states)) > 0)
@@ -298,7 +308,7 @@ def test_infinite_beta_routes_to_ground_states():
     sys = spin_system(g, np.ones(4), None)
     with pytest.raises(ValidationError):
         exact_correlations(sys)
-    gs = ground_states(sys)
+    gs = ground_states(sys)[0]
     assert product_states(gs).shape == (2, 4)  # all up and all down
 
 
@@ -307,7 +317,7 @@ def test_ground_states_match_dense(rng):
         g = random_hypergraph(rng, n_max=7, e_max=6)
         cs = rng.standard_normal(g.n_edges)
         sys = spin_system(g, cs, None)
-        gs = ground_states(sys)
+        gs = ground_states(sys)[0]
         want_e, want_states = dense_ground_states(g, cs)
         assert gs.energy == pytest.approx(want_e, rel=1e-12)
         got = {tuple(row) for row in product_states(gs).astype(int)}
@@ -318,7 +328,7 @@ def test_ground_states_match_dense(rng):
 def test_even_model_ground_degeneracy(rng):
     g = ring(6)
     cs = rng.standard_normal(6)
-    gs = ground_states(spin_system(g, cs, None))
+    gs = ground_states(spin_system(g, cs, None))[0]
     assert product_states(gs).shape[0] % 2 == 0  # sigma and -sigma tie exactly
     cm = ground_state_correlations(gs)
     assert np.all(cm.means == 0.0)
@@ -329,7 +339,7 @@ def test_ground_state_correlations_match_dense(rng):
     for _ in range(10):
         g = random_hypergraph(rng, n_max=6, e_max=5)
         cs = rng.standard_normal(g.n_edges)
-        cm = ground_state_correlations(ground_states(spin_system(g, cs, None)))
+        cm = ground_state_correlations(ground_states(spin_system(g, cs, None))[0])
         corr, means = dense_ground_correlations(g, cs)
         assert np.allclose(cm.corr, corr, atol=1e-12)
         assert np.allclose(cm.means, means, atol=1e-12)
@@ -361,9 +371,9 @@ def test_factorized_ground_correlations_match_materialized_bitwise(rng, monkeypa
     for _ in range(25):
         g = disconnected_hypergraph(rng)
         if rows:
-            few_rows_per_block(monkeypatch, g, rows)
+            few_columns_per_chunk(monkeypatch, g, rows)
         cs = rng.integers(-2, 3, g.n_edges).astype(float)
-        gs = ground_states(spin_system(g, cs, None))
+        gs = ground_states(spin_system(g, cs, None))[0]
         cm = ground_state_correlations(gs)
         corr, means = materialized_ground_correlations(gs)
         assert cm.corr.tobytes() == corr.tobytes()
@@ -392,7 +402,7 @@ def test_even_models_share_the_complement_energies(rng, monkeypatch, graph, even
 
     def results():
         exact = exact_correlations(spin_system(graph, cs, 0.9))
-        ground = ground_state_correlations(ground_states(spin_system(graph, cs, None)))
+        ground = ground_state_correlations(ground_states(spin_system(graph, cs, None))[0])
         return [exact.corr, exact.means, np.float64(exact.log_z), ground.corr, ground.means]
 
     fast = results()
@@ -406,6 +416,64 @@ def test_even_models_share_the_complement_energies(rng, monkeypatch, graph, even
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_planted_ground_states_match_gf2_oracle(rng, n):
+    # c_e = |g_e| prod_{v in e} tau_v: the maximizers are an affine GF(2)
+    # space whose size and moments follow from ranks (conftest), so the
+    # oracle reaches N = 24, where the 24-ring is one component of 2^24
+    # states; magnitudes from 0.5 keep every other state out of the ties
+    graphs = [ring(n)] + [sample_diluted(diluted_spec(n, alphas), rng)
+                          for alphas in ({2: 0.6, 3: 0.2}, {2: 0.3, 3: 0.4, 4: 0.1})]
+    for g in graphs:
+        tau = rng.choice([-1.0, 1.0], n)
+        gauge = np.array([np.prod(tau[list(e)]) for e in g.edges])
+        cs = (0.5 + np.abs(rng.standard_normal(g.n_edges))) * gauge
+        gs = ground_states(spin_system(g, cs, None))[0]
+        count, corr, means = planted_ground_states(g, tau)
+        assert math.prod(len(states) for _, states in gs.factors) << len(gs.free) == count
+        cm = ground_state_correlations(gs)
+        assert np.array_equal(cm.corr, corr)
+        assert np.array_equal(cm.means, means)
+
+
+@pytest.mark.parametrize("cols", [None, 2, 16], ids=["one-gemm", "chunks-in-system",
+                                                     "chunks-of-systems"])
+def test_batched_ground_states_equal_single_calls(rng, monkeypatch, cols):
+    # integer couplings tie; three systems in one call, with their own
+    # levy_scale, must give each single call's factors bit for bit, also
+    # when the budget splits the GEMM into chunks within or across systems
+    for _ in range(15):
+        g = disconnected_hypergraph(rng)
+        systems = [spin_system(g, rng.integers(-2, 3, g.n_edges), None, levy_scale=s)
+                   for s in (1.0, 0.5, 3.0)]
+        systems[1] = spin_system(g, rng.standard_normal(g.n_edges), None, levy_scale=0.5)
+        want = [ground_states(s)[0] for s in systems]
+        if cols:
+            few_columns_per_chunk(monkeypatch, g, cols)
+        got = ground_states(*systems)
+        monkeypatch.undo()
+        assert len(got) == 3
+        for a, b in zip(got, want):
+            assert a.energy == b.energy
+            assert np.array_equal(a.free, b.free) and len(a.factors) == len(b.factors)
+            for (verts_a, states_a), (verts_b, states_b) in zip(a.factors, b.factors):
+                assert np.array_equal(verts_a, verts_b)
+                assert np.array_equal(states_a, states_b)
+
+
+def test_ground_states_need_one_graph_and_the_budget(monkeypatch):
+    g = ring(12)
+    with pytest.raises(ValidationError, match="share one graph"):
+        ground_states(spin_system(g, np.ones(12), None), spin_system(ring(5), np.ones(5), None))
+    assert len(ground_states(spin_system(ring(12), np.ones(12), None),
+                             spin_system(g, -np.ones(12), None))) == 2  # equal, not identical
+    few_columns_per_chunk(monkeypatch, g, 2)  # the split tables and two energy rows
+    ground_states(spin_system(g, np.ones(12), None))
+    few_columns_per_chunk(monkeypatch, g, 1)  # one row short
+    with pytest.raises(CapacityError, match="12-vertex component with 12 edges"):
+        ground_states(spin_system(g, np.ones(12), None))
+
+
 def test_ground_states_cache_shared_by_threads(rng):
     # threads on different disconnected graphs evict each other's cached
     # components and tables; each result must still equal the one computed alone
@@ -415,7 +483,7 @@ def test_ground_states_cache_shared_by_threads(rng):
         systems.append(spin_system(g, rng.integers(-2, 3, g.n_edges).astype(float), None))
 
     def ground(k):
-        cm = ground_state_correlations(ground_states(systems[k % 4]))
+        cm = ground_state_correlations(ground_states(systems[k % 4])[0])
         return cm.corr, cm.means
     want = [ground(k) for k in range(4)]
     interval = sys.getswitchinterval()
@@ -467,7 +535,7 @@ def test_mcmc_large_beta_does_not_overflow():
         cs = sign * 50.0 * np.ones(8)
         samp = mcmc_correlations(spin_system(ring(8), cs, 10.0), substream(5, "cold-chain"),
                                  sweeps=640, burn_in=200)
-        ground = ground_state_correlations(ground_states(spin_system(ring(8), cs, None)))
+        ground = ground_state_correlations(ground_states(spin_system(ring(8), cs, None))[0])
         assert np.array_equal(samp.corr, ground.corr)
 
 
@@ -679,7 +747,7 @@ def test_batch_moments_rejects_bad_beta(beta):
 @pytest.mark.parametrize("call", [
     lambda: exact_correlations(spin_system(fixtures.get_fixture("ea-ring"), np.ones(8), 1e308)),
     lambda: ground_state_correlations(ground_states(
-        spin_system(hypergraph(3, [(0, 1), (1, 2)]), [1e308, 1e308], None))),
+        spin_system(hypergraph(3, [(0, 1), (1, 2)]), [1e308, 1e308], None))[0]),
     lambda: batch_moments(ring(4), np.full((2, 4), 1e308), 1e-300, [(0, 1)]),
 ], ids=["exact-beta-1e308", "ground-couplings-1e308", "batch-couplings-1e308"])
 def test_exact_kernels_refuse_overflowing_energies(call):
@@ -743,6 +811,25 @@ def test_batch_moments_full_table_peak_memory():
         "batch_moments(g, np.ones((4, 20)), 0.7, [(0, 10)], [3])\n"
         "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln[:6] == 'VmHWM:'))\n")
     assert peak_memory_mb(code) < 520.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_ground_states_peak_memory():
+    # a fresh interpreter, four systems on the 24-ring in one call: one
+    # component of 2^24 states, whose energies (512 MB for four systems)
+    # go in chunks within TABLE_BYTES (64 MiB). On a 2-core Xeon with
+    # numpy 2.4 this read 106 MB, 27 MB of them the interpreter and numpy;
+    # four single calls over the former per-component half table, in
+    # blocks of 2^17 rows, read 67 MB
+    code = (
+        "import numpy as np\n"
+        "from spinchaos.gibbs import ground_states, spin_system\n"
+        "from spinchaos.hypergraph import hypergraph\n"
+        "g = hypergraph(24, [(k, k + 1) for k in range(23)] + [(0, 23)])\n"
+        "cs = np.random.default_rng(0).standard_normal((4, 24))\n"
+        "ground_states(*(spin_system(g, c, None) for c in cs))\n"
+        "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln[:6] == 'VmHWM:'))\n")
+    assert peak_memory_mb(code) < 140.0
 
 
 def test_identity_functional_vectorizes(rng):
