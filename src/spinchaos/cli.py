@@ -141,13 +141,18 @@ def _parse(cfg):
         raise ValidationError(f"experiment must be one of {tuple(RUNNERS)}, "
                               f"got {cfg['experiment']!r}")
     _int(cfg["seed"], "seed")
-    out = cfg["output"]
-    path = Path(out) if isinstance(out, str) and out else None
-    # the path or, if it does not exist, its nearest existing ancestor must
-    # be a directory: a file there would stop mkdir only after the whole run
-    if path is None or not next((p for p in (path, *path.parents) if p.exists()), path).is_dir():
-        raise ValidationError(f"output must be a directory path, got {out!r}")
+    _directory(cfg["output"], "output")
     return RUNNERS[cfg["experiment"]](cfg)
+
+
+def _directory(out, what: str) -> Path:
+    """out as a Path that is a directory or, if it does not exist, whose
+    nearest existing ancestor is one: a file there would stop mkdir only
+    after the work."""
+    path = Path(out) if isinstance(out, str) and out else None
+    if path is None or not next((p for p in (path, *path.parents) if p.exists()), path).is_dir():
+        raise ValidationError(f"{what} must be a directory path, got {out!r}")
+    return path
 
 
 def _read(path):
@@ -395,10 +400,10 @@ def main(argv=None) -> int:
             print(f"ok: {cfg['experiment']}")
             return 0
         if args.cmd == "fixtures":
+            outdir = _directory(args.write, "--write") if args.write else None
             for name, (graph, desc) in fixtures.catalog().items():
                 print(f"{name}: N={graph.n} edges={graph.n_edges} :: {desc}")
-                if args.write:
-                    outdir = Path(args.write)
+                if outdir:
                     outdir.mkdir(parents=True, exist_ok=True)
                     save_graph(graph, outdir / f"{name}.hg")
             return 0

@@ -5,22 +5,24 @@ H(sigma) = levy_scale * sum_e c_e prod_{v in e} sigma_v, so ground states
 are maximizers of H and beta = infinity (represented as beta=None, never
 a float) means the uniform measure over ground states.
 
-exact_correlations reads one cached table per graph: the 2^b lowest
-+-1 states, with every spin at bit b and above at -1, and the products
-of each edge's spins, where 2^b is the largest power of two of rows that
-fits TABLE_BYTES (at most 2^(N-1)), built by row doubling (_table). Any
-block of 2^b consecutive states is that table with some high spins
-flipped to +1, so its rows are the table's times +-1 signs (_flip); the
-kernels fold the signs into the couplings and accumulators instead of
-rebuilding rows. Multiplying by +-1 is exact, so the doubling and the
-folding cost no bits. Exact routines are capped at N = 24; larger systems
-go through the Glauber sampler, flagged as an estimate. Before any
-arithmetic each exact kernel checks that the bounds |H| <= n_edges max|c|
-and |beta H| <= max(beta) n_edges max|c| are finite (_check_scale).
+Every edge-product table is built by row doubling over rows of one sign
+matrix (_signs). exact_correlations reads one cached table per graph:
+the 2^b lowest +-1 states, with every spin at bit b and above at -1, and
+the products of each edge's spins, where 2^b is the largest power of two
+of rows that fits TABLE_BYTES (at most 2^(N-1)) (_table). Any block of
+2^b consecutive states is that table with some high spins flipped to +1,
+so its rows are the table's times +-1 signs (_flip); the kernels fold
+the signs into the couplings and accumulators instead of rebuilding
+rows. Multiplying by +-1 is exact, so the doubling and the folding cost
+no bits. Exact routines are capped at N = 24; larger systems go through
+the Glauber sampler, flagged as an estimate. Before any arithmetic each
+exact kernel checks that the bounds |H| <= n_edges max|c| and
+|beta H| <= max(beta) n_edges max|c| are finite (_check_scale).
 
 batch_moments scores each gauge class once, the states with one row of
 edge products (2^rank of them, rank the GF(2) rank of the edge-vertex
-incidence), and gathers the weights back to the 2^N states, bit for bit.
+incidence), doubled over the rows of pivot spins, and gathers the
+weights back to the 2^N states, bit for bit.
 
 At beta = infinity the measure factorizes over connected components.
 ground_states scores all the systems of a graph at once, one GEMM per
@@ -117,14 +119,22 @@ def _states(idx: np.ndarray, n: int) -> np.ndarray:
     return (2.0 * bits - 1.0)
 
 
+def _signs(graph: Hypergraph) -> np.ndarray:
+    """(N, n_edges) +-1, row v -1 on the edges at spin v: the edge signs
+    of flipping spin v alone. Flipping a set of spins negates the edges
+    that hold an odd number of them, the product of their rows."""
+    signs = np.ones((graph.n, graph.n_edges))
+    signs[graph.flat, np.repeat(np.arange(graph.n_edges), graph.arity)] = -1.0
+    return signs
+
+
 def _flip(graph: Hypergraph, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """(per-spin, per-edge) +-1 signs that turn the spins set in bits from
     -1 to +1: the flipped states are states * spin and their edge
-    products eprod * sign. bits = 2^N - 1 is the global flip."""
+    products eprod * sign, the product of those spins' rows of _signs.
+    bits = 2^N - 1 is the global flip."""
     flipped = (bits >> np.arange(graph.n, dtype=np.int64)) & 1
-    # an edge changes sign when it holds an odd number of flipped spins
-    count = np.add.reduceat(flipped[graph.flat], graph.offsets[:-1])
-    return 1.0 - 2.0 * flipped, 1.0 - 2.0 * (count & 1)
+    return 1.0 - 2.0 * flipped, _signs(graph)[flipped == 1].prod(axis=0)
 
 
 def _doubled(first: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -139,13 +149,11 @@ def _doubled(first: np.ndarray, sign: np.ndarray) -> np.ndarray:
 
 def _table(graph: Hypergraph, rows: int):
     """(states, edge products) of the indices 0..rows - 1, rows a power of
-    two, by doubling: spin v at +1 negates column v of the states and the
-    edges at v. Read-only, so _low_table can share them."""
+    two, by doubling: spin v at +1 negates column v of the states, and
+    the edge products by row v of _signs. Read-only, so _low_table can
+    share them."""
     bits = rows.bit_length() - 1
-    sign = np.ones((bits, graph.n_edges))  # row v: -1 on the edges at spin v
-    at = graph.flat < bits
-    sign[graph.flat[at], np.repeat(np.arange(graph.n_edges), graph.arity)[at]] = -1.0
-    eprod = _doubled(1.0 - 2.0 * (graph.arity & 1), sign)
+    eprod = _doubled(1.0 - 2.0 * (graph.arity & 1), _signs(graph)[:bits])
     states = _doubled(np.full(graph.n, -1.0), 1.0 - 2.0 * np.eye(bits, graph.n))
     states.flags.writeable = eprod.flags.writeable = False
     return states, eprod
@@ -274,11 +282,11 @@ class GroundStates:
 def _components(graph: Hypergraph):
     """(free vertices, parts) of graph, one graph at a time like
     _low_table. Each part is (vertex ids, edge ids, P, Q) of a connected
-    component with an edge, its m vertices renumbered in rising order: P
-    and Q hold the edge products of the states of its low a = m // 2 and
-    of its high m - a spins, so state lo + 2^a hi has P[lo] * Q[hi]."""
+    component with an edge, its m vertices in rising order: P and Q hold
+    the edge products of the states of its low a = m // 2 and of its high
+    m - a spins, doubled over their rows of _signs restricted to the
+    component's edges, so state lo + 2^a hi has P[lo] * Q[hi]."""
     label = np.full(graph.n, -1, np.int64)
-    local = np.zeros(graph.n, np.int64)
     verts_of = []
     # the vertices in some edge, rising; np.unique would load numpy.ma on numpy 2
     for v in np.flatnonzero(np.bincount(graph.flat, minlength=graph.n)).tolist():
@@ -286,18 +294,15 @@ def _components(graph: Hypergraph):
             verts = np.array(sorted(component(graph, v)), np.int64)
             verts.flags.writeable = False
             label[verts] = len(verts_of)
-            local[verts] = np.arange(len(verts))
             verts_of.append(verts)
     free = np.flatnonzero(label < 0)
     free.flags.writeable = False
-    edge_of = np.repeat(np.arange(graph.n_edges), graph.arity)  # of each incidence
     edge_label = label[graph.flat[graph.offsets[:-1]]]
+    signs = _signs(graph)
     parts = []
     for c, verts in enumerate(verts_of):
         eids = np.flatnonzero(edge_label == c)
-        at = edge_label[edge_of] == c
-        sign = np.ones((len(verts), len(eids)))  # row v: -1 on the edges at v
-        sign[local[graph.flat[at]], np.searchsorted(eids, edge_of[at])] = -1.0
+        sign = signs[np.ix_(verts, eids)]
         p, q = (_doubled(rows.prod(axis=0), rows) for rows in np.split(sign, [len(verts) // 2]))
         p.flags.writeable = q.flags.writeable = False
         parts.append((verts, eids, p, q))
@@ -494,27 +499,25 @@ def _batch_columns(n: int) -> int:
 
 
 def _classes(graph: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """(key, rep): the gauge class of each of the 2^N states and one state
-    per class. Bit j of a key is the parity of the +1 spins in pivot edge
-    j, the r edges that greedy elimination of the vertex bitmasks keeps
-    independent over GF(2); every edge is a sum of pivots, so equal keys
-    mean equal edge products, and all 2^r keys occur. Keys are built by
-    row doubling, like _table: spin v toggles the pivots at v."""
-    lead, pivots = {}, []  # reduced masks by leading bit; the pivots' masks
-    for mask in np.bitwise_or.reduceat(1 << graph.flat, graph.offsets[:-1]).tolist():
-        m = mask
-        while m and (top := m.bit_length()) in lead:
-            m ^= lead[top]
-        if m:
-            lead[top] = m
-            pivots.append(mask)
+    """(key, pivots): the gauge class of each of the 2^N states, and the
+    rising spins that name the classes. Spin v is a pivot when its edge
+    set (row v of _signs) is independent over GF(2) of the earlier
+    pivots'; every set is a sum of pivots', whose bits its flip toggles in
+    the key, built by row doubling like _table. So equal keys mean equal
+    edge products, all 2^rank keys occur, and class k is the state whose
+    +1 spins are the pivots named by the bits of k."""
+    lead, pivots = {}, []  # by leading bit: (reduced edge set, its pivot sum)
     key = np.zeros(1 << graph.n, np.int64)
-    for v in range(graph.n):
-        flip = sum(1 << j for j, mask in enumerate(pivots) if mask >> v & 1)
+    for v, at in enumerate(np.packbits(_signs(graph) < 0, axis=1, bitorder="little")):
+        m, flip = int.from_bytes(at.tobytes(), "little"), 0  # bit e: edge e holds spin v
+        while m and (top := m.bit_length()) in lead:
+            m, flip = m ^ lead[top][0], flip ^ lead[top][1]
+        if m:
+            lead[top] = (m, flip ^ (1 << len(pivots)))
+            flip = 1 << len(pivots)
+            pivots.append(v)
         np.bitwise_xor(key[:1 << v], flip, out=key[1 << v:2 << v])
-    rep = np.empty(1 << len(pivots), np.int64)
-    rep[key] = np.arange(1 << graph.n)  # any state of a class will do
-    return key, rep
+    return key, np.array(pivots, np.int64)
 
 
 def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
@@ -533,16 +536,17 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     the results with NaN.
 
     The GEMM, column max, scaling and exp run on one row per gauge class
-    (_classes); a gather by class key restores the 2^N rows the sums read,
-    bit for bit: a GEMM row depends on its own row of the left factor
-    only, a max not on order (but for the sign of a zero, and x - 0.0 and
-    x - -0.0 have one exp), and the rest acts on each entry alone.
+    (_classes), doubled over the pivots' rows of _signs; a gather by class
+    key restores the 2^N rows the sums read, bit for bit: a GEMM row
+    depends on its own row of the left factor only, a max not on order
+    (but for the sign of a zero, and x - 0.0 and x - -0.0 have one exp),
+    and the rest acts on each entry alone.
     """
     n = graph.n
     check_size(n, BATCH_MAX_N)
     betas = [check_beta(b) for b in (beta if np.ndim(beta) else (beta,))]
     cs = np.atleast_2d(np.asarray(couplings, dtype=float))
-    if cs.shape[1] != graph.n_edges:
+    if cs.ndim != 2 or cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")
     _check_scale(cs, betas)
     check = graph.check_vertex  # a negative id would index spins from the end
@@ -551,10 +555,8 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     states = _doubled(np.full(n, -1.0), 1.0 - 2.0 * np.eye(n))
     pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
     single_obs = [states[:, i] for i in singles]
-    key, rep = _classes(graph)
-    eprod = np.ones((len(rep), graph.n_edges))  # a class's products: exact +-1
-    for e, v in zip(np.repeat(np.arange(graph.n_edges), graph.arity), graph.flat):
-        eprod[:, e] *= states[rep, v]
+    key, pivots = _classes(graph)
+    eprod = _doubled(1.0 - 2.0 * (graph.arity & 1), _signs(graph)[pivots])  # a row per class
     nb = cs.shape[0]
     pair_vals = np.empty((len(betas), len(pair_obs), nb))
     single_vals = np.empty((len(betas), len(single_obs), nb))

@@ -242,14 +242,19 @@ def test_section_values_rejected(tmp_path, capsys, section, over, code):
 
 def test_output_must_not_be_a_file(tmp_path, capsys):
     """An output that is a file, or lies below one, is refused by both
-    subcommands before the run: mkdir would fail only after it."""
+    config subcommands before the run, and by `fixtures --write` before
+    the listing, with one error line: mkdir would fail only after them."""
     (tmp_path / "taken").write_text("")
     for below in ("", "sub", "sub/deeper"):
-        path = write_config(tmp_path, curve_config(tmp_path / "taken" / below))
+        out = tmp_path / "taken" / below
+        path = write_config(tmp_path, curve_config(out))
         before = sorted(tmp_path.rglob("*"))
-        for cmd in ("validate", "run"):
-            assert cli.main([cmd, str(path)]) == 2, below
-            assert capsys.readouterr().err.startswith("error: output")
+        for argv, what in ((["validate", str(path)], "output"), (["run", str(path)], "output"),
+                           (["fixtures", "--write", str(out)], "--write")):
+            assert cli.main(argv) == 2, (argv, below)
+            got = capsys.readouterr()
+            assert got.out == "" and got.err.startswith(f"error: {what} must be a directory")
+            assert got.err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "taken").read_text() == ""
 
 

@@ -36,6 +36,8 @@ def test_spin_system_validation():
         spin_system(g, [1.0, 2.0], 1.0)  # wrong coupling count
     with pytest.raises(ValidationError, match=r"couplings must be \(B, 4\)"):
         batch_moments(g, np.ones((3, 2)), 1.0, [(0, 1)])  # and batch_moments' rows
+    with pytest.raises(ValidationError, match=r"couplings must be \(B, 4\)"):
+        batch_moments(g, np.ones((2, 4, 4)), 1.0, [(0, 1)])  # a third axis
     with pytest.raises(ValidationError, match="levy_scale"):
         spin_system(g, np.ones(4), 1.0, levy_scale=0.0)
     with pytest.raises(ValidationError):
@@ -710,15 +712,21 @@ CLASS_GRAPHS = {  # name: (graph, 2^rank gauge classes)
 
 @pytest.mark.parametrize("graph, classes", CLASS_GRAPHS.values(), ids=CLASS_GRAPHS)
 def test_gauge_classes_are_the_distinct_edge_product_rows(graph, classes):
-    # each state's edge products are its class representative's, each
-    # representative is in its own class, and there are as many classes
-    # as distinct rows in the bit-decoded table: 2^rank, the GF(2) rank of
-    # the edge-vertex incidence
-    key, rep = gibbs._classes(graph)
+    # class k is the state whose +1 spins are the pivots named by the bits
+    # of k: the pivot rows doubled are those states' edge products, and
+    # gathered by key they are every state's. There are as many classes as
+    # distinct rows in the bit-decoded table: 2^rank, the GF(2) rank of the
+    # edge-vertex incidence
+    key, pivots = gibbs._classes(graph)
     _, eprod = bit_decoded_table(graph, 1 << graph.n)
-    assert np.array_equal(key[rep], np.arange(len(rep)))
-    assert np.array_equal(eprod[rep][key], eprod)
-    assert len({row.tobytes() for row in eprod}) == len(rep) == classes
+    rows = gibbs._doubled(1.0 - 2.0 * (graph.arity & 1), gibbs._signs(graph)[pivots])
+    named = [sum(1 << int(p) for j, p in enumerate(pivots) if k >> j & 1) for k in range(len(rows))]
+    assert np.array_equal(rows, eprod[named])
+    assert np.array_equal(rows[key], eprod)
+    assert len({row.tobytes() for row in eprod}) == len(rows) == 1 << len(pivots) == classes
+    assert np.all(np.diff(pivots) > 0)
+    if classes == 1 << graph.n:  # full rank (full-rank-odd): every spin a pivot
+        assert np.array_equal(key, np.arange(classes))
 
 
 @pytest.mark.parametrize("graph", [g for g, _ in CLASS_GRAPHS.values()], ids=CLASS_GRAPHS)
