@@ -15,16 +15,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from . import disorder as dis
 from . import gibbs, hermite
 from .errors import ValidationError, _integer
+from .fixtures import complete_graph, remark_graph, two_lobe_graph
 from .hypergraph import (Hypergraph, MultiIndex, ball_sizes, berge_distance,
-                         connected_in, hypergraph, hypertree_radius, multi_index,
-                         vertex_support)
+                         connected_in, hypertree_radius, multi_index, vertex_support)
 from .randgraph import DilutedSpec, sample_diluted
 from .rng import check_replicas, mean_se, replicate, substream
 
@@ -377,7 +376,7 @@ def coefficient_audit(graph: Hypergraph, model: dis.DisorderModel, beta: float,
         forced = hermite.sign_criterion(graph, n, i, j)
         vs = vertex_support(graph, n)
         in_sup = i in vs and j in vs
-        path = connected_in(graph, i, j, n.support) if in_sup else False
+        path = connected_in(graph, i, j, n) if in_sup else False
         rows.append(AuditRow(n=n, value=ent.value, forced_zero=forced,
                              in_support=in_sup, path_ij=path, support_size=len(n.support)))
         idx = len(rows) - 1
@@ -399,32 +398,6 @@ def coefficient_audit(graph: Hypergraph, model: dis.DisorderModel, beta: float,
 # worked counterexamples: the 4-vertex graph whose criterion does not force
 # a vanishing coefficient, and the two-lobe hypergraph whose observable
 # decouples across a bridge
-
-
-def remark_graph() -> Hypergraph:
-    return hypergraph(4, [(0, 1), (0, 2), (1, 3)])
-
-
-def two_lobe_graph(k: int = 0) -> tuple[Hypergraph, dict]:
-    """The decoupling hypergraph. k = 0 is the canonical 7-vertex form
-    with hub vertex 0; k >= 1 replaces the bridge with a path of k
-    arity-3 edges. Returns (graph, labels) with the observable vertices
-    and edge groups."""
-    if _integer(k, "bridge length") == 0:
-        g = hypergraph(7, [(1, 2, 3), (2, 3), (4, 5, 6), (5, 6), (0, 3, 6)])
-        return g, {"i": 1, "j": 4, "lobe_a": (0, 1), "lobe_b": (2, 3), "bridge": (4,)}
-    a, b = 2, 5  # 3' and 3'' in the relabeled variant
-    edges = [(0, 1, 2), (1, 2), (3, 4, 5), (4, 5)]
-    extra = list(range(6, 6 + 2 * k - 1))
-    chain = [a] + extra + [b]
-    bridge_ids = []
-    for s in range(k):
-        trip = (chain[2 * s], chain[2 * s + 1], chain[2 * s + 2])
-        bridge_ids.append(len(edges))
-        edges.append(trip)
-    g = hypergraph(6 + 2 * k - 1, edges)
-    return g, {"i": 0, "j": 3, "lobe_a": (0, 1), "lobe_b": (2, 3),
-               "bridge": tuple(bridge_ids)}
 
 
 def _max_error(g: Hypergraph, i: int, j: int, beta: float, draws: int, rng, closed) -> float:
@@ -530,7 +503,7 @@ def bridged_coefficients(k: int, betas, order: int) -> list[dict]:
             return full
     values = [hermite.coeff_quadrature(phi, axes, n_grid, order)
               for phi in _beta_functionals(g, betas, i, j, embed)]
-    support_path = connected_in(g, i, j, n.support)
+    support_path = connected_in(g, i, j, n)
     distance = berge_distance(g, i, j)
     out = []
     for beta, value in zip(betas, values):
@@ -586,10 +559,6 @@ def counterexample_suite(seed: int, draws: int = 100, order: int = 16) -> tuple[
 
 # ---------------------------------------------------------------------------
 # heavy-tailed fully connected model
-
-
-def complete_graph(n: int) -> Hypergraph:
-    return hypergraph(n, list(combinations(range(n), 2)))
 
 
 @dataclass(frozen=True)

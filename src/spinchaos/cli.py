@@ -400,7 +400,7 @@ def main(argv=None) -> int:
             print(f"ok: {cfg['experiment']}")
             return 0
         if args.cmd == "fixtures":
-            outdir = _directory(args.write, "--write") if args.write else None
+            outdir = _directory(args.write, "--write") if args.write is not None else None
             for name, (graph, desc) in fixtures.catalog().items():
                 print(f"{name}: N={graph.n} edges={graph.n_edges} :: {desc}")
                 if outdir:

@@ -6,18 +6,19 @@ are maximizers of H and beta = infinity (represented as beta=None, never
 a float) means the uniform measure over ground states.
 
 Every edge-product table is built by row doubling over rows of one sign
-matrix (_signs). exact_correlations reads one cached table per graph:
-the 2^b lowest +-1 states, with every spin at bit b and above at -1, and
-the products of each edge's spins, where 2^b is the largest power of two
-of rows that fits TABLE_BYTES (at most 2^(N-1)) (_table). Any block of
-2^b consecutive states is that table with some high spins flipped to +1,
-so its rows are the table's times +-1 signs (_flip); the kernels fold
-the signs into the couplings and accumulators instead of rebuilding
-rows. Multiplying by +-1 is exact, so the doubling and the folding cost
-no bits. Exact routines are capped at N = 24; larger systems go through
-the Glauber sampler, flagged as an estimate. Before any arithmetic each
-exact kernel checks that the bounds |H| <= n_edges max|c| and
-|beta H| <= max(beta) n_edges max|c| are finite (_check_scale).
+matrix (_signs). exact_correlations reads one cached table per graph
+(_low_table): the 2^b lowest +-1 states, with every spin at bit b and
+above at -1, and the products of each edge's spins, where 2^b is the
+largest power of two of rows that fits TABLE_BYTES (at most 2^(N-1)).
+It cuts its own blocks: any block of 2^b consecutive states is that
+table with some high spins flipped to +1, so its rows are the table's
+times +-1 signs (_flip), which it folds into the couplings and
+accumulators instead of rebuilding rows. Multiplying by +-1 is exact,
+so the doubling and the folding cost no bits. Exact routines are capped
+at N = 24; larger systems go through the Glauber sampler, flagged as an
+estimate. Before any arithmetic each exact kernel checks that the
+bounds |H| <= n_edges max|c| and |beta H| <= max(beta) n_edges max|c|
+are finite (_check_scale).
 
 batch_moments scores each gauge class once, the states with one row of
 edge products (2^rank of them, rank the GF(2) rank of the edge-vertex
@@ -147,26 +148,17 @@ def _doubled(first: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _table(graph: Hypergraph, rows: int):
+@lru_cache(maxsize=1)
+def _low_table(graph: Hypergraph, rows: int):
     """(states, edge products) of the indices 0..rows - 1, rows a power of
     two, by doubling: spin v at +1 negates column v of the states, and
-    the edge products by row v of _signs. Read-only, so _low_table can
-    share them."""
+    the edge products by row v of _signs. Cached one graph at a time and
+    read-only, so exact_correlations' blocks and its threads share them."""
     bits = rows.bit_length() - 1
     eprod = _doubled(1.0 - 2.0 * (graph.arity & 1), _signs(graph)[:bits])
     states = _doubled(np.full(graph.n, -1.0), 1.0 - 2.0 * np.eye(bits, graph.n))
     states.flags.writeable = eprod.flags.writeable = False
     return states, eprod
-
-
-_low_table = lru_cache(maxsize=1)(_table)
-
-
-def _table_rows(graph: Hypergraph) -> int:
-    """Rows of the half table: the largest power of two of rows that fits
-    TABLE_BYTES, at most 2^(N-1)."""
-    fit = TABLE_BYTES // (8 * (graph.n + graph.n_edges))
-    return min(1 << (graph.n - 1), 1 << max(fit.bit_length() - 1, 0))
 
 
 def check_size(n: int, cap: int) -> None:
@@ -192,26 +184,6 @@ def _check_scale(c_eff: np.ndarray, betas=()) -> None:
                              f"max(beta) = {top:g}")
 
 
-def _energies(graph: Hypergraph, c_eff: np.ndarray, table):
-    """Blocks (start, states, spin signs, H of the rows, H of their
-    complements) over the 2^(N-1) states with the top spin at -1, in
-    index order: each is table, the (states, edge products) of
-    the first rows, times the signs of _flip(graph, start). The
-    complement of index i is 2^N - 1 - i; -sigma negates every odd-arity
-    edge product, so its energies use c_eff times the global flip's edge
-    signs. With no odd edge the second GEMV would repeat the first bit
-    for bit, so the complements' energies are the rows' own array
-    (callers test `e_neg is e_pos`)."""
-    states, eprod = table
-    odd = graph.arity & 1  # the global flip negates the odd edges' products
-    c_neg = (1.0 - 2.0 * odd) * c_eff
-    even = not odd.any()
-    for start in range(0, 1 << (graph.n - 1), len(eprod)):
-        spin, sign = _flip(graph, start)
-        e_pos = eprod @ (sign * c_eff)
-        yield start, states, spin, e_pos, e_pos if even else eprod @ (sign * c_neg)
-
-
 def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     """Exact enumeration over all 2^N states, N <= 24.
 
@@ -222,24 +194,33 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     models the paired weights are bitwise equal and the means cancel to
     exactly zero. A running log-sum-exp shift keeps the weighted
     accumulators stable while the max energy is discovered online. Even
-    models skip the complements' exp and the means' GEMV, which would
-    return the same weights and exactly zero.
+    models skip the complements' GEMV and exp and the means' GEMV, which
+    would return the same energies and weights and exactly zero.
+
+    The 2^(N-1) states with the top spin at -1 go in blocks, in index
+    order, of the cached table's rows: the largest power of two of rows
+    that fits TABLE_BYTES, at most 2^(N-1). The block at start is the
+    table times the signs of _flip(graph, start), which fold into the
+    couplings of the GEMV and the accumulators.
     """
     beta = _require_finite_beta(system)
     graph, n = system.graph, system.n
     check_size(n, EXACT_MAX_N)
     c_eff = np.asarray(system.couplings) * system.levy_scale
     _check_scale(c_eff, (beta,))
-    blocks = _energies(graph, c_eff, _low_table(graph, _table_rows(graph)))
+    fit = TABLE_BYTES // (8 * (n + graph.n_edges))
+    states, eprod = _low_table(graph, min(1 << (n - 1), 1 << max(fit.bit_length() - 1, 0)))
+    odd = graph.arity & 1  # the global flip negates the odd edges' products
+    c_neg, even = (1.0 - 2.0 * odd) * c_eff, not odd.any()
     shift = -math.inf  # current max of beta*H over both half-spaces
     z = 0.0            # sum of exp(beta*H - shift)
     acc_corr = np.zeros((n, n))
     acc_mean = np.zeros(n)
-    for _, states, spin, e_pos, e_neg in blocks:
-        # states with the top spin pinned to -1; complements cover the rest
-        even = e_neg is e_pos  # then every complement weighs what its row does
-        be_pos = beta * e_pos
-        be_neg = be_pos if even else beta * e_neg
+    for start in range(0, 1 << (n - 1), len(eprod)):
+        spin, sign = _flip(graph, start)
+        be_pos = beta * (eprod @ (sign * c_eff))
+        # even: every complement weighs what its row does
+        be_neg = be_pos if even else beta * (eprod @ (sign * c_neg))
         m = float(max(be_pos.max(), be_neg.max()))
         if m > shift:
             rescale = math.exp(shift - m) if shift > -math.inf else 0.0
@@ -503,7 +484,7 @@ def _classes(graph: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     rising spins that name the classes. Spin v is a pivot when its edge
     set (row v of _signs) is independent over GF(2) of the earlier
     pivots'; every set is a sum of pivots', whose bits its flip toggles in
-    the key, built by row doubling like _table. So equal keys mean equal
+    the key, built by row doubling like _low_table. So equal keys mean equal
     edge products, all 2^rank keys occur, and class k is the state whose
     +1 spins are the pivots named by the bits of k."""
     lead, pivots = {}, []  # by leading bit: (reduced edge set, its pivot sum)

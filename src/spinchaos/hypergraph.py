@@ -20,8 +20,8 @@ One traversal serves all of Berge geometry: `_rounds` walks the CSR
 incidence from a root in the rounds of the diluted model's exploration
 (randgraph.explore), and round t reveals exactly the vertices at Berge
 distance t. Ball sizes, distances, components and connectivity inside
-an edge subset read its vertex layers; the hypertree radius of a ball
-reads its A and D events.
+the support of a multi-index read its vertex layers; the hypertree
+radius of a ball reads its A and D events.
 """
 
 from __future__ import annotations
@@ -281,18 +281,6 @@ def multi_index(degrees) -> MultiIndex:
     return MultiIndex(tuple(sorted((e, d) for e, d in pairs if d != 0)))
 
 
-def _resolve_edges(g: Hypergraph, edge_ids) -> list[int]:
-    out = []
-    for eid in edge_ids:
-        eid = _integer(eid, "edge id")
-        if not (0 <= eid < g.n_edges):
-            raise ValidationError(f"edge id {eid} outside [0, {g.n_edges})")
-        out.append(eid)
-    if len(set(out)) != len(out):
-        raise ValidationError("edge id subset contains duplicates")
-    return out
-
-
 def _rounds(g: Hypergraph, root: int, max_depth: int | None = None, allowed=None):
     """The exploration from root through the edge ids in `allowed` (all
     edges if None), one round at a time, until extinction or max_depth.
@@ -387,11 +375,11 @@ def component(g: Hypergraph, v: int) -> frozenset[int]:
     return frozenset(chain.from_iterable(fresh for fresh, _, _, _ in _rounds(g, v)))
 
 
-def connected_in(g: Hypergraph, u: int, v: int, edge_ids) -> bool:
-    """Whether a Berge path inside the given edge ids joins u and v."""
+def connected_in(g: Hypergraph, u: int, v: int, n: MultiIndex) -> bool:
+    """Whether a Berge path inside E(n), the support of n, joins u and v."""
     v = g.check_vertex(v)
-    allowed = set(_resolve_edges(g, edge_ids))
-    return any(v in fresh for fresh, _, _, _ in _rounds(g, u, allowed=allowed))
+    n.check_edges(g.n_edges)
+    return any(v in fresh for fresh, _, _, _ in _rounds(g, u, allowed=set(n.support)))
 
 
 def to_text(g: Hypergraph) -> str:

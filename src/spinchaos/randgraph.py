@@ -265,7 +265,7 @@ def _explorations(spec: DilutedSpec, depth: int, replicas: int, seed: int,
     |I_0|..|I_depth| followed by 1.0 if a cycle event was flagged, else 0.0."""
     def one(rng) -> list[float]:
         tr = explore(sample_diluted(spec, rng), 0, max_depth=depth)
-        cycle = tr.first_cycle_round is not None and tr.first_cycle_round <= depth
+        cycle = tr.first_cycle_round is not None  # explore stops at depth
         return tr.frontier_sizes(depth) + [float(cycle)]
     return replicate(one, replicas, depth + 2, seed, *path)
 

@@ -33,8 +33,10 @@ def bit_decoded_table(graph: Hypergraph, rows: int) -> tuple[np.ndarray, np.ndar
     product an np.prod over the edge's spins."""
     states = np.array([[1.0 if (i >> k) & 1 else -1.0 for k in range(graph.n)]
                        for i in range(rows)])
-    eprod = np.array([[np.prod(row[list(e)]) for e in graph.edges] for row in states])
-    return states, eprod.reshape(rows, graph.n_edges)
+    eprod = np.empty((rows, graph.n_edges))
+    for k, e in enumerate(graph.edges):
+        eprod[:, k] = np.prod(states[:, list(e)], axis=1)
+    return states, eprod
 
 
 def dense_energies(graph: Hypergraph, couplings, states: np.ndarray) -> np.ndarray:
@@ -115,6 +117,30 @@ def reference_mcmc(system, rng, sweeps: int, burn_in: int, batches: int):
     return corr, batch_mean.mean(axis=0), se
 
 
+def exact_correlations_both_halves(system):
+    """gibbs.exact_correlations with its even-model shortcut off, on one
+    block of the bit-decoded half table (N small enough that the half
+    table fits gibbs.TABLE_BYTES): the complements' GEMV and exp and the
+    means' GEMV always run. The kernel's one block makes the same
+    operations on the same operands, times +1 signs, so the bytes must
+    agree; on an even model the complements' energies equal the rows'
+    and the means come out +0.0."""
+    graph, n, beta = system.graph, system.n, system.beta
+    assert 8 * (n + graph.n_edges) << (n - 1) <= gibbs.TABLE_BYTES  # one block
+    states, eprod = bit_decoded_table(graph, 1 << (n - 1))  # the top spin at -1
+    c = np.asarray(system.couplings) * system.levy_scale
+    c_neg = np.array([(-1.0) ** len(e) for e in graph.edges]) * c  # H(-sigma)
+    be_pos, be_neg = beta * (eprod @ c), beta * (eprod @ c_neg)
+    shift = float(max(be_pos.max(), be_neg.max()))
+    w_pos, w_neg = np.exp(be_pos - shift), np.exp(be_neg - shift)
+    z = float(w_pos.sum() + w_neg.sum())
+    corr = (np.zeros((n, n)) + states.T @ (states * (w_pos + w_neg)[:, None])) / z
+    corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    means = (np.zeros(n) + (w_pos - w_neg) @ states) / z
+    return corr, means, shift + math.log(z)
+
+
 def batch_moments_full_table(graph: Hypergraph, couplings, beta, pairs, singles=()):
     """gibbs.batch_moments as it was before gauge classes: every block's
     GEMM, column max, scaling and exp run on all 2^N rows of the table.
@@ -126,7 +152,7 @@ def batch_moments_full_table(graph: Hypergraph, couplings, beta, pairs, singles=
     gibbs._check_scale(cs, betas)
     pairs = [(graph.check_vertex(i), graph.check_vertex(j)) for i, j in pairs]
     singles = [graph.check_vertex(i) for i in singles]
-    states, eprod = gibbs._table(graph, 1 << n)
+    states, eprod = bit_decoded_table(graph, 1 << n)
     pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
     single_obs = [states[:, i] for i in singles]
     nb = cs.shape[0]

@@ -171,7 +171,7 @@ def test_criterion_04_first_remark():
     at beta in {0.3, 1, 3}; phi_hat((1,2,0)) = 0 to 1e-8 while the sign
     criterion does not force it; < 30 s."""
     t0 = time.monotonic()
-    g = chaos.remark_graph()
+    g = fixtures.remark_graph()
     rng = substream(SEED, "accept4")
     worst = 0.0
     for beta in (0.3, 1.0, 3.0):
@@ -365,7 +365,7 @@ def test_criterion_10_chaos_curves():
     3 s.e. (exact mode, 200 replicas, N <= 16); < 15 min."""
     t0 = time.monotonic()
     grid = [0.0, 0.25, 0.5, 1.0, 2.0]
-    for name in sorted(fixtures.DESCRIPTIONS):
+    for name in sorted(fixtures.FIXTURES):
         g = fixtures.get_fixture(name)
         flat = chaos.chaos_curve(g, IDENT, 0.0, "continuous", grid, 8, SEED)
         assert np.all(flat.per_replica == 1.0 / g.n), name

@@ -554,7 +554,7 @@ def test_audit_path_graph():
 def test_audit_pair_must_be_vertices():
     # a library call with j past the last vertex stops in check_audit, not
     # with an IndexError inside batch_moments
-    g = chaos.remark_graph()
+    g = fixtures.remark_graph()
     for i, j in ((0, 9), (-1, 1), (0, g.n)):
         with pytest.raises(ValidationError):
             chaos.coefficient_audit(g, IDENT, 1.0, i, j, 2, 4)
@@ -580,7 +580,7 @@ def test_audit_flags_mass_at_a_sign_forced_index(monkeypatch):
 
 
 def test_audit_remark_graph_unforced_zero():
-    g = chaos.remark_graph()
+    g = fixtures.remark_graph()
     rep = chaos.coefficient_audit(g, IDENT, 1.0, 0, 1, degree_cap=5, order=14)
     assert rep.sign_violations == () and rep.path_violations == ()
     assert rep.hypertree_violations == ()
@@ -610,12 +610,12 @@ def test_audit_ring_hypertree_radius():
 
 
 def test_two_lobe_structure():
-    g, lab = chaos.two_lobe_graph(0)
+    g, lab = fixtures.two_lobe_graph(0)
     assert g.n == 7 and g.n_edges == 5
     assert lab["i"] == 1 and lab["j"] == 4
     assert berge_distance(g, lab["i"], lab["j"]) == 3
     for k in (1, 2, 3):
-        gk, lk = chaos.two_lobe_graph(k)
+        gk, lk = fixtures.two_lobe_graph(k)
         assert gk.n == 6 + 2 * k - 1
         assert gk.n_edges == 4 + k
         assert len(lk["bridge"]) == k
@@ -624,7 +624,7 @@ def test_two_lobe_structure():
         for eid in lk["bridge"]:
             assert len(gk.edges[eid]) == 3
     with pytest.raises(Exception):
-        chaos.two_lobe_graph(-1)
+        fixtures.two_lobe_graph(-1)
 
 
 def test_decoupling_identities_small():
@@ -772,7 +772,7 @@ def first_coordinate(rows):
     lambda: chaos.counterexample_suite(1, draws=1.5, order=4),
     lambda: chaos.decoupling_error(1, 1.0, 2.5, 1),
     lambda: chaos.tanh_product_error(1, 1.0, 2.5, 1),
-    lambda: chaos.two_lobe_graph(1.5),
+    lambda: fixtures.two_lobe_graph(1.5),
     lambda: hermite.conditional_mean_resampled(first_coordinate, 3, {}, 2.5, substream(1, "x")),
     lambda: hermite.conditional_mean_resampled(first_coordinate, 3.0, {}, 4, substream(1, "x")),
     lambda: substream(-1),
@@ -780,7 +780,7 @@ def first_coordinate(rows):
     lambda: substream(1, 1.5),
     # a bool is no count: each of these ran with True read as 1
     lambda: growth_stats(diluted_spec(50, {2: 0.6}), True, 2, 1),
-    lambda: chaos.two_lobe_graph(True),
+    lambda: fixtures.two_lobe_graph(True),
     lambda: hermite.hermite_values(True, [0.5]),
     lambda: chaos.counterexample_suite(1, draws=True, order=4),
     lambda: substream(True),
@@ -802,8 +802,8 @@ def test_library_counts_must_be_integers(call):
     lambda: chaos.decoupling_error(0, 1.0, 0, 1),
     lambda: chaos.tanh_product_error(0, 1.0, 0, 1),
     lambda: chaos.counterexample_suite(1, draws=0, order=4),
-    lambda: chaos.coefficient_audit(chaos.remark_graph(), IDENT, 1.0, 0, 1, 2, 6, tol=-1.0),
-    lambda: chaos.coefficient_audit(chaos.remark_graph(), IDENT, 1.0, 0, 1, 2, 6,
+    lambda: chaos.coefficient_audit(fixtures.remark_graph(), IDENT, 1.0, 0, 1, 2, 6, tol=-1.0),
+    lambda: chaos.coefficient_audit(fixtures.remark_graph(), IDENT, 1.0, 0, 1, 2, 6,
                                     sign_tol=-1.0),
     lambda: gibbs.mcmc_correlations(gibbs.spin_system(fixtures.ring(4), np.ones(4), 0.5),
                                     substream(1, "chain"), sweeps=64, burn_in=-5),
@@ -824,13 +824,13 @@ def test_library_refuses_vacuous_counts_and_tolerances(call):
 
 
 BETA_CHECKS = {
-    "curve": lambda b: chaos.check_curve(chaos.remark_graph(), b, "continuous", [0, 1], 2,
+    "curve": lambda b: chaos.check_curve(fixtures.remark_graph(), b, "continuous", [0, 1], 2,
                                          "exact", 64, 8),
-    "audit": lambda b: chaos.check_audit(chaos.remark_graph(), b, 0, 1, 2, 6, 1e-6, 1e-8),
+    "audit": lambda b: chaos.check_audit(fixtures.remark_graph(), b, 0, 1, 2, 6, 1e-6, 1e-8),
     "levy": lambda b: chaos.check_levy([4], 1.5, b, 1.0, 2),
-    "run-curve": lambda b: chaos.chaos_curve(chaos.remark_graph(), IDENT, b, "continuous",
+    "run-curve": lambda b: chaos.chaos_curve(fixtures.remark_graph(), IDENT, b, "continuous",
                                              [0, 1], 2, 1),
-    "run-audit": lambda b: chaos.coefficient_audit(chaos.remark_graph(), IDENT, b, 0, 1, 2, 6),
+    "run-audit": lambda b: chaos.coefficient_audit(fixtures.remark_graph(), IDENT, b, 0, 1, 2, 6),
     "run-levy": lambda b: chaos.levy_chaos([4], 1.5, b, 1.0, 2, 1),
 }
 
@@ -853,7 +853,7 @@ def test_negative_burn_in_refused_before_any_draw(monkeypatch, mode):
     # the rule stops the curve before a replica draws a graph or couplings
     monkeypatch.setattr(chaos, "replicate", lambda *args: pytest.fail("a replica ran"))
     with pytest.raises(ValidationError, match="burn_in"):
-        chaos.check_curve(chaos.remark_graph(), 0.5, "continuous", [0, 1], 2, mode, 64, -1)
+        chaos.check_curve(fixtures.remark_graph(), 0.5, "continuous", [0, 1], 2, mode, 64, -1)
     with pytest.raises(ValidationError, match="burn_in"):
         chaos.chaos_curve(diluted_spec(10, {2: 0.5}), IDENT, 0.7, "continuous", [0.0, 1.0], 2,
                           1, mode=mode, mcmc_sweeps=64, mcmc_burn_in=-1)

@@ -100,6 +100,8 @@ def test_section_mismatch_rejected(tmp_path):
     (lambda c: c["curve"].__setitem__("bounds", ["general-ball", "general-ball"]),
      "bounds_repeated"),
     (lambda c: c["model"].__setitem__("graph", {"fixture": "nope"}), "fixture"),
+    # a list is no fixture name, and no dict key either
+    (lambda c: c["model"].__setitem__("graph", {"fixture": ["ea-ring"]}), "fixture_list"),
     (lambda c: c["model"].__setitem__("disorder", {"kind": "cauchy"}), "disorder"),
     (lambda c: c["curve"].__setitem__("t_grid", [0.0, math.nan]), "t_grid"),
     (lambda c: c["curve"].__setitem__("t_grid", [0.0, math.inf]), "t_grid"),
@@ -256,6 +258,10 @@ def test_output_must_not_be_a_file(tmp_path, capsys):
             assert got.out == "" and got.err.startswith(f"error: {what} must be a directory")
             assert got.err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "taken").read_text() == ""
+    # an empty --write is refused like an empty config output
+    assert cli.main(["fixtures", "--write", ""]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err == "error: --write must be a directory path, got ''\n"
 
 
 OMIT = object()  # leave the key out of the drawn block
@@ -712,7 +718,7 @@ def test_fixtures_subcommand(tmp_path, capsys):
 def test_fixtures_write(tmp_path):
     assert run_cli(["fixtures", "--write", tmp_path / "fx"]) == 0
     from spinchaos.hypergraph import load as load_graph
-    for name in fixtures.DESCRIPTIONS:
+    for name in fixtures.FIXTURES:
         g = load_graph(tmp_path / "fx" / f"{name}.hg")
         ref = fixtures.get_fixture(name)
         assert g.edges == ref.edges and g.n == ref.n
@@ -720,7 +726,7 @@ def test_fixtures_write(tmp_path):
 
 def test_fixture_graphs_match_catalog():
     cat = fixtures.catalog()
-    assert set(cat) == set(fixtures.DESCRIPTIONS)
+    assert set(cat) == set(fixtures.FIXTURES)
     torus, _ = cat["ea-torus-4x4"]
     assert torus.n == 16 and torus.n_edges == 32
     assert all(len(e) == 2 for e in torus.edges)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinchaos import chaos, fixtures, gibbs
+from spinchaos import fixtures, gibbs
 from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
 from spinchaos.errors import CapacityError, NumericalError, ValidationError
@@ -22,7 +22,8 @@ from spinchaos.rng import substream
 
 from conftest import (batch_moments_full_table, bit_decoded_table, check_calibrated,
                       dense_correlations, dense_ground_correlations, dense_ground_states,
-                      hamiltonian, materialized_ground_correlations, planted_ground_states,
+                      exact_correlations_both_halves, hamiltonian,
+                      materialized_ground_correlations, planted_ground_states,
                       product_states, random_hypergraph, reference_mcmc)
 
 
@@ -90,10 +91,14 @@ def few_columns_per_chunk(monkeypatch, g, cols=2):
     monkeypatch.setattr(gibbs, "TABLE_BYTES", 8 * max(need, default=0))
 
 
-def half_blocks(g, cs):
-    """The blocks of _energies over the cached low table, as
-    exact_correlations reads them."""
-    return list(gibbs._energies(g, cs, gibbs._low_table(g, gibbs._table_rows(g))))
+def kernel_table(g, rows):
+    """The cached low table of rows rows, asserted to be the one that
+    exact_correlations reads on g under the current TABLE_BYTES."""
+    exact_correlations(spin_system(g, np.ones(g.n_edges), 0.5))  # fills the cache
+    hits = gibbs._low_table.cache_info().hits
+    table = gibbs._low_table(g, rows)
+    assert gibbs._low_table.cache_info().hits == hits + 1
+    return table
 
 
 def test_blocked_streaming_is_exact(rng, monkeypatch):
@@ -104,7 +109,7 @@ def test_blocked_streaming_is_exact(rng, monkeypatch):
     a = exact_correlations(spin_system(g, cs, 2.0))
     ga = ground_states(spin_system(g, cs, None))[0]
     few_rows_per_block(monkeypatch, g)
-    assert len(half_blocks(g, cs)) > 1
+    assert len(kernel_table(g, 2)[1]) < 1 << (g.n - 1)  # 3 rows fit, 2 per block
     b = exact_correlations(spin_system(g, cs, 2.0))
     few_columns_per_chunk(monkeypatch, g)
     gb = ground_states(spin_system(g, cs, None))[0]
@@ -156,12 +161,9 @@ def test_cached_table_is_read_only(monkeypatch):
     few_rows_per_block(monkeypatch, g)
     exact_correlations(spin_system(g, [1.0, -0.5], 0.7))  # fills the cache
     hits = gibbs._low_table.cache_info().hits
-    states, eprod = gibbs._low_table(g, gibbs._table_rows(g))
+    states, eprod = gibbs._low_table(g, 2)
     assert gibbs._low_table.cache_info().hits == hits + 1
-    blocks = half_blocks(g, np.array([1.0, -0.5]))
-    assert len(blocks) == 8 and len(eprod) == 2  # 16 half rows, 2 per block
-    for _, block_states, *_ in blocks:
-        assert block_states is states  # one table for all
+    assert len(eprod) == 2 and (1 << (g.n - 1)) // len(eprod) == 8  # 16 half rows, 8 blocks
     for table in (states, eprod):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -176,17 +178,15 @@ def test_blocks_are_the_table_times_flip_signs(rng, monkeypatch, rows):
     few_rows_per_block(monkeypatch, g, rows)
     half = 1 << (g.n - 1)
     cs = rng.standard_normal(g.n_edges)
-    states, eprod = gibbs._low_table(g, gibbs._table_rows(g))
-    blocks = half_blocks(g, cs)
-    assert [start for start, *_ in blocks] == list(range(0, half, min(rows, half)))
-    for start, block_states, spin, e_pos, _ in blocks:
-        assert block_states is states
+    states, eprod = kernel_table(g, min(rows, half))
+    for start in range(0, half, len(eprod)):
+        spin, sign = gibbs._flip(g, start)
         block = states * spin
         assert np.array_equal(enumeration_index(block), np.arange(start, start + len(block)))
         want = np.array([[np.prod(row[list(e)]) for e in g.edges] for row in block])
-        sign = gibbs._flip(g, start)[1]
         assert np.array_equal(eprod * sign, want.reshape(eprod.shape))
-        assert np.allclose(e_pos, want.reshape(eprod.shape) @ cs, rtol=0, atol=1e-12)
+        assert np.allclose(eprod @ (sign * cs), want.reshape(eprod.shape) @ cs,
+                           rtol=0, atol=1e-12)
     spin, sign = gibbs._flip(g, (1 << g.n) - 1)  # the global flip
     assert np.all(spin == -1.0)
     assert np.array_equal(sign, [(-1.0) ** len(e) for e in g.edges])
@@ -221,7 +221,7 @@ def test_table_matches_bit_decoded_oracle(rng, graph):
     # graphs with no edges: the same values as decoding the index bits
     g = random_hypergraph(rng, n_max=8, e_max=7, arities=(2, 3, 4)) if graph == "random" else graph
     for rows in sorted({1, 2, 1 << (g.n // 2), 1 << (g.n - 1), 1 << g.n}):
-        states, eprod = gibbs._table(g, rows)
+        states, eprod = gibbs._low_table(g, rows)
         want_states, want_eprod = bit_decoded_table(g, rows)
         for got, want in ((states, want_states), (eprod, want_eprod)):
             assert got.dtype == np.float64 and got.flags.c_contiguous
@@ -394,28 +394,17 @@ def test_factorized_ground_correlations_match_materialized_bitwise(rng, monkeypa
     (hypergraph(5, []), True),
     (hypergraph(7, [(0, 1, 2), (2, 3), (1, 4, 5), (0, 5)]), False),
 ], ids=["ring", "torus", "arity-2-4", "no-edges", "odd"])
-def test_even_models_share_the_complement_energies(rng, monkeypatch, graph, even):
-    # with no odd edge the complements' energies are the rows' own array;
-    # handing the kernels a copy instead runs the general path, which
-    # must give the same bytes of corr, means, log_z and ground states
-    cs = rng.standard_normal(graph.n_edges)
-    shared = [e_neg is e_pos for *_, e_pos, e_neg in half_blocks(graph, cs)]
-    assert all(shared) if even else not any(shared)
-
-    def results():
-        exact = exact_correlations(spin_system(graph, cs, 0.9))
-        ground = ground_state_correlations(ground_states(spin_system(graph, cs, None))[0])
-        return [exact.corr, exact.means, np.float64(exact.log_z), ground.corr, ground.means]
-
-    fast = results()
-    real = gibbs._energies
-
-    def copied(*args):
-        for *head, e_pos, e_neg in real(*args):
-            yield *head, e_pos, e_neg.copy()
-    monkeypatch.setattr(gibbs, "_energies", copied)
-    for got, want in zip(fast, results()):
-        assert got.tobytes() == want.tobytes()
+def test_even_models_share_the_complement_energies(rng, graph, even):
+    # with no odd edge the kernel reuses the rows' energies and weights for
+    # the complements and skips the means; the reference always runs them,
+    # and every byte of corr, means and log_z must agree
+    system = spin_system(graph, rng.standard_normal(graph.n_edges), 0.9)
+    got = exact_correlations(system)
+    corr, means, log_z = exact_correlations_both_halves(system)
+    assert got.corr.tobytes() == corr.tobytes()
+    assert got.means.tobytes() == means.tobytes()
+    assert np.float64(got.log_z).tobytes() == np.float64(log_z).tobytes()
+    assert (not got.means.any()) == even
 
 
 @pytest.mark.parametrize("n", [8, 16, 24])
@@ -575,7 +564,7 @@ def gaussian_system(graph, levy_scale=1.0):
     gaussian_system(sample_diluted(diluted_spec(200, {2: 0.8}), substream(3, "oracle-graph"))),
     gaussian_system(sample_diluted(diluted_spec(60, {3: 0.5, 2: 0.3}),
                                    substream(4, "oracle-graph"))),
-    gaussian_system(chaos.complete_graph(10), 0.3),
+    gaussian_system(fixtures.complete_graph(10), 0.3),
     # spins 1 and 2 lock antiparallel, so the 1e16 terms at vertex 0 cancel
     # exactly in edge order and leave c_03; another order rounds it away
     (hypergraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), [1e16, 1e16, 1.0, -4e16], 1.0),
@@ -651,7 +640,7 @@ def test_batch_moments_match_loop(rng, monkeypatch):
     monkeypatch.setattr(gibbs, "BATCH_COLUMNS", (2, 2))
     pv, sv = batch_moments(g, cs, beta, pairs, singles)
     few_rows_per_block(monkeypatch, g, 1)
-    assert len(half_blocks(g, cs[0])) > 1
+    assert len(kernel_table(g, 1)[1]) == 1 < 1 << (g.n - 1)
     pv_blocked, sv_blocked = batch_moments(g, cs, beta, pairs, singles)
     assert np.array_equal(pv_blocked, pv)
     assert np.array_equal(sv_blocked, sv)
@@ -686,7 +675,7 @@ def test_batch_moments_share_betas_bitwise(n):
     # several betas share each block's GEMM and column max; each beta's
     # moments are the bits of its own one-beta call, over three or more
     # column blocks and on graphs with odd (arity-3) edges
-    g = {7: chaos.two_lobe_graph(0)[0], 11: chaos.two_lobe_graph(3)[0],
+    g = {7: fixtures.two_lobe_graph(0)[0], 11: fixtures.two_lobe_graph(3)[0],
          16: hypergraph(16, [(k, k + 1) for k in range(15)] + [(0, 5, 9)])}[n]
     rows = 2 * gibbs._batch_columns(n) + 37
     cs = substream(5, "betas", n).standard_normal((rows, g.n_edges))
@@ -702,8 +691,9 @@ def test_batch_moments_share_betas_bitwise(n):
 
 CLASS_GRAPHS = {  # name: (graph, 2^rank gauge classes)
     "figure1-hypergraph": (fixtures.get_fixture("figure1-hypergraph"), 32),  # two-lobe, k = 0
-    **{f"two-lobe-{k}": (chaos.two_lobe_graph(k)[0], c) for k, c in ((1, 32), (2, 64), (3, 128))},
-    "remark": (chaos.remark_graph(), 8),
+    **{f"two-lobe-{k}": (fixtures.two_lobe_graph(k)[0], c)
+       for k, c in ((1, 32), (2, 64), (3, 128))},
+    "remark": (fixtures.remark_graph(), 8),
     "ea-ring": (fixtures.get_fixture("ea-ring"), 128),  # even: the global flip is a class
     "full-rank-odd": (hypergraph(3, [(0, 1, 2), (0, 1), (1, 2)]), 8),
     "no-edges": (hypergraph(3, []), 1),
@@ -771,7 +761,7 @@ def test_exact_kernels_refuse_overflowing_energies(call):
 def test_batch_moments_rejects_bad_vertices(pairs, singles):
     # (0, -1) read spin 3, so disorder_functional(g, model, 1.0, 0, -1) was
     # <s_0 s_3>; (0, 9) and (0.0, 1) died with an IndexError
-    g = chaos.remark_graph()
+    g = fixtures.remark_graph()
     with pytest.raises(ValidationError, match="outside|must be an integer"):
         batch_moments(g, np.ones((2, 3)), 1.0, pairs, singles)
     if not singles:

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 import spinchaos.hypergraph as hypergraph_module
 from spinchaos import gibbs
-from spinchaos.chaos import two_lobe_graph
 from spinchaos.errors import CapacityError, ValidationError
-from spinchaos.fixtures import catalog
+from spinchaos.fixtures import catalog, two_lobe_graph
 from spinchaos.hypergraph import (INCIDENCE_BYTES, Hypergraph, ball_sizes,
                                   berge_distance, component, connected_in, from_text,
                                   hypergraph, hypertree_radius, multi_index,
@@ -239,14 +238,14 @@ def test_array_and_tuple_forms_are_one_graph():
 def test_edge_ids_and_degrees_are_not_truncated():
     g = hypergraph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValidationError, match="edge id must be an integer, got 0.9"):
-        connected_in(g, 0, 1, [0.9])
+        multi_index({0.9: 1})
     with pytest.raises(ValidationError, match="edge id must be an integer, got 1.9"):
         multi_index({1.9: 2.6})
     with pytest.raises(ValidationError, match="degree must be an integer, got 2.6"):
         multi_index({1: 2.6})
     # numpy ints still pass
-    assert connected_in(g, 0, 2, [np.int64(0), np.int32(1)])
-    assert connected_in(g, 0, 3, np.arange(3))
+    assert connected_in(g, 0, 2, multi_index({np.int64(0): 1, np.int32(1): 1}))
+    assert connected_in(g, 0, 3, multi_index(dict.fromkeys(np.arange(3), 1)))
     assert multi_index({np.int64(1): np.uint8(2), 0: np.int64(0)}).degrees == ((1, 2),)
 
 
@@ -424,12 +423,12 @@ def test_hypertree_radius_matches_ball_oracle(rng):
 def test_vertex_support_and_connected_in():
     g = figure1()
     assert vertex_support(g, multi_index({0: 1, 1: 2})) == frozenset({1, 2, 3})
-    assert connected_in(g, 1, 4, (0, 1, 2, 3)) is False
-    assert connected_in(g, 1, 4, (0, 2, 4)) is True
+    assert connected_in(g, 1, 4, multi_index(dict.fromkeys((0, 1, 2, 3), 1))) is False
+    assert connected_in(g, 1, 4, multi_index({0: 1, 2: 3, 4: 2})) is True
     with pytest.raises(ValidationError, match=r"edge id 5 outside \[0, 5\)"):
-        connected_in(g, 1, 4, (0, 5))
-    with pytest.raises(ValidationError, match="duplicates"):
-        connected_in(g, 1, 4, (0, 2, 0))
+        connected_in(g, 1, 4, multi_index({0: 1, 5: 1}))
+    with pytest.raises(ValidationError, match="sorted by edge id"):  # a repeated id
+        multi_index([(0, 1), (2, 1), (0, 1)])
 
 
 def test_component():
@@ -448,7 +447,7 @@ def test_traversals_leave_the_graph_as_they_found_it():
             ball_sizes(g, v)
             hypertree_radius(g, v)
         explore(g, 0)
-        connected_in(g, 0, g.n - 1, range(0, g.n_edges, 2))
+        connected_in(g, 0, g.n - 1, multi_index(dict.fromkeys(range(0, g.n_edges, 2), 1)))
         hash(g)
         assert set(vars(g)) - before <= {"_incident", "edges", "_key"}
 

@@ -15,9 +15,10 @@ one named exemption is listed with its reason. Every private top-level
 function in src/spinchaos is named somewhere in src/ outside its own body,
 so helpers that a rewrite leaves behind are caught. No module in src/ or tests/ imports a name it
 never reads. The package itself holds its submodules and `__version__`, so
-each name has one import path. Importing the CLI loads no scipy submodule
-that only one experiment path needs, and a run of any kind off those two
-paths imports no module at all.
+each name has one import path, and importing `fixtures`, which builds every
+named graph, loads no experiment or kernel module. Importing the CLI loads
+no scipy submodule that only one experiment path needs, and a run of any
+kind off those two paths imports no module at all.
 """
 
 import ast
@@ -214,17 +215,25 @@ def test_every_import_is_used():
 def test_package_holds_only_its_modules():
     # a re-exported function named like its module shadows it: `import
     # spinchaos.hypergraph as hg` would bind the function
+    # spinchaos.fixtures builds every named graph without the experiments,
+    # so a graph family beside them pulls in no kernel
     code = (
         "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('spinchaos.'))\n"
         "import spinchaos.hypergraph\n"
-        "alone = sorted(m for m in sys.modules if m.startswith('spinchaos.'))\n"
+        "alone = loaded()\n"
+        "import spinchaos.fixtures\n"
+        "graphs = loaded()\n"
         "import spinchaos.cli\n"
         "public = {name: obj is sys.modules.get(f'spinchaos.{name}')\n"
         "          for name, obj in vars(spinchaos).items() if not name.startswith('_')}\n"
-        "print(json.dumps({'alone': alone, 'public': public}))\n")
+        "print(json.dumps({'alone': alone, 'graphs': graphs, 'public': public}))\n")
     out = _run_python(code)
     assert out["public"] == {path.stem: True for path in SRC.glob("*.py") if path.stem != "__init__"}
     assert out["alone"] == ["spinchaos.errors", "spinchaos.hypergraph"]
+    assert out["graphs"] == [f"spinchaos.{m}" for m in
+                             ("errors", "fixtures", "hypergraph", "randgraph", "rng")]
 
 
 def test_cli_import_defers_scipy():
