@@ -94,7 +94,8 @@ def check_curve(graph_source, beta, kind: str, t_grid, replicas: int, mode: str,
 
 def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
                 replicas: int, seed: int, mode: str = "exact",
-                mcmc_sweeps: int = 20000, mcmc_burn_in: int = 2000) -> ChaosCurve:
+                mcmc_sweeps: int = gibbs.MCMC_SWEEPS,
+                mcmc_burn_in: int = gibbs.MCMC_BURN_IN) -> ChaosCurve:
     """Monte Carlo estimate of E <R^2>_t on a grid of perturbation times.
 
     Replica k draws everything from the substream (seed, 'replica', k):

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, chaos, fixtures, hermite, randgraph
+from . import __version__, chaos, fixtures, gibbs, hermite, randgraph
 from . import disorder as dis
 from .errors import SpinchaosError, ValidationError
 from .hypergraph import load as load_graph
@@ -216,8 +216,8 @@ def _parse_curve(cfg: dict):
     t_grid = [_number(t, "curve.t_grid entry") for t in _list(c["t_grid"], "curve.t_grid")]
     replicas = _int(c["replicas"], "curve.replicas", 2)
     mode = c.get("mode", "exact")
-    sweeps = _int(c.get("mcmc_sweeps", 20000), "curve.mcmc_sweeps")
-    burn_in = _int(c.get("mcmc_burn_in", 2000), "curve.mcmc_burn_in", 0)
+    sweeps = _int(c.get("mcmc_sweeps", gibbs.MCMC_SWEEPS), "curve.mcmc_sweeps")
+    burn_in = _int(c.get("mcmc_burn_in", gibbs.MCMC_BURN_IN), "curve.mcmc_burn_in", 0)
     chaos.check_curve(graph_source, beta, kind, t_grid, replicas, mode, sweeps, burn_in)
     tags = _list(c.get("bounds", []), "curve.bounds", 0)
     kind_tags = {"bound-check": chaos.UPPER_TAGS, "lower-bound-check": chaos.LOWER_TAGS}.get(exp)

@@ -44,7 +44,8 @@ def rho(model: DisorderModel, x):
     if model.kind == "identity":
         return x.copy()
     if model.kind == "scaled-tanh":
-        return np.tanh(model.kappa * x)
+        with np.errstate(over="ignore"):  # tanh(+-inf) = +-1 is the exact limit
+            return np.tanh(model.kappa * x)
     from scipy.special import erfc  # here: scipy.special costs about 0.35 s to import
     tail = erfc(np.abs(x) / math.sqrt(2.0))  # = 2 (1 - Phi(|x|))
     return np.sign(x) * tail ** (-1.0 / model.alpha)

@@ -47,14 +47,13 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError, ValidationError, _integer
 from .hypergraph import Hypergraph, component
-from .rng import mean_se
 
 EXACT_MAX_N = 24
 BATCH_MAX_N = 20
 # bytes of the cached table (states plus edge products); the 2^15-row
 # half table of the complete graph on 16 vertices fits in one block
 TABLE_BYTES = 64 << 20
-MCMC_BATCHES = 32  # batch means behind mcmc_correlations' standard errors
+MCMC_SWEEPS, MCMC_BURN_IN = 20000, 2000  # the sampler's default chain
 # batch_moments sizes its (2^N, columns) float64 work block near
 # BATCH_BLOCK_BYTES within BATCH_COLUMNS: with several betas the block and
 # its scratch copy then take about half of a 2 MiB L2 (at 1 MiB each, a
@@ -105,13 +104,11 @@ def spin_system(graph: Hypergraph, couplings, beta, levy_scale=1.0) -> SpinSyste
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Pair correlations <sigma_i sigma_j> with diagonal 1, single-spin
-    means, and log Z. se is None for exact results, batch-means standard
-    errors for sampled ones."""
+    means, and log Z (nan where the measure gives none)."""
 
     corr: np.ndarray
     means: np.ndarray
     log_z: float
-    se: np.ndarray | None = None
 
 
 def _states(idx: np.ndarray, n: int) -> np.ndarray:
@@ -383,11 +380,12 @@ def ground_state_correlations(gs: GroundStates) -> CorrelationMatrix:
 
 
 def check_mcmc(n: int, sweeps: int) -> None:
-    """A sweep per batch mean, and (MCMC_BATCHES, N, N) floats in TABLE_BYTES."""
-    if _integer(sweeps, "sweeps") < MCMC_BATCHES:
-        raise ValidationError(f"need sweeps >= {MCMC_BATCHES} (one per batch mean), got {sweeps}")
-    if 8 * MCMC_BATCHES * n * n > TABLE_BYTES:
-        raise CapacityError(f"mcmc batch means of N={n} exceed the "
+    """At least one sweep, and the (N, N) sum plus one sweep's outer
+    product, 16 N^2 bytes, in TABLE_BYTES: N <= 2048."""
+    if _integer(sweeps, "sweeps") < 1:
+        raise ValidationError(f"need sweeps >= 1, got {sweeps}")
+    if 16 * n * n > TABLE_BYTES:
+        raise CapacityError(f"mcmc correlations of N={n} exceed the "
                             f"{TABLE_BYTES >> 20} MiB budget")
 
 
@@ -398,11 +396,14 @@ def check_burn_in(burn_in: int) -> None:
 
 
 def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
-                      sweeps: int = 20000, burn_in: int = 2000) -> CorrelationMatrix:
+                      sweeps: int, burn_in: int) -> CorrelationMatrix:
     """Random-scan Glauber (heat-bath) sampling of pair correlations.
 
-    One correlation sample per sweep after burn-in; standard errors come
-    from batch means over MCMC_BATCHES contiguous chunks. Each edge keeps
+    One sample per sweep after burn-in; the results are the sums of
+    s s^T and s over the sweeps divided by sweeps. Those sums are exact
+    integers, so only the division rounds: the diagonal is 1 and the
+    matrix symmetric, bit for bit. A standard error comes from
+    the spread of independent chains (rng.mean_se). Each edge keeps
     the product eprod[e] of its spins, negated when one of them flips. The
     field at i is sigma_i times the sum of c_e eprod[e] over the edges at i
     in ascending id: the bits of the sum over the other spins, since
@@ -439,25 +440,13 @@ def mcmc_correlations(system: SpinSystem, rng: np.random.Generator,
 
     for _ in range(burn_in):
         sweep()
-    batch_corr = np.zeros((MCMC_BATCHES, n, n))
-    batch_mean = np.zeros((MCMC_BATCHES, n))
-    for b in range(MCMC_BATCHES):
-        # the first sweeps % MCMC_BATCHES batches take one sweep more
-        per_batch = sweeps // MCMC_BATCHES + (b < sweeps % MCMC_BATCHES)
-        for _ in range(per_batch):
-            sweep()
-            s = np.asarray(sigma, dtype=float)
-            batch_corr[b] += np.outer(s, s)
-            batch_mean[b] += s
-        batch_corr[b] /= per_batch
-        batch_mean[b] /= per_batch
-    corr, se = mean_se(batch_corr)
-    corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
-    se = 0.5 * (se + se.T)
-    np.fill_diagonal(se, 0.0)
-    return CorrelationMatrix(corr=corr, means=batch_mean.mean(axis=0),
-                             log_z=math.nan, se=se)
+    corr, means = np.zeros((n, n)), np.zeros(n)
+    for _ in range(sweeps):
+        sweep()
+        s = np.asarray(sigma, dtype=float)
+        corr += np.outer(s, s)
+        means += s
+    return CorrelationMatrix(corr=corr / sweeps, means=means / sweeps, log_z=math.nan)
 
 
 def overlap_second_moment(a: CorrelationMatrix, b: CorrelationMatrix) -> float:

@@ -72,12 +72,12 @@ def dense_correlations(graph: Hypergraph, couplings, beta: float):
     return corr, means, log_z
 
 
-def reference_mcmc(system, rng, sweeps: int, burn_in: int, batches: int):
-    """(corr, means, se) of random-scan heat-bath sampling, each local
-    field summed afresh from a tuple adjacency of graph.edges: vertex v
-    lists (c_e, the other vertices of e) for its edges in edge order, and
-    the field is the sum of c_e times their spins' product, from 0.0.
-    Same draws from rng as the package sampler; batch means as there."""
+def reference_mcmc(system, rng, sweeps: int, burn_in: int):
+    """(corr, means) of random-scan heat-bath sampling, each local field
+    summed afresh from a tuple adjacency of graph.edges: vertex v lists
+    (c_e, the other vertices of e) for its edges in edge order, and the
+    field is the sum of c_e times their spins' product, from 0.0. Same
+    draws from rng as the package sampler; the averages over all sweeps."""
     n = system.n
     beta = system.beta
     adj = [[] for _ in range(n)]
@@ -97,24 +97,13 @@ def reference_mcmc(system, rng, sweeps: int, burn_in: int, batches: int):
 
     for _ in range(burn_in):
         sweep()
-    batch_corr = np.zeros((batches, n, n))
-    batch_mean = np.zeros((batches, n))
-    for b in range(batches):
-        per_batch = sweeps // batches + (b < sweeps % batches)
-        for _ in range(per_batch):
-            sweep()
-            s = np.asarray(sigma, dtype=float)
-            batch_corr[b] += np.outer(s, s)
-            batch_mean[b] += s
-        batch_corr[b] /= per_batch
-        batch_mean[b] /= per_batch
-    corr = batch_corr.mean(axis=0)
-    se = batch_corr.std(axis=0, ddof=1) / math.sqrt(batches)
-    corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
-    se = 0.5 * (se + se.T)
-    np.fill_diagonal(se, 0.0)
-    return corr, batch_mean.mean(axis=0), se
+    corr, means = np.zeros((n, n)), np.zeros(n)
+    for _ in range(sweeps):
+        sweep()
+        s = np.asarray(sigma, dtype=float)
+        corr += np.outer(s, s)
+        means += s
+    return corr / sweeps, means / sweeps
 
 
 def exact_correlations_both_halves(system):
@@ -373,8 +362,8 @@ def spectral_curve(graph: Hypergraph, beta: float, kind: str, t_grid,
 def check_calibrated(z, dof: int) -> tuple[float, float]:
     """Assert that z-scores (estimate - exact) / s.e. of independent cases
     are calibrated, and return (share of |z| <= 2, mean of z^2). With an
-    s.e. from dof + 1 normal batch means each z is Student t with dof
-    degrees of freedom, so the share lies within 4 binomial sd of
+    s.e. from dof + 1 independent normal replicas each z is Student t
+    with dof degrees of freedom, so the share lies within 4 binomial sd of
     P(|t| <= 2) and the mean within 4 sd of E t^2 = dof / (dof - 2), the
     sd from Var t^2 = E t^4 - (E t^2)^2, E t^4 = 3 dof^2 / ((dof - 2)(dof - 4))."""
     z = np.asarray(z, dtype=float)

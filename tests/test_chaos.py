@@ -232,13 +232,16 @@ def test_failed_replica_stops_the_threaded_loop(monkeypatch, fault):
     (lambda: chaos.chaos_curve(diluted_spec(16, {2: 0.6, 3: 0.2}), IDENT, None, "discrete",
                                [0.0, 0.5, 1.0], 6, 11),
      lambda c: [c.estimates, c.ses]),
+    (lambda: chaos.chaos_curve(fixtures.ring(5), IDENT, 0.9, "discrete", [0.0, 0.5], 4, 11,
+                               mode="mcmc", mcmc_sweeps=64, mcmc_burn_in=8),
+     lambda c: [c.estimates, c.ses]),
     (lambda: chaos.levy_chaos([4, 5], 1.5, 0.3, 1.0, 5, 11),
      lambda res: [[p.estimate, p.se] for p in res["points"]] + [res["slope"]]),
     (lambda: growth_stats(diluted_spec(300, {2: 0.6, 3: 0.2}), 3, 9, 11),
      lambda st: [[list(r.values()) for r in st[0]], st[1], st[2]]),
     (lambda: hypertree_trend({2: 0.9}, [60, 120], 0.5, 9, 11),
      lambda rows: [[r["cycle_prob"], r["se"]] for r in rows]),
-], ids=["curve", "diluted-ground", "levy", "growth", "trend"])
+], ids=["curve", "diluted-ground", "mcmc", "levy", "growth", "trend"])
 def test_threads_do_not_change_output(monkeypatch, run, summary):
     # every per-replica array comes out of rng.replicate: record them all
     per, sums = {}, {}
@@ -762,7 +765,7 @@ def first_coordinate(rows):
     lambda: chaos.chaos_curve(fixtures.ring(4), IDENT, 0.5, "continuous", [0.0], 4.0, 1),
     lambda: growth_stats(diluted_spec(50, {2: 0.6}), 2.0, 3, 1),
     lambda: gibbs.mcmc_correlations(gibbs.spin_system(fixtures.ring(4), np.ones(4), 0.5),
-                                    substream(1, "chain"), sweeps=40.5),
+                                    substream(1, "chain"), sweeps=40.5, burn_in=8),
     lambda: gibbs.mcmc_correlations(gibbs.spin_system(fixtures.ring(4), np.ones(4), 0.5),
                                     substream(1, "chain"), sweeps=64, burn_in=2.5),
     lambda: hermite.coefficient_sweep(first_coordinate, 3, 2.0, 4),

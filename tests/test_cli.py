@@ -189,7 +189,7 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
     pytest.param("audit", {"tol": math.nan, "sign_tol": math.nan}, 2, id="audit-tol-nan"),
     pytest.param("audit", {"tol": -1e-6}, 2, id="audit-tol-negative"),
     pytest.param("audit", {"sign_tol": -math.inf}, 2, id="audit-sign-tol-inf"),
-    pytest.param("curve", {"mode": "mcmc", "mcmc_sweeps": 5}, 2, id="curve-sweeps-below-batches"),
+    pytest.param("curve", {"mode": "mcmc", "mcmc_sweeps": 0}, 2, id="curve-mcmc-zero-sweeps"),
     pytest.param("growth", {"replicas": HUGE}, 3, id="growth-replicas-huge"),
     pytest.param("curve", {"replicas": HUGE}, 3, id="curve-replicas-huge"),
     pytest.param("levy", {"replicas": HUGE}, 3, id="levy-replicas-huge"),
@@ -204,8 +204,8 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
                  3, id="curve-ground-n-over-cap"),
     pytest.param("audit", {"model": {"graph": hypergraph(22, [(0, 1), (2, 3)])}}, 3,
                  id="audit-saved-n-over-batch-cap"),
-    pytest.param("curve", {"model": {"graph": hypergraph(513, [(0, 1)])}, "mode": "mcmc"}, 3,
-                 id="curve-mcmc-n-over-batch-means-cap"),
+    pytest.param("curve", {"model": {"graph": hypergraph(2049, [(0, 1)])}, "mode": "mcmc"}, 3,
+                 id="curve-mcmc-n-over-cap"),
     # rules that validate once left to run, where each failed after all its replicas
     pytest.param("curve", {"experiment": "lower-bound-check", "fixture": "ea-ring",
                            "model": {"perturbation": "discrete"}, "t_grid": [0.0, 1.0],
@@ -333,7 +333,7 @@ def small_config(draw, exp):
         cfg["curve"] = block(
             t_grid=(([0.0, 0.5], [0.0, 0.125, 1.0]), ([0.5, 0.25], [], [0.0, math.inf])),
             replicas=((3, 2), (1,)), mode=(("exact", "mcmc", OMIT), ("hybrid",)),
-            mcmc_sweeps=((64,), (31, "lots")), mcmc_burn_in=((OMIT, 8), (-1,)),
+            mcmc_sweeps=((64,), (0, "lots")), mcmc_burn_in=((OMIT, 8), (-1,)),
             bounds=(bounds, ("general-ball", ["thm"], ["lower-discrete", "levy"])),
             bound_params=((OMIT, CONSTANTS),
                           (dict(CONSTANTS, gamma=0.0), dict(CONSTANTS, theta=2000.0), {"C": "x"})))

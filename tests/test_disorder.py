@@ -35,6 +35,12 @@ def test_rho_formulas():
     assert rho(p, np.array([0.0]))[0] == 0.0
 
 
+def test_rho_scaled_tanh_saturates_without_overflow():
+    # kappa x overflows to +-inf, whose tanh +-1 is the exact limit
+    m = DisorderModel("scaled-tanh", kappa=1e308)
+    assert np.array_equal(rho(m, np.array([0.5, -2.0, 0.0])), [1.0, -1.0, 0.0])
+
+
 def test_rho_oddness_grid():
     x = np.linspace(-10, 10, 2001)
     for m in (DisorderModel("identity"), DisorderModel("scaled-tanh", kappa=2.0),

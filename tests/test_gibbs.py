@@ -18,9 +18,9 @@ from spinchaos.gibbs import (batch_moments, exact_correlations,
                              spin_system)
 from spinchaos.hypergraph import hypergraph
 from spinchaos.randgraph import diluted_spec, sample_diluted
-from spinchaos.rng import substream
+from spinchaos.rng import mean_se, substream
 
-from conftest import (batch_moments_full_table, bit_decoded_table, check_calibrated,
+from conftest import (batch_moments_full_table, bit_decoded_table,
                       dense_correlations, dense_ground_correlations, dense_ground_states,
                       exact_correlations_both_halves, hamiltonian,
                       materialized_ground_correlations, planted_ground_states,
@@ -75,7 +75,6 @@ def test_exact_correlations_match_dense_oracle(rng):
         assert np.allclose(got.corr, corr, atol=1e-12)
         assert np.allclose(got.means, means, atol=1e-12)
         assert got.log_z == pytest.approx(log_z, abs=1e-10)
-        assert got.se is None
 
 
 def few_rows_per_block(monkeypatch, g, rows=3):
@@ -490,34 +489,17 @@ def test_ground_states_cache_shared_by_threads(rng):
 
 
 def test_mcmc_agrees_with_exact():
+    # 32 independent chains on their own substreams; the s.e. is their spread
     g = ring(8)
     cs = substream(17, "mcmc-instance").standard_normal(8)
     sys = spin_system(g, cs, 0.9)
     exact = exact_correlations(sys)
-    samp = mcmc_correlations(sys, substream(17, "mcmc-chain"),
-                             sweeps=40_000, burn_in=4_000)
-    err = np.abs(samp.corr - exact.corr)
-    assert np.all(err <= 4.0 * samp.se + 1e-3)
-    assert np.all(np.diag(samp.se) == 0.0)
-    assert math.isnan(samp.log_z)
-
-
-def test_mcmc_standard_errors_are_calibrated():
-    # 60 disorder seeds per fixture, one random pair each: the batch-means
-    # s.e. must make (sampled - exact) / s.e. a t variable with
-    # MCMC_BATCHES - 1 degrees of freedom, which "within k s.e." gates assume
-    z = []
-    for name in ("ea-ring", "diluted-demo", "figure1-hypergraph"):
-        g = fixtures.get_fixture(name)
-        for seed in range(60):
-            rng = substream(seed, "calibrate", name)
-            i, j = (int(v) for v in rng.choice(g.n, size=2, replace=False))
-            system = spin_system(g, rng.standard_normal(g.n_edges), 0.7)
-            samp = mcmc_correlations(system, rng, sweeps=640, burn_in=64)
-            exact = exact_correlations(system).corr[i, j]
-            z.append((samp.corr[i, j] - exact) / samp.se[i, j])
-    share, mean_sq = check_calibrated(z, gibbs.MCMC_BATCHES - 1)
-    print(f"{len(z)} cases: share |z| <= 2 {share:.3f}, mean z^2 {mean_sq:.3f}")
+    chains = [mcmc_correlations(sys, substream(17, "mcmc-chain", k), sweeps=1250, burn_in=125)
+              for k in range(32)]
+    corr, se = mean_se(np.array([c.corr for c in chains]))
+    assert np.all(np.abs(corr - exact.corr) <= 4.0 * se + 1e-3)
+    assert np.all(np.diag(corr) == 1.0)
+    assert all(math.isnan(c.log_z) for c in chains)
 
 
 def test_mcmc_large_beta_does_not_overflow():
@@ -545,9 +527,9 @@ class CountingGenerator:
         return self.rng.random(size)
 
 
-@pytest.mark.parametrize("sweeps", [32, 33, 63, 64, 95])
+@pytest.mark.parametrize("sweeps", [1, 31, 32, 33, 63, 64, 95])
 def test_mcmc_runs_every_requested_sweep(sweeps):
-    # 63 sweeps used to run 32: sweeps % MCMC_BATCHES were dropped
+    # every requested sweep runs, whether or not 32 divides the count
     rng = CountingGenerator(substream(9, "count-sweeps"))
     samp = mcmc_correlations(spin_system(ring(4), np.ones(4), 0.5), rng,
                              sweeps=sweeps, burn_in=3)
@@ -576,22 +558,26 @@ def test_mcmc_matches_tuple_adjacency_oracle_bitwise(graph, couplings, levy_scal
     for beta in (0.0, 0.7, 2.5):
         system = spin_system(graph, couplings, beta, levy_scale)
         samp = mcmc_correlations(system, substream(7, "oracle"), sweeps=64, burn_in=8)
-        want = reference_mcmc(system, substream(7, "oracle"), 64, 8, gibbs.MCMC_BATCHES)
-        for got, ref in zip((samp.corr, samp.means, samp.se), want):
+        want = reference_mcmc(system, substream(7, "oracle"), 64, 8)
+        for got, ref in zip((samp.corr, samp.means), want):
             assert got.tobytes() == ref.tobytes()
 
 
 def test_mcmc_validation():
     sys = spin_system(ring(4), np.ones(4), 1.0)
     with pytest.raises(ValidationError):
-        mcmc_correlations(sys, substream(1, "x"), sweeps=10)
+        mcmc_correlations(sys, substream(1, "x"), sweeps=0, burn_in=0)
+    assert mcmc_correlations(sys, substream(1, "x"), sweeps=10, burn_in=0).corr.shape == (4, 4)
     with pytest.raises(ValidationError):
-        mcmc_correlations(spin_system(ring(4), np.ones(4), None), substream(1, "y"))
-    # the (MCMC_BATCHES, N, N) batch means fit TABLE_BYTES up to N = 512; the
-    # cap fires before the chain draws or allocates anything, so no generator
-    gibbs.check_mcmc(512, gibbs.MCMC_BATCHES)
-    with pytest.raises(CapacityError, match="N=513"):
-        mcmc_correlations(spin_system(hypergraph(513, [(0, 1)]), [1.0], 1.0), None)
+        mcmc_correlations(spin_system(ring(4), np.ones(4), None), substream(1, "y"),
+                          sweeps=10, burn_in=0)
+    # the (N, N) sum and one sweep's outer product fit TABLE_BYTES up to
+    # N = 2048; the cap fires before the chain draws or allocates anything,
+    # so no generator
+    gibbs.check_mcmc(2048, 1)
+    with pytest.raises(CapacityError, match="N=2049"):
+        mcmc_correlations(spin_system(hypergraph(2049, [(0, 1)]), [1.0], 1.0), None,
+                          sweeps=1, burn_in=0)
 
 
 def test_overlap_second_moment_two_spins():
