@@ -22,7 +22,7 @@ from . import disorder as dis
 from . import gibbs, hermite
 from .errors import ValidationError, _integer
 from .fixtures import complete_graph, remark_graph, two_lobe_graph
-from .hypergraph import (Hypergraph, MultiIndex, ball_sizes, berge_distance,
+from .hypergraph import (Hypergraph, MultiIndex, berge_distance,
                          connected_in, hypertree_radius, multi_index, vertex_support)
 from .randgraph import DilutedSpec, sample_diluted
 from .rng import check_replicas, mean_se, replicate, substream
@@ -160,10 +160,24 @@ class BoundCheck:
 
 
 def _max_ball_profile(graph: Hypergraph) -> list[int]:
-    """max_i |B_r(i)| for r = 0..N; ball sizes saturate at the component
-    size past each vertex's eccentricity."""
-    sizes = [ball_sizes(graph, v) for v in range(graph.n)]
-    return [max(s[r] if r < len(s) else s[-1] for s in sizes) for r in range(graph.n + 1)]
+    """max_i |B_r(i)| for r = 0..N, all N balls grown at once as int bitmasks.
+
+    B_{r+1}(v) is B_r(v) OR'd with B_r(u) for every u that shares an edge
+    with v, so a round ORs the balls of each edge's vertices together and
+    into each of them; round 1 builds every closed primal neighbourhood.
+    Once a round changes no ball, each ball is its component, and the
+    profile keeps its last value up to r = N."""
+    balls, grown, widest = None, [1 << v for v in range(graph.n)], []
+    while grown != balls:
+        balls, grown = grown, grown[:]
+        widest.append(max(map(int.bit_count, balls)))
+        for edge in graph.edges:
+            mask = 0
+            for u in edge:
+                mask |= balls[u]
+            for u in edge:
+                grown[u] |= mask
+    return widest + widest[-1:] * (graph.n + 1 - len(widest))
 
 
 def _ball_bound(max_ball: list[int], t: float) -> tuple[float, int]:

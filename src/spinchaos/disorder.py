@@ -28,8 +28,8 @@ class DisorderModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown disorder kind {self.kind!r}, expected one of {KINDS}")
-        if self.kind == "scaled-tanh" and not self.kappa > 0:
-            raise ValidationError(f"scaled-tanh needs kappa > 0, got {self.kappa}")
+        if self.kind == "scaled-tanh" and not 0 < self.kappa < math.inf:  # inf * 0 is nan
+            raise ValidationError(f"scaled-tanh needs a finite kappa > 0, got {self.kappa}")
         if self.kind == "pareto-tail" and not 1.0 < self.alpha < 2.0:
             raise ValidationError(f"pareto-tail needs alpha in (1, 2), got {self.alpha}")
 

@@ -14,8 +14,9 @@ silently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -213,14 +214,16 @@ def semigroup_weight(n: MultiIndex, t: float, kind: str) -> float:
 
 def weighted_coefficient_sum(table: CoefficientTable, t: float, kind: str) -> float:
     """sum_n w(n, t) phi_hat(n)^2 over the table's entries."""
-    return sum(semigroup_weight(ent.n, t, kind) * ent.value ** 2 for ent in table.entries)
+    # left to right, as sum() added floats up to Python 3.11 (3.12's compensates)
+    return reduce(operator.add, (semigroup_weight(ent.n, t, kind) * ent.value ** 2
+                                 for ent in table.entries), 0)
 
 
 def parseval_tail(table: CoefficientTable) -> float:
     """E[phi^2] minus the captured sum of squares. Must be >= -1e-8 relative
     to max(1, E[phi^2]) (Bessel); returned clamped at 0 for use as an
     error budget."""
-    captured = sum(ent.value ** 2 for ent in table.entries)
+    captured = reduce(operator.add, (ent.value ** 2 for ent in table.entries), 0)
     raw = table.e_phi_sq - captured
     if raw < -1e-8 * max(1.0, abs(table.e_phi_sq)):
         raise NumericalError(f"captured coefficient mass exceeds E[phi^2] by {-raw}")

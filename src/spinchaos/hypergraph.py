@@ -19,9 +19,11 @@ length >= 2, so two edges sharing two vertices already form one.
 One traversal serves all of Berge geometry: `_rounds` walks the CSR
 incidence from a root in the rounds of the diluted model's exploration
 (randgraph.explore), and round t reveals exactly the vertices at Berge
-distance t. Ball sizes, distances, components and connectivity inside
-the support of a multi-index read its vertex layers; the hypertree
-radius of a ball reads its A and D events.
+distance t. Distances, components and connectivity inside the support
+of a multi-index read its vertex layers; the hypertree radius of a ball
+reads its A and D events. The bound checks' ball profile
+(chaos._max_ball_profile) grows every vertex's ball at once over
+bitmasks instead of running one traversal per vertex.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -340,11 +342,6 @@ def berge_distance(g: Hypergraph, u: int, v: int) -> float:
     """Minimum Berge path length; 0 if u == v, inf if disconnected."""
     v = g.check_vertex(v)
     return next((t for t, (fresh, _, _, _) in enumerate(_rounds(g, u)) if v in fresh), math.inf)
-
-
-def ball_sizes(g: Hypergraph, v: int) -> list[int]:
-    """|B_r(v)| for r = 0, 1, ... up to the eccentricity of v."""
-    return list(accumulate(len(fresh) for fresh, _, _, _ in _rounds(g, v) if fresh))
 
 
 def hypertree_radius(g: Hypergraph, v: int) -> int:

@@ -11,15 +11,16 @@ Cycle events are counted per round: an A event is a revealed edge meeting
 the previous frontier twice, a D event is two revealed edges claiming a
 common fresh vertex. The revealed edge sets form a hypertree exactly when
 no round flags an event. The rounds are hypergraph's one Berge traversal,
-the same that measures ball sizes, distances and hypertree radii, so I_t
-is the set of vertices at Berge distance t from the root.
+the same that measures distances, components and hypertree radii, so
+I_t is the set of vertices at Berge distance t from the root.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -65,12 +66,15 @@ class DilutedSpec:
     @property
     def growth_rate(self) -> float:
         """lambda: mean number of children edges-slots per vertex."""
-        return sum(p * (p - 1) * a for p, a in self.alphas)
+        # float sums in this module add left to right, as sum() did up to
+        # Python 3.11: from 3.12 sum() compensates, and the growth digests
+        # pin these bits
+        return reduce(operator.add, (p * (p - 1) * a for p, a in self.alphas), 0)
 
     @property
     def growth_rate_prime(self) -> float:
         """lambda': the within-edge sibling correction in second moments."""
-        return sum(p * (p - 1) * (p - 2) * a for p, a in self.alphas)
+        return reduce(operator.add, (p * (p - 1) * (p - 2) * a for p, a in self.alphas), 0)
 
 
 def diluted_spec(n: int, alphas) -> DilutedSpec:
@@ -253,8 +257,9 @@ def frontier_second_moment_bound(spec: DilutedSpec, t: int) -> float:
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
     lam, lam_p = spec.growth_rate, spec.growth_rate_prime
-    first = sum(lam ** k for k in range(t, 2 * t + 1))
-    second = sum(lam ** k for k in range(t - 1, 2 * t - 1)) if t >= 1 else 0.0
+    first = reduce(operator.add, (lam ** k for k in range(t, 2 * t + 1)), 0)
+    second = (reduce(operator.add, (lam ** k for k in range(t - 1, 2 * t - 1)), 0)
+              if t >= 1 else 0.0)
     return first + lam_p * second
 
 

@@ -285,9 +285,14 @@ def berge_paths_exist(graph: Hypergraph, u: int, v: int):
 def bfs_distances(graph: Hypergraph, root: int, max_depth=None) -> dict[int, int]:
     """{vertex: Berge distance from root} for the vertices within
     max_depth (all of the component if None): plain BFS over a deque,
-    each popped vertex scanning the whole edge list, every crossed edge
-    marked in one global seen set. A shortest vertex walk through edges
-    has distinct vertices and edges, so it is a Berge path."""
+    each popped vertex scanning the edges that hold it, in id order, from
+    a dict of the edge list built per call, every crossed edge marked in
+    one global seen set. A shortest vertex walk through edges has
+    distinct vertices and edges, so it is a Berge path."""
+    holding = {}
+    for eid, edge in enumerate(graph.edges):
+        for u in edge:
+            holding.setdefault(u, []).append(eid)
     dist = {root: 0}
     queue = deque([root])
     seen_edges = set()
@@ -295,11 +300,11 @@ def bfs_distances(graph: Hypergraph, root: int, max_depth=None) -> dict[int, int
         v = queue.popleft()
         if max_depth is not None and dist[v] >= max_depth:
             continue
-        for eid, edge in enumerate(graph.edges):
-            if eid in seen_edges or v not in edge:
+        for eid in holding.get(v, ()):
+            if eid in seen_edges:
                 continue
             seen_edges.add(eid)
-            for u in edge:
+            for u in graph.edges[eid]:
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     queue.append(u)

@@ -6,6 +6,7 @@ bound formulas. Gibbs-level machinery is trusted here because
 test_gibbs.py pins it against dense enumeration.
 """
 
+import bisect
 import dataclasses
 import math
 import sys
@@ -19,12 +20,13 @@ from scipy.integrate import quad
 from spinchaos import chaos, fixtures, gibbs, hermite, randgraph
 from spinchaos import disorder as dis
 from spinchaos.errors import CapacityError, NumericalError, ValidationError
-from spinchaos.hypergraph import Hypergraph, ball_sizes, berge_distance, hypergraph
+from spinchaos.hypergraph import Hypergraph, berge_distance, component, hypergraph
 from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
                                  sample_diluted)
 from spinchaos.rng import replicate, substream
 
-from conftest import check_calibrated, general_ball_bound, spectral_curve
+from conftest import (bfs_distances, check_calibrated, general_ball_bound, random_hypergraph,
+                      spectral_curve)
 
 IDENT = dis.DisorderModel("identity")
 
@@ -340,33 +342,37 @@ def test_gauge_invariance_even_model():
 # bounds
 
 
-def brute_ball_sizes(g, v):
-    # one hop per step: edges are tested against the frozen previous layer
-    reach = {v}
-    sizes = [1]
-    for _ in range(g.n):
-        grown = set(reach)
-        for e in g.edges:
-            if reach.intersection(e):
-                grown.update(e)
-        reach = grown
-        sizes.append(len(reach))
-    return sizes
+def oracle_ball_profile(g):
+    """max_i |B_r(i)| for r = 0..N from one BFS-oracle distance map per vertex."""
+    dists = [sorted(bfs_distances(g, v).values()) for v in range(g.n)]
+    return [max(bisect.bisect_right(d, r) for d in dists) for r in range(g.n + 1)]
+
+
+def test_max_ball_profile_matches_bfs_oracle(rng):
+    graphs = [random_hypergraph(rng, n_max=12, e_max=6, arities=(2, 3, 4)) for _ in range(500)]
+    # the random graphs cover isolated vertices and several components
+    comps = [{component(g, v) for v in range(g.n)} for g in graphs]
+    assert sum(any(len(c) == 1 for c in cs) for cs in comps) > 100
+    assert sum(sum(len(c) > 1 for c in cs) > 1 for cs in comps) > 50
+    graphs += [Hypergraph(1, []), Hypergraph(4, []), fixtures.ring(7), fixtures.torus_4x4()]
+    for n, draws in ((16, 20), (200, 2), (512, 1)):
+        graphs += [sample_diluted(diluted_spec(n, {2: 0.6, 3: 0.2}), substream(31, n, k))
+                   for k in range(draws)]
+    for g in graphs:
+        assert chaos._max_ball_profile(g) == oracle_ball_profile(g)
 
 
 def test_general_ball_bound_brute():
-    rng = np.random.default_rng(3)
     graphs = [fixtures.ring(7), fixtures.torus_4x4(),
               hypergraph(6, [(0, 1, 2), (2, 3), (3, 4, 5)])]
     for g in graphs:
+        profile = oracle_ball_profile(g)
         for t in (0.2, 1.0, 3.0):
-            sizes = [brute_ball_sizes(g, v) for v in range(g.n)]
-            best = min(max(s[r] for s in sizes) / g.n + math.exp(-t * r)
-                       for r in range(g.n + 1))
+            best = min(profile[r] / g.n + math.exp(-t * r) for r in range(g.n + 1))
             val, r_star = general_ball_bound(g, t)
             assert abs(val - best) < 1e-12
-            at_r = max(s[r_star] for s in sizes) / g.n + math.exp(-t * r_star)
-            assert abs(val - at_r) < 1e-12
+            assert abs(val - (profile[r_star] / g.n + math.exp(-t * r_star))) < 1e-12
+            assert chaos._ball_bound(chaos._max_ball_profile(g), t) == (val, r_star)
     # torus at t=1: the r=1 evaluation already dominates the beta=0 level
     torus = fixtures.torus_4x4()
     val, _ = general_ball_bound(torus, 1.0)
@@ -430,29 +436,30 @@ def test_bound_check_draws_each_graph_once(monkeypatch):
     spec = diluted_spec(14, {2: 0.6, 3: 0.2})
     grid = [0.0, 0.3, 1.0, 2.5]
     curve = chaos.chaos_curve(spec, IDENT, None, "discrete", grid, 5, 88)
-    draws, balls = [], []
+    draws, profiles = [], []
+    max_ball_profile = chaos._max_ball_profile
 
     def counting_sample(spec, rng):
         draws.append(1)
         return sample_diluted(spec, rng)
 
-    def counting_balls(graph, v):
-        balls.append(v)
-        return ball_sizes(graph, v)
+    def counting_profile(graph):
+        profiles.append(graph)
+        return max_ball_profile(graph)
 
     monkeypatch.setattr(chaos, "sample_diluted", counting_sample)
-    monkeypatch.setattr(chaos, "ball_sizes", counting_balls)
+    monkeypatch.setattr(chaos, "_max_ball_profile", counting_profile)
     checks = chaos.theorem_bound_check(curve, tags=("general-ball",))
-    assert len(draws) == 5 and len(balls) == 5 * 14  # once per replica, not per t
+    assert len(draws) == 5 and len(profiles) == 5  # once per replica, not per t
     graphs = [sample_diluted(spec, substream(88, "replica", k)) for k in range(5)]
     for chk, t in zip(checks, grid):
         assert chk.bound == float(np.mean([general_ball_bound(g, t)[0] for g in graphs]))
     # a fixed graph: one ball profile for the whole grid, same bound and r*
     g = fixtures.torus_4x4()
-    balls.clear()
+    profiles.clear()
     fixed = chaos.chaos_curve(g, IDENT, 0.5, "continuous", grid, 3, 89)
     checks = chaos.theorem_bound_check(fixed, tags=("general-ball",))
-    assert len(balls) == g.n
+    assert profiles == [g]
     for chk, t in zip(checks, grid):
         assert (chk.bound, chk.extra["r_star"]) == general_ball_bound(g, t)
 

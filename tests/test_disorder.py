@@ -18,6 +18,9 @@ def test_model_validation():
         DisorderModel("cauchy")
     with pytest.raises(ValidationError):
         DisorderModel("scaled-tanh", kappa=0.0)
+    for kappa in (math.inf, math.nan):  # rho(0) would be inf * 0, nan
+        with pytest.raises(ValidationError, match="finite kappa"):
+            DisorderModel("scaled-tanh", kappa=kappa)
     with pytest.raises(ValidationError):
         DisorderModel("pareto-tail", alpha=2.0)
     with pytest.raises(ValidationError):

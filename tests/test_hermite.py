@@ -175,6 +175,16 @@ def test_parseval_tail_guards():
         parseval_tail(bad)
 
 
+def test_coefficient_sums_add_left_to_right():
+    # 1 + 3 * 2^-54 one term at a time stays 1.0; a compensated sum, as
+    # Python 3.12's sum() is, rounds it up to 1 + 2^-52
+    entries = tuple(CoefficientEntry(n=multi_index({e: 1}), value=v)
+                    for e, v in enumerate((1.0, 2.0 ** -27, 2.0 ** -27, 2.0 ** -27)))
+    table = CoefficientTable(entries, 2.0)
+    assert weighted_coefficient_sum(table, 0.0, "continuous") == 1.0
+    assert parseval_tail(table) == 1.0
+
+
 def test_positive_tail_for_truncated_function():
     def phi(rows):
         return np.tanh(1.2 * rows[:, 0])

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import spinchaos.hypergraph as hypergraph_module
 from spinchaos import gibbs
+from spinchaos.chaos import _max_ball_profile
 from spinchaos.errors import CapacityError, ValidationError
 from spinchaos.fixtures import catalog, two_lobe_graph
-from spinchaos.hypergraph import (INCIDENCE_BYTES, Hypergraph, ball_sizes,
-                                  berge_distance, component, connected_in, from_text,
+from spinchaos.hypergraph import (INCIDENCE_BYTES, Hypergraph, berge_distance,
+                                  component, connected_in, from_text,
                                   hypergraph, hypertree_radius, multi_index,
                                   to_text, vertex_support)
 from spinchaos.randgraph import MAX_N_LOW_ARITY, diluted_spec, explore, sample_diluted
@@ -264,7 +265,7 @@ def test_incident():
     # is allocated: numpy's ValueError at 2**63 - 1, a MemoryError at 2**40
     for n in (2**63 - 1, 2**40):
         with pytest.raises(CapacityError, match="incidence of"):
-            ball_sizes(Hypergraph(n, [(0, 1)]), 0)
+            component(Hypergraph(n, [(0, 1)]), 0)
     assert 16 * MAX_N_LOW_ARITY < INCIDENCE_BYTES >> 7  # the diluted sampler's cap
 
 
@@ -331,15 +332,15 @@ def test_triangle_inequality(rng):
 
 
 def test_ball_growth_and_stabilization(rng):
+    # the widest ball grows from one vertex and stops at the largest component
     for _ in range(80):
         g = random_hypergraph(rng)
-        v = int(rng.integers(g.n))
-        comp = component(g, v)
-        sizes = ball_sizes(g, v)
-        assert sizes[0] == 1
-        assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-        assert sizes[-1] == len(comp)
-        assert comp == frozenset(bfs_distances(g, v))
+        comps = [component(g, v) for v in range(g.n)]
+        assert comps == [frozenset(bfs_distances(g, v)) for v in range(g.n)]
+        profile = _max_ball_profile(g)
+        assert len(profile) == g.n + 1 and profile[0] == 1
+        assert all(a <= b for a, b in zip(profile, profile[1:]))
+        assert profile[-1] == max(map(len, comps))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +444,9 @@ def test_traversals_leave_the_graph_as_they_found_it():
     for g in (figure1(), sample_diluted(diluted_spec(50, {2: 0.9, 3: 0.3}),
                                         np.random.default_rng(8))):
         before = set(vars(g))
+        _max_ball_profile(g)
         for v in range(g.n):
-            ball_sizes(g, v)
+            component(g, v)
             hypertree_radius(g, v)
         explore(g, 0)
         connected_in(g, 0, g.n - 1, multi_index(dict.fromkeys(range(0, g.n_edges, 2), 1)))

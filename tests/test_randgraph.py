@@ -360,6 +360,14 @@ def test_bound_formulas():
         frontier_second_moment_bound(spec, -1)
 
 
+def test_bounds_keep_their_bits_on_every_python():
+    # the growth-1e4 spec, whose digests pin these floats: Python 3.12's
+    # compensated sum() would give 381.04473600000034
+    spec = diluted_spec(10_000, {2: 0.6, 3: 0.2})
+    assert spec.growth_rate == 2.4000000000000004
+    assert frontier_second_moment_bound(spec, 3) == 381.0447360000003
+
+
 def test_growth_stats_within_bounds():
     spec = diluted_spec(3000, {2: 0.6, 3: 0.2})
     rows, cycle_prob, _ = growth_stats(spec, depth=4, replicas=400, seed=40)
