@@ -13,7 +13,6 @@ unperturbed value.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -465,27 +464,6 @@ def factorized_bridge_coefficient(beta: float) -> float:
     return f ** 4
 
 
-def _beta_functionals(graph: Hypergraph, betas, i: int, j: int, embed) -> list:
-    """phi_b(rows) = <sigma_i sigma_j> at couplings embed(rows), one per
-    beta b, for grid passes made one after another over the same rows.
-    The first pass's call at each block evaluates every beta in one
-    batch_moments call, so they share its GEMM and column max, and queues
-    the other betas' values for the later passes to read in order (copies,
-    so a queued block does not keep every beta's values alive)."""
-    queues = [deque() for _ in betas]
-
-    def make(k: int):
-        def phi(rows):
-            if not queues[k]:
-                vals = gibbs.batch_moments(graph, embed(rows), betas, [(i, j)])[0][0]
-                for queue, col in zip(queues, vals.T):
-                    queue.append(col.copy())
-            return queues[k].popleft()
-        return phi
-
-    return [make(k) for k in range(len(betas))]
-
-
 def bridged_coefficients(k: int, betas, order: int) -> list[dict]:
     """phi_hat(n) for n = 1 on the four lobe edges, 0 on the bridge, at
     each beta.
@@ -496,9 +474,9 @@ def bridged_coefficients(k: int, betas, order: int) -> list[dict]:
     provably does not depend on them (decoupling_error at 1e-12).
     The factorized route evaluates the certified closed form with an
     adaptive scalar integral; the gap between the two is the tensor
-    truncation error, reported as quadrature_gap. The betas share every
-    batch_moments call (_beta_functionals), one grid pass per beta, and
-    each value has the bits of a call with that beta alone."""
+    truncation error, reported as quadrature_gap. Each beta gets its own
+    grid pass over its own disorder_functional, so no state passes from
+    one beta to the next."""
     g, lab = two_lobe_graph(k)
     i, j = lab["i"], lab["j"]
     lobe_edges = list(lab["lobe_a"] + lab["lobe_b"])
@@ -516,12 +494,12 @@ def bridged_coefficients(k: int, betas, order: int) -> list[dict]:
             full = np.zeros((rows.shape[0], g.n_edges))
             full[:, lobe_edges] = rows
             return full
-    values = [hermite.coeff_quadrature(phi, axes, n_grid, order)
-              for phi in _beta_functionals(g, betas, i, j, embed)]
     support_path = connected_in(g, i, j, n)
     distance = berge_distance(g, i, j)
     out = []
-    for beta, value in zip(betas, values):
+    for beta in betas:
+        phi = disorder_functional(g, dis.DisorderModel("identity"), beta, i, j)
+        value = hermite.coeff_quadrature(lambda rows: phi(embed(rows)), axes, n_grid, order)
         factorized = factorized_bridge_coefficient(beta)
         out.append({"k": k, "beta": beta, "value": value, "factorized": factorized,
                     "quadrature_gap": abs(value - factorized), "order": order,

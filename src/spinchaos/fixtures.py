@@ -28,9 +28,11 @@ def remark_graph() -> Hypergraph:
 def two_lobe_graph(k: int = 0) -> tuple[Hypergraph, dict]:
     """The decoupling hypergraph. k = 0 is the canonical 7-vertex form
     with hub vertex 0; k >= 1 replaces the bridge with a path of k
-    arity-3 edges. Returns (graph, labels) with the observable vertices
-    and edge groups."""
-    if _integer(k, "bridge length") == 0:
+    arity-3 edges, and k < 0 is refused. Returns (graph, labels) with the
+    observable vertices and edge groups."""
+    if (k := _integer(k, "bridge length")) < 0:
+        raise ValidationError(f"bridge length must be >= 0, got {k}")
+    if k == 0:
         g = hypergraph(7, [(1, 2, 3), (2, 3), (4, 5, 6), (5, 6), (0, 3, 6)])
         return g, {"i": 1, "j": 4, "lobe_a": (0, 1), "lobe_b": (2, 3), "bridge": (4,)}
     a, b = 2, 5  # 3' and 3'' in the relabeled variant

@@ -17,7 +17,7 @@ accumulators instead of rebuilding rows. Multiplying by +-1 is exact,
 so the doubling and the folding cost no bits. Exact routines are capped
 at N = 24; larger systems go through the Glauber sampler, flagged as an
 estimate. Before any arithmetic each exact kernel checks that the
-bounds |H| <= n_edges max|c| and |beta H| <= max(beta) n_edges max|c|
+bounds |H| <= n_edges max|c| and |beta H| <= beta n_edges max|c|
 are finite (_check_scale).
 
 batch_moments scores each gauge class once, the states with one row of
@@ -55,9 +55,9 @@ BATCH_MAX_N = 20
 TABLE_BYTES = 64 << 20
 MCMC_SWEEPS, MCMC_BURN_IN = 20000, 2000  # the sampler's default chain
 # batch_moments sizes its (2^N, columns) float64 work block near
-# BATCH_BLOCK_BYTES within BATCH_COLUMNS: with several betas the block and
-# its scratch copy then take about half of a 2 MiB L2 (at 1 MiB each, a
-# two-beta call at N = 7 ran 1.7x slower)
+# BATCH_BLOCK_BYTES within BATCH_COLUMNS. The values stay because the
+# column count fixes the bits: a GEMM's columns need not be bitwise those
+# of a GEMM of another width, and the quadrature digests pin these widths
 BATCH_BLOCK_BYTES = 1 << 19
 BATCH_COLUMNS = (64, 1024)
 
@@ -170,15 +170,14 @@ def _require_finite_beta(system: SpinSystem) -> float:
     return float(system.beta)
 
 
-def _check_scale(c_eff: np.ndarray, betas=()) -> None:
+def _check_scale(c_eff: np.ndarray, beta: float = 0.0) -> None:
     """Refuse, before any arithmetic, couplings c_eff (one vector or a
     (B, n_edges) batch) whose bound n_edges max|c| on |H|, or that bound
-    times max(beta) on |beta H|, is not finite."""
+    times beta on |beta H|, is not finite."""
     h = c_eff.shape[-1] * max(float(c_eff.max(initial=0.0)), -float(c_eff.min(initial=0.0)))
-    top = max(betas, default=0.0)
-    if not (math.isfinite(h) and math.isfinite(h * top)):
+    if not (math.isfinite(h) and math.isfinite(h * beta)):
         raise NumericalError(f"|H| or |beta H| may overflow: n_edges * max|c| = {h:g}, "
-                             f"max(beta) = {top:g}")
+                             f"beta = {beta:g}")
 
 
 def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
@@ -204,7 +203,7 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     graph, n = system.graph, system.n
     check_size(n, EXACT_MAX_N)
     c_eff = np.asarray(system.couplings) * system.levy_scale
-    _check_scale(c_eff, (beta,))
+    _check_scale(c_eff, beta)
     fit = TABLE_BYTES // (8 * (n + graph.n_edges))
     states, eprod = _low_table(graph, min(1 << (n - 1), 1 << max(fit.bit_length() - 1, 0)))
     odd = graph.arity & 1  # the global flip negates the odd edges' products
@@ -492,18 +491,16 @@ def _classes(graph: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
 
 def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
                   pairs, singles=()) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Gibbs moments for many coupling vectors at once.
+    """Exact Gibbs moments for many coupling vectors at once, at one
+    finite beta (check_beta; a sequence is refused).
 
     couplings has shape (B, n_edges); returns (pair_vals, single_vals) of
     shapes (len(pairs), B) and (len(singles), B). This is the vectorized
     kernel behind quadrature grids and Monte Carlo over the disorder.
-    beta may also be a sequence of K inverse temperatures, which share
-    each block's GEMM and column max; the results then gain a last axis
-    of length K, bitwise equal to K one-beta calls. For beta >= 0 the
-    column max of beta * H is beta times the column max of H, bitwise,
-    since rounding is monotone. A call whose |H| or |beta H| bound is
-    not finite raises NumericalError (_check_scale) instead of filling
-    the results with NaN.
+    For beta >= 0 the column max of beta * H is beta times the column max
+    of H, bitwise, since rounding is monotone. A call whose |H| or
+    |beta H| bound is not finite raises NumericalError (_check_scale)
+    instead of filling the results with NaN.
 
     The GEMM, column max, scaling and exp run on one row per gauge class
     (_classes), doubled over the pivots' rows of _signs; a gather by class
@@ -514,11 +511,11 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     """
     n = graph.n
     check_size(n, BATCH_MAX_N)
-    betas = [check_beta(b) for b in (beta if np.ndim(beta) else (beta,))]
+    beta = check_beta(beta)
     cs = np.atleast_2d(np.asarray(couplings, dtype=float))
     if cs.ndim != 2 or cs.shape[1] != graph.n_edges:
         raise ValidationError(f"couplings must be (B, {graph.n_edges}), got {cs.shape}")
-    _check_scale(cs, betas)
+    _check_scale(cs, beta)
     check = graph.check_vertex  # a negative id would index spins from the end
     pairs = [(check(i), check(j)) for i, j in pairs]
     singles = [check(i) for i in singles]
@@ -528,25 +525,21 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     key, pivots = _classes(graph)
     eprod = _doubled(1.0 - 2.0 * (graph.arity & 1), _signs(graph)[pivots])  # a row per class
     nb = cs.shape[0]
-    pair_vals = np.empty((len(betas), len(pair_obs), nb))
-    single_vals = np.empty((len(betas), len(single_obs), nb))
+    pair_vals = np.empty((len(pair_obs), nb))
+    single_vals = np.empty((len(single_obs), nb))
     cols = _batch_columns(n)
     buf = np.empty(min(nb, cols) << n)  # a block's weights, one row per state
     for start in range(0, nb, cols):
         h = eprod @ cs[start:start + cols].T  # (2^rank, b)
         h_max = h.max(axis=0)
+        np.multiply(h, beta, out=h)
+        with np.errstate(over="ignore"):  # below -max float: weight exp(-inf) = 0
+            h -= beta * h_max
+        np.exp(h, out=h)
         w = buf[:h.shape[1] << n].reshape(1 << n, -1)
-        for k, b in enumerate(betas):
-            w_class = h if k == len(betas) - 1 else np.empty_like(h)
-            np.multiply(h, b, out=w_class)
-            with np.errstate(over="ignore"):  # below -max float: weight exp(-inf) = 0
-                w_class -= b * h_max
-            np.exp(w_class, out=w_class)
-            np.take(w_class, key, axis=0, out=w, mode="clip")  # clip: no buffered copy
-            denom = w.sum(axis=0)
-            for vals, obs_list in ((pair_vals, pair_obs), (single_vals, single_obs)):
-                for m, obs in enumerate(obs_list):
-                    vals[k, m, start:start + cols] = (obs @ w) / denom
-    if np.ndim(beta) == 0:
-        return pair_vals[0], single_vals[0]
-    return np.moveaxis(pair_vals, 0, -1), np.moveaxis(single_vals, 0, -1)
+        np.take(h, key, axis=0, out=w, mode="clip")  # clip: no buffered copy
+        denom = w.sum(axis=0)
+        for vals, obs_list in ((pair_vals, pair_obs), (single_vals, single_obs)):
+            for m, obs in enumerate(obs_list):
+                vals[m, start:start + cols] = (obs @ w) / denom
+    return pair_vals, single_vals

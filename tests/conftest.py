@@ -136,34 +136,30 @@ def batch_moments_full_table(graph: Hypergraph, couplings, beta, pairs, singles=
     Same validation, column blocks and result shapes."""
     n = graph.n
     gibbs.check_size(n, gibbs.BATCH_MAX_N)
-    betas = [gibbs.check_beta(b) for b in (beta if np.ndim(beta) else (beta,))]
+    beta = gibbs.check_beta(beta)
     cs = np.atleast_2d(np.asarray(couplings, dtype=float))
-    gibbs._check_scale(cs, betas)
+    gibbs._check_scale(cs, beta)
     pairs = [(graph.check_vertex(i), graph.check_vertex(j)) for i, j in pairs]
     singles = [graph.check_vertex(i) for i in singles]
     states, eprod = bit_decoded_table(graph, 1 << n)
     pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
     single_obs = [states[:, i] for i in singles]
     nb = cs.shape[0]
-    pair_vals = np.empty((len(betas), len(pair_obs), nb))
-    single_vals = np.empty((len(betas), len(single_obs), nb))
+    pair_vals = np.empty((len(pair_obs), nb))
+    single_vals = np.empty((len(single_obs), nb))
     cols = gibbs._batch_columns(n)
     for start in range(0, nb, cols):
-        h = eprod @ cs[start:start + cols].T  # (2^n, b)
-        h_max = h.max(axis=0)
-        for k, b in enumerate(betas):
-            w = h if k == len(betas) - 1 else np.empty_like(h)
-            np.multiply(h, b, out=w)
-            with np.errstate(over="ignore"):
-                w -= b * h_max
-            np.exp(w, out=w)
-            denom = w.sum(axis=0)
-            for vals, obs_list in ((pair_vals, pair_obs), (single_vals, single_obs)):
-                for m, obs in enumerate(obs_list):
-                    vals[k, m, start:start + cols] = (obs @ w) / denom
-    if np.ndim(beta) == 0:
-        return pair_vals[0], single_vals[0]
-    return np.moveaxis(pair_vals, 0, -1), np.moveaxis(single_vals, 0, -1)
+        w = eprod @ cs[start:start + cols].T  # (2^n, b)
+        h_max = w.max(axis=0)
+        np.multiply(w, beta, out=w)
+        with np.errstate(over="ignore"):
+            w -= beta * h_max
+        np.exp(w, out=w)
+        denom = w.sum(axis=0)
+        for vals, obs_list in ((pair_vals, pair_obs), (single_vals, single_obs)):
+            for m, obs in enumerate(obs_list):
+                vals[m, start:start + cols] = (obs @ w) / denom
+    return pair_vals, single_vals
 
 
 def dense_ground_states(graph: Hypergraph, couplings):

@@ -633,8 +633,20 @@ def test_two_lobe_structure():
         # bridge edges all have arity 3, lobes keep the 3+2 pattern
         for eid in lk["bridge"]:
             assert len(gk.edges[eid]) == 3
-    with pytest.raises(Exception):
-        fixtures.two_lobe_graph(-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fixtures.two_lobe_graph(-1),
+    lambda: chaos.bridged_coefficients(-1, (0.5,), 8),
+    lambda: chaos.decoupling_error(-1, 0.5, 10, 1),
+    lambda: chaos.tanh_product_error(-1, 0.5, 10, 1),
+], ids=["fixture", "bridged", "decoupling", "tanh-product"])
+def test_negative_bridge_length_is_refused(call):
+    # the fixture's own rule refuses k < 0 and names the bridge length, for
+    # it and for every suite routine that builds the graph from k; a later
+    # vertex check would name an edge instead
+    with pytest.raises(ValidationError, match="bridge length must be >= 0, got -1"):
+        call()
 
 
 def test_decoupling_identities_small():
@@ -670,12 +682,12 @@ def test_bridged_coefficient_routes():
         assert out["value"] > 0.01
 
 
-def test_bridged_betas_share_the_kernel_bitwise():
-    # the suite's betas share every batch_moments call, one grid pass per
-    # beta; each value is the bits of its own one-beta evaluation
+def test_bridged_betas_match_one_beta_calls_bitwise():
+    # no state passes from one beta's grid pass to the next: a two-beta
+    # call gives the bits of one one-beta call per beta
     for k in (0, 2):
-        shared = chaos.bridged_coefficients(k, (0.5, 1.0), 8)
-        assert shared == [chaos.bridged_coefficients(k, (beta,), 8)[0] for beta in (0.5, 1.0)]
+        both = chaos.bridged_coefficients(k, (0.5, 1.0), 8)
+        assert both == [chaos.bridged_coefficients(k, (beta,), 8)[0] for beta in (0.5, 1.0)]
 
 
 def test_counterexample_suite_structure():

@@ -656,25 +656,6 @@ def test_batch_columns_follow_the_byte_budget(monkeypatch):
     assert gibbs._batch_columns(3) == 2
 
 
-@pytest.mark.parametrize("n", [7, 11, 16])
-def test_batch_moments_share_betas_bitwise(n):
-    # several betas share each block's GEMM and column max; each beta's
-    # moments are the bits of its own one-beta call, over three or more
-    # column blocks and on graphs with odd (arity-3) edges
-    g = {7: fixtures.two_lobe_graph(0)[0], 11: fixtures.two_lobe_graph(3)[0],
-         16: hypergraph(16, [(k, k + 1) for k in range(15)] + [(0, 5, 9)])}[n]
-    rows = 2 * gibbs._batch_columns(n) + 37
-    cs = substream(5, "betas", n).standard_normal((rows, g.n_edges))
-    betas = (0.0, 0.5, 1.0, 2.5)
-    pairs, singles = [(0, 1), (2, n - 1)], [0, n - 1]
-    pv, sv = batch_moments(g, cs, betas, pairs, singles)
-    assert pv.shape == (2, rows, 4) and sv.shape == (2, rows, 4)
-    for k, beta in enumerate(betas):
-        p1, s1 = batch_moments(g, cs, beta, pairs, singles)
-        assert p1.shape == (2, rows)
-        assert np.array_equal(pv[..., k], p1) and np.array_equal(sv[..., k], s1)
-
-
 CLASS_GRAPHS = {  # name: (graph, 2^rank gauge classes)
     "figure1-hypergraph": (fixtures.get_fixture("figure1-hypergraph"), 32),  # two-lobe, k = 0
     **{f"two-lobe-{k}": (fixtures.two_lobe_graph(k)[0], c)
@@ -710,19 +691,25 @@ def test_gauge_classes_are_the_distinct_edge_product_rows(graph, classes):
 @pytest.mark.parametrize("tail", [37, 1])
 def test_batch_moments_matches_full_table_bitwise(graph, beta, tail):
     # the distinct rows give every bit of the full table's kernel, over
-    # two whole column blocks and a partial one (of one column, a GEMV)
+    # two whole column blocks and a partial one (of one column, a GEMV);
+    # four-betas makes one call per beta, from all weights 1 at beta 0 to
+    # weights that underflow at beta 10
     rows = 2 * gibbs._batch_columns(graph.n) + tail
     cs = substream(9, "classes", graph.n, tail).standard_normal((rows, graph.n_edges))
     pairs, singles = [(0, 1), (1, graph.n - 1)], [0, graph.n - 1]
-    got = batch_moments(graph, cs, beta, pairs, singles)
-    want = batch_moments_full_table(graph, cs, beta, pairs, singles)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and np.array_equal(a, b)
+    for b in np.atleast_1d(beta):
+        got = batch_moments(graph, cs, b, pairs, singles)
+        want = batch_moments_full_table(graph, cs, b, pairs, singles)
+        assert got[0].shape == (2, rows) and got[1].shape == (2, rows)
+        for u, v in zip(got, want):
+            assert u.shape == v.shape and np.array_equal(u, v)
 
 
 @pytest.mark.parametrize("beta", [-0.5, math.inf, math.nan, (0.5, -1.0), "abc", "0.5", True,
-                                  (0.5, True), None])
+                                  (0.5, True), None, (0.5, 1.0)])
 def test_batch_moments_rejects_bad_beta(beta):
+    # one finite beta per call: a sequence of betas, even of good ones, is
+    # refused
     g = ring(4)
     with pytest.raises(ValidationError):
         batch_moments(g, np.ones((3, 4)), beta, [(0, 1)])
