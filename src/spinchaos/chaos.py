@@ -35,11 +35,14 @@ LOWER_TAGS = ("lower-discrete", "lower-gaussian")
 
 @dataclass(frozen=True)
 class ChaosCurve:
-    """A curve and the inputs it was drawn from, which its bound checks read."""
+    """A curve and the inputs it was drawn from, which its bound checks
+    read, with the max-ball profile of every graph it ran on: one row per
+    replica of a diluted source, the single row of a fixed graph."""
     t_grid: tuple[float, ...]
     estimates: np.ndarray
     ses: np.ndarray
     per_replica: np.ndarray  # (replicas, len(t_grid))
+    ball_profiles: np.ndarray  # (graphs, N + 1) _max_ball_profile counts, exact floats
     source: Hypergraph | DilutedSpec
     model: dis.DisorderModel
     beta: float | None  # None at infinity
@@ -74,7 +77,9 @@ def _correlations(systems: list, mode: str, rng, mcmc_sweeps: int,
 def check_curve(graph_source, beta, kind: str, t_grid, replicas: int, mode: str,
                 mcmc_sweeps: int, mcmc_burn_in: int) -> None:
     """The rules chaos_curve applies before any draw, down to the size cap
-    of the kernel that runs: enumeration (also at beta None) or sampler."""
+    of the kernel that runs: enumeration (also at beta None) or sampler,
+    and the replica budget of its rows, which for a diluted source hold
+    each draw's N + 1 ball profile after its len(t_grid) values."""
     if not isinstance(graph_source, (Hypergraph, DilutedSpec)):
         raise ValidationError("graph source must be a Hypergraph or DilutedSpec")
     if kind not in dis.PERTURBATION_KINDS:
@@ -83,7 +88,7 @@ def check_curve(graph_source, beta, kind: str, t_grid, replicas: int, mode: str,
         raise ValidationError(f"mode must be exact or mcmc, got {mode!r}")
     if beta is not None:
         gibbs.check_beta(beta)
-    check_replicas(replicas, len(dis.check_grid(t_grid)))
+    check_replicas(replicas, len(dis.check_grid(t_grid)) + _profile_width(graph_source))
     gibbs.check_burn_in(mcmc_burn_in)
     if mode == "exact" or beta is None:
         gibbs.check_size(graph_source.n, gibbs.EXACT_MAX_N)
@@ -100,6 +105,8 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
     Replica k draws everything from the substream (seed, 'replica', k):
     the graph when the source is diluted, the base couplings, one coupled
     path across the grid, and any sampler randomness (rng.replicate).
+    The ball profile of each drawn graph is taken in its replica's task
+    and kept on the curve, so the bound checks redraw nothing.
     """
     check_curve(graph_source, beta, kind, t_grid, replicas, mode, mcmc_sweeps, mcmc_burn_in)
     beta_v = None if beta is None else float(beta)
@@ -107,10 +114,10 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
     # exact and ground-state kernels draw nothing, so skipping a repeated
     # call leaves the replica's stream as it was; the sampler must rerun
     deterministic = mode == "exact" or beta_v is None
+    width = _profile_width(graph_source)
 
     def one(rng) -> np.ndarray:
-        g = (graph_source if isinstance(graph_source, Hypergraph)
-             else sample_diluted(graph_source, rng))
+        g = sample_diluted(graph_source, rng) if width else graph_source
         base = rng.standard_normal(g.n_edges)
         if kind == "continuous":
             path = dis.continuous_path(base, grid, rng)
@@ -123,14 +130,22 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
         corr_a, *corr_b = _correlations(systems, mode, rng, mcmc_sweeps, mcmc_burn_in)
         if reuse:
             corr_b.insert(0, corr_a)
-        return np.array([gibbs.overlap_second_moment(corr_a, b) for b in corr_b])
+        r2 = [gibbs.overlap_second_moment(corr_a, b) for b in corr_b]
+        return np.array(r2 + _max_ball_profile(g) if width else r2)
 
-    per = replicate(one, replicas, len(grid), seed, "replica")
+    rows = replicate(one, replicas, len(grid) + width, seed, "replica")
+    per = rows[:, :len(grid)]
+    profiles = rows[:, len(grid):] if width else np.array([_max_ball_profile(graph_source)], float)
     # mean centered at replica 0: exact when all replicas agree (beta = 0)
     dev_mean, ses = mean_se(per - per[0])
     return ChaosCurve(t_grid=grid, estimates=per[0] + dev_mean, ses=ses, per_replica=per,
-                      source=graph_source, model=model, beta=beta_v, kind=kind, seed=seed,
-                      mode=mode)
+                      ball_profiles=profiles, source=graph_source, model=model, beta=beta_v,
+                      kind=kind, seed=seed, mode=mode)
+
+
+def _profile_width(graph_source) -> int:
+    """N + 1 ball-profile values a diluted source adds to each replica row, else 0."""
+    return graph_source.n + 1 if isinstance(graph_source, DilutedSpec) else 0
 
 
 def monotonicity_check(curve: ChaosCurve) -> list[dict]:
@@ -179,7 +194,7 @@ def _max_ball_profile(graph: Hypergraph) -> list[int]:
     return widest + widest[-1:] * (graph.n + 1 - len(widest))
 
 
-def _ball_bound(max_ball: list[int], t: float) -> tuple[float, int]:
+def _ball_bound(max_ball: list[float], t: float) -> tuple[float, int]:
     """min_r [ max_ball[r] / N + e^{-tr} ] and its argmin r; N = len - 1."""
     n = len(max_ball) - 1
     best, best_r = math.inf, 0
@@ -197,30 +212,25 @@ def theorem_bound_check(curve: ChaosCurve, tags=("general-ball",),
     general-ball is the constant-free min_r [ max_i |B_r(i)| / N + e^{-tr} ],
     with its argmin r as extra r_star on a fixed graph. The growth-rate
     families need caller constants: poly {C, theta}, exp {C, gamma},
-    diluted {C, lambda}, levy {K, c, eps, alpha}. For a diluted source the
-    general-ball value is the replica average of per-draw bounds,
-    resampled from the curve's own substreams. Lower tags come last.
+    diluted {C, lambda}, levy {K, c, eps, alpha}. general-ball averages the
+    per-graph bounds over the ball profiles the curve kept, so a diluted
+    source gets the mean over its own draws and nothing is redrawn; the
+    mean of a fixed graph's one bound is that bound. Lower tags come last.
     """
     params = params or {}
     source = curve.source
     check_bounds(tags, params, source, curve.model, curve.beta, curve.kind, curve.t_grid)
     out = []
-    if "general-ball" in tags:  # one max-ball profile per graph, shared by every t
-        if isinstance(source, Hypergraph):
-            profiles = [_max_ball_profile(source)]
-        else:  # the curve's own graphs, redrawn from its substreams
-            profiles = replicate(lambda rng: _max_ball_profile(sample_diluted(source, rng)),
-                                 len(curve.per_replica), source.n + 1, curve.seed, "replica")
     for tag in [tag for tag in tags if tag in UPPER_TAGS]:
         for ti, t in enumerate(curve.t_grid):
             est = float(curve.estimates[ti])
             se = float(curve.ses[ti])
             extra = {}
             if tag == "general-ball":
+                bounds, r_stars = zip(*(_ball_bound(p, t) for p in curve.ball_profiles.tolist()))
+                bound = float(np.mean(bounds))
                 if isinstance(source, Hypergraph):
-                    bound, extra["r_star"] = _ball_bound(profiles[0], t)
-                else:
-                    bound = float(np.mean([_ball_bound(prof, t)[0] for prof in profiles]))
+                    extra["r_star"] = r_stars[0]
             else:
                 bound = _family_bound(tag, params, source.n, t)
             margin = bound - est

@@ -37,12 +37,14 @@ class DisorderModel:
 def rho(model: DisorderModel, x):
     """Apply the coupling map elementwise. Always odd in x.
 
+    identity: x as a float64 array, not a copy, so a float64 array comes
+    back itself; every caller only reads the result.
     pareto-tail: sign(x) * (2 (1 - Phi(|x|)))^(-1/alpha), so |rho(J)| of a
     standard Gaussian J is exactly Pareto(alpha) on [1, inf); rho(0) = 0.
     """
     x = np.asarray(x, dtype=float)
     if model.kind == "identity":
-        return x.copy()
+        return x
     if model.kind == "scaled-tanh":
         with np.errstate(over="ignore"):  # tanh(+-inf) = +-1 is the exact limit
             return np.tanh(model.kappa * x)

@@ -42,7 +42,9 @@ import numpy as np
 from .errors import CapacityError, ValidationError, _integer
 
 
-INCIDENCE_BYTES = 1 << 28  # the incidence's pointer and vertex counts, 16 bytes a vertex
+# the incidence's pointer and vertex counts (16 bytes a vertex), and the
+# diluted sampler's expected integer blocks (randgraph.DilutedSpec)
+INCIDENCE_BYTES = 1 << 28
 # offset and multiplier of the edge mix, from splitmix64
 _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
 _INT = re.compile(r"-?[0-9]+")  # a vertex id or count in the text format

@@ -25,7 +25,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import CapacityError, ValidationError, _integer
-from .hypergraph import Hypergraph, _rounds
+from .hypergraph import INCIDENCE_BYTES, Hypergraph, _rounds
 from .rng import check_replicas, mean_se, replicate
 
 MAX_N_LOW_ARITY = 100_000
@@ -62,6 +62,11 @@ class DilutedSpec:
         cap = MAX_N_LOW_ARITY if max_p <= 3 else MAX_N_HIGH_ARITY
         if self.n > cap:
             raise CapacityError(f"N={self.n} above cap {cap} for max arity {max_p}")
+        # sample_diluted's first block per arity, (2m + 8, p) int64 at the expected m
+        block = reduce(operator.add, (8 * p * (2 * a * self.n + 8) for p, a in self.alphas), 0)
+        if block > INCIDENCE_BYTES:
+            raise CapacityError(f"the sampler's expected blocks of {block:.3g} bytes exceed "
+                                f"the {INCIDENCE_BYTES >> 20} MiB budget")
 
     @property
     def growth_rate(self) -> float:

@@ -33,10 +33,13 @@ IDENT = dis.DisorderModel("identity")
 
 def make_curve(per_replica, t_grid):
     per = np.asarray(per_replica, dtype=float)
+    ring = fixtures.ring(8)
     return chaos.ChaosCurve(t_grid=tuple(t_grid), estimates=per.mean(axis=0),
                             ses=per.std(axis=0, ddof=1) / math.sqrt(per.shape[0]),
-                            per_replica=per, source=fixtures.ring(8), model=IDENT, beta=1.0,
-                            kind="continuous", seed=1, mode="exact")
+                            per_replica=per,
+                            ball_profiles=np.array([chaos._max_ball_profile(ring)], float),
+                            source=ring, model=IDENT, beta=1.0, kind="continuous", seed=1,
+                            mode="exact")
 
 
 # --------------------------------------------------------------------------
@@ -432,36 +435,31 @@ def test_theorem_bound_check_diluted_average():
         assert checks[ti].bound == float(np.mean(vals))
 
 
-def test_bound_check_draws_each_graph_once(monkeypatch):
+def test_bound_check_draws_nothing(monkeypatch):
+    # each replica keeps the ball profile of the graph it drew, so the
+    # bound check reads the curve and draws no graph; its bounds are still
+    # the per-draw oracle's on the graphs of the curve's own substreams
     spec = diluted_spec(14, {2: 0.6, 3: 0.2})
     grid = [0.0, 0.3, 1.0, 2.5]
     curve = chaos.chaos_curve(spec, IDENT, None, "discrete", grid, 5, 88)
-    draws, profiles = [], []
-    max_ball_profile = chaos._max_ball_profile
+    fixed = chaos.chaos_curve(fixtures.torus_4x4(), IDENT, 0.5, "continuous", grid, 3, 89)
 
-    def counting_sample(spec, rng):
-        draws.append(1)
-        return sample_diluted(spec, rng)
+    def no_draw(*args):
+        raise AssertionError("the bound check drew a graph or a replica")
 
-    def counting_profile(graph):
-        profiles.append(graph)
-        return max_ball_profile(graph)
-
-    monkeypatch.setattr(chaos, "sample_diluted", counting_sample)
-    monkeypatch.setattr(chaos, "_max_ball_profile", counting_profile)
+    for name in ("sample_diluted", "replicate", "_max_ball_profile"):
+        monkeypatch.setattr(chaos, name, no_draw)
     checks = chaos.theorem_bound_check(curve, tags=("general-ball",))
-    assert len(draws) == 5 and len(profiles) == 5  # once per replica, not per t
     graphs = [sample_diluted(spec, substream(88, "replica", k)) for k in range(5)]
+    assert curve.ball_profiles.tolist() == [oracle_ball_profile(g) for g in graphs]
     for chk, t in zip(checks, grid):
         assert chk.bound == float(np.mean([general_ball_bound(g, t)[0] for g in graphs]))
-    # a fixed graph: one ball profile for the whole grid, same bound and r*
-    g = fixtures.torus_4x4()
-    profiles.clear()
-    fixed = chaos.chaos_curve(g, IDENT, 0.5, "continuous", grid, 3, 89)
+        assert chk.extra == {}
+    # a fixed graph: the curve's one profile, its bound and r* at every t
+    assert fixed.ball_profiles.tolist() == [oracle_ball_profile(fixtures.torus_4x4())]
     checks = chaos.theorem_bound_check(fixed, tags=("general-ball",))
-    assert profiles == [g]
     for chk, t in zip(checks, grid):
-        assert (chk.bound, chk.extra["r_star"]) == general_ball_bound(g, t)
+        assert (chk.bound, chk.extra["r_star"]) == general_ball_bound(fixtures.torus_4x4(), t)
 
 
 def test_lower_bound_discrete():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spinchaos import cli, fixtures
+from spinchaos import chaos, cli, fixtures, rng
 from spinchaos.errors import ValidationError
 from spinchaos.hypergraph import Hypergraph, hypergraph
 from spinchaos.hypergraph import save as save_graph
@@ -219,6 +219,9 @@ HUGE = 10 ** 20  # replicas whose result array cannot be held: a capacity error
     pytest.param("levy", {"t": 0}, 2, id="levy-t-zero"),
     pytest.param("suite", {"order": 25}, 3, id="suite-order-over-cap"),
     pytest.param("growth", {"n": 2000, "alphas": {"12": 0.1}}, 3, id="growth-binomial-overflow"),
+    # the sampler's first block at the expected 5e9 edges would need 149 GiB
+    pytest.param("growth", {"n": 100000, "alphas": {"2": 49999.0}}, 3,
+                 id="growth-dense-sampler-block"),
     # lambda = 1.2: the second-moment bound's lambda^(2 depth) overflows a float
     pytest.param("growth", {"depth": 5000}, 3, id="growth-depth-bound-overflow"),
     pytest.param("curve", {"bounds": [["general-ball"]]}, 2, id="curve-bound-tag-unhashable"),
@@ -659,6 +662,23 @@ def test_exit_code_capacity(tmp_path, capsys):
     cfg["curve"]["replicas"] = 2
     assert run_cli(["run", write_config(tmp_path, cfg)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_diluted_curve_budgets_its_ball_profiles(tmp_path, capsys, monkeypatch):
+    # a diluted replica's row holds its len(t_grid) values and its draw's
+    # N + 1 ball profile: past the budget validate refuses, before any draw
+    cfg = curve_config(tmp_path / "out", experiment="bound-check")
+    cfg["model"].update(graph={"diluted": {"n": 16, "alphas": {"2": 0.6, "3": 0.2}}},
+                        beta="infinity")
+    cfg["curve"] = {"t_grid": [0.0, 0.5, 1.0, 2.0], "replicas": 40, "bounds": ["general-ball"]}
+    path = write_config(tmp_path, cfg)
+    monkeypatch.setattr(rng, "REPLICA_BYTES", 40 * 8 * (4 + 17))
+    assert run_cli(["validate", path]) == 0 and run_cli(["run", path]) == 0
+    monkeypatch.setattr(rng, "REPLICA_BYTES", 40 * 8 * (4 + 17) - 8)
+    monkeypatch.setattr(chaos, "sample_diluted", lambda *args: pytest.fail("drew a graph"))
+    for cmd in ("validate", "run"):
+        assert run_cli([cmd, path]) == 3
+        assert "40 replicas of 21 values exceed" in capsys.readouterr().err
 
 
 def test_exit_code_capacity_audit(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 
 from spinchaos import randgraph
 from spinchaos.errors import CapacityError, ValidationError
-from spinchaos.hypergraph import berge_distance, component, hypergraph, hypertree_radius
+from spinchaos.hypergraph import (INCIDENCE_BYTES, berge_distance, component, hypergraph,
+                                  hypertree_radius)
 from spinchaos.randgraph import (_colex_rank, _first_occurrences, diluted_spec, explore,
                                  frontier_mean_bound,
                                  frontier_second_moment_bound, growth_stats,
@@ -46,6 +47,21 @@ def test_spec_validation():
         with pytest.raises(ValidationError, match="must be an integer"):
             call()
     assert diluted_spec(np.int64(16), {np.uint8(2): 0.5}).alphas == ((2, 0.5),)
+
+
+def test_spec_refuses_a_dense_sampler_block():
+    # sample_diluted's first block per arity holds 2m + 8 rows of p int64
+    # at m about alpha_p N: 16 (2 alpha N + 8) bytes reach the budget
+    # exactly at alpha N = 2^23 - 4 on N = 2^16
+    n, at_cap, past = 1 << 16, ((1 << 23) - 4) / (1 << 16), ((1 << 23) - 3) / (1 << 16)
+    assert 16 * (2 * at_cap * n + 8) == INCIDENCE_BYTES
+    assert diluted_spec(n, {2: at_cap}).alphas == ((2, at_cap),)
+    # one expected edge more, or any other arity, is past it; the last
+    # expects 5e9 edges, so its first block would need 149 GiB
+    for size, alphas in ((n, {2: past}),
+                         (n, {2: at_cap, 3: 1e-3}), (100_000, {2: 49999.0})):
+        with pytest.raises(CapacityError, match="sampler's expected blocks"):
+            diluted_spec(size, alphas)
 
 
 def test_growth_rates():
