@@ -1,5 +1,7 @@
+import importlib.machinery
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -330,10 +332,64 @@ def test_multi_index_edge_range_is_one_rule():
             sign_criterion(g, multi_index({0: 1}), v, 1)
 
 
-def test_adaptive_gaussian_mean():
+def _quad_gaussian_mean(f):
+    dens = 1.0 / math.sqrt(2.0 * math.pi)
+    return quad(lambda x: float(f(x)) * dens * math.exp(-0.5 * x * x), -np.inf, np.inf,
+                epsabs=1e-12, limit=400)
+
+
+def test_adaptive_gaussian_mean(monkeypatch):
     assert adaptive_gaussian_mean(lambda x: x * x) == pytest.approx(1.0, abs=1e-10)
     assert adaptive_gaussian_mean(lambda x: x ** 4) == pytest.approx(3.0, abs=1e-9)
     assert adaptive_gaussian_mean(lambda x: math.tanh(2 * x)) == pytest.approx(0.0, abs=1e-12)
+
+    # quad's value and error estimate to the bit, read off the kernel call
+    kernel = hermite._quadpack()
+    outputs = []
+
+    class Recorder:
+        def _qagie(self, *args):
+            outputs.append(kernel._qagie(*args))
+            return outputs[-1]
+
+    monkeypatch.setattr(hermite, "_quadpack", Recorder)
+    fs = [lambda x: x * math.tanh(0.5 * x), lambda x: x * math.tanh(1.0 * x),
+          lambda x: x * x, lambda x: x ** 4, lambda x: math.tanh(2 * x)]
+    for f in fs:
+        val = adaptive_gaussian_mean(f)
+        want = _quad_gaussian_mean(f)
+        assert outputs[-1] == (*want, 0)
+        assert val.hex() == want[0].hex()
+    assert outputs[0][0] == 0.4132419282838141 and outputs[1][0] == 0.605705509602159
+    monkeypatch.undo()
+
+    # a nan integrand and one that exhausts the 400 subintervals both fail
+    with pytest.raises(NumericalError, match="ier=2"):
+        adaptive_gaussian_mean(lambda x: math.nan)
+    with pytest.raises(NumericalError, match="ier=1"):
+        adaptive_gaussian_mean(lambda x: math.cos(50 * x ** 3))
+    with pytest.raises(ZeroDivisionError):
+        adaptive_gaussian_mean(lambda x: 1 / 0)
+
+    # a scipy without the extension file takes the normal import, same bits
+    looked = []
+
+    class NoFinder:
+        def __init__(self, path, *details):
+            looked.append(path)
+
+        def find_spec(self, name, target=None):
+            return None
+
+    monkeypatch.setattr(importlib.machinery, "FileFinder", NoFinder)
+    monkeypatch.delitem(sys.modules, "scipy.integrate._quadpack")
+    hermite._quadpack.cache_clear()
+    try:
+        for f in fs:
+            assert adaptive_gaussian_mean(f).hex() == _quad_gaussian_mean(f)[0].hex()
+        assert len(looked) == 1 and "scipy.integrate._quadpack" in sys.modules
+    finally:
+        hermite._quadpack.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,14 @@ never reads. The package itself holds its submodules and `__version__`, so
 each name has one import path, and importing `fixtures`, which builds every
 named graph, loads no experiment or kernel module. Importing the CLI loads
 no scipy submodule that only one experiment path needs, and a run of any
-kind off those two paths imports no module at all.
+kind imports no module at all, except on the one scipy package path left
+(scipy.special, for the pareto-tail disorder) and the counterexample
+suite's QUADPACK extension, which is loaded alone, without its package.
 """
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -237,9 +240,10 @@ def test_package_holds_only_its_modules():
 
 
 def test_cli_import_defers_scipy():
-    # scipy.special (pareto-tail rho) and scipy.integrate (adaptive
-    # quadrature) are imported where they are called; numpy.random, which
-    # numpy 2 loads lazily, comes with the package
+    # scipy.special (pareto-tail rho), the one scipy package path left, is
+    # imported where it is called, and scipy.integrate never is: adaptive
+    # quadrature loads its extension alone. numpy.random, which numpy 2
+    # loads lazily, comes with the package
     code = (
         "import json, sys\n"
         "import spinchaos.cli\n"
@@ -256,9 +260,9 @@ def test_cli_import_defers_scipy():
 
 _RING = {"graph": {"fixture": "ea-ring"}, "disorder": {"kind": "identity"},
          "perturbation": "continuous"}
-# one tiny run of every kind that needs neither scipy.special nor
-# scipy.integrate; keyed "<kind>" or "<kind> <label>"
-_NO_IMPORT_RUNS = {
+# one tiny run of every kind that needs no scipy.special; keyed "<kind>"
+# or "<kind> <label>"
+_PINNED_RUNS = {
     "chaos-curve": {"model": dict(_RING, beta=0.8), "curve": {"t_grid": [0.0, 1.0], "replicas": 2}},
     "chaos-curve infinity": {"model": dict(_RING, beta="infinity"),
                              "curve": {"t_grid": [0.0, 1.0], "replicas": 2}},
@@ -277,18 +281,24 @@ _NO_IMPORT_RUNS = {
         "model": {"graph": {"fixture": "figure1-hypergraph"}, "disorder": {"kind": "identity"},
                   "beta": 1.0},
         "audit": {"i": 1, "j": 4, "degree_cap": 2, "order": 4}},
+    "counterexamples": {"suite": {"draws": 2, "order": 4}},
 }
+# what a run may add to sys.modules: only the QUADPACK extension, loaded
+# from its file without the scipy.integrate package
+_RUN_IMPORTS = {"counterexamples": ["scipy.integrate._quadpack"]}
 
 
 def test_runs_import_nothing():
     # a run is one process, so a module first imported inside it is paid
     # on every run. numpy 2 hides such imports: np.unique loads numpy.ma.
     # On numpy 1.x `import numpy` loads numpy.ma, so there this check
-    # cannot see that import.
+    # cannot see that import. A later `import scipy.integrate` in the same
+    # process reuses the extension the suite loaded, with quad's bits.
+    from scipy.integrate import quad
     code = (
-        "import json, sys, tempfile\n"
+        "import json, math, sys, tempfile\n"
         "import spinchaos.cli\n"
-        f"runs = json.loads({json.dumps(json.dumps(_NO_IMPORT_RUNS))})\n"
+        f"runs = json.loads({json.dumps(json.dumps(_PINNED_RUNS))})\n"
         "added = {}\n"
         "with tempfile.TemporaryDirectory() as tmp:\n"
         "    for name, cfg in runs.items():\n"
@@ -296,9 +306,22 @@ def test_runs_import_nothing():
         "        cfg = dict(cfg, experiment=name.split()[0], seed=3, output=f'{tmp}/{len(added)}')\n"
         "        spinchaos.cli.run_experiment(cfg)\n"
         "        added[name] = sorted(set(sys.modules) - before)\n"
-        "print(json.dumps(added))\n")
-    added = _run_python(code)
-    assert added == {name: [] for name in _NO_IMPORT_RUNS}
+        "kernel = sys.modules['scipy.integrate._quadpack']\n"
+        "from scipy.integrate import quad\n"
+        "from spinchaos.hermite import adaptive_gaussian_mean\n"
+        "means = [[v.hex() for v in quad(lambda x: x * math.tanh(b * x) * math.exp(-x * x / 2)\n"
+        "                                / math.sqrt(2 * math.pi), -math.inf, math.inf,\n"
+        "                                epsabs=1e-12, limit=400)]\n"
+        "         + [adaptive_gaussian_mean(lambda x: x * math.tanh(b * x)).hex()] for b in (0.5, 1.0)]\n"
+        "reused = sys.modules['scipy.integrate._quadpack'] is kernel\n"
+        "print(json.dumps({'added': added, 'means': means, 'reused': reused}))\n")
+    out = _run_python(code)
+    assert out["added"] == {name: _RUN_IMPORTS.get(name, []) for name in _PINNED_RUNS}
+    assert out["reused"]
+    for b, got in zip((0.5, 1.0), out["means"]):
+        val, err = quad(lambda x: x * math.tanh(b * x) * math.exp(-x * x / 2) / math.sqrt(2 * math.pi),
+                        -math.inf, math.inf, epsabs=1e-12, limit=400)
+        assert got == [val.hex(), err.hex(), val.hex()]
 
 
 def _run_python(code: str):
