@@ -474,6 +474,23 @@ def factorized_bridge_coefficient(beta: float) -> float:
     return f ** 4
 
 
+def _embedded(phi, cols: list[int], width: int):
+    """phi on rows whose columns cols hold the grid's coordinates and
+    every other column is zero. One zeroed (block, width) buffer serves a
+    whole grid pass: each block overwrites only cols, and a shorter last
+    block reads a leading slice of it."""
+    full = np.zeros((0, width))
+
+    def call(rows):
+        nonlocal full
+        if len(full) < len(rows):
+            full = np.zeros((len(rows), width))
+        block = full[:len(rows)]
+        block[:, cols] = rows
+        return phi(block)
+    return call
+
+
 def bridged_coefficients(k: int, betas, order: int) -> list[dict]:
     """phi_hat(n) for n = 1 on the four lobe edges, 0 on the bridge, at
     each beta.
@@ -494,22 +511,16 @@ def bridged_coefficients(k: int, betas, order: int) -> list[dict]:
     reduced = g.n_edges > hermite.MAX_AXES or order ** g.n_edges > hermite.MAX_GRID
     if not reduced:
         axes, n_grid = g.n_edges, n
-
-        def embed(rows):
-            return rows
     else:
         axes, n_grid = 4, multi_index({col: 1 for col in range(4)})
-
-        def embed(rows):
-            full = np.zeros((rows.shape[0], g.n_edges))
-            full[:, lobe_edges] = rows
-            return full
     support_path = connected_in(g, i, j, n)
     distance = berge_distance(g, i, j)
     out = []
     for beta in betas:
         phi = disorder_functional(g, dis.DisorderModel("identity"), beta, i, j)
-        value = hermite.coeff_quadrature(lambda rows: phi(embed(rows)), axes, n_grid, order)
+        if reduced:
+            phi = _embedded(phi, lobe_edges, g.n_edges)
+        value = hermite.coeff_quadrature(phi, axes, n_grid, order)
         factorized = factorized_bridge_coefficient(beta)
         out.append({"k": k, "beta": beta, "value": value, "factorized": factorized,
                     "quadrature_gap": abs(value - factorized), "order": order,

@@ -19,19 +19,31 @@ validation, 3 capacity, 4 numerical breakdown.
 SPINCHAOS_THREADS sets the worker count of every replica loop
 (rng.replicate); rows are merged by replica index, so the thread count
 never changes output. `run` reads it first and records it in the manifest.
+BLAS threads would change output (OpenBLAS splits a product's columns
+between threads, and the split moves the rounding), so `run` pins numpy's
+bundled OpenBLAS to one thread for the run and records the numerics that
+set the bits in the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 import time
+from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import scipy
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
 
 from . import __version__, chaos, fixtures, gibbs, hermite, randgraph
 from . import disorder as dis
@@ -353,12 +365,55 @@ RUNNERS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _openblas():
+    """numpy's bundled OpenBLAS (scipy-openblas) as a ctypes library, or
+    None for a BLAS without its symbols (MKL, Accelerate, a distribution's
+    OpenBLAS). The symbols are looked up through numpy's core extension,
+    which links the BLAS, so no library path is guessed."""
+    try:
+        lib = ctypes.CDLL(_umath.__file__)
+        for name, restype, argtypes in (
+                ("scipy_openblas_get_num_threads64_", ctypes.c_int, []),
+                ("scipy_openblas_set_num_threads64_", None, [ctypes.c_int]),
+                ("scipy_openblas_get_corename64_", ctypes.c_char_p, [])):
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, restore its count on exit, and
+    yield the numerics record: the BLAS core, its thread count, whether it
+    was pinned and numpy's enabled SIMD targets. An unknown BLAS runs as
+    it is and is recorded as not pinned."""
+    simd = [t for t in (*_umath.__cpu_baseline__, *_umath.__cpu_dispatch__)
+            if _umath.__cpu_features__.get(t)]
+    lib = _openblas()
+    if lib is None:
+        yield {"blas_core": None, "blas_threads": None, "pinned": False, "simd": simd}
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield {"blas_core": lib.scipy_openblas_get_corename64_().decode(),
+               "blas_threads": lib.scipy_openblas_get_num_threads64_(), "pinned": True,
+               "simd": simd}
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
 def run_experiment(cfg: dict) -> dict:
-    """Validate cfg, run it and write its three files; returns the manifest."""
+    """Validate cfg, run it on one BLAS thread and write its three files;
+    returns the manifest."""
     t0 = time.monotonic()
     run = _parse(cfg)
     workers = threads()  # a bad SPINCHAOS_THREADS stops the run before it writes
-    rows, payload = run()
+    with _one_blas_thread() as numerics:
+        rows, payload = run()
     outdir = Path(cfg["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "results.csv"
@@ -375,6 +430,7 @@ def run_experiment(cfg: dict) -> dict:
                      "scipy": scipy.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "threads": workers,
+        "numerics": numerics,
         "wall_time_s": time.monotonic() - t0,
     }
     _write_json(outdir / "manifest.json", manifest)

@@ -9,6 +9,12 @@ Tensor quadrature grids are capped at 6 coordinates, order 24 per axis,
 and 2^22 total nodes; coefficient degrees are capped at 10 in total.
 Everything past a cap raises CapacityError rather than degrading
 silently.
+
+The grid is walked in blocks of 2^16 nodes with one block alive at a
+time: the block generator and both quadrature loops drop a block's
+arrays before the next one is built, and grid digits are uint8, so a
+pass holds one block's rows, weights and digits at its peak.
+coefficient_sweep's phi tensor lives until its first contraction.
 """
 
 from __future__ import annotations
@@ -91,17 +97,25 @@ def _grid_blocks(n_edges: int, order: int):
     exists. The last m axes, with order^m <= 2^16 nodes, cycle through
     one pattern of digits, built once; a block is runs of that pattern,
     each under one value of the leading digits, so no node's digits take
-    a division."""
+    a division.
+
+    One block is alive at a time: the generator drops its names for a
+    block as soon as the consumer resumes it, before it builds the next,
+    so a consumer that drops its own names too holds one block at its
+    peak, not two. Digits are uint8 (MAX_ORDER - 1 fits), an eighth of
+    int64's bytes; they only index the order-length node and weight
+    arrays, so the gathered values are the same."""
     x, w = gauss_hermite(order)
     total = order ** n_edges
     m = n_edges
     while order ** m > 1 << 16:
         m -= 1
     period, lead = order ** m, n_edges - m
-    low = np.indices((order,) * m).reshape(m, period).T.copy()  # digits of 0..period - 1
+    # digits of 0..period - 1
+    low = np.indices((order,) * m, dtype=np.uint8).reshape(m, period).T.copy()
     for start in range(0, total, 1 << 16):
         stop = min(start + (1 << 16), total)
-        digits = np.empty((stop - start, n_edges), dtype=np.int64)
+        digits = np.empty((stop - start, n_edges), dtype=np.uint8)
         for run in range(start - start % period, stop, period):
             a, b = max(run, start), min(run + period, stop)
             digits[a - start:b - start, lead:] = low[a - run:b - run]
@@ -113,6 +127,7 @@ def _grid_blocks(n_edges: int, order: int):
         for k in range(1, n_edges):  # left to right, as prod(axis=1), without a (B, n_edges) copy
             weight *= w[digits[:, k]]
         yield rows, weight, digits
+        del rows, weight, digits
 
 
 def coeff_quadrature(phi, n_edges: int, n: MultiIndex, order: int) -> float:
@@ -128,6 +143,7 @@ def coeff_quadrature(phi, n_edges: int, n: MultiIndex, order: int) -> float:
         for eid, d in deg.items():
             f *= hvals[d][digits[:, eid]]
         acc += float(f.sum())
+        del rows, weight, digits, f  # before the generator builds the next block
     return acc
 
 
@@ -213,7 +229,9 @@ def coefficient_sweep(phi, n_edges: int, degree_cap: int, order: int) -> Coeffic
         flat[pos:pos + len(vals)] = vals
         e2 += float((weight * vals * vals).sum())
         pos += len(vals)
+        del rows, weight, vals  # before the generator builds the next block
     tensor = flat.reshape((order,) * n_edges)
+    del flat  # the first contraction's result replaces the phi tensor
     for _ in range(n_edges):
         tensor = np.tensordot(tensor, transform, axes=([0], [1]))
 

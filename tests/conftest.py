@@ -8,7 +8,11 @@ on. Slow is fine; these only run on small instances.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +453,18 @@ def reference_validation_error(n: int, edges):
             return f"duplicate edge {e}"
         seen.add(e)
     return None
+
+
+def peak_memory_mb(code: str) -> float:
+    """A VmHWM reading in MB of a fresh single-threaded interpreter running
+    code, which must end by printing its own VmHWM, or the growth of its
+    VmHWM over a call, in kB."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    return int(out.stdout) / 1024
 
 
 def second_moment_quadrature(phi, n_edges: int, order: int) -> float:

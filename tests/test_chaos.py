@@ -20,7 +20,8 @@ from scipy.integrate import quad
 from spinchaos import chaos, fixtures, gibbs, hermite, randgraph
 from spinchaos import disorder as dis
 from spinchaos.errors import CapacityError, NumericalError, ValidationError
-from spinchaos.hypergraph import Hypergraph, berge_distance, component, hypergraph
+from spinchaos.hypergraph import (Hypergraph, berge_distance, component, hypergraph,
+                                  multi_index)
 from spinchaos.randgraph import (diluted_spec, growth_stats, hypertree_trend,
                                  sample_diluted)
 from spinchaos.rng import replicate, substream
@@ -686,6 +687,38 @@ def test_bridged_betas_match_one_beta_calls_bitwise():
     for k in (0, 2):
         both = chaos.bridged_coefficients(k, (0.5, 1.0), 8)
         assert both == [chaos.bridged_coefficients(k, (beta,), 8)[0] for beta in (0.5, 1.0)]
+
+
+def test_bridged_reduced_path_fills_one_buffer_per_pass(monkeypatch):
+    # order 17: 17^4 nodes in a full block and a shorter last one. Each
+    # beta's pass writes every block into one zeroed buffer, and gives the
+    # bits of a fresh zero-filled embedding of each block
+    g, lab = fixtures.two_lobe_graph(2)
+    lobe_edges = list(lab["lobe_a"] + lab["lobe_b"])
+    bases, disorder_functional = [], chaos.disorder_functional
+
+    def functional(graph, model, beta, i, j):
+        phi = disorder_functional(graph, model, beta, i, j)
+
+        def spy(rows):
+            bases.append(rows.base)
+            assert not np.delete(rows, lobe_edges, axis=1).any()
+            return phi(rows)
+        return spy
+    monkeypatch.setattr(chaos, "disorder_functional", functional)
+    got = chaos.bridged_coefficients(2, (0.5, 1.0), 17)
+    assert [len(b) for b in bases] == [65536] * 4
+    assert bases[0] is bases[1] and bases[2] is bases[3] and bases[0] is not bases[2]
+
+    def fresh(rows):
+        full = np.zeros((len(rows), g.n_edges))
+        full[:, lobe_edges] = rows
+        return full
+    for out, beta in zip(got, (0.5, 1.0)):
+        phi = disorder_functional(g, dis.DisorderModel("identity"), beta, lab["i"], lab["j"])
+        want = hermite.coeff_quadrature(lambda rows: phi(fresh(rows)), 4,
+                                        multi_index({c: 1 for c in range(4)}), 17)
+        assert out["value"] == want
 
 
 def test_counterexample_suite_structure():

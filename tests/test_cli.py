@@ -9,6 +9,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -529,6 +532,70 @@ def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
     monkeypatch.setenv("SPINCHAOS_THREADS", "2")
     assert run_cli(["run", p3]) == 0
     assert json.loads((out3 / "manifest.json").read_text())["threads"] == 2
+
+
+def _audit16(tmp_path, out) -> str:
+    """A coefficient-audit config whose 5^6 grid ends in a 9-column block,
+    which OpenBLAS splits between threads with other rounding: 16 vertices,
+    six arity-3 edges (0,1,2), (2,3,4), ..., (10,11,0)."""
+    graph = tmp_path / "audit16.hg"
+    save_graph(hypergraph(16, [tuple(sorted((2 * k, 2 * k + 1, (2 * k + 2) % 12)))
+                               for k in range(6)]), graph)
+    cfg = {"experiment": "coefficient-audit", "seed": 1, "output": str(out),
+           "model": {"graph": {"file": str(graph)}, "disorder": {"kind": "identity"},
+                     "beta": 0.8},
+           "audit": {"i": 0, "j": 4, "degree_cap": 2, "order": 5}}
+    return write_config(tmp_path, cfg, name=f"{out.name}.json")
+
+
+def test_blas_threads_do_not_change_results(tmp_path):
+    # fresh interpreters, since OpenBLAS reads OPENBLAS_NUM_THREADS when
+    # it loads; unpinned, this audit writes other bytes at two threads
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    csv = {}
+    for n in ("1", "2"):
+        out = tmp_path / f"threads{n}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-m", "spinchaos.cli", "run", _audit16(tmp_path, out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        numerics = json.loads((out / "manifest.json").read_text())["numerics"]
+        if not numerics["pinned"]:
+            pytest.skip("this BLAS cannot be pinned to one thread")
+        assert numerics["blas_threads"] == 1
+        csv[n] = (out / "results.csv").read_bytes()
+    assert csv["1"] == csv["2"]
+
+
+def test_manifest_records_the_numerics(tmp_path, monkeypatch):
+    # the run is pinned to one BLAS thread and the count before it comes
+    # back; a BLAS without the OpenBLAS symbols runs unpinned, not refused
+    out = tmp_path / "o"
+    path = _audit16(tmp_path, out)
+    lib = cli._openblas()
+    if lib is not None:
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        assert run_cli(["run", path]) == 0
+        after = lib and lib.scipy_openblas_get_num_threads64_()
+    finally:
+        if lib is not None:
+            lib.scipy_openblas_set_num_threads64_(before)
+    numerics = json.loads((out / "manifest.json").read_text())["numerics"]
+    assert set(numerics) == {"blas_core", "blas_threads", "pinned", "simd"}
+    assert numerics["simd"] and all(isinstance(t, str) for t in numerics["simd"])
+    if lib is not None:
+        assert after == 2
+        assert numerics["pinned"] and numerics["blas_threads"] == 1
+        assert isinstance(numerics["blas_core"], str) and numerics["blas_core"]
+    (out / "results.csv").unlink()
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    assert run_cli(["run", path]) == 0
+    numerics = json.loads((out / "manifest.json").read_text())["numerics"]
+    assert numerics == {"blas_core": None, "blas_threads": None, "pinned": False,
+                        "simd": numerics["simd"]}
+    assert (out / "results.csv").exists()
 
 
 def test_run_growth_stats(tmp_path):

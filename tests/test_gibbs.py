@@ -1,9 +1,6 @@
 import math
-import os
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +20,9 @@ from spinchaos.rng import mean_se, substream
 from conftest import (batch_moments_full_table, bit_decoded_table,
                       dense_correlations, dense_ground_correlations, dense_ground_states,
                       exact_correlations_both_halves, hamiltonian,
-                      materialized_ground_correlations, planted_ground_states,
-                      product_states, random_hypergraph, reference_mcmc)
+                      materialized_ground_correlations, peak_memory_mb,
+                      planted_ground_states, product_states, random_hypergraph,
+                      reference_mcmc)
 
 
 def ring(n):
@@ -756,17 +754,6 @@ def test_batch_moments_peak_memory():
         "batch_moments(g, np.ones((256, 3)), 0.7, [(0, 17)])\n"
         "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln[:6] == 'VmHWM:'))\n")
     assert peak_memory_mb(code) < 400.0
-
-
-def peak_memory_mb(code: str) -> float:
-    """VmHWM in MB of a fresh single-threaded interpreter running code,
-    which must end by printing its own VmHWM in kB."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=300)
-    return int(out.stdout) / 1024
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

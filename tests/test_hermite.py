@@ -1,7 +1,9 @@
+import builtins
 import importlib.machinery
 import itertools
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from spinchaos.hermite import (CoefficientEntry, CoefficientTable,
 from spinchaos.hypergraph import hypergraph, multi_index, vertex_support
 from spinchaos.rng import substream
 
-from conftest import random_hypergraph, second_moment_quadrature
+from conftest import peak_memory_mb, random_hypergraph, second_moment_quadrature
 
 
 def test_gauss_hermite_moments():
@@ -56,18 +58,105 @@ def test_hermite_values_match_scipy():
 def test_grid_blocks_walk_the_grid_in_c_order(n_edges, order):
     # 2^16-node blocks whose digits are np.unravel_index of the node ids,
     # also where 2^16 is no multiple of the trailing axes' period (11^4,
-    # 7^5); rows and weights are the nodes and weight products of them
+    # 7^5); rows and weights are the nodes and weight products of them.
+    # Digits are uint8, which holds every digit of the largest order
+    assert np.iinfo(np.uint8).max >= hermite.MAX_ORDER - 1
     x, w = gauss_hermite(order)
     total = order ** n_edges
     want = np.stack(np.unravel_index(np.arange(total), (order,) * n_edges), axis=1)
     pos = 0
     for rows, weight, digits in hermite._grid_blocks(n_edges, order):
         assert len(digits) == min(1 << 16, total - pos)
-        assert digits.dtype == np.int64 and np.array_equal(digits, want[pos:pos + len(digits)])
+        assert digits.dtype == np.uint8 and np.array_equal(digits, want[pos:pos + len(digits)])
         assert rows.tobytes() == x[digits].tobytes()
         assert weight.tobytes() == np.prod(w[digits], axis=1).tobytes()
         pos += len(digits)
     assert pos == total
+
+
+def _spy_on_block_builds(monkeypatch, refs) -> list[int]:
+    """Count, at each divmod of _grid_blocks (it writes a block's leading
+    digits), how many of the weak references in refs are alive."""
+    alive = []
+
+    def spy(q, order):
+        alive.append(sum(r() is not None for r in refs))
+        return builtins.divmod(q, order)
+    monkeypatch.setattr(hermite, "divmod", spy, raising=False)
+    return alive
+
+
+def test_grid_blocks_hold_one_block(monkeypatch):
+    # once the consumer drops its names, the first block's arrays are dead
+    # while the second block is built, not only after it is yielded
+    blocks = hermite._grid_blocks(6, 12)  # 12^4-node runs under two leading digits
+    rows, weight, digits = next(blocks)
+    refs = [weakref.ref(a) for a in (rows, weight, digits)]
+    del rows, weight, digits
+    alive = _spy_on_block_builds(monkeypatch, refs)
+    rows, weight, digits = next(blocks)
+    assert alive and not any(alive)
+    assert all(r() is None for r in refs)
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["coeff_quadrature", "coefficient_sweep"])
+def test_quadrature_loops_hold_one_block(monkeypatch, sweep):
+    # no block's rows or phi values outlive their iteration: all are dead
+    # whenever _grid_blocks builds a block; the sweep's phi tensor is dead
+    # from its second contraction on
+    refs = []
+
+    def phi(rows):
+        vals = rows[:, 0] * rows[:, 5]
+        refs.extend((weakref.ref(rows), weakref.ref(vals)))
+        return vals
+    alive = _spy_on_block_builds(monkeypatch, refs)
+    if not sweep:
+        assert coeff_quadrature(phi, 6, multi_index({0: 1, 5: 1}), 12) == pytest.approx(1.0)
+    else:
+        flat, dead = [], []  # a reference to the phi tensor's buffer; its state per contraction
+
+        def tensordot(a, b, axes):
+            if not flat:
+                flat.append(weakref.ref(a.base))
+            else:
+                dead.append(flat[0]() is None)
+            return contract(a, b, axes)
+        contract = np.tensordot
+        monkeypatch.setattr(np, "tensordot", tensordot)
+        coefficient_sweep(phi, 6, 2, 12)
+        assert dead == [True] * 5
+    assert len(refs) == 2 * 46 and len(alive) >= 45  # 12^6 nodes in 46 blocks
+    assert not any(alive)
+
+
+_HWM = ("def hwm():\n"
+        "    return int(next(ln.split()[1] for ln in open('/proc/self/status')"
+        " if ln[:6] == 'VmHWM:'))\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("call, bound", [
+    # growth of VmHWM over the call, one BLAS thread, 2-core Xeon, numpy 2.4.6:
+    # 16.1 MB with two blocks alive and int64 digits, 6.5 MB with one block
+    ("coeff_quadrature(lambda r: r[:, 0] * r[:, 5], 6, n, 12)", 11.0),
+    # 38.1-39.0 MB with the phi tensor alive through every contraction and
+    # two blocks alive, 35.4 MB with one block; 24 MB of it is the tensor
+    ("next(e.value for e in coefficient_sweep(lambda r: r[:, 0] * r[:, 5], 6, 2, 12)"
+     ".entries if e.n == n)", 36.8),
+], ids=["coeff_quadrature", "coefficient_sweep"])
+def test_quadrature_peak_memory(call, bound):
+    # a fresh interpreter, one pass over a 12^6 grid with a cheap phi; the
+    # reading is VmHWM after the call minus VmHWM after the imports
+    code = (_HWM +
+            "from spinchaos.hermite import coeff_quadrature, coefficient_sweep\n"
+            "from spinchaos.hypergraph import multi_index\n"
+            "n = multi_index({0: 1, 5: 1})\n"
+            "before = hwm()\n"
+            f"value = {call}\n"
+            "assert abs(value - 1.0) < 1e-12, value\n"
+            "print(hwm() - before)\n")
+    assert peak_memory_mb(code) < bound
 
 
 def test_orthonormal_gram():
