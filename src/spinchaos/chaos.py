@@ -36,13 +36,13 @@ LOWER_TAGS = ("lower-discrete", "lower-gaussian")
 @dataclass(frozen=True)
 class ChaosCurve:
     """A curve and the inputs it was drawn from, which its bound checks
-    read, with the max-ball profile of every graph it ran on: one row per
-    replica of a diluted source, the single row of a fixed graph."""
+    read, with the max-ball profile of each diluted replica's graph. A
+    fixed graph's rows are empty: its bound check takes its profile."""
     t_grid: tuple[float, ...]
     estimates: np.ndarray
     ses: np.ndarray
     per_replica: np.ndarray  # (replicas, len(t_grid))
-    ball_profiles: np.ndarray  # (graphs, N + 1) _max_ball_profile counts, exact floats
+    ball_profiles: np.ndarray  # (replicas, N + 1 or 0 if fixed) _max_ball_profile counts
     source: Hypergraph | DilutedSpec
     model: dis.DisorderModel
     beta: float | None  # None at infinity
@@ -105,8 +105,8 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
     Replica k draws everything from the substream (seed, 'replica', k):
     the graph when the source is diluted, the base couplings, one coupled
     path across the grid, and any sampler randomness (rng.replicate).
-    The ball profile of each drawn graph is taken in its replica's task
-    and kept on the curve, so the bound checks redraw nothing.
+    Each drawn graph's ball profile is taken in its replica's task and
+    kept, so the bound checks redraw nothing; a fixed graph keeps none.
     """
     check_curve(graph_source, beta, kind, t_grid, replicas, mode, mcmc_sweeps, mcmc_burn_in)
     beta_v = None if beta is None else float(beta)
@@ -135,12 +135,11 @@ def chaos_curve(graph_source, model: dis.DisorderModel, beta, kind: str, t_grid,
 
     rows = replicate(one, replicas, len(grid) + width, seed, "replica")
     per = rows[:, :len(grid)]
-    profiles = rows[:, len(grid):] if width else np.array([_max_ball_profile(graph_source)], float)
     # mean centered at replica 0: exact when all replicas agree (beta = 0)
     dev_mean, ses = mean_se(per - per[0])
     return ChaosCurve(t_grid=grid, estimates=per[0] + dev_mean, ses=ses, per_replica=per,
-                      ball_profiles=profiles, source=graph_source, model=model, beta=beta_v,
-                      kind=kind, seed=seed, mode=mode)
+                      ball_profiles=rows[:, len(grid):], source=graph_source, model=model,
+                      beta=beta_v, kind=kind, seed=seed, mode=mode)
 
 
 def _profile_width(graph_source) -> int:
@@ -214,12 +213,15 @@ def theorem_bound_check(curve: ChaosCurve, tags=("general-ball",),
     families need caller constants: poly {C, theta}, exp {C, gamma},
     diluted {C, lambda}, levy {K, c, eps, alpha}. general-ball averages the
     per-graph bounds over the ball profiles the curve kept, so a diluted
-    source gets the mean over its own draws and nothing is redrawn; the
-    mean of a fixed graph's one bound is that bound. Lower tags come last.
+    source gets the mean over its own draws and nothing is redrawn; a
+    fixed graph's one profile is taken here, once. Lower tags come last.
     """
     params = params or {}
     source = curve.source
     check_bounds(tags, params, source, curve.model, curve.beta, curve.kind, curve.t_grid)
+    profiles = curve.ball_profiles.tolist()
+    if "general-ball" in tags and isinstance(source, Hypergraph):
+        profiles = [_max_ball_profile(source)]
     out = []
     for tag in [tag for tag in tags if tag in UPPER_TAGS]:
         for ti, t in enumerate(curve.t_grid):
@@ -227,7 +229,7 @@ def theorem_bound_check(curve: ChaosCurve, tags=("general-ball",),
             se = float(curve.ses[ti])
             extra = {}
             if tag == "general-ball":
-                bounds, r_stars = zip(*(_ball_bound(p, t) for p in curve.ball_profiles.tolist()))
+                bounds, r_stars = zip(*(_ball_bound(p, t) for p in profiles))
                 bound = float(np.mean(bounds))
                 if isinstance(source, Hypergraph):
                     extra["r_star"] = r_stars[0]

@@ -10,11 +10,11 @@ and 2^22 total nodes; coefficient degrees are capped at 10 in total.
 Everything past a cap raises CapacityError rather than degrading
 silently.
 
-The grid is walked in blocks of 2^16 nodes with one block alive at a
-time: the block generator and both quadrature loops drop a block's
-arrays before the next one is built, and grid digits are uint8, so a
-pass holds one block's rows, weights and digits at its peak.
-coefficient_sweep's phi tensor lives until its first contraction.
+The grid is walked in blocks of 2^16 nodes, one alive at a time: a
+block is its nodes and weights, dropped by the generator and both loops
+before the next is built. Its digits are a private intp array gone
+before the yield; the trailing pattern stays uint8. coefficient_sweep's
+phi tensor lives until its first contraction.
 """
 
 from __future__ import annotations
@@ -92,19 +92,19 @@ def check_sweep(n_edges: int, degree_cap: int, order: int):
 
 
 def _grid_blocks(n_edges: int, order: int):
-    """Yield (rows, log-free weight, per-axis digit array) over the full
-    tensor grid in C order, 2^16 nodes at a time, so the grid never fully
-    exists. The last m axes, with order^m <= 2^16 nodes, cycle through
-    one pattern of digits, built once; a block is runs of that pattern,
-    each under one value of the leading digits, so no node's digits take
-    a division.
+    """Yield (rows, log-free weight), the nodes and weight products of the
+    full tensor grid in C order, 2^16 nodes at a time, so the grid never
+    fully exists. The last m axes, with order^m <= 2^16 nodes, cycle
+    through one pattern of digits, built once; a block is runs of that
+    pattern, each under one value of the leading digits, so no node's
+    digits take a division.
 
     One block is alive at a time: the generator drops its names for a
     block as soon as the consumer resumes it, before it builds the next,
     so a consumer that drops its own names too holds one block at its
-    peak, not two. Digits are uint8 (MAX_ORDER - 1 fits), an eighth of
-    int64's bytes; they only index the order-length node and weight
-    arrays, so the gathered values are the same."""
+    peak, not two. A block's digits are a private intp array, which no
+    gather casts, dropped before the yield; the pattern lives for the
+    whole pass, so it stays uint8 (MAX_ORDER - 1 fits)."""
     x, w = gauss_hermite(order)
     total = order ** n_edges
     m = n_edges
@@ -115,7 +115,7 @@ def _grid_blocks(n_edges: int, order: int):
     low = np.indices((order,) * m, dtype=np.uint8).reshape(m, period).T.copy()
     for start in range(0, total, 1 << 16):
         stop = min(start + (1 << 16), total)
-        digits = np.empty((stop - start, n_edges), dtype=np.uint8)
+        digits = np.empty((stop - start, n_edges), dtype=np.intp)
         for run in range(start - start % period, stop, period):
             a, b = max(run, start), min(run + period, stop)
             digits[a - start:b - start, lead:] = low[a - run:b - run]
@@ -126,24 +126,23 @@ def _grid_blocks(n_edges: int, order: int):
         weight = w[digits[:, 0]]
         for k in range(1, n_edges):  # left to right, as prod(axis=1), without a (B, n_edges) copy
             weight *= w[digits[:, k]]
-        yield rows, weight, digits
-        del rows, weight, digits
+        del digits
+        yield rows, weight
+        del rows, weight
 
 
 def coeff_quadrature(phi, n_edges: int, n: MultiIndex, order: int) -> float:
-    """phi_hat(n) = E[phi(J) h_n(J)] by tensor Gauss-Hermite quadrature."""
+    """phi_hat(n) = E[phi(J) h_n(J)] by tensor Gauss-Hermite quadrature;
+    each h_d is the recurrence on the block's nodes, elementwise."""
     _check_grid(n_edges, order)
     _check_index(n, n_edges)
-    deg = n.as_dict()
-    x, _ = gauss_hermite(order)
-    hvals = hermite_values(max(deg.values(), default=0), x)
     acc = 0.0
-    for rows, weight, digits in _grid_blocks(n_edges, order):
+    for rows, weight in _grid_blocks(n_edges, order):
         f = weight * np.asarray(phi(rows), dtype=float)
-        for eid, d in deg.items():
-            f *= hvals[d][digits[:, eid]]
+        for eid, d in n.degrees:
+            f *= hermite_values(d, rows[:, eid])[d]
         acc += float(f.sum())
-        del rows, weight, digits, f  # before the generator builds the next block
+        del rows, weight, f  # before the generator builds the next block
     return acc
 
 
@@ -224,7 +223,7 @@ def coefficient_sweep(phi, n_edges: int, degree_cap: int, order: int) -> Coeffic
     flat = np.empty(order ** n_edges)
     e2 = 0.0
     pos = 0
-    for rows, weight, _ in _grid_blocks(n_edges, order):
+    for rows, weight in _grid_blocks(n_edges, order):
         vals = np.asarray(phi(rows), dtype=float)
         flat[pos:pos + len(vals)] = vals
         e2 += float((weight * vals * vals).sum())

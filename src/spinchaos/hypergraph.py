@@ -268,9 +268,6 @@ class MultiIndex:
     def odd_support(self) -> tuple[int, ...]:
         return tuple(eid for eid, d in self.degrees if d % 2 == 1)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.degrees)
-
     def check_edges(self, n_edges: int):
         """Every edge id in [0, n_edges); the ids are sorted and >= 0."""
         if self.degrees and self.degrees[-1][0] >= n_edges:

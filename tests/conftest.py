@@ -22,7 +22,8 @@ from spinchaos import gibbs
 from spinchaos.chaos import disorder_functional
 from spinchaos.disorder import DisorderModel
 from spinchaos.errors import ValidationError
-from spinchaos.hermite import coefficient_sweep, parseval_tail, weighted_coefficient_sum
+from spinchaos.hermite import (coefficient_sweep, gauss_hermite, hermite_values, parseval_tail,
+                               weighted_coefficient_sum)
 from spinchaos.hypergraph import Hypergraph, hypergraph
 
 
@@ -476,6 +477,28 @@ def second_moment_quadrature(phi, n_edges: int, order: int) -> float:
     weights = np.array([math.prod(ws) for ws in itertools.product(w, repeat=n_edges)])
     vals = np.asarray(phi(rows), dtype=float)
     return float(weights @ (vals * vals))
+
+
+def table_gather_quadrature(phi, n_edges: int, n, order: int) -> float:
+    """coeff_quadrature as a table gather: h_d on the order nodes, gathered
+    at each node's digit, here np.unravel_index of the node ids, over the
+    same 2^16-node C-order blocks, weight products and summation order."""
+    x, w = gauss_hermite(order)
+    deg = dict(n.degrees)
+    hvals = hermite_values(max(deg.values(), default=0), x)
+    total = order ** n_edges
+    acc = 0.0
+    for start in range(0, total, 1 << 16):
+        ids = np.arange(start, min(start + (1 << 16), total))
+        digits = np.stack(np.unravel_index(ids, (order,) * n_edges), axis=1)
+        weight = w[digits[:, 0]]
+        for k in range(1, n_edges):
+            weight *= w[digits[:, k]]
+        f = weight * np.asarray(phi(x[digits]), dtype=float)
+        for eid, d in deg.items():
+            f *= hvals[d][digits[:, eid]]
+        acc += float(f.sum())
+    return acc
 
 
 @pytest.fixture

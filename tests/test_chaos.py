@@ -448,6 +448,7 @@ def test_bound_check_draws_nothing(monkeypatch):
     def no_draw(*args):
         raise AssertionError("the bound check drew a graph or a replica")
 
+    profile = chaos._max_ball_profile
     for name in ("sample_diluted", "replicate", "_max_ball_profile"):
         monkeypatch.setattr(chaos, name, no_draw)
     checks = chaos.theorem_bound_check(curve, tags=("general-ball",))
@@ -456,11 +457,28 @@ def test_bound_check_draws_nothing(monkeypatch):
     for chk, t in zip(checks, grid):
         assert chk.bound == float(np.mean([general_ball_bound(g, t)[0] for g in graphs]))
         assert chk.extra == {}
-    # a fixed graph: the curve's one profile, its bound and r* at every t
-    assert fixed.ball_profiles.tolist() == [oracle_ball_profile(fixtures.torus_4x4())]
+    # a fixed graph: the curve keeps no profile, and its bound check takes
+    # the graph's one profile itself, for the same bound and r* at every t
+    assert fixed.ball_profiles.shape == (3, 0)
+    monkeypatch.setattr(chaos, "_max_ball_profile", profile)
     checks = chaos.theorem_bound_check(fixed, tags=("general-ball",))
     for chk, t in zip(checks, grid):
         assert (chk.bound, chk.extra["r_star"]) == general_ball_bound(fixtures.torus_4x4(), t)
+
+
+def test_fixed_curve_takes_no_profile_without_general_ball(monkeypatch):
+    # a fixed graph's ball profile is taken by the general-ball check
+    # alone: neither the curve nor a check of the other tags takes it
+    def no_profile(graph):
+        raise AssertionError("took a ball profile")
+
+    monkeypatch.setattr(chaos, "_max_ball_profile", no_profile)
+    curve = chaos.chaos_curve(fixtures.ring(8), IDENT, 1.0, "discrete", [0.0, 0.125, 0.5], 3, 7)
+    assert curve.ball_profiles.shape == (3, 0)
+    assert chaos.theorem_bound_check(curve, tags=()) == []
+    checks = chaos.theorem_bound_check(curve, tags=("poly-growth", "lower-discrete"),
+                                       params={"C": 1.0, "theta": 1.0})
+    assert [chk.tag for chk in checks] == ["poly-growth"] * 3 + ["lower-discrete"]
 
 
 def test_lower_bound_discrete():

@@ -24,7 +24,8 @@ from spinchaos.hermite import (CoefficientEntry, CoefficientTable,
 from spinchaos.hypergraph import hypergraph, multi_index, vertex_support
 from spinchaos.rng import substream
 
-from conftest import peak_memory_mb, random_hypergraph, second_moment_quadrature
+from conftest import (peak_memory_mb, random_hypergraph, second_moment_quadrature,
+                      table_gather_quadrature)
 
 
 def test_gauss_hermite_moments():
@@ -56,18 +57,18 @@ def test_hermite_values_match_scipy():
 
 @pytest.mark.parametrize("n_edges, order", [(5, 11), (6, 7), (4, 16), (3, 24), (2, 7), (1, 1)])
 def test_grid_blocks_walk_the_grid_in_c_order(n_edges, order):
-    # 2^16-node blocks whose digits are np.unravel_index of the node ids,
-    # also where 2^16 is no multiple of the trailing axes' period (11^4,
-    # 7^5); rows and weights are the nodes and weight products of them.
-    # Digits are uint8, which holds every digit of the largest order
+    # 2^16-node blocks of the nodes and weight products at the digits
+    # np.unravel_index gives the node ids, also where 2^16 is no multiple
+    # of the trailing axes' period (11^4, 7^5). The trailing pattern is
+    # uint8, which holds every digit of the largest order
     assert np.iinfo(np.uint8).max >= hermite.MAX_ORDER - 1
     x, w = gauss_hermite(order)
     total = order ** n_edges
     want = np.stack(np.unravel_index(np.arange(total), (order,) * n_edges), axis=1)
     pos = 0
-    for rows, weight, digits in hermite._grid_blocks(n_edges, order):
-        assert len(digits) == min(1 << 16, total - pos)
-        assert digits.dtype == np.uint8 and np.array_equal(digits, want[pos:pos + len(digits)])
+    for rows, weight in hermite._grid_blocks(n_edges, order):
+        digits = want[pos:pos + min(1 << 16, total - pos)]
+        assert rows.shape == (len(digits), n_edges) and weight.shape == (len(digits),)
         assert rows.tobytes() == x[digits].tobytes()
         assert weight.tobytes() == np.prod(w[digits], axis=1).tobytes()
         pos += len(digits)
@@ -90,11 +91,11 @@ def test_grid_blocks_hold_one_block(monkeypatch):
     # once the consumer drops its names, the first block's arrays are dead
     # while the second block is built, not only after it is yielded
     blocks = hermite._grid_blocks(6, 12)  # 12^4-node runs under two leading digits
-    rows, weight, digits = next(blocks)
-    refs = [weakref.ref(a) for a in (rows, weight, digits)]
-    del rows, weight, digits
+    rows, weight = next(blocks)
+    refs = [weakref.ref(a) for a in (rows, weight)]
+    del rows, weight
     alive = _spy_on_block_builds(monkeypatch, refs)
-    rows, weight, digits = next(blocks)
+    rows, weight = next(blocks)
     assert alive and not any(alive)
     assert all(r() is None for r in refs)
 
@@ -139,11 +140,15 @@ _HWM = ("def hwm():\n"
 @pytest.mark.parametrize("call, bound", [
     # growth of VmHWM over the call, one BLAS thread, 2-core Xeon, numpy 2.4.6:
     # 16.1 MB with two blocks alive and int64 digits, 6.5 MB with one block
+    # and uint8 digits gathered by a Hermite table, 8.6 MB with private intp
+    # digits and each Hermite factor taken from the block's nodes
     ("coeff_quadrature(lambda r: r[:, 0] * r[:, 5], 6, n, 12)", 11.0),
     # 38.1-39.0 MB with the phi tensor alive through every contraction and
-    # two blocks alive, 35.4 MB with one block; 24 MB of it is the tensor
+    # two blocks alive, 35.4 MB with one block and uint8 digits yielded,
+    # 33.9-34.1 MB with the digits dropped before the yield; 24 MB of it
+    # is the tensor
     ("next(e.value for e in coefficient_sweep(lambda r: r[:, 0] * r[:, 5], 6, 2, 12)"
-     ".entries if e.n == n)", 36.8),
+     ".entries if e.n == n)", 34.8),
 ], ids=["coeff_quadrature", "coefficient_sweep"])
 def test_quadrature_peak_memory(call, bound):
     # a fresh interpreter, one pass over a 12^6 grid with a cheap phi; the
@@ -157,6 +162,32 @@ def test_quadrature_peak_memory(call, bound):
             "assert abs(value - 1.0) < 1e-12, value\n"
             "print(hwm() - before)\n")
     assert peak_memory_mb(code) < bound
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 7, 16, 24])
+def test_coeff_quadrature_matches_table_gather_bitwise(order):
+    # each Hermite factor from the recurrence on a block's nodes has the
+    # bits of the order-node table gathered at the node's digits, so every
+    # coefficient does: random graphs of up to 6 edges, as many as the
+    # grid cap allows, one at the degree cap on the largest grid that fits
+    # and one smaller, with a Gibbs correlation and a cheap phi with a
+    # kink and a jump
+    rng = np.random.default_rng(order)
+    e_max = max(e for e in range(1, 7) if order ** e <= hermite.MAX_GRID)
+
+    def kinked(rows):
+        return np.abs(rows[:, 0] - rows[:, -1]) + (rows[:, -1] > 0.5)
+    for total in (hermite.MAX_TOTAL_DEGREE, int(rng.integers(0, hermite.MAX_TOTAL_DEGREE))):
+        g = random_hypergraph(rng, n_max=7, e_max=e_max)
+        while total == hermite.MAX_TOTAL_DEGREE and g.n_edges < e_max:
+            g = random_hypergraph(rng, n_max=7, e_max=e_max)
+        n = multi_index(enumerate(rng.multinomial(total, [1 / g.n_edges] * g.n_edges)))
+        i, j = rng.choice(g.n, size=2, replace=False).tolist()
+        gibbs_phi = disorder_functional(g, DisorderModel("identity"), 0.8, i, j)
+        for phi in (gibbs_phi, kinked):
+            got = coeff_quadrature(phi, g.n_edges, n, order)
+            assert np.float64(got).tobytes() == np.float64(
+                table_gather_quadrature(phi, g.n_edges, n, order)).tobytes(), (g, n)
 
 
 def test_orthonormal_gram():

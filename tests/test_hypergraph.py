@@ -284,7 +284,6 @@ def test_multi_index_basics():
     assert n.degrees == ((0, 3), (2, 1))
     assert n.total_degree == 4
     assert n.support == (0, 2)
-    assert n.as_dict() == {0: 3, 2: 1}
     with pytest.raises(ValidationError):
         multi_index({0: -1})
     with pytest.raises(ValidationError, match="sorted by edge id"):
