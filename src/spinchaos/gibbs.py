@@ -8,13 +8,18 @@ a float) means the uniform measure over ground states.
 Every edge-product table is built by row doubling over rows of one sign
 matrix (_signs). exact_correlations reads one cached table per graph
 (_low_table): the 2^b lowest +-1 states, with every spin at bit b and
-above at -1, and the products of each edge's spins, where 2^b is the
-largest power of two of rows that fits TABLE_BYTES (at most 2^(N-1)).
-It cuts its own blocks: any block of 2^b consecutive states is that
-table with some high spins flipped to +1, so its rows are the table's
-times +-1 signs (_flip), which it folds into the couplings and
-accumulators instead of rebuilding rows. Multiplying by +-1 is exact,
-so the doubling and the folding cost no bits. Exact routines are capped
+above at -1, where 2^b is the largest power of two of rows that fits
+TABLE_BYTES (at most 2^(N-1)), and the products of each edge's spins of
+only the lowest 2^k of them, a sub-table of at most BATCH_BLOCK_BYTES
+(at least 64 rows), with the +-1 edge signs of the spins from bit k to
+bit b. It cuts its own blocks: any block of 2^b consecutive states is
+that table with some high spins flipped to +1, so its rows are the
+table's times +-1 signs (_flip), which it folds into the couplings and
+accumulators instead of rebuilding rows, and sub-block h of a block's
+edge products is the sub-table times row h of the signs, folded into the
+couplings of one GEMV per sub-block. Multiplying by +-1 is exact, so the
+doubling and the folding cost no bits, and a GEMV row does not depend on
+the other rows of a chunk of 4 or more. Exact routines are capped
 at N = 24; larger systems go through the Glauber sampler, flagged as an
 estimate. Before any arithmetic each exact kernel checks that the
 bounds |H| <= n_edges max|c| and |beta H| <= beta n_edges max|c|
@@ -23,7 +28,9 @@ are finite (_check_scale).
 batch_moments scores each gauge class once, the states with one row of
 edge products (2^rank of them, rank the GF(2) rank of the edge-vertex
 incidence), doubled over the rows of pivot spins, and gathers the
-weights back to the 2^N states, bit for bit.
+weights back to the 2^N states, bit for bit. A pair's observable comes
+from the index bits; only single-spin moments build the (2^N, N) spin
+table.
 
 At beta = infinity the measure factorizes over connected components.
 ground_states scores all the systems of a graph at once, one GEMM per
@@ -50,12 +57,15 @@ from .hypergraph import Hypergraph, component
 
 EXACT_MAX_N = 24
 BATCH_MAX_N = 20
-# bytes of the cached table (states plus edge products); the 2^15-row
-# half table of the complete graph on 16 vertices fits in one block
+# sizes exact_correlations' blocks as if each row held its states and
+# edge products, which pins their bits (the 2^15-row half table of the
+# complete graph on 16 vertices is one block); the cached state table is
+# one block, its edge products only a sub-table of BATCH_BLOCK_BYTES
 TABLE_BYTES = 64 << 20
 MCMC_SWEEPS, MCMC_BURN_IN = 20000, 2000  # the sampler's default chain
 # batch_moments sizes its (2^N, columns) float64 work block near
-# BATCH_BLOCK_BYTES within BATCH_COLUMNS. The values stay because the
+# BATCH_BLOCK_BYTES within BATCH_COLUMNS, and exact_correlations its
+# edge-product sub-table within it. The values stay because the
 # column count fixes the bits: a GEMM's columns need not be bitwise those
 # of a GEMM of another width, and the quadrature digests pin these widths
 BATCH_BLOCK_BYTES = 1 << 19
@@ -146,16 +156,22 @@ def _doubled(first: np.ndarray, sign: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _low_table(graph: Hypergraph, rows: int):
-    """(states, edge products) of the indices 0..rows - 1, rows a power of
-    two, by doubling: spin v at +1 negates column v of the states, and
-    the edge products by row v of _signs. Cached one graph at a time and
+def _low_table(graph: Hypergraph, rows: int, sub: int):
+    """(states, edge products, sub-block signs) by doubling: the states of
+    the indices 0..rows - 1, the edge products of 0..sub - 1 only, and
+    the (rows // sub, n_edges) +-1 edge signs of the spins from bit
+    log2(sub) up, so the products of index h sub + r are those of r
+    times row h of the signs, exactly. rows and sub are powers of two,
+    sub <= rows. Spin v at +1 negates column v of the states, and the
+    edge products by row v of _signs. Cached one graph at a time and
     read-only, so exact_correlations' blocks and its threads share them."""
-    bits = rows.bit_length() - 1
-    eprod = _doubled(1.0 - 2.0 * (graph.arity & 1), _signs(graph)[:bits])
+    bits, k = rows.bit_length() - 1, sub.bit_length() - 1
+    signs = _signs(graph)
+    eprod = _doubled(1.0 - 2.0 * (graph.arity & 1), signs[:k])
+    hi = _doubled(np.ones(graph.n_edges), signs[k:bits])
     states = _doubled(np.full(graph.n, -1.0), 1.0 - 2.0 * np.eye(bits, graph.n))
-    states.flags.writeable = eprod.flags.writeable = False
-    return states, eprod
+    states.flags.writeable = eprod.flags.writeable = hi.flags.writeable = False
+    return states, eprod, hi
 
 
 def check_size(n: int, cap: int) -> None:
@@ -195,9 +211,19 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
 
     The 2^(N-1) states with the top spin at -1 go in blocks, in index
     order, of the cached table's rows: the largest power of two of rows
-    that fits TABLE_BYTES, at most 2^(N-1). The block at start is the
-    table times the signs of _flip(graph, start), which fold into the
-    couplings of the GEMV and the accumulators.
+    that fits TABLE_BYTES as if each row held its edge products too, at
+    most 2^(N-1). The block at start is the table times the signs of
+    _flip(graph, start), which fold into the couplings of the GEMVs and
+    the accumulators. Its energies come in sub-blocks of the cached
+    edge-product sub-table's rows: the largest power of two whose
+    products fit BATCH_BLOCK_BYTES, at least 64 and at most the block.
+    Sub-block h is the sub-table times row h of the sub-block signs, so
+    one GEMV of the sub-table against the couplings times that row and
+    the block's signs writes its rows, with the bits of those rows of one
+    GEMV over the whole block's products: a GEMV row does not depend on
+    the others in a chunk of 4 or more rows (2-row chunks do differ). A
+    block that fits in one chunk takes one GEMV. The sub-blocks stay
+    separate GEMVs, since a GEMM column is not bitwise the GEMV.
     """
     beta = _require_finite_beta(system)
     graph, n = system.graph, system.n
@@ -205,18 +231,25 @@ def exact_correlations(system: SpinSystem) -> CorrelationMatrix:
     c_eff = np.asarray(system.couplings) * system.levy_scale
     _check_scale(c_eff, beta)
     fit = TABLE_BYTES // (8 * (n + graph.n_edges))
-    states, eprod = _low_table(graph, min(1 << (n - 1), 1 << max(fit.bit_length() - 1, 0)))
+    rows = min(1 << (n - 1), 1 << max(fit.bit_length() - 1, 0))
+    fit = BATCH_BLOCK_BYTES // (8 * max(graph.n_edges, 1))  # the sub-table, >= 64 rows
+    states, eprod, hi = _low_table(graph, rows, min(rows, 1 << max(fit.bit_length() - 1, 6)))
     odd = graph.arity & 1  # the global flip negates the odd edges' products
     c_neg, even = (1.0 - 2.0 * odd) * c_eff, not odd.any()
     shift = -math.inf  # current max of beta*H over both half-spaces
     z = 0.0            # sum of exp(beta*H - shift)
     acc_corr = np.zeros((n, n))
     acc_mean = np.zeros(n)
-    for start in range(0, 1 << (n - 1), len(eprod)):
+    be_pos = np.empty(rows)
+    # even: every complement weighs what its row does
+    be_neg = be_pos if even else np.empty(rows)
+    for start in range(0, 1 << (n - 1), rows):
         spin, sign = _flip(graph, start)
-        be_pos = beta * (eprod @ (sign * c_eff))
-        # even: every complement weighs what its row does
-        be_neg = be_pos if even else beta * (eprod @ (sign * c_neg))
+        for be, c in ((be_pos, c_eff),) if even else ((be_pos, c_eff), (be_neg, c_neg)):
+            c = sign * c
+            for row, out in zip(hi, be.reshape(len(hi), -1)):
+                np.matmul(eprod, row * c, out=out)
+            be *= beta
         m = float(max(be_pos.max(), be_neg.max()))
         if m > shift:
             rescale = math.exp(shift - m) if shift > -math.inf else 0.0
@@ -507,7 +540,11 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     key restores the 2^N rows the sums read, bit for bit: a GEMM row
     depends on its own row of the left factor only, a max not on order
     (but for the sign of a zero, and x - 0.0 and x - -0.0 have one exp),
-    and the rest acts on each entry alone.
+    and the rest acts on each entry alone. A pair's +-1 observable is
+    1 - 2 times the xor of its two index bits, a contiguous array with the
+    values of the product of two spin-table columns, so the same GEMV
+    bits. Singles read strided columns of the (2^N, N) spin table, built
+    only for them: a contiguous copy of a column gives other GEMV bits.
     """
     n = graph.n
     check_size(n, BATCH_MAX_N)
@@ -519,8 +556,10 @@ def batch_moments(graph: Hypergraph, couplings: np.ndarray, beta,
     check = graph.check_vertex  # a negative id would index spins from the end
     pairs = [(check(i), check(j)) for i, j in pairs]
     singles = [check(i) for i in singles]
-    states = _doubled(np.full(n, -1.0), 1.0 - 2.0 * np.eye(n))
-    pair_obs = [states[:, i] * states[:, j] for i, j in pairs]
+    idx = np.arange(1 << n)  # a pair's +-1 product is the xor of its bits
+    pair_obs = [1.0 - 2.0 * (((idx >> i) ^ (idx >> j)) & 1) for i, j in pairs]
+    del idx
+    states = _doubled(np.full(n, -1.0), 1.0 - 2.0 * np.eye(n)) if singles else None
     single_obs = [states[:, i] for i in singles]
     key, pivots = _classes(graph)
     eprod = _doubled(1.0 - 2.0 * (graph.arity & 1), _signs(graph)[pivots])  # a row per class

@@ -135,6 +135,55 @@ def exact_correlations_both_halves(system):
     return corr, means, shift + math.log(z)
 
 
+def full_table_correlations(system):
+    """gibbs.exact_correlations as it was before the edge-product
+    sub-table: every block's energies are one GEMV over a full 2^b-row
+    edge-product table, built uncached by the same doubling. Same blocks,
+    accumulators and results; reads gibbs.TABLE_BYTES at call time."""
+    beta = gibbs._require_finite_beta(system)
+    graph, n = system.graph, system.n
+    gibbs.check_size(n, gibbs.EXACT_MAX_N)
+    c_eff = np.asarray(system.couplings) * system.levy_scale
+    gibbs._check_scale(c_eff, beta)
+    fit = gibbs.TABLE_BYTES // (8 * (n + graph.n_edges))
+    rows = min(1 << (n - 1), 1 << max(fit.bit_length() - 1, 0))
+    bits = rows.bit_length() - 1
+    eprod = gibbs._doubled(1.0 - 2.0 * (graph.arity & 1), gibbs._signs(graph)[:bits])
+    states = gibbs._doubled(np.full(graph.n, -1.0), 1.0 - 2.0 * np.eye(bits, graph.n))
+    odd = graph.arity & 1  # the global flip negates the odd edges' products
+    c_neg, even = (1.0 - 2.0 * odd) * c_eff, not odd.any()
+    shift = -math.inf  # current max of beta*H over both half-spaces
+    z = 0.0            # sum of exp(beta*H - shift)
+    acc_corr = np.zeros((n, n))
+    acc_mean = np.zeros(n)
+    for start in range(0, 1 << (n - 1), len(eprod)):
+        spin, sign = gibbs._flip(graph, start)
+        be_pos = beta * (eprod @ (sign * c_eff))
+        # even: every complement weighs what its row does
+        be_neg = be_pos if even else beta * (eprod @ (sign * c_neg))
+        m = float(max(be_pos.max(), be_neg.max()))
+        if m > shift:
+            rescale = math.exp(shift - m) if shift > -math.inf else 0.0
+            z *= rescale
+            acc_corr *= rescale
+            acc_mean *= rescale
+            shift = m
+        w_pos = np.exp(be_pos - shift)
+        w_neg = w_pos if even else np.exp(be_neg - shift)
+        z += float(w_pos.sum() + w_neg.sum())
+        both = w_pos + w_neg
+        acc_corr += np.outer(spin, spin) * (states.T @ (states * both[:, None]))
+        if not even:  # w_pos - w_neg is +0.0, which leaves acc_mean at +0.0
+            acc_mean += spin * ((w_pos - w_neg) @ states)
+    if not (z > 0 and math.isfinite(z)):
+        raise gibbs.NumericalError(f"degenerate partition accumulator z={z}")
+    corr = acc_corr / z
+    corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    return gibbs.CorrelationMatrix(corr=corr, means=acc_mean / z,
+                                   log_z=shift + math.log(z))
+
+
 def batch_moments_full_table(graph: Hypergraph, couplings, beta, pairs, singles=()):
     """gibbs.batch_moments as it was before gauge classes: every block's
     GEMM, column max, scaling and exp run on all 2^N rows of the table.

@@ -19,7 +19,7 @@ from spinchaos.rng import mean_se, substream
 
 from conftest import (batch_moments_full_table, bit_decoded_table,
                       dense_correlations, dense_ground_correlations, dense_ground_states,
-                      exact_correlations_both_halves, hamiltonian,
+                      exact_correlations_both_halves, full_table_correlations, hamiltonian,
                       materialized_ground_correlations, peak_memory_mb,
                       planted_ground_states, product_states, random_hypergraph,
                       reference_mcmc)
@@ -88,12 +88,13 @@ def few_columns_per_chunk(monkeypatch, g, cols=2):
     monkeypatch.setattr(gibbs, "TABLE_BYTES", 8 * max(need, default=0))
 
 
-def kernel_table(g, rows):
-    """The cached low table of rows rows, asserted to be the one that
-    exact_correlations reads on g under the current TABLE_BYTES."""
+def kernel_table(g, rows, sub=None):
+    """The cached low table of rows rows and its sub-table of sub rows
+    (rows by default), asserted to be the one that exact_correlations
+    reads on g under the current TABLE_BYTES and BATCH_BLOCK_BYTES."""
     exact_correlations(spin_system(g, np.ones(g.n_edges), 0.5))  # fills the cache
     hits = gibbs._low_table.cache_info().hits
-    table = gibbs._low_table(g, rows)
+    table = gibbs._low_table(g, rows, sub or rows)
     assert gibbs._low_table.cache_info().hits == hits + 1
     return table
 
@@ -106,7 +107,7 @@ def test_blocked_streaming_is_exact(rng, monkeypatch):
     a = exact_correlations(spin_system(g, cs, 2.0))
     ga = ground_states(spin_system(g, cs, None))[0]
     few_rows_per_block(monkeypatch, g)
-    assert len(kernel_table(g, 2)[1]) < 1 << (g.n - 1)  # 3 rows fit, 2 per block
+    assert len(kernel_table(g, 2)[0]) < 1 << (g.n - 1)  # 3 rows fit, 2 per block
     b = exact_correlations(spin_system(g, cs, 2.0))
     few_columns_per_chunk(monkeypatch, g)
     gb = ground_states(spin_system(g, cs, None))[0]
@@ -154,36 +155,46 @@ def test_ground_states_in_enumeration_order(rng, monkeypatch, rows):
 
 
 def test_cached_table_is_read_only(monkeypatch):
-    g = hypergraph(5, [(0, 1, 2), (3, 4)])
-    few_rows_per_block(monkeypatch, g)
-    exact_correlations(spin_system(g, [1.0, -0.5], 0.7))  # fills the cache
-    hits = gibbs._low_table.cache_info().hits
-    states, eprod = gibbs._low_table(g, 2)
-    assert gibbs._low_table.cache_info().hits == hits + 1
-    assert len(eprod) == 2 and (1 << (g.n - 1)) // len(eprod) == 8  # 16 half rows, 8 blocks
-    for table in (states, eprod):
+    # 256 half rows in two blocks of 128, each two sub-blocks of the
+    # 64-row sub-table, the floor that a tiny BATCH_BLOCK_BYTES leaves
+    g = hypergraph(9, [(0, 1, 2), (3, 4), (5, 6, 7, 8)])
+    few_rows_per_block(monkeypatch, g, 128)
+    monkeypatch.setattr(gibbs, "BATCH_BLOCK_BYTES", 8)
+    states, eprod, hi = kernel_table(g, 128, 64)
+    assert states.shape == (128, 9) and eprod.shape == (64, 3) and hi.shape == (2, 3)
+    assert (1 << (g.n - 1)) // len(states) == 2
+    for table in (states, eprod, hi):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("rows", [1, 2, 4])
-def test_blocks_are_the_table_times_flip_signs(rng, monkeypatch, rows):
-    # block k holds enumeration indices k*rows ... (k+1)*rows - 1, and its
-    # edge products are the dense ones of those states
+@pytest.mark.parametrize("subs", [1, 2, 4])
+def test_blocks_are_the_table_times_flip_signs(rng, monkeypatch, subs):
+    # block k holds enumeration indices k*rows ... (k+1)*rows - 1, rows =
+    # 64 subs, and its sub-block h the edge products of the 64-row
+    # sub-table times row h of the sub-block signs: the dense ones of those
+    # states. Each sub-block's GEMV gives the bits of those rows of one
+    # GEMV over the whole block's products
     g = random_hypergraph(rng, n_max=7, e_max=6, arities=(2, 3, 4))
-    few_rows_per_block(monkeypatch, g, rows)
+    g = hypergraph(9, g.edges)  # 256 half rows
+    few_rows_per_block(monkeypatch, g, 64 * subs)
+    monkeypatch.setattr(gibbs, "BATCH_BLOCK_BYTES", 8)
     half = 1 << (g.n - 1)
     cs = rng.standard_normal(g.n_edges)
-    states, eprod = kernel_table(g, min(rows, half))
-    for start in range(0, half, len(eprod)):
+    states, eprod, hi = kernel_table(g, 64 * subs, 64)
+    assert len(hi) == subs
+    for start in range(0, half, len(states)):
         spin, sign = gibbs._flip(g, start)
         block = states * spin
         assert np.array_equal(enumeration_index(block), np.arange(start, start + len(block)))
         want = np.array([[np.prod(row[list(e)]) for e in g.edges] for row in block])
-        assert np.array_equal(eprod * sign, want.reshape(eprod.shape))
-        assert np.allclose(eprod @ (sign * cs), want.reshape(eprod.shape) @ cs,
-                           rtol=0, atol=1e-12)
+        want = want.reshape(len(block), g.n_edges)
+        energies = want @ (sign * cs)
+        for h, signs in enumerate(hi):
+            at = slice(64 * h, 64 * (h + 1))
+            assert np.array_equal(eprod * signs * sign, want[at])
+            assert np.matmul(eprod, signs * (sign * cs)).tobytes() == energies[at].tobytes()
     spin, sign = gibbs._flip(g, (1 << g.n) - 1)  # the global flip
     assert np.all(spin == -1.0)
     assert np.array_equal(sign, [(-1.0) ** len(e) for e in g.edges])
@@ -214,15 +225,21 @@ def test_flip_matches_the_edge_loop(rng):
     hypergraph(1, []),
     "random"], ids=["arity-2-4", "arity-3-4", "no-edges", "one-spin", "random"])
 def test_table_matches_bit_decoded_oracle(rng, graph):
-    # every row count from one row to the full 2^N, on arities 2-4 and on
-    # graphs with no edges: the same values as decoding the index bits
+    # every row count from one row to the full 2^N, each with sub-tables
+    # from one row to all of them, on arities 2-4 and on graphs with no
+    # edges: the same values as decoding the index bits, the sub-table's
+    # rows times each sub-block's signs giving the products of that
+    # sub-block
     g = random_hypergraph(rng, n_max=8, e_max=7, arities=(2, 3, 4)) if graph == "random" else graph
     for rows in sorted({1, 2, 1 << (g.n // 2), 1 << (g.n - 1), 1 << g.n}):
-        states, eprod = gibbs._low_table(g, rows)
-        want_states, want_eprod = bit_decoded_table(g, rows)
-        for got, want in ((states, want_states), (eprod, want_eprod)):
-            assert got.dtype == np.float64 and got.flags.c_contiguous
-            assert got.shape == want.shape and np.array_equal(got, want)
+        for sub in sorted({s for s in (1, 2, 1 << (rows.bit_length() // 2), rows) if s <= rows}):
+            states, eprod, hi = gibbs._low_table(g, rows, sub)
+            want_states, want_eprod = bit_decoded_table(g, rows)
+            subs = (eprod[None] * hi[:, None]).reshape(rows, g.n_edges)
+            for got, want in ((states, want_states), (eprod, want_eprod[:sub]),
+                              (subs, want_eprod), (hi, want_eprod[::sub] * want_eprod[0])):
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_table_cache_shared_by_threads(rng):
@@ -243,6 +260,46 @@ def test_table_cache_shared_by_threads(rng):
         sys.setswitchinterval(interval)
     for k, corr in enumerate(got):
         assert np.array_equal(corr, want[k % 4])
+
+
+def diluted_draw(n, alphas):
+    return sample_diluted(diluted_spec(n, alphas), substream(37, "draw", n, len(alphas)))
+
+
+EXACT_GRAPHS = {  # name: (graph, levy_scale)
+    **{name: (fixtures.get_fixture(name), 1.0) for name in fixtures.FIXTURES},
+    "levy-k16": (fixtures.complete_graph(16), 16 ** -0.5),  # 64 sub-blocks of 512 rows
+    **{f"diluted-{kind}-{n}": (diluted_draw(n, alphas), 1.0)
+       for n in (12, 17, 22) for kind, alphas in (("odd", {2: 0.6, 3: 0.2}),
+                                                  ("even", {2: 0.6, 4: 0.2}))},
+}
+# "sub-blocks": 64-row sub-tables; "few-rows": 2-row blocks, one chunk
+# each; "few-sub-blocks": 256-row blocks of four 64-row sub-blocks. The
+# forced budgets run where the blocks stay few
+EXACT_CASES = [(name, budget) for name, (g, _) in EXACT_GRAPHS.items()
+               for budget in ("default", "sub-blocks", "few-rows", "few-sub-blocks")
+               if budget == "default" or g.n <= {"few-rows": 12}.get(budget, 17)]
+
+
+@pytest.mark.parametrize("name, budget", EXACT_CASES, ids=[f"{n}-{b}" for n, b in EXACT_CASES])
+def test_exact_correlations_match_full_table_bitwise(monkeypatch, name, budget):
+    # a GEMV per sub-block of the sub-table gives the bits of one GEMV over
+    # the block's full edge-product table, for every row count of 4 or
+    # more, so corr, means and log Z are the full-table kernel's bytes:
+    # on every fixture, the Levy K16, and odd and even diluted draws up
+    # to N = 22 (16 blocks of 2^17 rows), at betas 0 to 10
+    g, levy_scale = EXACT_GRAPHS[name]
+    if budget in ("sub-blocks", "few-sub-blocks"):
+        monkeypatch.setattr(gibbs, "BATCH_BLOCK_BYTES", 8)
+    if budget != "default":
+        few_rows_per_block(monkeypatch, g, 3 if budget == "few-rows" else 256)
+    cs = substream(37, "couplings", name).standard_normal(g.n_edges)
+    for beta in (0.0, 0.7, 2.5, 10.0):
+        system = spin_system(g, cs, beta, levy_scale)
+        got, want = exact_correlations(system), full_table_correlations(system)
+        for u, v in ((got.corr, want.corr), (got.means, want.means),
+                     (np.float64(got.log_z), np.float64(want.log_z))):
+            assert u.shape == v.shape and u.tobytes() == v.tobytes(), (name, beta)
 
 
 def test_single_edge_tanh():
@@ -624,7 +681,7 @@ def test_batch_moments_match_loop(rng, monkeypatch):
     monkeypatch.setattr(gibbs, "BATCH_COLUMNS", (2, 2))
     pv, sv = batch_moments(g, cs, beta, pairs, singles)
     few_rows_per_block(monkeypatch, g, 1)
-    assert len(kernel_table(g, 1)[1]) == 1 < 1 << (g.n - 1)
+    assert len(kernel_table(g, 1)[0]) == 1 < 1 << (g.n - 1)
     pv_blocked, sv_blocked = batch_moments(g, cs, beta, pairs, singles)
     assert np.array_equal(pv_blocked, pv)
     assert np.array_equal(sv_blocked, sv)
@@ -769,6 +826,49 @@ def test_batch_moments_full_table_peak_memory():
         "batch_moments(g, np.ones((4, 20)), 0.7, [(0, 10)], [3])\n"
         "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln[:6] == 'VmHWM:'))\n")
     assert peak_memory_mb(code) < 520.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_batch_moments_pairs_only_peak_memory():
+    # the same call with pairs only: each pair's observable comes from the
+    # index bits, and no (2^N, N) spin table is built. On a 2-core Xeon
+    # with numpy 2.4 this read 342 MB with the table and 183 MB without
+    code = (
+        "import numpy as np\n"
+        "from spinchaos.gibbs import batch_moments\n"
+        "from spinchaos.hypergraph import hypergraph\n"
+        "g = hypergraph(20, [(k, k + 1) for k in range(19)] + [(0, 19)])\n"
+        "batch_moments(g, np.ones((4, 20)), 0.7, [(0, 10), (3, 17)])\n"
+        "print(next(ln.split()[1] for ln in open('/proc/self/status') if ln[:6] == 'VmHWM:'))\n")
+    assert peak_memory_mb(code) < 260.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("graph, bound", [
+    # growth of VmHWM over the call, one BLAS thread, 2-core Xeon, numpy
+    # 2.4.6: with a 2^15-row edge-product table cached, 39.7 MB on K16 (120
+    # edges) and 17.8 MB on the torus (32 edges); with the sub-table of at
+    # most BATCH_BLOCK_BYTES, 9.6 and 9.7 MB, most of it the 2^15-row
+    # state table, its weighted copy and the block's weights
+    ("complete_graph(16)", 20.0),
+    ("torus_4x4()", 13.5),
+], ids=["levy-k16", "ea-torus-4x4"])
+def test_exact_correlations_peak_memory(graph, bound):
+    # a fresh interpreter, one call; the reading is VmHWM after the call
+    # minus VmHWM after the imports and the couplings
+    code = (
+        "import numpy as np\n"
+        "from spinchaos.fixtures import complete_graph, torus_4x4\n"
+        "from spinchaos.gibbs import exact_correlations, spin_system\n"
+        "def hwm():\n"
+        "    return int(next(ln.split()[1] for ln in open('/proc/self/status')"
+        " if ln[:6] == 'VmHWM:'))\n"
+        f"g = {graph}\n"
+        "s = spin_system(g, np.random.default_rng(0).standard_normal(g.n_edges), 0.9, 0.3)\n"
+        "before = hwm()\n"
+        "exact_correlations(s)\n"
+        "print(hwm() - before)\n")
+    assert peak_memory_mb(code) < bound
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -210,8 +210,8 @@ def test_array_and_tuple_forms_are_one_graph():
     assert Hypergraph(4, [pairs]) == hypergraph(4, [(0, 1), (1, 2)])
     # one table serves both
     gibbs._low_table.cache_clear()
-    gibbs._low_table(arrays, 8)
-    gibbs._low_table(tuples, 8)
+    gibbs._low_table(arrays, 8, 8)
+    gibbs._low_table(tuples, 8, 8)
     assert gibbs._low_table.cache_info()[:2] == (1, 1)
     # the graph owns its arrays: they are read-only, and changing the
     # caller's block afterwards changes nothing
